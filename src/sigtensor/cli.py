@@ -55,7 +55,10 @@ def _emit(payload) -> None:
     sys.stdout.write("\n")
 
 
-def _check_cap(d: int, k: int) -> None:
+def _check_order(d: int, k: int, flag: str) -> None:
+    """Reject a negative order, or a level with more entries than the cap."""
+    if k < 0:
+        raise UsageError(f"{flag} {k}: the order must be >= 0")
     if d**k > ENTRY_CAP:
         raise UsageError(f"level {k} in dimension {d} exceeds the {ENTRY_CAP}-entry cap")
 
@@ -66,7 +69,7 @@ def cmd_compute(args) -> int:
     if args.level is None and args.trunc is None:
         raise UsageError("one of --level or --trunc is required")
     order = args.level if args.level is not None else args.trunc
-    _check_cap(path.d, order)
+    _check_order(path.d, order, "--level" if args.level is not None else "--trunc")
     series = signature_series(path, order)
     if not exact:
         series = series.to_float()
@@ -80,7 +83,7 @@ def cmd_compute(args) -> int:
 def cmd_expected(args) -> int:
     exact = args.scalar == "exact"
     data = _load_json(args.model)
-    _check_cap_from_model(data, args.trunc)
+    _check_order_from_model(data, args.trunc)
     if "components" in data:
         mixture = MixtureModel.from_json(data, exact=exact)
         series = mixture_expected_signature(mixture, args.trunc)
@@ -91,12 +94,12 @@ def cmd_expected(args) -> int:
     return EXIT_OK
 
 
-def _check_cap_from_model(data: dict, n: int) -> None:
+def _check_order_from_model(data: dict, n: int) -> None:
     if "components" in data:
         d = len(data["components"][0]["model"]["mu"])
     else:
         d = len(data["mu"])
-    _check_cap(d, n)
+    _check_order(d, n, "--trunc")
 
 
 def cmd_lyndon(args) -> int:
@@ -109,11 +112,15 @@ def cmd_lyndon(args) -> int:
 
 
 def cmd_normal_form(args) -> int:
-    table = normal_form_table(args.d, args.n)
     if args.word:
+        bad = next((ch for ch in args.word if not ch.isdigit() or not 1 <= int(ch) <= args.d), None)
+        if bad is not None:
+            raise UsageError(f"letter {bad!r} of word {args.word!r} is outside 1..{args.d}")
         word = tuple(int(ch) for ch in args.word)
         if len(word) > args.n:
             raise UsageError(f"word {args.word!r} longer than truncation {args.n}")
+    table = normal_form_table(args.d, args.n)
+    if args.word:
         _emit(poly_to_json(word, table.phi(word)))
     else:
         _emit(table.to_json())
@@ -190,7 +197,7 @@ def cmd_verify_vanishing(args) -> int:
     path = path_from_json(_load_json(args.path), exact=True)
     if not isinstance(path, AxisParallel):
         raise UsageError("verify-vanishing needs an axis_parallel path")
-    _check_cap(path.d, args.upto)
+    _check_order(path.d, args.upto, "--upto")
     series = signature_series(path, args.upto)
     first = next((k for k in range(1, args.upto + 1) if not series.levels[k].is_zero()), None)
     _emit(

@@ -22,7 +22,6 @@ from .tensor import (
     TensorSeries,
     concat_product,
     exp_series,
-    from_vector,
     project_level,
     unit_series,
 )
@@ -216,14 +215,23 @@ def tensor_congruence(core: LevelTensor, matrix: Sequence[Sequence]) -> LevelTen
 
 
 def pl_signature(steps: Sequence[Sequence], n: int, d: int | None = None) -> TensorSeries:
-    """Step-n signature of a piecewise-linear path: product of exponentials."""
-    steps = [tuple(s) for s in steps]
+    """Step-n signature of a piecewise-linear path: product of exponentials.
+
+    The exponential of each step x is built level by level: level k is the
+    tensor product of level k-1 with x, divided by k.
+    """
+    steps = [LevelTensor(len(s), 1, s) for s in steps]
     if not steps:
         return unit_series(d or 1, n)
-    d = len(steps[0])
-    series = unit_series(d, n)
-    for step in steps:
-        series = concat_product(series, exp_series(from_vector(step, n)))
+    series = unit_series(steps[0].d, n)
+    if any(x.holds_floats for x in steps):
+        series = series.to_float()
+    one = series.levels[0]
+    for x in steps:
+        exponential = [one]
+        for k in range(1, n + 1):
+            exponential.append(exponential[-1].tensor_product(x).scale(Fraction(1, k)))
+        series = concat_product(series, TensorSeries(x.d, n, exponential))
     return series
 
 
@@ -278,7 +286,8 @@ def pl_signature_congruence(steps: Sequence[Sequence], k: int) -> LevelTensor:
 
 
 def _poly_mul(a: list, b: list) -> list:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    # 0 * a[0] is zero in the coefficients' own scalar type (Fraction or float).
+    out = [0 * a[0]] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai == 0:
             continue
@@ -290,21 +299,24 @@ def _poly_mul(a: list, b: list) -> list:
 
 def _poly_integrate(a: list) -> list:
     """Antiderivative with zero constant term."""
-    return [Fraction(0)] + [c / Fraction(i + 1) for i, c in enumerate(a)]
+    return [0 * a[0]] + [c / (i + 1) for i, c in enumerate(a)]
 
 
 def poly_signature_integrate(coeffs: Sequence[Sequence], n: int) -> TensorSeries:
     """Signature of a polynomial path by exact iterated integration.
 
     For each word prefix the running iterated integral is a univariate
-    polynomial in t with rational coefficients; appending a letter i
-    multiplies by X_i'(t) and integrates.  Entries are the values at t=1.
+    polynomial in t with rational coefficients (float coefficients when any
+    input coefficient is a float); appending a letter i multiplies by
+    X_i'(t) and integrates.  Entries are the values at t=1.
     """
-    rows = [[Fraction(c) for c in r] for r in coeffs]
+    scalar = float if any(isinstance(c, float) for r in coeffs for c in r) else Fraction
+    rows = [[scalar(c) for c in r] for r in coeffs]
     d = len(rows)
-    derivatives = [[Fraction(j + 1) * c for j, c in enumerate(row)] for row in rows]
-    levels = [LevelTensor(d, 0, [Fraction(1)])]
-    frontier = {(): [Fraction(1)]}
+    derivatives = [[(j + 1) * c for j, c in enumerate(row)] for row in rows]
+    one = scalar(1)
+    levels = [LevelTensor(d, 0, [one])]
+    frontier = {(): [one]}
     for k in range(1, n + 1):
         nxt = {}
         entries = []
@@ -312,7 +324,7 @@ def poly_signature_integrate(coeffs: Sequence[Sequence], n: int) -> TensorSeries
             base = frontier[word[:-1]]
             integral = _poly_integrate(_poly_mul(base, derivatives[word[-1] - 1]))
             nxt[word] = integral
-            entries.append(sum(integral, Fraction(0)))
+            entries.append(sum(integral, 0 * one))
         levels.append(LevelTensor(d, k, entries))
         frontier = nxt
     return TensorSeries(d, n, levels)

@@ -4,6 +4,12 @@ A LevelTensor is a dense order-k tensor over {1..d}, a TensorSeries stacks
 levels 0..n (level 0 is a single scalar) and carries the concatenation
 product, exponential and logarithm, truncated at order n.  Values are
 immutable after construction and safe to share across threads.
+
+Arithmetic on levels runs on a flat ndarray built once per level from its
+entries: float64 when the level holds floats, object (Python `Fraction` or
+`int`) when every entry is exact, and object for any other scalar type.
+`LevelTensor.tensor_product` (one `np.multiply.outer`) is the only level
+product; the series operations are built on it.
 """
 
 from __future__ import annotations
@@ -12,14 +18,33 @@ import itertools
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .scalars import format_scalar, is_exact, parse_scalar, values_close
 from .words import all_words, index_word, word_index, word_to_string
 
 
-class LevelTensor:
-    """Dense order-k tensor with d^k entries indexed by words."""
+def _holds_floats(entries) -> bool:
+    """True when the entries are floats, possibly mixed with exact scalars."""
+    kinds = set(map(type, entries))
+    return any(issubclass(t, float) for t in kinds) and all(
+        issubclass(t, (float, int, Fraction)) and t is not bool for t in kinds
+    )
 
-    __slots__ = ("d", "k", "entries")
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class LevelTensor:
+    """Dense order-k tensor with d^k entries indexed by words.
+
+    `entries` is a flat tuple of plain scalars in base-d word order; `array`
+    is the same data as a read-only flat ndarray, built on first use.
+    """
+
+    __slots__ = ("d", "k", "entries", "_array")
 
     def __init__(self, d: int, k: int, entries: Sequence):
         if d < 1 or k < 0:
@@ -30,6 +55,31 @@ class LevelTensor:
         self.d = d
         self.k = k
         self.entries = entries
+        self._array = None
+
+    @classmethod
+    def _from_array(cls, d: int, k: int, array: np.ndarray) -> "LevelTensor":
+        """Level owning a fresh flat result array (not copied)."""
+        entries = array.tolist()
+        if array.dtype == object and _holds_floats(entries):
+            array = array.astype(np.float64)
+            entries = array.tolist()
+        level = cls.__new__(cls)
+        level.d, level.k, level.entries = d, k, tuple(entries)
+        level._array = _frozen(array)
+        return level
+
+    @property
+    def array(self) -> np.ndarray:
+        """The entries as a read-only flat ndarray (float64 or object)."""
+        if self._array is None:
+            dtype = np.float64 if _holds_floats(self.entries) else object
+            self._array = _frozen(np.array(self.entries, dtype=dtype))
+        return self._array
+
+    @property
+    def holds_floats(self) -> bool:
+        return self.array.dtype == np.float64
 
     @classmethod
     def zeros(cls, d: int, k: int, zero=Fraction(0)) -> "LevelTensor":
@@ -67,13 +117,15 @@ class LevelTensor:
     def add(self, other: "LevelTensor") -> "LevelTensor":
         if (self.d, self.k) != (other.d, other.k):
             raise ValueError("shape mismatch")
-        return LevelTensor(self.d, self.k, [a + b for a, b in zip(self.entries, other.entries)])
+        return LevelTensor._from_array(self.d, self.k, self.array + other.array)
 
     def scale(self, c) -> "LevelTensor":
-        return LevelTensor(self.d, self.k, [c * v for v in self.entries])
+        if self.holds_floats and isinstance(c, (int, float, Fraction)):
+            c = float(c)
+        return LevelTensor._from_array(self.d, self.k, c * self.array)
 
     def negate(self) -> "LevelTensor":
-        return LevelTensor(self.d, self.k, [-v for v in self.entries])
+        return LevelTensor._from_array(self.d, self.k, -self.array)
 
     def norm_max(self) -> float:
         return max((abs(v) for v in self.entries), default=0)
@@ -85,17 +137,8 @@ class LevelTensor:
         """Concatenation (outer) product of two levels."""
         if self.d != other.d:
             raise ValueError("dimension mismatch")
-        block = len(other.entries)
-        out = [Fraction(0)] * (len(self.entries) * block)
-        for i, a in enumerate(self.entries):
-            if a == 0:
-                continue
-            base = i * block
-            for j, b in enumerate(other.entries):
-                if b == 0:
-                    continue
-                out[base + j] = a * b
-        return LevelTensor(self.d, self.k + other.k, out)
+        out = np.multiply.outer(self.array, other.array).reshape(-1)
+        return LevelTensor._from_array(self.d, self.k + other.k, out)
 
     def symmetrize(self) -> "LevelTensor":
         """Sum of entries over all k! position permutations of each word.
@@ -230,14 +273,24 @@ class TensorSeries:
         return cls(d, n, levels)
 
 
+def _scalar_zero(*series: TensorSeries):
+    """0.0 when any level of the series holds floats, else Fraction(0)."""
+    return 0.0 if any(lvl.holds_floats for s in series for lvl in s.levels) else Fraction(0)
+
+
+def _graded(d: int, n: int, constant, zero) -> TensorSeries:
+    """Series with the given constant term and all-`zero` levels 1..n."""
+    levels = [LevelTensor(d, 0, [constant])]
+    levels += [LevelTensor.zeros(d, k, zero) for k in range(1, n + 1)]
+    return TensorSeries(d, n, levels)
+
+
 def zero_series(d: int, n: int) -> TensorSeries:
-    return TensorSeries(d, n, [LevelTensor.zeros(d, k) for k in range(n + 1)])
+    return _graded(d, n, Fraction(0), Fraction(0))
 
 
 def unit_series(d: int, n: int) -> TensorSeries:
-    levels = [LevelTensor(d, 0, [Fraction(1)])]
-    levels += [LevelTensor.zeros(d, k) for k in range(1, n + 1)]
-    return TensorSeries(d, n, levels)
+    return _graded(d, n, Fraction(1), Fraction(0))
 
 
 def basis_series(d: int, n: int, letter: int) -> TensorSeries:
@@ -267,16 +320,26 @@ def series_from_level(level: LevelTensor, n: int | None = None) -> TensorSeries:
 
 
 def concat_product(a: TensorSeries, b: TensorSeries) -> TensorSeries:
-    """Concatenation product in the truncated tensor algebra."""
+    """Concatenation product in the truncated tensor algebra.
+
+    Pairs of levels where either side is all zero are skipped; a result
+    level with no remaining pair is zero in the scalar mode of the inputs.
+    """
     if a.d != b.d or a.n != b.n:
         raise ValueError("series must share dimension and truncation order")
+    live_a = [any(lvl.entries) for lvl in a.levels]
+    live_b = [any(lvl.entries) for lvl in b.levels]
     levels = []
     for k in range(a.n + 1):
         acc = None
         for p in range(k + 1):
-            term = a.levels[p].tensor_product(b.levels[k - p])
-            acc = term if acc is None else acc.add(term)
-        levels.append(acc)
+            if live_a[p] and live_b[k - p]:
+                term = a.levels[p].tensor_product(b.levels[k - p]).array
+                acc = term if acc is None else acc + term
+        if acc is None:
+            levels.append(LevelTensor.zeros(a.d, k, _scalar_zero(a, b)))
+        else:
+            levels.append(LevelTensor._from_array(a.d, k, acc))
     return TensorSeries(a.d, a.n, levels)
 
 
@@ -288,8 +351,8 @@ def exp_series(p: TensorSeries) -> TensorSeries:
     """exp(p) = sum p^r / r!, which terminates at r = n for constant term 0."""
     if p.constant_term != 0:
         raise ValueError("exponential requires constant term 0")
-    result = unit_series(p.d, p.n)
-    term = unit_series(p.d, p.n)
+    zero = _scalar_zero(p)
+    result = term = _graded(p.d, p.n, zero + 1, zero)
     for r in range(1, p.n + 1):
         term = concat_product(term, p).scale(Fraction(1, r))
         result = result.add(term)
@@ -300,9 +363,10 @@ def log_series(q: TensorSeries) -> TensorSeries:
     """log(q) = sum (-1)^(r-1)/r (q-1)^r, defined for constant term 1."""
     if q.constant_term != 1:
         raise ValueError("logarithm requires constant term 1")
-    p = q.add(unit_series(q.d, q.n).negate())
-    result = zero_series(q.d, q.n)
-    power = unit_series(q.d, q.n)
+    zero = _scalar_zero(q)
+    power = _graded(q.d, q.n, zero + 1, zero)
+    p = q.add(power.negate())
+    result = _graded(q.d, q.n, zero, zero)
     for r in range(1, q.n + 1):
         power = concat_product(power, p)
         result = result.add(power.scale(Fraction((-1) ** (r - 1), r)))

@@ -273,3 +273,34 @@ def test_bundled_canonical_matrices():
 def test_usage_exit_code(capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
+
+
+def test_compute_order_zero_is_the_unit(tmp_path, capsys):
+    path = write_json(tmp_path, "p.json", {"type": "piecewise_linear", "dim": 2, "steps": [["1", "2"], ["3", "-1/2"]]})
+    code, out, _ = run_cli(capsys, "compute", path, "--level", "0")
+    assert code == 0
+    assert json.loads(out) == {"dim": 2, "order": 0, "scalar": "rational", "entries": {"": "1"}}
+    code, out, _ = run_cli(capsys, "compute", path, "--trunc", "0")
+    assert code == 0
+    assert json.loads(out) == {"dim": 2, "trunc": 0, "levels": ["1"]}
+
+
+def test_negative_orders_are_usage_errors(tmp_path, capsys):
+    path = write_json(tmp_path, "p.json", {"type": "piecewise_linear", "dim": 2, "steps": [["1", "2"]]})
+    model = write_json(tmp_path, "m.json", {"mu": ["1", "0"], "sigma": [["1", "0"], ["0", "1"]]})
+    for argv in (
+        ("compute", path, "--level", "-1"),
+        ("compute", path, "--trunc", "-1"),
+        ("expected", model, "--trunc", "-1"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "must be >= 0" in err and argv[-2] in err
+
+
+def test_normal_form_rejects_letters_outside_the_alphabet(capsys):
+    code, out, err = run_cli(capsys, "normal-form", "--d", "2", "--n", "3", "--word", "13")
+    assert code == 2 and out == ""
+    assert "letter '3'" in err and "1..2" in err
+    code, out, err = run_cli(capsys, "normal-form", "--d", "2", "--n", "3", "--word", "1x")
+    assert code == 2 and "letter 'x'" in err

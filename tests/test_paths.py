@@ -12,6 +12,7 @@ from sigtensor import (
     canonical_axis,
     canonical_mono,
     commutator,
+    exp_series,
     is_grouplike,
     is_lie,
     log_series,
@@ -256,3 +257,35 @@ def test_path_json_round_trip(rng):
         assert signature_series(back, 3) == signature_series(path, 3)
     with pytest.raises(ValueError):
         path_from_json({"type": "spline", "dim": 2})
+
+
+def _series_floats_only(series):
+    return all(type(v) is float for lvl in series.levels for v in lvl.entries)
+
+
+def test_float_polynomial_path_computes_in_floats(rng):
+    coeffs = [[rand_fraction(rng) for _ in range(3)] for _ in range(2)]
+    exact = poly_signature_integrate(coeffs, 5)
+    approx = poly_signature_integrate([[float(c) for c in row] for row in coeffs], 5)
+    assert _series_floats_only(approx)
+    assert approx.equals(exact.to_float(), tol=1e-9)
+
+
+def test_float_series_carry_float_constant_term(rng):
+    steps = [[float(v) for v in rand_vector(rng, 2)] for _ in range(3)]
+    sig = pl_signature(steps, 3)
+    lie = random_lie_series(rng, 2, 3).to_float()
+    for series in (sig, poly_signature_integrate([[0.5, 1.0], [-1.0, 0.25]], 3), exp_series(lie), log_series(sig)):
+        assert _series_floats_only(series)
+    assert sig.constant_term == 1.0 and log_series(sig).constant_term == 0.0
+    zero_step = pl_signature([[0.0, 0.0]], 2)
+    assert _series_floats_only(zero_step)
+    assert zero_step.levels[2].to_json()["scalar"] == "float"
+    assert zero_step.to_json()["levels"][1]["scalar"] == "float"
+
+
+def test_pl_signature_order_zero(rng):
+    steps = [rand_vector(rng, 3) for _ in range(2)]
+    sig = pl_signature(steps, 0)
+    assert sig.n == 0 and sig.constant_term == 1 and sig == unit_series(3, 0)
+    assert pl_signature([[0.5, 1.5]], 0).constant_term == 1.0

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sigtensor import (
@@ -200,3 +201,18 @@ def test_commutator_is_lie():
     d, n = 3, 3
     e1, e2, e3 = (basis_series(d, n, i) for i in (1, 2, 3))
     assert is_lie(commutator(e1, commutator(e2, e3)))
+
+
+def test_level_array_dtype_follows_the_entries():
+    exact = LevelTensor(2, 1, [Fraction(1, 2), 3])
+    assert exact.array.dtype == object
+    assert LevelTensor(2, 1, [0.5, Fraction(0)]).array.dtype == np.float64
+    assert not exact.array.flags.writeable
+    with pytest.raises(ValueError):
+        exact.array[0] = 1
+    product = exact.tensor_product(exact)
+    assert product.entries == (Fraction(1, 4), Fraction(3, 2), Fraction(3, 2), 9)
+    assert isinstance(product.entries, tuple)
+    floats = exact.to_float().tensor_product(exact.to_float())
+    assert floats.array.dtype == np.float64
+    assert all(type(v) is float for v in floats.entries)
