@@ -24,7 +24,7 @@ from sigtensor.words import word_to_string
 
 basis = lyndon_words(2, 4)
 print(f"Lyndon words over two letters, length <= 4 ({basis.count} of them):")
-print("   ", [word_to_string(w) for w in basis.words])
+print("   ", [word_to_string(w, 2) for w in basis.words])
 print("counting formula agrees:", lyndon_count(2, 4))
 
 print("\nbracketings expand into the concatenation basis:")
@@ -32,12 +32,12 @@ from sigtensor.words import all_words
 
 for word in [(1, 2), (1, 1, 2), (1, 1, 2, 2)]:
     level = bracketing(word).levels[len(word)]
-    terms = {word_to_string(w): level[w] for w in all_words(2, len(word)) if level[w]}
-    print(f"    b({word_to_string(word)}) -> {terms}")
+    terms = {word_to_string(w, 2): level[w] for w in all_words(2, len(word)) if level[w]}
+    print(f"    b({word_to_string(word, 2)}) -> {terms}")
 
 print("\nrewriting polynomials for non-Lyndon words (d=2, n=3):")
 for word in [(1, 1), (2, 1), (1, 2, 1)]:
-    print("   ", poly_to_json(word, normal_form(word, 2, 3)))
+    print("   ", poly_to_json(word, normal_form(word, 2, 3), 2))
 
 rng = random.Random(1)
 values = {w: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for w in lyndon_words(2, 4).words}

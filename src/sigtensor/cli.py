@@ -28,7 +28,7 @@ from .scalars import format_scalar
 from .shuffle import find_grouplike_violation, find_lie_violation
 from .stochastic import BrownianModel, MixtureModel, expected_signature, mixture_expected_signature
 from .tensor import LevelTensor, TensorSeries, project_level
-from .words import word_to_string
+from .words import word_from_string, word_to_string
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -106,22 +106,19 @@ def cmd_lyndon(args) -> int:
     basis = lyndon_words(args.d, args.n)
     payload = {"dim": args.d, "trunc": args.n, "count": lyndon_count(args.d, args.n)}
     if not args.count_only:
-        payload["words"] = [word_to_string(w) for w in basis.words]
+        payload["words"] = [word_to_string(w, args.d) for w in basis.words]
     _emit(payload)
     return EXIT_OK
 
 
 def cmd_normal_form(args) -> int:
     if args.word:
-        bad = next((ch for ch in args.word if not ch.isdigit() or not 1 <= int(ch) <= args.d), None)
-        if bad is not None:
-            raise UsageError(f"letter {bad!r} of word {args.word!r} is outside 1..{args.d}")
-        word = tuple(int(ch) for ch in args.word)
+        word = word_from_string(args.word, args.d)
         if len(word) > args.n:
             raise UsageError(f"word {args.word!r} longer than truncation {args.n}")
     table = normal_form_table(args.d, args.n)
     if args.word:
-        _emit(poly_to_json(word, table.phi(word)))
+        _emit(poly_to_json(word, table.phi(word), args.d))
     else:
         _emit(table.to_json())
     return EXIT_OK
@@ -151,8 +148,8 @@ def cmd_check(args) -> int:
             {
                 "ok": False,
                 "witness": {
-                    "left": word_to_string(left),
-                    "right": word_to_string(right),
+                    "left": word_to_string(left, value.d),
+                    "right": word_to_string(right, value.d),
                     "values": [format_scalar(v) for v in values],
                 },
             }

@@ -167,12 +167,20 @@ def poly_eval(poly: LyndonPolynomial, values: dict):
     return total
 
 
-def poly_to_json(word: tuple, poly: LyndonPolynomial) -> dict:
+def poly_to_json(word: tuple, poly: LyndonPolynomial, d: int | None = None) -> dict:
+    """JSON form of a rewriting polynomial, words written for alphabet size d.
+
+    d defaults to the largest letter present, which writes the same digit
+    strings as any alphabet of at most 9 letters.
+    """
     items = sorted(poly.items())
+    if d is None:
+        words = [word] + [w for mono in poly for w in mono]
+        d = max((max(w) for w in words if w), default=1)
     return {
-        "word": word_to_string(word),
+        "word": word_to_string(word, d),
         "poly": [
-            {"vars": [word_to_string(w) for w in mono], "coeff": format_scalar(coeff)}
+            {"vars": [word_to_string(w, d) for w in mono], "coeff": format_scalar(coeff)}
             for mono, coeff in items
         ],
     }
@@ -231,7 +239,7 @@ class NormalFormTable:
         return {
             "dim": self.d,
             "trunc": self.n,
-            "forms": [poly_to_json(w, self.table[w]) for w in non_lyndon],
+            "forms": [poly_to_json(w, self.table[w], self.d) for w in non_lyndon],
         }
 
 

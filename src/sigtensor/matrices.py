@@ -39,11 +39,16 @@ def _as_rows(matrix) -> list:
     return rows
 
 
-def matrix_to_tensor(rows: Sequence[Sequence]) -> LevelTensor:
-    rows = _as_rows(rows)
-    d = len(rows)
-    if any(len(r) != d for r in rows):
+def _square_rows(matrix) -> list:
+    rows = _as_rows(matrix)
+    if any(len(r) != len(rows) for r in rows):
         raise ValueError("matrix must be square")
+    return rows
+
+
+def matrix_to_tensor(rows: Sequence[Sequence]) -> LevelTensor:
+    rows = _square_rows(rows)
+    d = len(rows)
     return LevelTensor(d, 2, [rows[i][j] for i in range(d) for j in range(d)])
 
 
@@ -64,10 +69,8 @@ class MatrixPencil:
 
 def split_pencil(matrix) -> MatrixPencil:
     """Exact halves S = P + Q with P symmetric and Q skew."""
-    rows = _as_rows(matrix)
+    rows = _square_rows(matrix)
     d = len(rows)
-    if any(len(r) != d for r in rows):
-        raise ValueError("matrix must be square")
     half = Fraction(1, 2)
     P = tuple(tuple(half * (rows[i][j] + rows[j][i]) for j in range(d)) for i in range(d))
     Q = tuple(tuple(half * (rows[i][j] - rows[j][i]) for j in range(d)) for i in range(d))
@@ -77,16 +80,60 @@ def split_pencil(matrix) -> MatrixPencil:
 # --- exact linear algebra -------------------------------------------------
 
 
-def _clear_denominators(rows: list) -> list:
-    """Row-wise integer scaling; preserves rank and determinant sign."""
-    out = []
+@dataclass(frozen=True)
+class _Echelon:
+    """Integer echelon form of an exact matrix.
+
+    Each row was scaled to integers (`scale` is the product of the row
+    scalings) and then eliminated fraction-free (Bareiss), so the k-th
+    pivot is a k x k minor of the scaled matrix; `sign` is the sign of the
+    row swaps and `pivots` the pivot column of each row, in order.
+    """
+
+    rows: list
+    pivots: tuple
+    sign: int
+    scale: int
+
+    def kernel_vector(self, free: Sequence) -> list:
+        """Solution v of rows @ v = 0 that agrees with `free` off the pivots."""
+        v = [Fraction(x) for x in free]
+        for row, col in reversed(list(zip(self.rows, self.pivots))):
+            total = sum(row[c] * v[c] for c in range(col + 1, len(v)) if row[c])
+            v[col] = -Fraction(total) / row[col]
+        return v
+
+
+def _eliminate(rows: list) -> _Echelon:
+    """Fraction-free forward elimination; stops once every row has a pivot."""
+    work, scale = [], 1
     for row in rows:
         fracs = [Fraction(v) for v in row]
-        lcm = 1
-        for f in fracs:
-            lcm = lcm * f.denominator // math.gcd(lcm, f.denominator)
-        out.append([int(f * lcm) for f in fracs])
-    return out
+        lcm = math.lcm(*(f.denominator for f in fracs))
+        work.append([f.numerator * (lcm // f.denominator) for f in fracs])
+        scale *= lcm
+    n_rows, n_cols = len(work), len(work[0]) if work else 0
+    pivots, sign, prev = [], 1, 1
+    for col in range(n_cols):
+        if len(pivots) == n_rows:
+            break
+        top = len(pivots)
+        pivot = next((r for r in range(top, n_rows) if work[r][col] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != top:
+            work[top], work[pivot] = work[pivot], work[top]
+            sign = -sign
+        head = work[top]
+        p = head[col]
+        for r in range(top + 1, n_rows):
+            row = work[r]
+            f = row[col]
+            row[col + 1 :] = [(p * a - f * b) // prev for a, b in zip(row[col + 1 :], head[col + 1 :])]
+            row[col] = 0
+        prev = p
+        pivots.append(col)
+    return _Echelon(work, tuple(pivots), sign, scale)
 
 
 def exact_rank(matrix, float_tol: float = 1e-9) -> int:
@@ -104,70 +151,29 @@ def exact_rank(matrix, float_tol: float = 1e-9) -> int:
         if s.size == 0 or s[0] == 0.0:
             return 0
         return int(np.sum(s > float_tol * s[0]))
-    work = _clear_denominators(rows)
-    n_rows, n_cols = len(work), len(work[0])
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(row, n_rows) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[row], work[pivot] = work[pivot], work[row]
-        for r in range(row + 1, n_rows):
-            for c in range(col + 1, n_cols):
-                work[r][c] = (work[row][col] * work[r][c] - work[r][col] * work[row][c]) // prev
-            work[r][col] = 0
-        prev = work[row][col]
-        rank += 1
-        row += 1
-        if row == n_rows:
-            break
-    return rank
+    return len(_eliminate(rows).pivots)
 
 
 def exact_det(matrix):
-    """Determinant by fraction-free (Bareiss) elimination."""
-    rows = [[Fraction(v) for v in row] for row in _as_rows(matrix)]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix must be square")
-    if n == 0:
+    """Determinant: sign times the last fraction-free pivot over the row scalings."""
+    rows = _square_rows(matrix)
+    if not rows:
         return Fraction(1)
-    sign = 1
-    prev = Fraction(1)
-    for col in range(n - 1):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            sign = -sign
-        for r in range(col + 1, n):
-            for c in range(col + 1, n):
-                rows[r][c] = (rows[col][col] * rows[r][c] - rows[r][col] * rows[col][c]) / prev
-            rows[r][col] = Fraction(0)
-        prev = rows[col][col]
-    return sign * rows[n - 1][n - 1]
+    echelon = _eliminate(rows)
+    if len(echelon.pivots) < len(rows):
+        return Fraction(0)
+    return Fraction(echelon.sign * echelon.rows[-1][-1], echelon.scale)
 
 
 def matrix_inverse(matrix) -> list:
-    """Exact inverse via Gauss-Jordan elimination."""
-    rows = [[Fraction(v) for v in row] for row in _as_rows(matrix)]
+    """Exact inverse, read off the kernel of [A | I]: column j solves A x = e_j."""
+    rows = _square_rows(matrix)
     n = len(rows)
-    aug = [rows[i] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    echelon = _eliminate([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)])
+    if echelon.pivots != tuple(range(n)):
+        raise ValueError("matrix is singular")
+    columns = [echelon.kernel_vector([0] * n + [-int(i == j) for i in range(n)]) for j in range(n)]
+    return [[columns[j][i] for j in range(n)] for i in range(n)]
 
 
 # --- pfaffians and circuit matrices ----------------------------------------

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .dual import Dual, seed_matrix
-from .matrices import exact_rank, matrix_inverse
+from .matrices import _eliminate, exact_det, exact_rank, matrix_inverse
 from .paths import canonical_axis, canonical_mono, tensor_congruence
 from .scalars import fraction_nth_root, real_nth_root
 from .shuffle import shuffle_form_eval, shuffle_words
@@ -85,8 +85,6 @@ def _random_change(d: int, rng: random.Random) -> list:
     """Small invertible integer matrix."""
     while True:
         a = [[Fraction(rng.randint(-3, 3)) for _ in range(d)] for _ in range(d)]
-        from .matrices import exact_det
-
         if exact_det(a) != 0:
             return a
 
@@ -136,10 +134,9 @@ def recover_group_element(
             root = real_nth_root(float(base), n)
         series = _descend(working, root)
         if change is not None:
-            if mode == "rational":
-                inverse = matrix_inverse(change)
-            else:
-                inverse = np.linalg.inv(np.asarray(change, dtype=float)).tolist()
+            inverse = matrix_inverse(change)
+            if mode == "real":
+                inverse = [[float(v) for v in row] for row in inverse]
             series = TensorSeries(
                 series.d,
                 series.n,
@@ -205,40 +202,16 @@ def _swapped_tensor(tensor: LevelTensor) -> LevelTensor:
 def _kernel_point(rows: list) -> tuple:
     """Unique (up to scale) kernel vector of an exact matrix, else error."""
     cols = len(rows[0])
-    work = [list(map(Fraction, r)) for r in rows]
-    n_rows = len(work)
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, n_rows) if work[i][c] != 0), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = Fraction(1) / work[r][c]
-        work[r] = [v * inv for v in work[r]]
-        for i in range(n_rows):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [v - f * w for v, w in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-    if cols - len(pivots) != 1:
+    echelon = _eliminate(rows)
+    if cols - len(echelon.pivots) != 1:
         raise DegenerateRecovery(
-            f"relations determine a {cols - len(pivots)}-dimensional solution space"
+            f"relations determine a {cols - len(echelon.pivots)}-dimensional solution space"
         )
-    free = next(c for c in range(cols) if c not in pivots)
-    sol = [Fraction(0)] * cols
-    sol[free] = Fraction(1)
-    for row, c in zip(work, pivots):
-        sol[c] = -row[free]
+    sol = echelon.kernel_vector([int(c not in echelon.pivots) for c in range(cols)])
     # normalize to coprime integers with the first nonzero entry positive
-    lcm = 1
-    for v in sol:
-        lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
+    lcm = math.lcm(*(v.denominator for v in sol))
     ints = [int(v * lcm) for v in sol]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
+    g = math.gcd(*ints)
     ints = [v // g for v in ints]
     lead = next(v for v in ints if v != 0)
     if lead < 0:

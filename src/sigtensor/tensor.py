@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .scalars import format_scalar, is_exact, parse_scalar, values_close
-from .words import all_words, index_word, word_index, word_to_string
+from .words import index_word, word_from_string, word_index, word_to_string
 
 
 def _holds_floats(entries) -> bool:
@@ -147,14 +147,13 @@ class LevelTensor:
         iterated shuffle form of the single letters i1, ..., ik, so on a
         group-like level it equals the product of the level-1 coordinates.
         """
-        d, k = self.d, self.k
-        out = []
-        for word in all_words(d, k):
-            total = 0
-            for perm in itertools.permutations(word):
-                total = total + self.entries[word_index(perm, d)]
-            out.append(total)
-        return LevelTensor(d, k, out)
+        cube = self.array.reshape((self.d,) * self.k)
+        total = 0
+        for perm in itertools.permutations(range(self.k)):
+            # axes perm^-1 put entries[w o perm] at w: each word's terms add
+            # in the order itertools.permutations(w) lists them
+            total = total + np.transpose(cube, np.argsort(perm))
+        return LevelTensor._from_array(self.d, self.k, np.reshape(total, -1))
 
     def to_float(self) -> "LevelTensor":
         return LevelTensor(self.d, self.k, [float(v) for v in self.entries])
@@ -165,7 +164,7 @@ class LevelTensor:
         for i, v in enumerate(self.entries):
             if v == 0:
                 continue
-            entries[word_to_string(index_word(i, self.d, self.k))] = format_scalar(v)
+            entries[word_to_string(index_word(i, self.d, self.k), self.d)] = format_scalar(v)
         return {
             "dim": self.d,
             "order": self.k,
@@ -180,7 +179,7 @@ class LevelTensor:
         zero = Fraction(0) if exact else 0.0
         entries = [zero] * d**k
         for key, raw in data.get("entries", {}).items():
-            word = tuple(int(ch) for ch in key) if key else ()
+            word = word_from_string(key, d)
             if len(word) != k:
                 raise ValueError(f"word {key!r} has wrong length for order {k}")
             entries[word_index(word, d)] = parse_scalar(raw, exact)

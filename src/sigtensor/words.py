@@ -2,7 +2,9 @@
 
 A word is a plain tuple of integer letters.  Words of length k over d
 letters biject with 0..d**k-1 via positional (base-d) arithmetic, which is
-the layout used for dense level tensors.
+the layout used for dense level tensors.  As text (JSON keys, CLI
+arguments) a word is its string of digits when d <= 9 and its letters
+joined by "." when d >= 10, so that every word has exactly one text form.
 """
 
 from __future__ import annotations
@@ -45,13 +47,17 @@ def all_words(d: int, k: int) -> Iterator[tuple]:
     return itertools.product(range(1, d + 1), repeat=k)
 
 
-def word_to_string(word: Sequence[int]) -> str:
-    return "".join(str(letter) for letter in word)
+def word_to_string(word: Sequence[int], d: int) -> str:
+    """Text form of a word: its digits for d <= 9, letters joined by '.' for d >= 10."""
+    return ("" if d <= 9 else ".").join(str(letter) for letter in word)
 
 
 def word_from_string(text: str, d: int) -> tuple:
+    """Inverse of word_to_string for the same alphabet size d."""
     if text == "":
         return ()
-    if not text.isdigit():
-        raise ValueError(f"malformed word {text!r}")
-    return check_word(tuple(int(ch) for ch in text), d)
+    letters = text if d <= 9 else text.split(".")
+    for part in letters:
+        if not (part.isascii() and part.isdigit() and part[0] != "0" and int(part) <= d):
+            raise ValueError(f"letter {part!r} of word {text!r} is outside 1..{d}")
+    return tuple(int(part) for part in letters)

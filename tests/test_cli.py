@@ -304,3 +304,13 @@ def test_normal_form_rejects_letters_outside_the_alphabet(capsys):
     assert "letter '3'" in err and "1..2" in err
     code, out, err = run_cli(capsys, "normal-form", "--d", "2", "--n", "3", "--word", "1x")
     assert code == 2 and "letter 'x'" in err
+
+
+def test_words_at_twelve_letters_are_dot_separated(capsys):
+    code, out, err = run_cli(capsys, "normal-form", "--d", "12", "--n", "2", "--word", "11.1")
+    assert code == 0
+    assert json.loads(out) == {"word": "11.1", "poly": [
+        {"vars": ["1", "11"], "coeff": "1"}, {"vars": ["1.11"], "coeff": "-1"}]}
+    code, out, err = run_cli(capsys, "lyndon", "--d", "12", "--n", "2")
+    words = json.loads(out)["words"]
+    assert len(set(words)) == len(words) == 78 and "1.11" in words

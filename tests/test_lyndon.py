@@ -170,3 +170,14 @@ def test_poly_json_round_trip():
     assert data["word"] == "21"
     back_word, back_poly = poly_from_json(data, 2)
     assert back_word == word and back_poly == table.phi(word)
+
+
+@pytest.mark.parametrize("d", [9, 10, 12])
+def test_poly_json_round_trip_at_large_alphabets(d):
+    table = normal_form_table(d, 2)
+    for word in [(d, 1), (d - 1, d - 1), (2, 1)]:
+        data = poly_to_json(word, table.phi(word), d)
+        assert poly_from_json(data, d) == (word, table.phi(word))
+    forms = table.to_json()["forms"]
+    assert len({form["word"] for form in forms}) == len(forms)
+    assert all(poly_from_json(form, d)[1] == table.phi(poly_from_json(form, d)[0]) for form in forms)

@@ -24,6 +24,7 @@ from sigtensor import (
     signature_matrix_witness,
     split_pencil,
 )
+from sigtensor.matrices import matrix_inverse
 
 from conftest import rand_fraction, rand_skew, rand_vector
 
@@ -186,3 +187,12 @@ def test_congruence_construction_residuals():
         assert abs(np.linalg.det(h)) > 1e-12
     with pytest.raises(NumericalFailure):
         mono_to_axis_congruence(6, tol=1e-300)
+
+
+def test_matrix_inverse_is_exact_and_rejects_non_square_or_singular():
+    a = [[2, 1], [Fraction(1, 3), 4]]
+    assert matrix_inverse(a) == [[Fraction(12, 23), Fraction(-3, 23)], [Fraction(-1, 23), Fraction(6, 23)]]
+    with pytest.raises(ValueError, match="square"):
+        matrix_inverse([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ValueError, match="singular"):
+        matrix_inverse([[1, 2], [2, 4]])

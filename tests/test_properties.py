@@ -1,21 +1,37 @@
-"""Property tests of the level-product kernel over random exact rational paths."""
+"""Property tests over random exact inputs: the level-product kernel, the
+fraction-free elimination, JSON round trips and group-element recovery."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from sigtensor import (
+    DegenerateRecovery,
+    LevelTensor,
+    TensorSeries,
     bracketing,
     concat_product,
+    exact_det,
+    exact_rank,
+    expand_from_lyndon,
     exp_series,
     log_series,
     lyndon_words,
+    negate_odd_levels,
     pl_level_direct,
     pl_signature,
     pl_signature_congruence,
+    project_level,
+    recover_group_element,
+    series_from_level,
     zero_series,
 )
+from sigtensor.lyndon import poly_from_json, poly_to_json
+from sigtensor.matrices import matrix_inverse
+from sigtensor.recovery import _kernel_point
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=50, database=None)
 
@@ -77,3 +93,108 @@ def test_float_signature_agrees_with_exact(path):
 @given(lie_elements())
 def test_log_inverts_exp_on_lie_elements(lie):
     assert log_series(exp_series(lie)) == lie
+
+
+@st.composite
+def matrices(draw, rows, cols):
+    """rows x cols rational matrix; in about half, every row is a combination
+    of fewer rows (a product through a thinner inner dimension)."""
+    if rows > 1 and cols > 1 and draw(st.booleans()):
+        inner = draw(st.integers(1, min(rows, cols) - 1))
+        left = draw(matrices(rows, inner))
+        right = draw(matrices(inner, cols))
+        return _product(left, right)
+    return draw(st.lists(st.lists(rationals, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+
+
+def _product(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
+
+
+def _identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+sizes = st.integers(1, 6)
+
+
+@PROPERTY
+@given(st.data())
+def test_rank_of_transpose(data):
+    a = data.draw(matrices(data.draw(sizes), data.draw(sizes)))
+    assert exact_rank(a) == exact_rank([list(col) for col in zip(*a)])
+
+
+@PROPERTY
+@given(st.data())
+def test_det_vanishes_exactly_below_full_rank_and_is_multiplicative(data):
+    n = data.draw(sizes)
+    a, b = data.draw(matrices(n, n)), data.draw(matrices(n, n))
+    det_a = exact_det(a)
+    assert type(det_a) is Fraction
+    assert (det_a == 0) == (exact_rank(a) < n)
+    assert exact_det(_product(a, b)) == det_a * exact_det(b)
+
+
+@PROPERTY
+@given(st.data())
+def test_inverse_is_exact_or_singular(data):
+    n = data.draw(sizes)
+    a = data.draw(matrices(n, n))
+    if exact_det(a) == 0:
+        with pytest.raises(ValueError, match="singular"):
+            matrix_inverse(a)
+    else:
+        assert _product(a, matrix_inverse(a)) == _identity(n)
+
+
+@PROPERTY
+@given(st.data())
+def test_kernel_point_exists_exactly_at_corank_one(data):
+    cols = data.draw(st.integers(2, 6))
+    a = data.draw(matrices(data.draw(sizes), cols))
+    if exact_rank(a) != cols - 1:
+        with pytest.raises(DegenerateRecovery):
+            _kernel_point(a)
+        return
+    v = _kernel_point(a)
+    assert any(v) and all(x.denominator == 1 for x in v)
+    assert _product(a, [[x] for x in v]) == [[0]] * len(a)
+
+
+@st.composite
+def alphabet_shapes(draw, max_entries=200):
+    """(d, k) with d <= 12 and at most max_entries entries per level."""
+    d = draw(st.integers(1, 12))
+    k = draw(st.integers(0, 4).filter(lambda k: d**k <= max_entries))
+    return d, k
+
+
+@PROPERTY
+@given(alphabet_shapes(), st.data())
+def test_json_round_trip_at_every_alphabet_size(shape, data):
+    d, k = shape
+    entries = data.draw(st.lists(rationals, min_size=d**k, max_size=d**k))
+    level = LevelTensor(d, k, entries)
+    assert LevelTensor.from_json(level.to_json()) == level
+    assert LevelTensor.from_json(level.to_float().to_json()).equals(level.to_float())
+    series = series_from_level(level)
+    assert TensorSeries.from_json(series.to_json()) == series
+    words = st.lists(st.integers(1, d), min_size=1, max_size=3).map(tuple)
+    word = data.draw(words)
+    monomials = st.lists(words, min_size=1, max_size=2).map(lambda m: tuple(sorted(m)))
+    poly = data.draw(st.dictionaries(monomials, rationals.filter(bool), max_size=3))
+    assert poly_from_json(poly_to_json(word, poly, d), d) == (word, poly)
+
+
+@PROPERTY
+@given(st.integers(1, 3), st.integers(1, 4), st.data())
+def test_group_element_recovered_up_to_odd_level_negation(d, n, data):
+    values = {w: data.draw(rationals) for w in lyndon_words(d, n).words}
+    if not any(values[(i,)] for i in range(1, d + 1)):
+        values[(d,)] = Fraction(1)
+    g = expand_from_lyndon(values, d, n)
+    tensor = project_level(g, n)
+    assert recover_group_element(tensor, "rational").series in (g, negate_odd_levels(g))
+    real = recover_group_element(tensor, "real").series
+    assert any(real.equals(h.to_float(), tol=1e-9) for h in (g, negate_odd_levels(g)))

@@ -69,7 +69,8 @@ def test_universal_recovery_even_pair(rng):
         assert result.series.coefficient((1,)) > 0 or result.series.coefficient((1,)) == 0
 
 
-def test_recovery_uses_linear_change_when_axis_degenerates(rng):
+@pytest.mark.parametrize("mode", ["rational", "real"])
+def test_recovery_uses_linear_change_when_axis_degenerates(rng, mode):
     # zero first coordinate on level 1, but a recoverable group element
     values = {}
     from sigtensor import lyndon_words
@@ -80,8 +81,11 @@ def test_recovery_uses_linear_change_when_axis_degenerates(rng):
     from sigtensor import expand_from_lyndon
 
     g = expand_from_lyndon(values, 2, 3)
-    result = recover_group_element(project_level(g, 3), "rational", seed=1)
-    assert result.series == g
+    result = recover_group_element(project_level(g, 3), mode, seed=1)
+    if mode == "rational":
+        assert result.series == g
+    else:
+        assert result.series.equals(g.to_float(), tol=1e-9)
 
 
 def test_recovery_non_generic_error():

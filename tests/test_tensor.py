@@ -197,6 +197,20 @@ def test_json_round_trip_exact_and_float():
     assert tf.to_json()["scalar"] == "float"
 
 
+@pytest.mark.parametrize("d", [9, 10, 12])
+def test_json_round_trip_at_large_alphabets(d):
+    rng = random.Random(d)
+    level = LevelTensor(d, 2, [rand_fraction(rng, nonzero=True) for _ in range(d * d)])
+    data = level.to_json()
+    assert len(data["entries"]) == d * d
+    assert LevelTensor.from_json(data) == level
+    assert LevelTensor.from_json(level.to_float().to_json()).equals(level.to_float())
+    letter = LevelTensor(d, 1, [Fraction(i + 1) for i in range(d)])
+    assert LevelTensor.from_json(letter.to_json()) == letter
+    series = random_series(rng, d, 2, Fraction(1))
+    assert TensorSeries.from_json(series.to_json()) == series
+
+
 def test_commutator_is_lie():
     d, n = 3, 3
     e1, e2, e3 = (basis_series(d, n, i) for i in (1, 2, 3))

@@ -29,10 +29,21 @@ def test_out_of_range():
 
 
 def test_string_round_trip():
-    assert word_to_string((1, 2, 1)) == "121"
+    assert word_to_string((1, 2, 1), 2) == "121"
     assert word_from_string("121", 2) == (1, 2, 1)
     assert word_from_string("", 3) == ()
     with pytest.raises(ValueError):
         word_from_string("1x", 2)
     with pytest.raises(ValueError):
         word_from_string("13", 2)
+    # from d = 10 on, letters are joined by dots so that every word has one text form
+    assert word_to_string((1, 2, 9), 9) == "129"
+    assert word_to_string((1, 11), 12) == "1.11"
+    assert word_to_string((11, 1), 12) == "11.1"
+    assert word_to_string((10,), 10) == "10"
+    assert word_from_string("1.11", 12) == (1, 11)
+    assert word_from_string("10", 10) == (10,)
+    assert word_from_string("", 12) == ()
+    for bad in ("111", "1.13", "1..2", "1.x", "0.1", "01.2"):
+        with pytest.raises(ValueError):
+            word_from_string(bad, 12)
