@@ -1,0 +1,123 @@
+"""Layer timings at fixed shapes, and their comparison between two source trees.
+
+    python benchmarks/layers.py --src src
+    python benchmarks/layers.py --compare OLD/src NEW/src > BENCH_N.json
+
+With --src, every layer is timed in this process on that tree and the
+per-layer medians (ms) are printed as JSON.  With --compare, each of ROUNDS
+rounds runs one fresh `--src` process per tree, alternating which tree goes
+first; the output holds, per layer, shape and scalar mode, the median and the
+interquartile range over the rounds for each tree.  Both trees must share
+the private calling convention used below (`_core_array`, and
+`_residual_and_jacobian(core, x, target)`).
+
+A layer is timed by one warm-up call, then calls until 0.2 s have passed (at
+least 3); its time in a round is the median call.  Caches that persist across
+calls in one process (such as cached canonical cores) are warm after the
+warm-up call.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+
+GN_SHAPES = [(d, k) for d in (2, 3, 4) for k in (3, 4)]  # d = m, family pl
+JACOBIAN_SHAPES = [("pl", 3, 3, 3), ("pl", 4, 3, 4), ("poly", 3, 4, 3), ("pl", 6, 3, 6)]  # (family, d, k, m)
+ROUNDS = 7
+
+
+def _gn_eval(recovery, d, k):
+    """One Gauss-Newton residual + Jacobian evaluation, as inside a solve."""
+    import numpy as np
+
+    rng = np.random.default_rng(0)
+    x = np.eye(d) + rng.uniform(-0.3, 0.3, (d, d))
+    target = np.zeros(d**k)
+    core = recovery._core_array("pl", d, k, True)
+    return lambda: recovery._residual_and_jacobian(core, x, target)
+
+
+def layers():
+    """(layer, shape, scalar mode, zero-argument call) for the tree on sys.path."""
+    from sigtensor import jacobian_rank, recovery
+
+    out = []
+    for d, k in GN_SHAPES:
+        out.append(("recovery.gn_eval", {"family": "pl", "d": d, "m": d, "k": k}, "float", _gn_eval(recovery, d, k)))
+    for family, d, k, m in JACOBIAN_SHAPES:
+        shape = {"family": family, "d": d, "m": m, "k": k}
+        out.append(("recovery.jacobian_rank", shape, "exact", lambda a=(family, d, k, m): jacobian_rank(*a)))
+    return out
+
+
+def _time_call(call) -> float:
+    call()
+    times = []
+    start = time.perf_counter()
+    while len(times) < 3 or time.perf_counter() - start < 0.2:
+        t0 = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times) * 1e3
+
+
+def measure(src: str) -> list:
+    sys.path.insert(0, os.path.abspath(src))
+    return [
+        {"layer": name, "shape": shape, "scalar": scalar, "ms": _time_call(call)}
+        for name, shape, scalar, call in layers()
+    ]
+
+
+def _quartiles(values):
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": q2, "iqr": q3 - q1}
+
+
+def compare(old: str, new: str) -> dict:
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    runs: dict = {"parent": [], "change": []}
+    for r in range(ROUNDS):
+        order = [("parent", old), ("change", new)]
+        for label, src in order if r % 2 == 0 else order[::-1]:
+            proc = subprocess.run(
+                [sys.executable, __file__, "--src", src], env=env, capture_output=True, text=True, check=True
+            )
+            runs[label].append(json.loads(proc.stdout))
+    rows = []
+    for i, row in enumerate(runs["parent"][0]):
+        entry = {"layer": row["layer"], "shape": row["shape"], "scalar": row["scalar"], "unit": "ms"}
+        for label in ("parent", "change"):
+            entry[label] = _quartiles([run[i]["ms"] for run in runs[label]])
+        entry["speedup"] = entry["parent"]["median"] / entry["change"]["median"]
+        rows.append(entry)
+    import numpy
+
+    return {
+        "method": f"{ROUNDS} alternating rounds, one fresh process per tree and round; "
+        "median and IQR over rounds of each round's median call (benchmarks/layers.py)",
+        "machine": {"python": platform.python_version(), "numpy": numpy.__version__, "nproc": os.cpu_count()},
+        "layers": rows,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--src", help="time one tree in this process")
+    group.add_argument("--compare", nargs=2, metavar=("OLD_SRC", "NEW_SRC"))
+    args = parser.parse_args(argv)
+    result = measure(args.src) if args.src else compare(*args.compare)
+    sys.stdout.write(json.dumps(result, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,13 +3,15 @@
 Subcommands: compute, expected, recover, lyndon, normal-form, check,
 invariants, verify-vanishing.  stdout carries exactly one JSON document;
 diagnostics go to stderr.  Exit codes: 0 success / property true,
-1 checked property false, 2 usage or input error, 3 numerical failure.
+1 checked property false, 2 usage or input error, 3 numerical failure,
+141 (128 + SIGPIPE) when the reader closes stdout early, with no message.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -34,6 +36,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+EXIT_BROKEN_PIPE = 141
 
 ENTRY_CAP = 10**7
 
@@ -53,6 +56,7 @@ def _load_json(path: str) -> dict:
 def _emit(payload) -> None:
     json.dump(payload, sys.stdout, indent=None, separators=(",", ":"))
     sys.stdout.write("\n")
+    sys.stdout.flush()
 
 
 def _check_order(d: int, k: int, flag: str) -> None:
@@ -331,6 +335,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at interpreter exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (RecoveryFailed, NumericalFailure) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -4,6 +4,12 @@ A Dual carries a value and a tuple of partial derivatives and supports the
 ring operations, so pushing Duals through any of the polynomial signature
 maps yields exact Jacobians: rational partials for Fraction seeds, floats
 for float seeds.
+
+Dual stays the public forward-mode type: `recovery.signature_map` accepts a
+matrix of Duals and returns Duals, but computes them from the closed-form
+multilinear Jacobian rather than by Dual arithmetic.  Gauss-Newton and
+`jacobian_rank` use that Jacobian directly.  Dual arithmetic through
+`paths.tensor_congruence` remains an independent oracle for the tests.
 """
 
 from __future__ import annotations

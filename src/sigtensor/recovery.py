@@ -6,6 +6,12 @@ quadratic paths at order 3 admit linear closed-form recovery; any family
 admits damped Gauss-Newton recovery in float mode; and Jacobian ranks of
 the parametrizations certify dimensions.
 
+Gauss-Newton, jacobian_rank and signature_map of `Dual` matrices share one
+kernel: the image of X -> core . X^(x)k and its closed-form multilinear
+Jacobian (a sum over modes of the core contracted with X on the other
+modes), on float64 arrays or on object arrays of Fractions, over a core
+array cached per (family, m, k, scalar mode).
+
 Reduction recipe for d > m (not automated here): a rank-m path matrix X
 factors through its column space, so with any left inverse G of an
 orthonormal-ish basis B of that space, the order-3 tensor of X equals the
@@ -16,6 +22,7 @@ handled by gauss_newton_recover or the closed forms.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -24,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dual import Dual, seed_matrix
+from .dual import Dual
 from .matrices import _eliminate, exact_det, exact_rank, matrix_inverse
 from .paths import canonical_axis, canonical_mono, tensor_congruence
 from .scalars import fraction_nth_root, real_nth_root
@@ -284,23 +291,111 @@ def recover_quadratic_planar(tensor: LevelTensor) -> tuple:
 
 # --- families shared by the numerical code ----------------------------------
 
+_FAMILIES = {"pl": "pl", "L": "pl", "poly": "poly", "P": "poly"}
 
-def _family_core(family: str, m: int, k: int) -> LevelTensor:
-    if family in ("pl", "L"):
-        return canonical_axis(m, k)
-    if family in ("poly", "P"):
-        return canonical_mono(m, k)
-    raise ValueError("family must be 'pl' or 'poly'")
+
+def _family_name(family: str) -> str:
+    try:
+        return _FAMILIES[family]
+    except (KeyError, TypeError):
+        raise ValueError("family must be 'pl' or 'poly'") from None
+
+
+@functools.lru_cache(maxsize=32)
+def _core_array(family: str, m: int, k: int, floats: bool) -> np.ndarray:
+    """Read-only (m,)*k core of a family: float64, or object holding Fractions.
+
+    Built once per (family, m, k, scalar mode); the float core is converted
+    from the cached exact one, so each canonical core is computed once.
+    """
+    if floats:
+        array = _core_array(family, m, k, False).astype(np.float64)
+    else:
+        core = canonical_axis(m, k) if family == "pl" else canonical_mono(m, k)
+        array = np.array(core.entries, dtype=object).reshape((m,) * k)
+    array.flags.writeable = False
+    return array
+
+
+def _contract(t: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
+    """Multiply mode `axis` of t (size m) by the d x m matrix x, in place of it."""
+    return np.moveaxis(np.tensordot(x, t, axes=([1], [axis])), 0, axis)
+
+
+def _image_and_jacobian(core: np.ndarray, x: np.ndarray, jacobian: bool = True):
+    """Flat image core . X^(x)k and its (d*m) x d^k Jacobian (None if not asked).
+
+    Closed form: d image / d X[a, b] = sum over modes p of the core
+    contracted with X on every mode but p, with mode p fixed to b, placed
+    where output letter p equals a.  Row a*m + b is the partial in X[a, b].
+    Runs on float64 arrays, or on object arrays of Python Fractions/ints.
+    """
+    d, m = x.shape
+    k = core.ndim
+    partials = []
+    for p in range(k if jacobian else 1):
+        t = core
+        for q in range(k):
+            if q != p:
+                t = _contract(t, x, q)
+        partials.append(t)
+    image = _contract(partials[0], x, 0).reshape(-1)
+    if not jacobian:
+        return image, None
+    jac = np.zeros((d, m) + (d,) * k, dtype=x.dtype)
+    for p, t in enumerate(partials):
+        t = np.moveaxis(t, p, 0)
+        for a in range(d):
+            jac[(a, slice(None)) + (slice(None),) * p + (a,)] += t
+    return image, jac.reshape(d * m, d**k)
+
+
+def _any_float(values) -> bool:
+    return any(isinstance(v, (float, np.floating)) for v in values)
 
 
 def signature_map(family: str, matrix: Sequence[Sequence], k: int) -> LevelTensor:
-    """Order-k signature of the family member encoded by a d x m matrix."""
+    """Order-k signature of the family member encoded by a d x m matrix.
+
+    Float entries give a float result and exact entries an exact one.  On a
+    matrix of `Dual` entries each output entry is Dual(value, J^T . B), where
+    J is the closed-form Jacobian and B stacks the entries' derivative tuples
+    (row-major), so Fraction seeds keep rational partials.
+    """
+    family = _family_name(family)
     rows = [list(r) for r in matrix]
-    core = _family_core(family, len(rows[0]), k)
-    return tensor_congruence(core, rows)
+    d = len(rows)
+    m = len(rows[0]) if rows else 0
+    if d < 1 or m < 1:
+        raise ValueError(f"need a d x m matrix with d, m >= 1, got d={d}, m={m}")
+    if any(len(r) != m for r in rows):
+        raise ValueError("ragged matrix")
+    flat = [v for r in rows for v in r]
+    values = [v.a if isinstance(v, Dual) else v for v in flat]
+    seeds = [v.b for v in flat if isinstance(v, Dual)]
+    floats = _any_float(values) or any(_any_float(b) for b in seeds)
+    dtype = np.float64 if floats else object
+    x = np.array(values, dtype=dtype).reshape(d, m)
+    core = _core_array(family, m, k, floats)
+    if not seeds:
+        image, _ = _image_and_jacobian(core, x, jacobian=False)
+        return LevelTensor(d, k, image.tolist())
+    width = len(seeds[0])
+    tangents = [v.b if isinstance(v, Dual) else (0,) * width for v in flat]
+    if any(len(b) != width for b in tangents):
+        raise ValueError("Dual entries carry derivative tuples of different lengths")
+    image, jac = _image_and_jacobian(core, x)
+    partials = jac.T @ np.array(tangents, dtype=dtype).reshape(d * m, width)
+    return LevelTensor(d, k, [Dual(v, b) for v, b in zip(image.tolist(), partials.tolist())])
 
 
 # --- Jacobian ranks ----------------------------------------------------------
+
+
+def _integer_multiple(array: np.ndarray) -> np.ndarray:
+    """The exact array times the lcm of its denominators, as Python ints."""
+    scale = math.lcm(*(v.denominator for v in array.flat))
+    return np.array([int(v * scale) for v in array.flat], dtype=object).reshape(array.shape)
 
 
 def jacobian_rank(
@@ -308,9 +403,14 @@ def jacobian_rank(
 ) -> JacobianReport:
     """Exact rank of the (d*m) x d^k Jacobian of the parametrization.
 
-    Dual numbers with rational seeds give the Jacobian at random rational
-    points exactly; the report keeps the maximum rank over the seeds.
+    The closed-form Jacobian is evaluated exactly at random rational
+    points; the report keeps the maximum rank over the seeds.  Scaling the
+    core by L and the point by D scales the Jacobian by L * D^(k-1) and
+    keeps its rank, so the kernel runs on Python ints.
     """
+    if d < 1 or m < 1 or k < 1:
+        raise ValueError(f"need d, m, k >= 1, got d={d}, m={m}, k={k}")
+    core = _integer_multiple(_core_array(_family_name(family), m, k, False))
     rng = random.Random(seed)
     best = 0
     for _ in range(seed_count):
@@ -318,14 +418,8 @@ def jacobian_rank(
             [Fraction(rng.randint(1, 12), rng.randint(1, 4)) * (-1) ** rng.randint(0, 1) for _ in range(m)]
             for _ in range(d)
         ]
-        seeded = seed_matrix(point)
-        image = signature_map(family, seeded, k)
-        jac = [[0] * (d**k) for _ in range(d * m)]
-        for col, entry in enumerate(image.entries):
-            if isinstance(entry, Dual):
-                for row in range(d * m):
-                    jac[row][col] = entry.b[row]
-        best = max(best, exact_rank(jac))
+        _, jac = _image_and_jacobian(core, _integer_multiple(np.array(point, dtype=object)))
+        best = max(best, exact_rank(jac.tolist()))
     return JacobianReport(family, d, k, m, d * m, best)
 
 
@@ -355,13 +449,18 @@ def gauss_newton_recover(
     """Least-squares path recovery by damped Gauss-Newton (float mode).
 
     Minimizes the squared distance between the family signature of a d x m
-    matrix and the target tensor.  The Jacobian comes from float dual
-    numbers pushed through the signature map.  Restarts draw seeded random
-    starting matrices; the best residual wins, and RecoveryFailed (carrying
-    the best attempt) is raised when no restart meets tol.
+    matrix and the target tensor.  Each evaluation computes the image and
+    the closed-form multilinear Jacobian on the cached float core.  Restarts
+    draw seeded random starting matrices; a start whose gradient is exactly
+    zero (the zero matrix at k >= 3) is abandoned, since no damped step can
+    leave it.  The best residual wins, and RecoveryFailed (carrying the best
+    attempt) is raised when no restart meets tol.
     """
     if k < 3:
         raise ValueError("need k >= 3 for tensor recovery")
+    if (tensor.d, tensor.k) != (d, k):
+        raise ValueError(f"tensor has d={tensor.d}, k={tensor.k}, but d={d}, k={k} were given")
+    core = _core_array(_family_name(family), m, k, True)
     target = np.asarray([float(v) for v in tensor.entries])
     denom = float(np.linalg.norm(target)) or 1.0
     rng = random.Random(seed)
@@ -379,13 +478,15 @@ def gauss_newton_recover(
         x = x0.copy()
         lam = 1e-3
         stalled = 0
-        residual, jac = _residual_and_jacobian(family, x, k, target)
+        residual, jac = _residual_and_jacobian(core, x, target)
         norm = float(np.linalg.norm(residual)) / denom
         iterations = 0
         for iterations in range(1, max_iter + 1):
             if norm < tol:
                 break
             g = jac @ residual
+            if not g.any():
+                break
             h = jac @ jac.T
             accepted = False
             for _ in range(40):
@@ -395,7 +496,7 @@ def gauss_newton_recover(
                     lam = min(lam * 10.0, 1e12)
                     continue
                 trial = x + step.reshape(d, m)
-                trial_res, trial_jac = _residual_and_jacobian(family, trial, k, target)
+                trial_res, trial_jac = _residual_and_jacobian(core, trial, target)
                 trial_norm = float(np.linalg.norm(trial_res)) / denom
                 if trial_norm < norm:
                     x, residual, jac, norm = trial, trial_res, trial_jac, trial_norm
@@ -427,16 +528,6 @@ def gauss_newton_recover(
     return GaussNewtonResult(matrix, residual, converged, used, iterations)
 
 
-def _residual_and_jacobian(family: str, x: np.ndarray, k: int, target: np.ndarray):
-    d, m = x.shape
-    seeded = seed_matrix([[float(v) for v in row] for row in x])
-    image = signature_map(family, seeded, k)
-    values = np.empty(len(image.entries))
-    jac = np.zeros((d * m, len(image.entries)))
-    for col, entry in enumerate(image.entries):
-        if isinstance(entry, Dual):
-            values[col] = entry.a
-            jac[:, col] = entry.b
-        else:
-            values[col] = float(entry)
-    return values - target, jac
+def _residual_and_jacobian(core: np.ndarray, x: np.ndarray, target: np.ndarray):
+    image, jac = _image_and_jacobian(core, x)
+    return image - target, jac

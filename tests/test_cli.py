@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -314,3 +317,22 @@ def test_words_at_twelve_letters_are_dot_separated(capsys):
     code, out, err = run_cli(capsys, "lyndon", "--d", "12", "--n", "2")
     words = json.loads(out)["words"]
     assert len(set(words)) == len(words) == 78 and "1.11" in words
+
+
+def test_closed_stdout_ends_the_call_quietly():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    # About 0.7 MB of output: more than a pipe buffer holds, so the call is
+    # still writing when the reader closes its end.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sigtensor.cli", "lyndon", "--d", "12", "--n", "5"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

@@ -231,3 +231,43 @@ def test_signature_map_matches_forward_engines(rng):
     assert signature_map("poly", coeffs, 3) == project_level(poly_signature_integrate(coeffs, 3), 3)
     with pytest.raises(ValueError):
         signature_map("spline", x, 3)
+
+
+def test_gauss_newton_abandons_a_start_with_zero_gradient(monkeypatch):
+    from sigtensor import recovery
+
+    evaluations = []
+    evaluate = recovery._residual_and_jacobian
+    monkeypatch.setattr(
+        recovery, "_residual_and_jacobian", lambda *args: evaluations.append(1) or evaluate(*args)
+    )
+    tensor = signature_map("pl", [[1.0, 0.5], [-0.25, 1.0]], 3)
+    with pytest.raises(RecoveryFailed) as info:
+        gauss_newton_recover("pl", 2, 2, 3, tensor, restarts=1)
+    # one evaluation at the zero matrix, no damping retries
+    assert len(evaluations) == 1
+    assert info.value.residual == 1.0 and not info.value.matrix.any()
+
+
+def test_gauss_newton_rejects_a_tensor_of_another_shape():
+    tensor = signature_map("pl", [[1.0, 0.5], [-0.25, 1.0]], 3)
+    with pytest.raises(ValueError, match=r"tensor has d=2, k=3, but d=3, k=3"):
+        gauss_newton_recover("pl", 3, 3, 3, tensor)
+    with pytest.raises(ValueError, match=r"tensor has d=2, k=3, but d=2, k=4"):
+        gauss_newton_recover("pl", 2, 2, 4, tensor)
+    with pytest.raises(ValueError, match="family must be"):
+        gauss_newton_recover("spline", 2, 2, 3, tensor)
+
+
+def test_signature_map_names_an_empty_matrix():
+    with pytest.raises(ValueError, match="d=0, m=0"):
+        signature_map("pl", [], 3)
+    with pytest.raises(ValueError, match="d=2, m=0"):
+        signature_map("pl", [[], []], 3)
+
+
+def test_jacobian_rank_names_a_bad_dimension():
+    with pytest.raises(ValueError, match="d=0, m=2"):
+        jacobian_rank("pl", 0, 3, 2)
+    with pytest.raises(ValueError, match="d=2, m=0"):
+        jacobian_rank("poly", 2, 3, 0)
