@@ -9,7 +9,9 @@ rounds runs one fresh `--src` process per tree, alternating which tree goes
 first; the output holds, per layer, shape and scalar mode, the median and the
 interquartile range over the rounds for each tree.  Both trees must share
 the private calling convention used below (`_core_array`, and
-`_residual_and_jacobian(core, x, target)`).
+`_residual_and_jacobian(core, x, target)`).  Polynomial signatures and
+group-element recovery are timed through their public functions on seeded
+rational inputs (group elements: the top level of a (d+1)-step path).
 
 A layer is timed by one warm-up call, then calls until 0.2 s have passed (at
 least 3); its time in a round is the median call.  Caches that persist across
@@ -23,6 +25,7 @@ import argparse
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -30,7 +33,17 @@ import time
 
 GN_SHAPES = [(d, k) for d in (2, 3, 4) for k in (3, 4)]  # d = m, family pl
 JACOBIAN_SHAPES = [("pl", 3, 3, 3), ("pl", 4, 3, 4), ("poly", 3, 4, 3), ("pl", 6, 3, 6)]  # (family, d, k, m)
+POLY_SHAPES = [(2, 3, 6), (3, 3, 5)]  # (d, m, n), as in the forward workload
+GROUP_SHAPES = [(2, 3), (2, 4), (3, 3), (3, 4)]  # (d, n), as in the inverse workload
 ROUNDS = 7
+
+
+def _rationals(seed, count):
+    """Seeded nonzero rationals with small numerators and denominators."""
+    from fractions import Fraction
+
+    rng = random.Random(seed)
+    return [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4)) for _ in range(count)]
 
 
 def _gn_eval(recovery, d, k):
@@ -46,7 +59,7 @@ def _gn_eval(recovery, d, k):
 
 def layers():
     """(layer, shape, scalar mode, zero-argument call) for the tree on sys.path."""
-    from sigtensor import jacobian_rank, recovery
+    from sigtensor import jacobian_rank, pl_signature, poly_signature_integrate, recover_group_element, recovery
 
     out = []
     for d, k in GN_SHAPES:
@@ -54,6 +67,19 @@ def layers():
     for family, d, k, m in JACOBIAN_SHAPES:
         shape = {"family": family, "d": d, "m": m, "k": k}
         out.append(("recovery.jacobian_rank", shape, "exact", lambda a=(family, d, k, m): jacobian_rank(*a)))
+    for d, m, n in POLY_SHAPES:
+        values = _rationals(d * 100 + m * 10 + n, d * m)
+        coeffs = [values[i * m : (i + 1) * m] for i in range(d)]
+        floats = [[float(c) for c in row] for row in coeffs]
+        shape = {"d": d, "m": m, "n": n}
+        for scalar, rows in (("exact", coeffs), ("float", floats)):
+            out.append(("paths.poly_signature_integrate", shape, scalar, lambda r=rows, n=n: poly_signature_integrate(r, n)))
+    for d, n in GROUP_SHAPES:
+        values = _rationals(d * 10 + n, d * (d + 1))
+        top = pl_signature([values[j * d : (j + 1) * d] for j in range(d + 1)], n).levels[n]
+        shape = {"d": d, "m": d + 1, "n": n}
+        for scalar, mode in (("exact", "rational"), ("float", "real")):
+            out.append(("recovery.recover_group_element", shape, scalar, lambda t=top, mode=mode: recover_group_element(t, mode=mode)))
     return out
 
 

@@ -302,30 +302,27 @@ def signature_matrix_generators(matrix, m: int) -> list:
 # --- canonical matrices and the constructive congruence ---------------------
 
 
-def axis_matrix(d: int, m: int | None = None) -> list:
-    """d x d matrix with the order-2 axis core in its upper-left m x m block."""
+def _core_matrix(canonical_core, d: int, m: int | None) -> list:
+    """d x d matrix with an order-2 canonical core in its upper-left m x m block."""
     m = d if m is None else m
     if not 1 <= m <= d:
         raise ValueError("need 1 <= m <= d")
-    core = canonical_axis(m, 2)
+    core = canonical_core(m, 2)
     out = [[Fraction(0)] * d for _ in range(d)]
     for i in range(m):
         for j in range(m):
             out[i][j] = core.entries[i * m + j]
     return out
+
+
+def axis_matrix(d: int, m: int | None = None) -> list:
+    """d x d matrix with the order-2 axis core in its upper-left m x m block."""
+    return _core_matrix(canonical_axis, d, m)
 
 
 def mono_matrix(d: int, m: int | None = None) -> list:
     """d x d matrix with the order-2 monomial core in its upper-left block."""
-    m = d if m is None else m
-    if not 1 <= m <= d:
-        raise ValueError("need 1 <= m <= d")
-    core = canonical_mono(m, 2)
-    out = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(m):
-        for j in range(m):
-            out[i][j] = core.entries[i * m + j]
-    return out
+    return _core_matrix(canonical_mono, d, m)
 
 
 def mono_matrix_det(d: int):

@@ -15,6 +15,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Sequence
 
+import numpy as np
+
 from .scalars import parse_scalar
 from .shuffle import is_lie
 from .tensor import (
@@ -67,6 +69,8 @@ class Polynomial:
         rows = tuple(tuple(r) for r in self.coeffs)
         if not rows or len({len(r) for r in rows}) != 1:
             raise ValueError("coefficient rows must share one length")
+        if not rows[0]:
+            raise ValueError("coefficient rows are empty: each coordinate needs at least the t coefficient")
         object.__setattr__(self, "coeffs", rows)
 
     @property
@@ -285,48 +289,37 @@ def pl_signature_congruence(steps: Sequence[Sequence], k: int) -> LevelTensor:
 # --- polynomial paths -----------------------------------------------------
 
 
-def _poly_mul(a: list, b: list) -> list:
-    # 0 * a[0] is zero in the coefficients' own scalar type (Fraction or float).
-    out = [0 * a[0]] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if bj != 0:
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_integrate(a: list) -> list:
-    """Antiderivative with zero constant term."""
-    return [0 * a[0]] + [c / (i + 1) for i, c in enumerate(a)]
-
-
 def poly_signature_integrate(coeffs: Sequence[Sequence], n: int) -> TensorSeries:
     """Signature of a polynomial path by exact iterated integration.
 
-    For each word prefix the running iterated integral is a univariate
-    polynomial in t with rational coefficients (float coefficients when any
-    input coefficient is a float); appending a letter i multiplies by
-    X_i'(t) and integrates.  Entries are the values at t=1.
+    The iterated integral of a word w, as a polynomial in t, is kept as one
+    row of a level array: level k holds the d^k word rows (base-d word
+    order) of t-coefficients.  Appending letter i multiplies a row by
+    X_i'(t) and integrates.  A level-k integral vanishes to order t^k, so
+    its row holds the coefficients of t^k .. t^(k*m) only.  Coefficients
+    are rational, or floats (a float64 array) when any input coefficient is
+    a float; ragged rows count as zero-padded.  Entries are the values at
+    t=1, the row sums.
     """
-    scalar = float if any(isinstance(c, float) for r in coeffs for c in r) else Fraction
-    rows = [[scalar(c) for c in r] for r in coeffs]
-    d = len(rows)
-    derivatives = [[(j + 1) * c for j, c in enumerate(row)] for row in rows]
-    one = scalar(1)
+    floats = any(isinstance(c, float) for r in coeffs for c in r)
+    scalar, dtype = (float, np.float64) if floats else (Fraction, object)
+    d, m = len(coeffs), max([1, *map(len, coeffs)])
+    zero, one = scalar(0), scalar(1)
+    # derivative[i, b] is the t^b coefficient of X_i'(t)
+    derivative = np.full((d, m), zero, dtype=dtype)
+    for i, row in enumerate(coeffs):
+        for b, c in enumerate(row):
+            derivative[i, b] = (b + 1) * scalar(c)
     levels = [LevelTensor(d, 0, [one])]
-    frontier = {(): [one]}
+    integrals = np.full((1, 1), one, dtype=dtype)
     for k in range(1, n + 1):
-        nxt = {}
-        entries = []
-        for word in all_words(d, k):
-            base = frontier[word[:-1]]
-            integral = _poly_integrate(_poly_mul(base, derivatives[word[-1] - 1]))
-            nxt[word] = integral
-            entries.append(sum(integral, 0 * one))
-        levels.append(LevelTensor(d, k, entries))
-        frontier = nxt
+        width = integrals.shape[1]
+        product = np.full((len(integrals), d, width + m - 1), zero, dtype=dtype)
+        for b in range(m):
+            product[:, :, b : b + width] += integrals[:, None, :] * derivative[None, :, b, None]
+        # the t^(k+j) coefficient of the antiderivative is that of t^(k-1+j) over k+j
+        integrals = (product / np.arange(k, k + width + m - 1).astype(dtype)).reshape(d**k, -1)
+        levels.append(LevelTensor._from_array(d, k, integrals.sum(axis=1)))
     return TensorSeries(d, n, levels)
 
 

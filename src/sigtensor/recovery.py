@@ -35,9 +35,7 @@ from .dual import Dual
 from .matrices import _eliminate, exact_det, exact_rank, matrix_inverse
 from .paths import canonical_axis, canonical_mono, tensor_congruence
 from .scalars import fraction_nth_root, real_nth_root
-from .shuffle import shuffle_form_eval, shuffle_words
 from .tensor import LevelTensor, TensorSeries
-from .words import all_words
 
 
 class NonGenericInput(ValueError):
@@ -162,30 +160,29 @@ def recover_group_element(
 
 
 def _descend(tensor: LevelTensor, sigma1) -> TensorSeries:
-    """Fill levels n-1 .. 1 downward from the top level, dividing by sigma1."""
+    """Fill levels n-1 .. 1 downward from the top level, dividing by sigma1.
+
+    Level k (2 <= k < n) at a word w is the shuffle form of (w, 1) on level
+    k+1, over sigma1; on the level-(k+1) cube that form is the sum over the
+    k+1 places p of the slice with letter 1 at place p.  Level 1 is read off
+    the top cube instead: the form of ((i), 1^(n-1)) is the sum of the n
+    one-axis slices with letter 1 on every other axis, scaled by
+    (n-1)! / sigma1^(n-1); its first coordinate is sigma1 itself.
+    """
     d, n = tensor.d, tensor.k
-    one = sigma1 / sigma1
     levels: list = [None] * (n + 1)
-    levels[0] = LevelTensor(d, 0, [one])
+    levels[0] = LevelTensor(d, 0, [sigma1 / sigma1])
     levels[n] = tensor
-    # level 1 from the full-order shuffle powers
-    ones_word = (1,) * (n - 1)
-    power = sigma1 ** (n - 1)
-    factor = math.factorial(n - 1)
-    vec = []
-    for i in range(1, d + 1):
-        if n == 1:
-            vec.append(tensor[(i,)])
-            continue
-        form = shuffle_words((i,), ones_word).eval_on(tensor)
-        vec.append(factor * form / power)
-    vec[0] = sigma1
     if n >= 2:
-        levels[1] = LevelTensor(d, 1, vec)
+        top = tensor.cube
+        forms = sum(top[(0,) * p + (slice(None),) + (0,) * (n - 1 - p)] for p in range(n))
+        vec = math.factorial(n - 1) * forms / sigma1 ** (n - 1)
+        vec[0] = sigma1
+        levels[1] = LevelTensor._from_array(d, 1, vec)
     for k in range(n - 1, 1, -1):
-        upper = levels[k + 1]
-        entries = [shuffle_form_eval(word, (1,), upper) / sigma1 for word in all_words(d, k)]
-        levels[k] = LevelTensor(d, k, entries)
+        upper = levels[k + 1].cube
+        forms = sum(np.take(upper, 0, axis=p) for p in range(k + 1))
+        levels[k] = LevelTensor._from_array(d, k, (forms / sigma1).reshape(-1))
     return TensorSeries(d, n, levels)
 
 
@@ -197,13 +194,9 @@ def negate_odd_levels(series: TensorSeries) -> TensorSeries:
 # --- closed-form planar recovery at order 3 ---------------------------------
 
 
-def _swap_word(word: tuple) -> tuple:
-    return tuple(3 - letter for letter in word)
-
-
 def _swapped_tensor(tensor: LevelTensor) -> LevelTensor:
-    entries = {w: tensor[_swap_word(w)] for w in all_words(2, tensor.k)}
-    return LevelTensor.from_map(2, tensor.k, entries)
+    """The planar tensor with letters 1 and 2 exchanged in every word."""
+    return LevelTensor._from_array(2, tensor.k, np.flip(tensor.cube).reshape(-1))
 
 
 def _kernel_point(rows: list) -> tuple:
@@ -226,6 +219,20 @@ def _kernel_point(rows: list) -> tuple:
     return tuple(Fraction(v) for v in ints)
 
 
+def _planar_kernel_point(tensor: LevelTensor, relations, perm: tuple) -> tuple:
+    """Kernel point of the relations on the tensor and on its axis swap.
+
+    The swap permutes the unknowns by perm, so each relation read on the
+    swapped tensor is re-indexed by perm before it joins the rows.
+    """
+    if tensor.d != 2 or tensor.k != 3:
+        raise ValueError("closed-form recovery needs d=2, k=3")
+    rows = relations(tensor)
+    for row in relations(_swapped_tensor(tensor)):
+        rows.append([row[perm.index(c)] for c in range(4)])
+    return _kernel_point(rows)
+
+
 def _two_step_rows(t: LevelTensor) -> list:
     """Linear relations in (x11, x12, x21, x22) for planar two-step recovery."""
     s = t.__getitem__
@@ -245,14 +252,8 @@ def recover_two_step_planar(tensor: LevelTensor) -> tuple:
     the unknowns); the unique kernel direction is returned as coprime
     integers.  x_ij is coordinate j of step i.
     """
-    if tensor.d != 2 or tensor.k != 3:
-        raise ValueError("closed-form recovery needs d=2, k=3")
-    rows = _two_step_rows(tensor)
-    # swap unknowns (x11,x12,x21,x22) -> (x12,x11,x22,x21)
-    perm = (1, 0, 3, 2)
-    for row in _two_step_rows(_swapped_tensor(tensor)):
-        rows.append([row[perm.index(c)] for c in range(4)])
-    return _kernel_point(rows)
+    # swapping the plane axes maps (x11,x12,x21,x22) -> (x12,x11,x22,x21)
+    return _planar_kernel_point(tensor, _two_step_rows, (1, 0, 3, 2))
 
 
 def _quadratic_rows(t: LevelTensor) -> list:
@@ -279,14 +280,8 @@ def recover_quadratic_planar(tensor: LevelTensor) -> tuple:
     x_i1 and x_i2 are the linear and quadratic coefficients of coordinate
     i.  Same elimination strategy as the two-step recovery.
     """
-    if tensor.d != 2 or tensor.k != 3:
-        raise ValueError("closed-form recovery needs d=2, k=3")
-    rows = _quadratic_rows(tensor)
     # swapping the plane axes maps (x11,x12,x21,x22) -> (x21,x22,x11,x12)
-    perm = (2, 3, 0, 1)
-    for row in _quadratic_rows(_swapped_tensor(tensor)):
-        rows.append([row[perm.index(c)] for c in range(4)])
-    return _kernel_point(rows)
+    return _planar_kernel_point(tensor, _quadratic_rows, (2, 3, 0, 1))
 
 
 # --- families shared by the numerical code ----------------------------------
@@ -311,8 +306,7 @@ def _core_array(family: str, m: int, k: int, floats: bool) -> np.ndarray:
     if floats:
         array = _core_array(family, m, k, False).astype(np.float64)
     else:
-        core = canonical_axis(m, k) if family == "pl" else canonical_mono(m, k)
-        array = np.array(core.entries, dtype=object).reshape((m,) * k)
+        array = (canonical_axis(m, k) if family == "pl" else canonical_mono(m, k)).cube
     array.flags.writeable = False
     return array
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .scalars import format_scalar, parse_scalar
 from .shuffle import WordCombination, shuffle_combinations
 from .tensor import LevelTensor, TensorSeries, exp_series, zero_series
@@ -61,8 +63,6 @@ class BrownianModel:
     def validate(self, strict: bool = False) -> None:
         """strict=True additionally requires sigma to be positive semidefinite."""
         if strict:
-            import numpy as np
-
             eigs = np.linalg.eigvalsh(np.asarray(self.sigma, dtype=float))
             if eigs.min() < -1e-12:
                 raise ValueError("sigma is not positive semidefinite")
@@ -137,15 +137,10 @@ def drift_covariance_exponent(model: BrownianModel, n: int) -> TensorSeries:
     if n >= 1:
         levels[1] = LevelTensor(d, 1, list(model.mu))
     if n >= 2:
-        half = Fraction(1, 2)
-        entries = []
-        for i in range(d):
-            for j in range(d):
-                value = half * model.sigma[i][j]
-                if model.q is not None:
-                    value = value + model.q[i][j]
-                entries.append(value)
-        levels[2] = LevelTensor(d, 2, entries)
+        value = Fraction(1, 2) * np.array(model.sigma, dtype=object)
+        if model.q is not None:
+            value = value + np.array(model.q, dtype=object)
+        levels[2] = LevelTensor(d, 2, value.reshape(-1).tolist())
     return TensorSeries(d, n, levels)
 
 

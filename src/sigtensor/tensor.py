@@ -41,7 +41,10 @@ class LevelTensor:
     """Dense order-k tensor with d^k entries indexed by words.
 
     `entries` is a flat tuple of plain scalars in base-d word order; `array`
-    is the same data as a read-only flat ndarray, built on first use.
+    is the same data as a read-only flat ndarray.  A level holding floats is
+    a float level: its array is built at once and its entries are read back
+    from it, so they are all Python floats (exact zeros included).  Other
+    levels build their object array on first use.
     """
 
     __slots__ = ("d", "k", "entries", "_array")
@@ -54,8 +57,11 @@ class LevelTensor:
             raise ValueError(f"expected {d ** k} entries, got {len(entries)}")
         self.d = d
         self.k = k
-        self.entries = entries
         self._array = None
+        if _holds_floats(entries):
+            self._array = _frozen(np.array(entries, dtype=np.float64))
+            entries = tuple(self._array.tolist())
+        self.entries = entries
 
     @classmethod
     def _from_array(cls, d: int, k: int, array: np.ndarray) -> "LevelTensor":
@@ -73,9 +79,13 @@ class LevelTensor:
     def array(self) -> np.ndarray:
         """The entries as a read-only flat ndarray (float64 or object)."""
         if self._array is None:
-            dtype = np.float64 if _holds_floats(self.entries) else object
-            self._array = _frozen(np.array(self.entries, dtype=dtype))
+            self._array = _frozen(np.array(self.entries, dtype=object))
         return self._array
+
+    @property
+    def cube(self) -> np.ndarray:
+        """The entries as a read-only (d,)*k ndarray: cube[i1-1, ..., ik-1] is word i1..ik."""
+        return self.array.reshape((self.d,) * self.k)
 
     @property
     def holds_floats(self) -> bool:
@@ -147,12 +157,11 @@ class LevelTensor:
         iterated shuffle form of the single letters i1, ..., ik, so on a
         group-like level it equals the product of the level-1 coordinates.
         """
-        cube = self.array.reshape((self.d,) * self.k)
         total = 0
         for perm in itertools.permutations(range(self.k)):
             # axes perm^-1 put entries[w o perm] at w: each word's terms add
             # in the order itertools.permutations(w) lists them
-            total = total + np.transpose(cube, np.argsort(perm))
+            total = total + np.transpose(self.cube, np.argsort(perm))
         return LevelTensor._from_array(self.d, self.k, np.reshape(total, -1))
 
     def to_float(self) -> "LevelTensor":
@@ -244,10 +253,11 @@ class TensorSeries:
         return TensorSeries(self.d, self.n, [lvl.scale(eta**k) for k, lvl in enumerate(self.levels)])
 
     def truncate(self, n: int) -> "TensorSeries":
-        """Copy truncated (or zero-extended) to order n."""
+        """Copy truncated (or zero-extended, in the series' scalar mode) to order n."""
         if n <= self.n:
             return TensorSeries(self.d, n, self.levels[: n + 1])
-        extra = [LevelTensor.zeros(self.d, k) for k in range(self.n + 1, n + 1)]
+        zero = _scalar_zero(self)
+        extra = [LevelTensor.zeros(self.d, k, zero) for k in range(self.n + 1, n + 1)]
         return TensorSeries(self.d, n, list(self.levels) + extra)
 
     def to_float(self) -> "TensorSeries":

@@ -87,6 +87,13 @@ def test_compute_rejects_bad_input(tmp_path, capsys):
     assert code == 2 and "cap" in err
 
 
+def test_compute_rejects_an_empty_coefficient_row(tmp_path, capsys):
+    path = write_json(tmp_path, "p.json", {"type": "polynomial", "dim": 1, "coeffs": [[]]})
+    code, out, err = run_cli(capsys, "compute", path, "--level", "2")
+    assert code == 2 and out == ""
+    assert "coefficient rows are empty" in err and "Traceback" not in err
+
+
 def test_compute_check_round_trip(tmp_path, capsys):
     path = write_json(
         tmp_path,

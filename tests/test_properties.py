@@ -1,6 +1,7 @@
 """Property tests over random exact inputs: the level-product kernel, the
-fraction-free elimination, JSON round trips, group-element recovery, the
-group-like/Lie correspondence and the closed-form multilinear Jacobian."""
+polynomial integration engine, the fraction-free elimination, JSON round
+trips, group-element recovery, the group-like/Lie correspondence and the
+closed-form multilinear Jacobian."""
 
 from fractions import Fraction
 
@@ -33,6 +34,8 @@ from sigtensor import (
     pl_level_direct,
     pl_signature,
     pl_signature_congruence,
+    poly_signature_congruence,
+    poly_signature_integrate,
     project_level,
     recover_group_element,
     series_from_level,
@@ -105,6 +108,36 @@ def test_float_signature_agrees_with_exact(path):
 @given(lie_elements())
 def test_log_inverts_exp_on_lie_elements(lie):
     assert log_series(exp_series(lie)) == lie
+
+
+@st.composite
+def polynomials(draw):
+    """(rows, n): d <= 3 rows of 1..m <= 4 exact coefficients (ragged), truncation n <= 5."""
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 5))
+    rows = draw(st.lists(st.lists(rationals, min_size=1, max_size=m), min_size=d, max_size=d))
+    return rows, n
+
+
+def _typed(level):
+    return [(v, type(v)) for v in level.entries]
+
+
+@PROPERTY
+@given(polynomials())
+def test_polynomial_integration_agrees_with_congruence_floats_and_padding(case):
+    rows, n = case
+    m = max(map(len, rows))
+    padded = [row + [Fraction(0)] * (m - len(row)) for row in rows]
+    exact = poly_signature_integrate(rows, n)
+    assert list(map(_typed, exact.levels)) == list(map(_typed, poly_signature_integrate(padded, n).levels))
+    assert _typed(exact.levels[0]) == [(1, Fraction)]
+    for k in range(1, n + 1):
+        assert _typed(exact.levels[k]) == _typed(poly_signature_congruence(padded, k))
+    approx = poly_signature_integrate([[float(c) for c in row] for row in rows], n)
+    assert all(type(v) is float for lvl in approx.levels for v in lvl.entries)
+    assert approx.equals(exact.to_float(), tol=1e-9)
 
 
 @st.composite

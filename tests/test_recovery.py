@@ -112,6 +112,15 @@ def test_recovery_real_mode(rng):
         recover_group_element(tensor, "rational")
 
 
+def test_real_mode_recovery_after_a_coordinate_change_holds_only_floats():
+    steps = [[Fraction(1), Fraction(0)], [Fraction(-1), Fraction(1)], [Fraction(0), Fraction(2)]]
+    top = pl_signature(steps, 3).levels[3]
+    assert top[(1, 1, 1)] == 0  # forces a coordinate change
+    result = recover_group_element(top, "real")
+    assert all(type(v) is float for level in result.series.levels for v in level.entries)
+    assert result.series.levels[3].equals(top.to_float(), tol=1e-9)
+
+
 def test_two_step_recovery_round_trips(rng):
     done = 0
     while done < 5:

@@ -14,6 +14,7 @@ from sigtensor import (
     from_vector,
     is_lie,
     log_series,
+    pl_signature,
     project_level,
     unit_series,
     zero_series,
@@ -230,3 +231,20 @@ def test_level_array_dtype_follows_the_entries():
     floats = exact.to_float().tensor_product(exact.to_float())
     assert floats.array.dtype == np.float64
     assert all(type(v) is float for v in floats.entries)
+
+
+def test_float_levels_hold_only_floats():
+    mixed = LevelTensor(2, 1, [0.5, Fraction(0)])
+    assert mixed.entries == (0.5, 0.0) and all(type(v) is float for v in mixed.entries)
+    extended = pl_signature([[1.0, 2.0]], 2).truncate(4)
+    assert extended.levels[4].to_json()["scalar"] == "float"
+    assert all(type(v) is float for level in extended.levels for v in level.entries)
+    assert unit_series(2, 1).truncate(3).levels[3].entries[0] == Fraction(0)
+
+
+def test_cube_is_the_level_in_word_order():
+    level = LevelTensor(3, 2, [Fraction(i) for i in range(9)])
+    assert level.cube.shape == (3, 3)
+    assert level.cube[1, 2] == level[(2, 3)] == 5
+    assert not level.cube.flags.writeable
+    assert LevelTensor(2, 0, [Fraction(7)]).cube.shape == ()
