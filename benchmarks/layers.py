@@ -11,7 +11,10 @@ interquartile range over the rounds for each tree.  Both trees must share
 the private calling convention used below (`_core_array`, and
 `_residual_and_jacobian(core, x, target)`).  Polynomial signatures and
 group-element recovery are timed through their public functions on seeded
-rational inputs (group elements: the top level of a (d+1)-step path).
+rational inputs (group elements: the top level of a (d+1)-step path).  The
+shuffle-law tests `is_grouplike` and `is_lie` run on member inputs (the
+series of a (d+1)-step path and its logarithm), so each call checks every
+form; float calls pass tol=1e-9, as the algebra workload does.
 
 A layer is timed by one warm-up call, then calls until 0.2 s have passed (at
 least 3); its time in a round is the median call.  Caches that persist across
@@ -35,6 +38,7 @@ GN_SHAPES = [(d, k) for d in (2, 3, 4) for k in (3, 4)]  # d = m, family pl
 JACOBIAN_SHAPES = [("pl", 3, 3, 3), ("pl", 4, 3, 4), ("poly", 3, 4, 3), ("pl", 6, 3, 6)]  # (family, d, k, m)
 POLY_SHAPES = [(2, 3, 6), (3, 3, 5)]  # (d, m, n), as in the forward workload
 GROUP_SHAPES = [(2, 3), (2, 4), (3, 3), (3, 4)]  # (d, n), as in the inverse workload
+SHUFFLE_SHAPES = [(2, 8), (3, 6), (4, 5)]  # (d, n)
 ROUNDS = 7
 
 
@@ -59,7 +63,16 @@ def _gn_eval(recovery, d, k):
 
 def layers():
     """(layer, shape, scalar mode, zero-argument call) for the tree on sys.path."""
-    from sigtensor import jacobian_rank, pl_signature, poly_signature_integrate, recover_group_element, recovery
+    from sigtensor import (
+        is_grouplike,
+        is_lie,
+        jacobian_rank,
+        log_series,
+        pl_signature,
+        poly_signature_integrate,
+        recover_group_element,
+        recovery,
+    )
 
     out = []
     for d, k in GN_SHAPES:
@@ -80,6 +93,13 @@ def layers():
         shape = {"d": d, "m": d + 1, "n": n}
         for scalar, mode in (("exact", "rational"), ("float", "real")):
             out.append(("recovery.recover_group_element", shape, scalar, lambda t=top, mode=mode: recover_group_element(t, mode=mode)))
+    for d, n in SHUFFLE_SHAPES:
+        values = _rationals(d * 10 + n, d * (d + 1))
+        group = pl_signature([values[j * d : (j + 1) * d] for j in range(d + 1)], n)
+        members = {"shuffle.is_grouplike": (is_grouplike, group), "shuffle.is_lie": (is_lie, log_series(group))}
+        for name, (test, series) in members.items():
+            out.append((name, {"d": d, "n": n}, "exact", lambda t=test, s=series: t(s)))
+            out.append((name, {"d": d, "n": n}, "float", lambda t=test, s=series.to_float(): t(s, 1e-9)))
     return out
 
 

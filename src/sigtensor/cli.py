@@ -16,7 +16,7 @@ import sys
 
 from . import __version__
 from .invariants import linear_invariants, quadric_family_eval
-from .lyndon import lyndon_count, lyndon_words, normal_form_table, poly_to_json
+from .lyndon import lyndon_count_level, lyndon_words, normal_form_table, poly_to_json
 from .matrices import NumericalFailure, signature_matrix_generators, signature_matrix_witness
 from .paths import AxisParallel, path_from_json, signature_series
 from .recovery import (
@@ -48,9 +48,12 @@ class UsageError(ValueError):
 def _load_json(path: str) -> dict:
     try:
         with open(path) as handle:
-            return json.load(handle)
+            data = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read JSON from {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise UsageError(f"{path} holds a JSON {type(data).__name__}; expected a JSON object")
+    return data
 
 
 def _emit(payload) -> None:
@@ -100,15 +103,33 @@ def cmd_expected(args) -> int:
 
 def _check_order_from_model(data: dict, n: int) -> None:
     if "components" in data:
+        if not data["components"]:
+            raise UsageError("'components' is empty: a mixture needs at least one component")
         d = len(data["components"][0]["model"]["mu"])
     else:
         d = len(data["mu"])
     _check_order(d, n, "--trunc")
 
 
+def _word_count(args, level_count) -> int:
+    """Words over levels 1..n, counted level by level; bad --d/--n, or more than
+    ENTRY_CAP words, is a UsageError raised before any word is enumerated."""
+    if args.d < 1 or args.n < 1:
+        raise UsageError(f"need --d >= 1 and --n >= 1, got --d {args.d} --n {args.n}")
+    total = 0
+    for k in range(1, args.n + 1):
+        total += level_count(args.d, k)
+        if total > ENTRY_CAP:
+            raise UsageError(
+                f"{args.command} --d {args.d} --n {args.n} covers more than {ENTRY_CAP} words (the entry cap)"
+            )
+    return total
+
+
 def cmd_lyndon(args) -> int:
+    count = _word_count(args, lyndon_count_level)
     basis = lyndon_words(args.d, args.n)
-    payload = {"dim": args.d, "trunc": args.n, "count": lyndon_count(args.d, args.n)}
+    payload = {"dim": args.d, "trunc": args.n, "count": count}
     if not args.count_only:
         payload["words"] = [word_to_string(w, args.d) for w in basis.words]
     _emit(payload)
@@ -120,6 +141,7 @@ def cmd_normal_form(args) -> int:
         word = word_from_string(args.word, args.d)
         if len(word) > args.n:
             raise UsageError(f"word {args.word!r} longer than truncation {args.n}")
+    _word_count(args, pow)
     table = normal_form_table(args.d, args.n)
     if args.word:
         _emit(poly_to_json(word, table.phi(word), args.d))
@@ -342,7 +364,10 @@ def main(argv=None) -> int:
     except (RecoveryFailed, NumericalFailure) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (UsageError, ValueError, KeyError, TypeError) as exc:
+    except KeyError as exc:
+        print(f"error: the input JSON is missing the field {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (UsageError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -49,6 +49,8 @@ class PiecewiseLinear:
         if not steps and self.dim is None:
             raise ValueError("an empty path needs an explicit dim")
         object.__setattr__(self, "steps", steps)
+        if self.d < 1:
+            raise ValueError(f"a path needs dim >= 1, got dim {self.d}")
 
     @property
     def d(self):

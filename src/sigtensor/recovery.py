@@ -35,7 +35,7 @@ from .dual import Dual
 from .matrices import _eliminate, exact_det, exact_rank, matrix_inverse
 from .paths import canonical_axis, canonical_mono, tensor_congruence
 from .scalars import fraction_nth_root, real_nth_root
-from .tensor import LevelTensor, TensorSeries
+from .tensor import LevelTensor, TensorSeries, _integer_multiple
 
 
 class NonGenericInput(ValueError):
@@ -117,9 +117,9 @@ def recover_group_element(
         tensor = tensor.to_float()
 
     rng = random.Random(seed)
-    changes = [None] + [_random_change(tensor.d, rng) for _ in range(attempts)]
     saw_negative = False
-    for change in changes:
+    for attempt in range(attempts + 1):
+        change = None if attempt == 0 else _random_change(tensor.d, rng)
         working = tensor if change is None else tensor_congruence(tensor, change)
         leading = working[(1,) * n]
         if leading == 0:
@@ -386,12 +386,6 @@ def signature_map(family: str, matrix: Sequence[Sequence], k: int) -> LevelTenso
 # --- Jacobian ranks ----------------------------------------------------------
 
 
-def _integer_multiple(array: np.ndarray) -> np.ndarray:
-    """The exact array times the lcm of its denominators, as Python ints."""
-    scale = math.lcm(*(v.denominator for v in array.flat))
-    return np.array([int(v * scale) for v in array.flat], dtype=object).reshape(array.shape)
-
-
 def jacobian_rank(
     family: str, d: int, k: int, m: int, seed_count: int = 3, seed: int = 0
 ) -> JacobianReport:
@@ -404,7 +398,7 @@ def jacobian_rank(
     """
     if d < 1 or m < 1 or k < 1:
         raise ValueError(f"need d, m, k >= 1, got d={d}, m={m}, k={k}")
-    core = _integer_multiple(_core_array(_family_name(family), m, k, False))
+    core, _ = _integer_multiple(_core_array(_family_name(family), m, k, False))
     rng = random.Random(seed)
     best = 0
     for _ in range(seed_count):
@@ -412,7 +406,7 @@ def jacobian_rank(
             [Fraction(rng.randint(1, 12), rng.randint(1, 4)) * (-1) ** rng.randint(0, 1) for _ in range(m)]
             for _ in range(d)
         ]
-        _, jac = _image_and_jacobian(core, _integer_multiple(np.array(point, dtype=object)))
+        _, jac = _image_and_jacobian(core, _integer_multiple(np.array(point, dtype=object))[0])
         best = max(best, exact_rank(jac.tolist()))
     return JacobianReport(family, d, k, m, d * m, best)
 

@@ -3,17 +3,30 @@
 The shuffle of two words is the sum over all interleavings; the induced
 linear forms on a level tensor characterize Lie elements (all forms vanish)
 and group-like elements (forms factor multiplicatively).
+
+The tests evaluate the forms a whole level at a time.  For r + s = k, the
+form <I ⧢ J, T> puts I on r positions P of a length-k word and J on the
+rest, so every form at once is the (d^r, d^s) matrix
+
+    F = sum over r-subsets P of transpose(T.cube, P + complement(P)),
+
+reshaped, with C(k, r) terms.  T is Lie when every F is 0 and group-like
+when F = outer(T_r, T_s).  `shuffle_words` and `shuffle_form_eval` keep the
+word-by-word definition and report the value of a failing form.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
-from .scalars import values_close
-from .tensor import LevelTensor, TensorSeries
-from .words import all_words, word_index
+import numpy as np
+
+from .scalars import DEFAULT_REL_TOL, values_close
+from .tensor import LevelTensor, TensorSeries, _integer_multiple
+from .words import index_word, word_index
 
 
 @dataclass(frozen=True)
@@ -36,7 +49,7 @@ class WordCombination:
         return total
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def _shuffle(left: tuple, right: tuple) -> dict:
     if not left:
         return {right: 1}
@@ -83,27 +96,57 @@ def shuffle_form_eval(left: Sequence[int], right: Sequence[int], tensor: LevelTe
     return shuffle_words(left, right).eval_on(tensor)
 
 
-def _form_pairs(d: int, n: int):
-    """Unordered pairs of non-empty words with total length <= n."""
-    for total in range(2, n + 1):
+def _forms(cube: np.ndarray, r: int) -> np.ndarray:
+    """Every form <I ⧢ J, T> with |I| = r, as one (d^r, d^(k-r)) matrix."""
+    k = cube.ndim
+    places = itertools.combinations(range(k), r)
+    total = sum(np.transpose(cube, p + tuple(q for q in range(k) if q not in p)) for p in places)
+    return total.reshape(cube.shape[0] ** r, -1)
+
+
+def _first_violation(series: TensorSeries, tol: float | None, grouplike: bool):
+    """First (I, J, form value) in scan order whose form breaks the law, or None.
+
+    Scan order: total length, then |I| <= |J|, then I and J in index order,
+    with I <= J when |I| = |J|.  A series with a float level is compared in
+    floats.  Exact levels without tol are scaled to ints A_k = L_k * T_k on
+    first use, and the group-like law is checked as F * L_r * L_s == A_r (x) A_s * L_k.
+    """
+    d, floats = series.d, any(lvl.holds_floats for lvl in series.levels[1:])
+    integers = not floats and tol is None
+
+    @functools.cache
+    def level(k):
+        array = series.levels[k].array
+        array = np.asarray(array, dtype=np.float64) if floats else array
+        return _integer_multiple(array) if integers else (array, 1)
+
+    for total in range(2, series.n + 1):
+        top, top_scale = level(total)
         for r in range(1, total // 2 + 1):
-            s = total - r
-            for left in all_words(d, r):
-                for right in all_words(d, s):
-                    if r == s and right < left:
-                        continue
-                    yield left, right
+            forms, rhs, rhs_scale = _forms(top.reshape((d,) * total), r), 0, 1
+            if grouplike:
+                (a, a_scale), (b, b_scale) = level(r), level(total - r)
+                rhs, rhs_scale = np.multiply.outer(a, b), a_scale * b_scale
+            if integers:
+                miss = forms * rhs_scale != rhs * top_scale
+            else:
+                scale = np.maximum(np.maximum(abs(forms), abs(rhs)), 1.0)
+                miss = ~(abs(forms - rhs) <= (DEFAULT_REL_TOL if tol is None else tol) * scale)
+            hits = np.argwhere(np.triu(miss) if 2 * r == total else miss)
+            if len(hits):
+                i, j = hits[0].tolist()
+                left, right = index_word(i, d, r), index_word(j, d, total - r)
+                # the word-by-word sum, so a float value does not depend on the order summed above
+                return left, right, shuffle_form_eval(left, right, series.levels[total])
+    return None
 
 
 def find_lie_violation(series: TensorSeries, tol: float | None = None):
     """First (I, J, value) with a nonvanishing shuffle form, or None."""
     if not values_close(series.constant_term, 0 * series.constant_term, tol):
         return ((), (), series.constant_term)
-    for left, right in _form_pairs(series.d, series.n):
-        value = shuffle_form_eval(left, right, series.levels[len(left) + len(right)])
-        if not values_close(value, 0 * value, tol):
-            return (left, right, value)
-    return None
+    return _first_violation(series, tol, grouplike=False)
 
 
 def is_lie(series: TensorSeries, tol: float | None = None) -> bool:
@@ -116,12 +159,11 @@ def find_grouplike_violation(series: TensorSeries, tol: float | None = None):
     one = series.constant_term
     if not values_close(one, 1 + 0 * one, tol):
         return ((), (), one, 1)
-    for left, right in _form_pairs(series.d, series.n):
-        lhs = shuffle_form_eval(left, right, series.levels[len(left) + len(right)])
-        rhs = series.coefficient(left) * series.coefficient(right)
-        if not values_close(lhs, rhs, tol):
-            return (left, right, lhs, rhs)
-    return None
+    violation = _first_violation(series, tol, grouplike=True)
+    if violation is None:
+        return None
+    left, right, value = violation
+    return (left, right, value, series.coefficient(left) * series.coefficient(right))
 
 
 def is_grouplike(series: TensorSeries, tol: float | None = None) -> bool:

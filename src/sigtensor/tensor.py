@@ -15,6 +15,7 @@ product; the series operations are built on it.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -30,6 +31,13 @@ def _holds_floats(entries) -> bool:
     return any(issubclass(t, float) for t in kinds) and all(
         issubclass(t, (float, int, Fraction)) and t is not bool for t in kinds
     )
+
+
+def _integer_multiple(array: np.ndarray) -> tuple:
+    """(A, L): the exact array times the lcm L of its denominators, as Python ints."""
+    scale = math.lcm(*(v.denominator for v in array.flat))
+    ints = [v.numerator * (scale // v.denominator) for v in array.flat]
+    return np.array(ints, dtype=object).reshape(array.shape), scale
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:

@@ -316,6 +316,46 @@ def test_normal_form_rejects_letters_outside_the_alphabet(capsys):
     assert code == 2 and "letter 'x'" in err
 
 
+def test_malformed_inputs_are_usage_errors_that_name_the_fault(tmp_path, capsys):
+    listed = write_json(tmp_path, "list.json", [["1", "0"]])
+    no_components = write_json(tmp_path, "mix.json", {"components": []})
+    no_dim = write_json(tmp_path, "dim0.json", {"type": "piecewise_linear", "dim": 0, "steps": []})
+    no_steps = write_json(tmp_path, "steps.json", {"type": "piecewise_linear", "dim": 2})
+    for argv, message in (
+        (("compute", listed, "--trunc", "2"), "expected a JSON object"),
+        (("expected", no_components, "--trunc", "2"), "at least one component"),
+        (("compute", no_dim, "--trunc", "2"), "dim >= 1"),
+        (("compute", no_steps, "--trunc", "2"), "missing the field 'steps'"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert message in err and "Traceback" not in err
+
+
+def test_word_listings_beyond_the_entry_cap_are_refused_before_enumerating(capsys, monkeypatch):
+    import sigtensor.cli as cli
+
+    def refuse(*args):
+        raise AssertionError("enumerated words past the entry cap")
+
+    monkeypatch.setattr(cli, "lyndon_words", refuse)
+    monkeypatch.setattr(cli, "normal_form_table", refuse)
+    for argv in (("lyndon", "--d", "30", "--n", "8"), ("normal-form", "--d", "30", "--n", "8", "--word", "12")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "entry cap" in err and argv[0] in err
+    monkeypatch.undo()
+    # at a cap of 5: d=2 has 2 + 1 + 2 Lyndon words up to length 3, and 2 + 4 words up to length 2
+    monkeypatch.setattr(cli, "ENTRY_CAP", 5)
+    code, out, _ = run_cli(capsys, "lyndon", "--d", "2", "--n", "3")
+    assert code == 0 and json.loads(out)["count"] == 5
+    for argv in (("lyndon", "--d", "2", "--n", "4"), ("normal-form", "--d", "2", "--n", "2")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and "entry cap" in err
+    code, _, err = run_cli(capsys, "lyndon", "--d", "0", "--n", "4")
+    assert code == 2 and "--d >= 1" in err
+
+
 def test_words_at_twelve_letters_are_dot_separated(capsys):
     code, out, err = run_cli(capsys, "normal-form", "--d", "12", "--n", "2", "--word", "11.1")
     assert code == 0

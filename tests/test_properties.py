@@ -1,7 +1,8 @@
 """Property tests over random exact inputs: the level-product kernel, the
 polynomial integration engine, the fraction-free elimination, JSON round
-trips, group-element recovery, the group-like/Lie correspondence and the
-closed-form multilinear Jacobian."""
+trips, group-element recovery, the group-like/Lie correspondence, the
+shuffle-law witnesses against a pair scan and the closed-form multilinear
+Jacobian."""
 
 from fractions import Fraction
 
@@ -25,6 +26,8 @@ from sigtensor import (
     exact_rank,
     expand_from_lyndon,
     exp_series,
+    find_grouplike_violation,
+    find_lie_violation,
     gauss_newton_recover,
     is_grouplike,
     is_lie,
@@ -39,6 +42,7 @@ from sigtensor import (
     project_level,
     recover_group_element,
     series_from_level,
+    shuffle_form_eval,
     signature_map,
     tensor_congruence,
     zero_series,
@@ -47,6 +51,8 @@ from sigtensor.dual import Dual, seed_matrix
 from sigtensor.lyndon import poly_from_json, poly_to_json
 from sigtensor.matrices import matrix_inverse
 from sigtensor.recovery import _core_array, _image_and_jacobian, _kernel_point
+from sigtensor.scalars import values_close
+from sigtensor.words import all_words
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=50, database=None)
 
@@ -261,6 +267,63 @@ def test_grouplike_exactly_when_log_is_lie(d, n, data):
     levels[k] = LevelTensor(d, k, entries)
     moved = TensorSeries(d, n, levels)
     assert not is_grouplike(moved) and not is_lie(log_series(moved))
+
+
+def _scan_violation(series, tol, grouplike):
+    """Reference: the first failing pair of a scan over shuffle_form_eval.
+
+    Pairs run by total length, then |I| <= |J|, then I and J in index
+    order, skipping J < I when |I| = |J|.
+    """
+    c = series.constant_term
+    if not values_close(c, (1 if grouplike else 0) + 0 * c, tol):
+        return ((), (), c, 1) if grouplike else ((), (), c)
+    for total in range(2, series.n + 1):
+        for r in range(1, total // 2 + 1):
+            for left in all_words(series.d, r):
+                for right in all_words(series.d, total - r):
+                    if r == total - r and right < left:
+                        continue
+                    value = shuffle_form_eval(left, right, series.levels[total])
+                    law = series.coefficient(left) * series.coefficient(right) if grouplike else 0 * value
+                    if not values_close(value, law, tol):
+                        return (left, right, value, law) if grouplike else (left, right, value)
+    return None
+
+
+@st.composite
+def shuffle_law_cases(draw):
+    """(series, tol, grouplike): a group-like series or its log, d <= 3, n <= 5,
+    maybe with one entry moved, exact (tol None) or float (tol given)."""
+    d, n = draw(st.integers(1, 3)), draw(st.integers(0, 5))
+    steps = draw(st.lists(st.lists(rationals, min_size=d, max_size=d), min_size=1, max_size=3))
+    grouplike = draw(st.booleans())
+    series = pl_signature(steps, n) if grouplike else log_series(pl_signature(steps, n))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n))
+        entries = list(series.levels[k].entries)
+        entries[draw(st.integers(0, d**k - 1))] += draw(rationals.filter(bool))
+        levels = list(series.levels)
+        levels[k] = LevelTensor(d, k, entries)
+        series = TensorSeries(d, n, levels)
+    if draw(st.booleans()):
+        return series.to_float(), draw(st.sampled_from([1e-9, 1e-12])), grouplike
+    return series, None, grouplike
+
+
+@PROPERTY
+@given(shuffle_law_cases())
+def test_shuffle_law_witness_equals_the_pair_scan(case):
+    series, tol, grouplike = case
+    found = (find_grouplike_violation if grouplike else find_lie_violation)(series, tol)
+    expected = _scan_violation(series, tol, grouplike)
+    if tol is None or found is None or expected is None:
+        assert found == expected
+        assert found is None or [type(v) for v in found] == [type(v) for v in expected]
+    else:
+        assert found[:2] == expected[:2]
+        assert found[2:] == pytest.approx(expected[2:], rel=1e-12)
+    assert found is None or all(type(v) in (int, Fraction, float) for v in found[2:])
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from sigtensor import (
     recover_two_step_planar,
     signature_map,
 )
+from sigtensor import recovery
 from sigtensor.dual import Dual, seed_matrix
 from sigtensor.tensor import LevelTensor
 
@@ -119,6 +121,27 @@ def test_real_mode_recovery_after_a_coordinate_change_holds_only_floats():
     result = recover_group_element(top, "real")
     assert all(type(v) is float for level in result.series.levels for v in level.entries)
     assert result.series.levels[3].equals(top.to_float(), tol=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["rational", "real"])
+def test_coordinate_changes_are_drawn_only_after_the_identity_fails(monkeypatch, rng, mode):
+    draw, drawn = recovery._random_change, []
+
+    def spy(d, generator):
+        drawn.append(draw(d, generator))
+        return drawn[-1]
+
+    monkeypatch.setattr(recovery, "_random_change", spy)
+    g = random_grouplike(rng, 3, 3, nonzero_level1=True)
+    assert recover_group_element(project_level(g, 3), mode).series.equals(g, tol=1e-9)
+    assert drawn == []
+    steps = [[Fraction(1), Fraction(0)], [Fraction(-1), Fraction(1)], [Fraction(0), Fraction(2)]]
+    g = pl_signature(steps, 3)
+    assert g.levels[3][(1, 1, 1)] == 0  # forces a coordinate change
+    result = recover_group_element(g.levels[3], mode, seed=5)
+    assert result.series.equals(g, tol=1e-9) and (mode == "real" or result.series == g)
+    eager = random.Random(5)
+    assert len(drawn) == 1 and drawn == [draw(2, eager)]
 
 
 def test_two_step_recovery_round_trips(rng):

@@ -10,6 +10,7 @@ from sigtensor import (
     commutator,
     exp_series,
     find_grouplike_violation,
+    find_lie_violation,
     is_grouplike,
     is_lie,
     log_series,
@@ -148,3 +149,45 @@ def test_float_tolerance():
     g = exp_series(p).to_float()
     assert is_grouplike(g)
     assert is_grouplike(g, tol=1e-9)
+
+
+def _series(d, *levels):
+    """Series from flat level lists; levels[0] is the constant term."""
+    tensors = [LevelTensor(d, k, entries) for k, entries in enumerate([[levels[0]], *levels[1:]])]
+    return TensorSeries(d, len(levels) - 1, tensors)
+
+
+def test_shuffle_laws_at_the_edges():
+    half = Fraction(1, 2)
+    # n = 0 and n = 1 have no pairs: only the constant term is checked
+    for n in (0, 1):
+        levels = [Fraction(1)] + [[Fraction(3), Fraction(-2)]] * n
+        assert find_grouplike_violation(_series(2, *levels)) is None
+        assert find_lie_violation(_series(2, Fraction(0), *levels[1:])) is None
+        assert find_grouplike_violation(_series(2, Fraction(2), *levels[1:])) == ((), (), 2, 1)
+        assert find_lie_violation(_series(2, Fraction(1, 3), *levels[1:]), tol=1e-9) == ((), (), Fraction(1, 3))
+    # d = 1: group-like means level k is x^k / k!, Lie means levels >= 2 vanish
+    x = Fraction(3)
+    assert is_grouplike(_series(1, Fraction(1), [x], [x * x * half], [x**3 / 6]))
+    assert find_grouplike_violation(_series(1, Fraction(1), [x], [x], [x**3 / 6])) == ((1,), (1,), 2 * x, x * x)
+    assert find_lie_violation(_series(1, Fraction(0), [x], [Fraction(0)], [half])) == ((1,), (1, 1), 3 * half)
+    assert find_lie_violation(_series(1, Fraction(0), [x], [Fraction(0)], [half]).to_float(), 1e-9) == (
+        (1,), (1, 1), 1.5)
+    # a NaN entry is close to nothing, as in values_close
+    for constant, finder in ((1.0, find_grouplike_violation), (0.0, find_lie_violation)):
+        nan = TensorSeries(1, 2, [LevelTensor(1, 0, [constant]), LevelTensor(1, 1, [0.0]), LevelTensor(1, 2, [math.nan])])
+        assert finder(nan, 1e-9)[:2] == ((1,), (1,))
+
+
+def test_equal_length_witness_skips_pairs_below_the_diagonal():
+    # moving the level-2 entry at 21 breaks the form of (1, 2), never reported as (2, 1)
+    e = [Fraction(1), Fraction(2)]
+    good = [e[0] * e[0] / 2, e[0] * e[1], Fraction(0), e[1] * e[1] / 2]
+    moved = [good[0], good[1], good[2] + 1, good[3]]
+    assert is_grouplike(_series(2, Fraction(1), e, good))
+    assert find_grouplike_violation(_series(2, Fraction(1), e, moved)) == ((1,), (2,), 3, 2)
+    lie = _series(2, Fraction(0), e, [Fraction(0), Fraction(1), Fraction(-1), Fraction(0)])
+    assert is_lie(lie)
+    broken = _series(2, Fraction(0), e, [Fraction(0), Fraction(1), Fraction(0), Fraction(0)])
+    assert find_lie_violation(broken) == ((1,), (2,), 1)
+    assert find_lie_violation(broken.to_float(), 1e-12) == ((1,), (2,), 1.0)
