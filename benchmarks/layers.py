@@ -14,7 +14,12 @@ group-element recovery are timed through their public functions on seeded
 rational inputs (group elements: the top level of a (d+1)-step path).  The
 shuffle-law tests `is_grouplike` and `is_lie` run on member inputs (the
 series of a (d+1)-step path and its logarithm), so each call checks every
-form; float calls pass tol=1e-9, as the algebra workload does.
+form; float calls pass tol=1e-9, as the algebra workload does.  Chen
+(`pl_signature`), `exp_series`/`log_series` (on the logarithm of a (d+1)-step
+path, and on that path's series) and `expected_signature` run at fixed shapes
+on seeded rationals, exact and float.  A call that returns a series or a
+level also reads every entry of every level inside the timed region, so that
+entries built lazily on first read are paid for.
 
 A layer is timed by one warm-up call, then calls until 0.2 s have passed (at
 least 3); its time in a round is the median call.  Caches that persist across
@@ -39,6 +44,9 @@ JACOBIAN_SHAPES = [("pl", 3, 3, 3), ("pl", 4, 3, 4), ("poly", 3, 4, 3), ("pl", 6
 POLY_SHAPES = [(2, 3, 6), (3, 3, 5)]  # (d, m, n), as in the forward workload
 GROUP_SHAPES = [(2, 3), (2, 4), (3, 3), (3, 4)]  # (d, n), as in the inverse workload
 SHUFFLE_SHAPES = [(2, 8), (3, 6), (4, 5)]  # (d, n)
+CHEN_SHAPES = [(2, 5, 6), (3, 5, 5), (3, 10, 6), (4, 4, 5)]  # (d, m, n), as in the forward workload
+SERIES_SHAPE = (3, 6)  # (d, n) of exp_series and log_series
+EXPECTED_SHAPE = (3, 5)  # (d, n) of expected_signature
 ROUNDS = 7
 
 
@@ -61,9 +69,39 @@ def _gn_eval(recovery, d, k):
     return lambda: recovery._residual_and_jacobian(core, x, target)
 
 
+def _reading(call):
+    """The call, followed by a read of every entry of the series or level it returns."""
+
+    def timed():
+        result = call()
+        for level in getattr(result, "levels", None) or ([result] if hasattr(result, "entries") else []):
+            for _ in level.entries:
+                pass
+        return result
+
+    return timed
+
+
+def _brownian(d, seed, convert):
+    """Seeded model with covariance A A^T and a skew part, as in the forward workload."""
+    from sigtensor import BrownianModel
+
+    values = _rationals(seed, d + 2 * d * d)
+    mu, a, b = values[:d], values[d : d + d * d], values[d + d * d :]
+    sigma = [[sum(a[i * d + t] * a[j * d + t] for t in range(d)) for j in range(d)] for i in range(d)]
+    q = [[(b[i * d + j] - b[j * d + i]) / 2 for j in range(d)] for i in range(d)]
+    return BrownianModel(
+        tuple(map(convert, mu)), tuple(tuple(map(convert, r)) for r in sigma), tuple(tuple(map(convert, r)) for r in q)
+    )
+
+
 def layers():
     """(layer, shape, scalar mode, zero-argument call) for the tree on sys.path."""
+    from fractions import Fraction
+
     from sigtensor import (
+        exp_series,
+        expected_signature,
         is_grouplike,
         is_lie,
         jacobian_rank,
@@ -75,6 +113,24 @@ def layers():
     )
 
     out = []
+    for d, m, n in CHEN_SHAPES:
+        values = _rationals(d * 100 + m * 10 + n, d * m)
+        steps = [values[j * d : (j + 1) * d] for j in range(m)]
+        shape = {"d": d, "m": m, "n": n}
+        for scalar, rows in (("exact", steps), ("float", [[float(v) for v in s] for s in steps])):
+            out.append(("paths.pl_signature", shape, scalar, _reading(lambda r=rows, n=n: pl_signature(r, n))))
+    d, n = SERIES_SHAPE
+    values = _rationals(d * 10 + n + 1, d * (d + 1))
+    group = pl_signature([values[j * d : (j + 1) * d] for j in range(d + 1)], n)
+    lie = log_series(group)
+    for scalar, (g, p) in (("exact", (group, lie)), ("float", (group.to_float(), lie.to_float()))):
+        out.append(("tensor.exp_series", {"d": d, "n": n}, scalar, _reading(lambda p=p: exp_series(p))))
+        out.append(("tensor.log_series", {"d": d, "n": n}, scalar, _reading(lambda g=g: log_series(g))))
+    d, n = EXPECTED_SHAPE
+    for scalar, convert in (("exact", Fraction), ("float", float)):
+        model = _brownian(d, 7, convert)
+        call = _reading(lambda mo=model: expected_signature(mo, n))
+        out.append(("stochastic.expected_signature", {"d": d, "n": n}, scalar, call))
     for d, k in GN_SHAPES:
         out.append(("recovery.gn_eval", {"family": "pl", "d": d, "m": d, "k": k}, "float", _gn_eval(recovery, d, k)))
     for family, d, k, m in JACOBIAN_SHAPES:
@@ -86,7 +142,8 @@ def layers():
         floats = [[float(c) for c in row] for row in coeffs]
         shape = {"d": d, "m": m, "n": n}
         for scalar, rows in (("exact", coeffs), ("float", floats)):
-            out.append(("paths.poly_signature_integrate", shape, scalar, lambda r=rows, n=n: poly_signature_integrate(r, n)))
+            call = _reading(lambda r=rows, n=n: poly_signature_integrate(r, n))
+            out.append(("paths.poly_signature_integrate", shape, scalar, call))
     for d, n in GROUP_SHAPES:
         values = _rationals(d * 10 + n, d * (d + 1))
         top = pl_signature([values[j * d : (j + 1) * d] for j in range(d + 1)], n).levels[n]

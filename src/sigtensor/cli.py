@@ -26,7 +26,7 @@ from .recovery import (
     recover_two_step_planar,
     signature_map,
 )
-from .scalars import format_scalar
+from .scalars import format_scalar, parse_int
 from .shuffle import find_grouplike_violation, find_lie_violation
 from .stochastic import BrownianModel, MixtureModel, expected_signature, mixture_expected_signature
 from .tensor import LevelTensor, TensorSeries, project_level
@@ -63,16 +63,25 @@ def _emit(payload) -> None:
 
 
 def _check_order(d: int, k: int, flag: str) -> None:
-    """Reject a negative order, or a level with more entries than the cap."""
+    """Reject a negative order, or a level (or a d-entry step vector) with more entries than the cap."""
     if k < 0:
         raise UsageError(f"{flag} {k}: the order must be >= 0")
-    if d**k > ENTRY_CAP:
+    k = max(k, 1)
+    # for |d| >= 2 and k >= bit_length(cap), |d|**k > cap: the power is not built for huge k
+    if abs(d) >= 2 and k >= ENTRY_CAP.bit_length() or d**k > ENTRY_CAP:
         raise UsageError(f"level {k} in dimension {d} exceeds the {ENTRY_CAP}-entry cap")
+
+
+def _load_path(path: str, exact: bool):
+    data = _load_json(path)
+    if data.get("type") == "log_linear" and isinstance(data.get("lie"), dict):
+        _check_input_size(data["lie"], "trunc")
+    return path_from_json(data, exact=exact)
 
 
 def cmd_compute(args) -> int:
     exact = args.scalar == "exact"
-    path = path_from_json(_load_json(args.path), exact=exact)
+    path = _load_path(args.path, exact)
     if args.level is None and args.trunc is None:
         raise UsageError("one of --level or --trunc is required")
     order = args.level if args.level is not None else args.trunc
@@ -153,10 +162,20 @@ def cmd_normal_form(args) -> int:
 def _load_series_or_tensor(path: str):
     data = _load_json(path)
     if "trunc" in data:
+        _check_input_size(data, "trunc")
         return TensorSeries.from_json(data)
     if "order" in data:
+        _check_input_size(data, "order")
         return LevelTensor.from_json(data)
     raise UsageError("input is neither a series ('trunc') nor a tensor ('order') JSON")
+
+
+def _check_input_size(data: dict, field: str) -> None:
+    """Refuse an input tensor or series whose top level exceeds the entry cap, before it is built."""
+    d, k = parse_int(data["dim"], "dim"), parse_int(data[field], field)
+    if d < 1:
+        raise UsageError(f"dim {d}: need dim >= 1")
+    _check_order(d, k, field)
 
 
 def cmd_check(args) -> int:
@@ -217,7 +236,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_verify_vanishing(args) -> int:
-    path = path_from_json(_load_json(args.path), exact=True)
+    path = _load_path(args.path, True)
     if not isinstance(path, AxisParallel):
         raise UsageError("verify-vanishing needs an axis_parallel path")
     _check_order(path.d, args.upto, "--upto")
@@ -234,7 +253,9 @@ def cmd_verify_vanishing(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    tensor = LevelTensor.from_json(_load_json(args.input))
+    data = _load_json(args.input)
+    _check_input_size(data, "order")
+    tensor = LevelTensor.from_json(data)
     if tensor.d != args.d or tensor.k != args.k:
         raise UsageError(f"tensor shape (d={tensor.d}, k={tensor.k}) does not match flags")
     if args.mode == "exact":

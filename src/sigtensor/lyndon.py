@@ -38,11 +38,18 @@ def mobius(n: int) -> int:
 
 
 def lyndon_count_level(d: int, k: int) -> int:
-    """Number of Lyndon words of exact length k (necklace-counting formula)."""
-    total = 0
-    for ell in range(1, k + 1):
-        if k % ell == 0:
-            total += mobius(ell) * d ** (k // ell)
+    """Number of Lyndon words of exact length k (necklace-counting formula).
+
+    The divisors ell of k come in pairs (i, k // i) with i * i <= k, so the
+    sum over them takes O(sqrt(k)) steps.
+    """
+    total, i = 0, 1
+    while i * i <= k:
+        if k % i == 0:
+            total += mobius(i) * d ** (k // i)
+            if i * i != k:
+                total += mobius(k // i) * d**i
+        i += 1
     return total // k
 
 

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .scalars import parse_scalar
+from .scalars import parse_int, parse_scalar
 from .shuffle import is_lie
 from .tensor import (
     LevelTensor,
@@ -69,7 +69,12 @@ class Polynomial:
 
     def __post_init__(self):
         rows = tuple(tuple(r) for r in self.coeffs)
-        if not rows or len({len(r) for r in rows}) != 1:
+        if not rows:
+            raise ValueError(
+                "the coefficient list is empty: a polynomial path needs dim >= 1, "
+                "with one non-empty coefficient row per coordinate"
+            )
+        if len({len(r) for r in rows}) != 1:
             raise ValueError("coefficient rows must share one length")
         if not rows[0]:
             raise ValueError("coefficient rows are empty: each coordinate needs at least the t coefficient")
@@ -396,20 +401,25 @@ def path_to_json(path) -> dict:
 
 def path_from_json(data: dict, exact: bool = True):
     kind = data.get("type")
-    d = int(data["dim"])
+    d = parse_int(data["dim"], "dim")
     if kind == "piecewise_linear":
         steps = [[parse_scalar(c, exact) for c in s] for s in data["steps"]]
         if any(len(s) != d for s in steps):
             raise ValueError("step dimension does not match dim")
         return PiecewiseLinear(tuple(tuple(s) for s in steps), dim=d)
     if kind == "polynomial":
+        if d < 1:
+            raise ValueError(
+                f"a polynomial path needs dim >= 1, got dim {d}, "
+                "with one non-empty coefficient row per coordinate"
+            )
         rows = [[parse_scalar(c, exact) for c in r] for r in data["coeffs"]]
         if len(rows) != d:
             raise ValueError("coefficient rows do not match dim")
         return Polynomial(tuple(tuple(r) for r in rows))
     if kind == "axis_parallel":
         lengths = [parse_scalar(c, exact) for c in data["lengths"]]
-        return AxisParallel(d, tuple(int(v) for v in data["dirs"]), tuple(lengths))
+        return AxisParallel(d, tuple(parse_int(v, "a direction") for v in data["dirs"]), tuple(lengths))
     if kind == "log_linear":
         lie = TensorSeries.from_json(data["lie"])
         if not exact:

@@ -297,6 +297,12 @@ def _family_name(family: str) -> str:
 
 
 @functools.lru_cache(maxsize=32)
+def _core_level(family: str, m: int, k: int) -> LevelTensor:
+    """The exact canonical core of a family, built once per (family, m, k)."""
+    return canonical_axis(m, k) if family == "pl" else canonical_mono(m, k)
+
+
+@functools.lru_cache(maxsize=32)
 def _core_array(family: str, m: int, k: int, floats: bool) -> np.ndarray:
     """Read-only (m,)*k core of a family: float64, or object holding Fractions.
 
@@ -306,7 +312,7 @@ def _core_array(family: str, m: int, k: int, floats: bool) -> np.ndarray:
     if floats:
         array = _core_array(family, m, k, False).astype(np.float64)
     else:
-        array = (canonical_axis(m, k) if family == "pl" else canonical_mono(m, k)).cube
+        array = _core_level(family, m, k).cube
     array.flags.writeable = False
     return array
 
@@ -398,7 +404,7 @@ def jacobian_rank(
     """
     if d < 1 or m < 1 or k < 1:
         raise ValueError(f"need d, m, k >= 1, got d={d}, m={m}, k={k}")
-    core, _ = _integer_multiple(_core_array(_family_name(family), m, k, False))
+    core = _core_level(_family_name(family), m, k).as_integers()[0].reshape((m,) * k)
     rng = random.Random(seed)
     best = 0
     for _ in range(seed_count):

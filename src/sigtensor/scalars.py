@@ -54,6 +54,14 @@ def parse_scalar(text, exact: bool = True):
     raise ValueError(f"cannot parse scalar from {text!r}")
 
 
+def parse_int(value, name: str) -> int:
+    """A JSON integer field (int() of the value), or a ValueError naming the field."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def format_scalar(x):
     """Serialize a scalar: "p/q" (or "p") for rationals, a JSON number for floats."""
     if is_exact(x):

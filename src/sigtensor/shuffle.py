@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .scalars import DEFAULT_REL_TOL, values_close
-from .tensor import LevelTensor, TensorSeries, _integer_multiple
+from .tensor import LevelTensor, TensorSeries
 from .words import index_word, word_index
 
 
@@ -109,17 +109,19 @@ def _first_violation(series: TensorSeries, tol: float | None, grouplike: bool):
 
     Scan order: total length, then |I| <= |J|, then I and J in index order,
     with I <= J when |I| = |J|.  A series with a float level is compared in
-    floats.  Exact levels without tol are scaled to ints A_k = L_k * T_k on
-    first use, and the group-like law is checked as F * L_r * L_s == A_r (x) A_s * L_k.
+    floats.  Exact levels without tol are compared in their own integers
+    T_k = A_k / L_k (`LevelTensor.as_integers`), and the group-like law is
+    checked as F * L_r * L_s == A_r (x) A_s * L_k.
     """
     d, floats = series.d, any(lvl.holds_floats for lvl in series.levels[1:])
-    integers = not floats and tol is None
+    integers = tol is None and all(lvl.is_exact() for lvl in series.levels[1:])
 
     @functools.cache
     def level(k):
+        if integers:
+            return series.levels[k].as_integers()
         array = series.levels[k].array
-        array = np.asarray(array, dtype=np.float64) if floats else array
-        return _integer_multiple(array) if integers else (array, 1)
+        return (np.asarray(array, dtype=np.float64) if floats else array), 1
 
     for total in range(2, series.n + 1):
         top, top_scale = level(total)

@@ -5,9 +5,12 @@ levels 0..n (level 0 is a single scalar) and carries the concatenation
 product, exponential and logarithm, truncated at order n.  Values are
 immutable after construction and safe to share across threads.
 
-Arithmetic on levels runs on a flat ndarray built once per level from its
-entries: float64 when the level holds floats, object (Python `Fraction` or
-`int`) when every entry is exact, and object for any other scalar type.
+Level arithmetic runs on flat ndarrays.  A float level is one float64
+array.  An exact level (every entry an `int` or a `Fraction`) is an object
+array of Python ints A over one positive int denominator D, reduced by one
+gcd over the level, so products, sums and scalings never run a gcd per
+entry; its `entries` are built from (A, D) only when read.  Levels of any
+other scalar type use an object array of their entries.
 `LevelTensor.tensor_product` (one `np.multiply.outer`) is the only level
 product; the series operations are built on it.
 """
@@ -21,16 +24,22 @@ from typing import Sequence
 
 import numpy as np
 
-from .scalars import format_scalar, is_exact, parse_scalar, values_close
+from .scalars import format_scalar, parse_int, parse_scalar, values_close
 from .words import index_word, word_from_string, word_index, word_to_string
 
+_EXACT_KINDS = (int, Fraction)
 
-def _holds_floats(entries) -> bool:
-    """True when the entries are floats, possibly mixed with exact scalars."""
+
+def _scalar_kind(entries):
+    """The scalar mode of a level's entries: float when some are floats and the
+    rest ints or Fractions, else int when all are ints, Fraction when all are
+    ints or Fractions, and object for anything else (bools included)."""
     kinds = set(map(type, entries))
-    return any(issubclass(t, float) for t in kinds) and all(
-        issubclass(t, (float, int, Fraction)) and t is not bool for t in kinds
-    )
+    if any(t is bool or not issubclass(t, (float, *_EXACT_KINDS)) for t in kinds):
+        return object
+    if any(issubclass(t, float) for t in kinds):
+        return float
+    return int if all(issubclass(t, int) for t in kinds) else Fraction
 
 
 def _integer_multiple(array: np.ndarray) -> tuple:
@@ -45,49 +54,115 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _check_shape(d: int, k: int) -> None:
+    if d < 1 or k < 0:
+        raise ValueError("need d >= 1 and k >= 0")
+
+
 class LevelTensor:
     """Dense order-k tensor with d^k entries indexed by words.
 
     `entries` is a flat tuple of plain scalars in base-d word order; `array`
     is the same data as a read-only flat ndarray.  A level holding floats is
-    a float level: its array is built at once and its entries are read back
-    from it, so they are all Python floats (exact zeros included).  Other
-    levels build their object array on first use.
+    a float level: its float64 array is built at once and its entries are
+    read back from it, so they are all Python floats (exact zeros included).
+
+    An exact level is held as `as_integers()`, a pair (A, D) of an object
+    array of Python ints and one positive int D with entries == A / D and
+    gcd(A, D) == 1.  Its entries are `Fraction`s A[i] / D, or plain `int`s
+    when every entry it was built from is an int (a level mixing the two
+    gives `Fraction`s).  A level built from given entries keeps them as
+    given and builds its pair on first arithmetic use; a level computed by
+    arithmetic builds its entries (and its object array) on first read.
     """
 
-    __slots__ = ("d", "k", "entries", "_array")
+    __slots__ = ("d", "k", "_entries", "_array", "_numerators", "_denominator", "_kind")
 
     def __init__(self, d: int, k: int, entries: Sequence):
-        if d < 1 or k < 0:
-            raise ValueError("need d >= 1 and k >= 0")
+        _check_shape(d, k)
         entries = tuple(entries)
         if len(entries) != d**k:
             raise ValueError(f"expected {d ** k} entries, got {len(entries)}")
         self.d = d
         self.k = k
-        self._array = None
-        if _holds_floats(entries):
+        self._array = self._numerators = self._denominator = None
+        self._kind = _scalar_kind(entries)
+        if self._kind is float:
             self._array = _frozen(np.array(entries, dtype=np.float64))
-            entries = tuple(self._array.tolist())
-        self.entries = entries
+            entries = None
+        self._entries = entries
 
     @classmethod
     def _from_array(cls, d: int, k: int, array: np.ndarray) -> "LevelTensor":
         """Level owning a fresh flat result array (not copied)."""
-        entries = array.tolist()
-        if array.dtype == object and _holds_floats(entries):
-            array = array.astype(np.float64)
-            entries = array.tolist()
         level = cls.__new__(cls)
-        level.d, level.k, level.entries = d, k, tuple(entries)
+        level.d, level.k = d, k
+        level._numerators = level._denominator = level._entries = None
+        level._kind = float
+        if array.dtype != np.float64:
+            entries = array.tolist()
+            level._kind = _scalar_kind(entries)
+            if level._kind is float:
+                array = array.astype(np.float64)
+            else:
+                level._entries = tuple(entries)
         level._array = _frozen(array)
         return level
+
+    @classmethod
+    def _from_integers(cls, d: int, k: int, numerators: np.ndarray, denominator: int, kind) -> "LevelTensor":
+        """Exact level numerators / denominator from a flat object array of
+        Python ints (not copied), reduced by one gcd over the level."""
+        if denominator != 1:
+            g = math.gcd(denominator, *numerators)
+            if g != 1:
+                numerators, denominator = numerators // g, denominator // g
+        level = cls.__new__(cls)
+        level.d, level.k = d, k
+        level._entries = level._array = None
+        level._numerators, level._denominator, level._kind = _frozen(numerators), denominator, kind
+        return level
+
+    def _is_exact_pair(self) -> bool:
+        """True for an exact level; builds its integer pair on first use."""
+        if self._kind not in _EXACT_KINDS:
+            return False
+        if self._numerators is None:
+            entries = self._entries
+            if self._kind is int:
+                self._denominator, numerators = 1, [v.numerator for v in entries]
+            else:
+                self._denominator = den = math.lcm(*(v.denominator for v in entries))
+                numerators = [v.numerator * (den // v.denominator) for v in entries]
+            self._numerators = _frozen(np.array(numerators, dtype=object))
+        return True
+
+    def as_integers(self) -> tuple:
+        """(A, D): read-only flat object array of Python ints and an int D > 0
+        with entries == A / D and gcd(A, D) == 1.  Only for exact levels."""
+        if not self._is_exact_pair():
+            raise ValueError("integer form of a level that is not exact")
+        return self._numerators, self._denominator
+
+    @property
+    def entries(self) -> tuple:
+        if self._entries is None:
+            if self._kind is Fraction:
+                den = self._denominator
+                self._entries = tuple(Fraction(v, den) for v in self._numerators.tolist())
+            else:
+                source = self._numerators if self._kind is int else self._array
+                self._entries = tuple(source.tolist())
+        return self._entries
 
     @property
     def array(self) -> np.ndarray:
         """The entries as a read-only flat ndarray (float64 or object)."""
         if self._array is None:
-            self._array = _frozen(np.array(self.entries, dtype=object))
+            if self._kind is int:
+                self._array = self._numerators
+            else:
+                self._array = _frozen(np.array(self.entries, dtype=object))
         return self._array
 
     @property
@@ -97,10 +172,13 @@ class LevelTensor:
 
     @property
     def holds_floats(self) -> bool:
-        return self.array.dtype == np.float64
+        return self._kind is float
 
     @classmethod
     def zeros(cls, d: int, k: int, zero=Fraction(0)) -> "LevelTensor":
+        if type(zero) in _EXACT_KINDS and not zero:
+            _check_shape(d, k)
+            return cls._from_integers(d, k, np.zeros(d**k, dtype=object), 1, type(zero))
         return cls(d, k, [zero] * d**k)
 
     @classmethod
@@ -119,7 +197,7 @@ class LevelTensor:
         return f"LevelTensor(d={self.d}, k={self.k})"
 
     def is_exact(self) -> bool:
-        return all(is_exact(v) for v in self.entries)
+        return self._kind in _EXACT_KINDS
 
     def equals(self, other: "LevelTensor", tol: float | None = None) -> bool:
         if self.d != other.d or self.k != other.k:
@@ -135,15 +213,29 @@ class LevelTensor:
     def add(self, other: "LevelTensor") -> "LevelTensor":
         if (self.d, self.k) != (other.d, other.k):
             raise ValueError("shape mismatch")
-        return LevelTensor._from_array(self.d, self.k, self.array + other.array)
+        return _level_sum(self.d, self.k, [self, other])
 
     def scale(self, c) -> "LevelTensor":
+        if type(c) in _EXACT_KINDS and self._is_exact_pair():
+            kind = int if self._kind is int and type(c) is int else Fraction
+            numerators = self._numerators if c.numerator == 1 else self._numerators * c.numerator
+            return LevelTensor._from_integers(self.d, self.k, numerators, self._denominator * c.denominator, kind)
         if self.holds_floats and isinstance(c, (int, float, Fraction)):
             c = float(c)
         return LevelTensor._from_array(self.d, self.k, c * self.array)
 
     def negate(self) -> "LevelTensor":
+        if self._is_exact_pair():
+            return LevelTensor._from_integers(self.d, self.k, -self._numerators, self._denominator, self._kind)
         return LevelTensor._from_array(self.d, self.k, -self.array)
+
+    def _live(self) -> bool:
+        """True when some entry is nonzero, read from the arrays where there are some."""
+        if self._is_exact_pair():
+            return np.count_nonzero(self._numerators) > 0
+        if self._kind is float:
+            return np.count_nonzero(self._array) > 0
+        return any(self.entries)
 
     def norm_max(self) -> float:
         return max((abs(v) for v in self.entries), default=0)
@@ -155,8 +247,13 @@ class LevelTensor:
         """Concatenation (outer) product of two levels."""
         if self.d != other.d:
             raise ValueError("dimension mismatch")
+        k = self.k + other.k
+        if self._is_exact_pair() and other._is_exact_pair():
+            out = np.multiply.outer(self._numerators, other._numerators).reshape(-1)
+            kind = self._kind if self._kind is other._kind else Fraction
+            return LevelTensor._from_integers(self.d, k, out, self._denominator * other._denominator, kind)
         out = np.multiply.outer(self.array, other.array).reshape(-1)
-        return LevelTensor._from_array(self.d, self.k + other.k, out)
+        return LevelTensor._from_array(self.d, k, out)
 
     def symmetrize(self) -> "LevelTensor":
         """Sum of entries over all k! position permutations of each word.
@@ -173,6 +270,11 @@ class LevelTensor:
         return LevelTensor._from_array(self.d, self.k, np.reshape(total, -1))
 
     def to_float(self) -> "LevelTensor":
+        if self._numerators is not None:
+            # int true division rounds correctly, so A[i] / D == float(A[i] / D as a Fraction)
+            den = self._denominator
+            floats = np.array([v / den for v in self._numerators.tolist()], dtype=np.float64)
+            return LevelTensor._from_array(self.d, self.k, floats)
         return LevelTensor(self.d, self.k, [float(v) for v in self.entries])
 
     def to_json(self) -> dict:
@@ -191,11 +293,15 @@ class LevelTensor:
 
     @classmethod
     def from_json(cls, data: dict) -> "LevelTensor":
-        d, k = int(data["dim"]), int(data["order"])
+        d, k = parse_int(data["dim"], "dim"), parse_int(data["order"], "order")
+        _check_shape(d, k)
         exact = data.get("scalar", "rational") == "rational"
         zero = Fraction(0) if exact else 0.0
         entries = [zero] * d**k
-        for key, raw in data.get("entries", {}).items():
+        raw_entries = data.get("entries", {})
+        if not isinstance(raw_entries, dict):
+            raise ValueError("'entries' must be a JSON object mapping words to scalars")
+        for key, raw in raw_entries.items():
             word = word_from_string(key, d)
             if len(word) != k:
                 raise ValueError(f"word {key!r} has wrong length for order {k}")
@@ -278,15 +384,23 @@ class TensorSeries:
 
     @classmethod
     def from_json(cls, data: dict) -> "TensorSeries":
-        d, n = int(data["dim"]), int(data["trunc"])
+        d, n = parse_int(data["dim"], "dim"), parse_int(data["trunc"], "trunc")
         raw_levels = data["levels"]
+        if not isinstance(raw_levels, list):
+            raise ValueError("'levels' must be a JSON list: the constant term, then one tensor per order")
         if len(raw_levels) != n + 1:
             raise ValueError("level count does not match trunc")
         tensors = [lvl if isinstance(lvl, dict) else None for lvl in raw_levels]
         exact = all(t is None or t.get("scalar", "rational") == "rational" for t in tensors)
         levels = [LevelTensor(d, 0, [parse_scalar(raw_levels[0], exact)])]
         for k in range(1, n + 1):
-            levels.append(LevelTensor.from_json(raw_levels[k]))
+            raw = raw_levels[k]
+            if not isinstance(raw, dict):
+                raise ValueError(f"level {k} must be a tensor JSON object")
+            shape = (parse_int(raw["dim"], "dim"), parse_int(raw["order"], "order"))
+            if shape != (d, k):
+                raise ValueError(f"level {k} has dim {shape[0]} and order {shape[1]}, expected dim {d} and order {k}")
+            levels.append(LevelTensor.from_json(raw))
         return cls(d, n, levels)
 
 
@@ -336,6 +450,22 @@ def series_from_level(level: LevelTensor, n: int | None = None) -> TensorSeries:
     return TensorSeries(level.d, n, levels)
 
 
+def _level_sum(d: int, k: int, terms: Sequence[LevelTensor]) -> LevelTensor:
+    """Sum of same-shape levels, added in order; exact terms add over the lcm of their denominators."""
+    if all(t._is_exact_pair() for t in terms):
+        den = math.lcm(*(t._denominator for t in terms))
+        total = None
+        for t in terms:
+            part = t._numerators if t._denominator == den else t._numerators * (den // t._denominator)
+            total = part if total is None else total + part
+        kind = int if all(t._kind is int for t in terms) else Fraction
+        return LevelTensor._from_integers(d, k, total, den, kind)
+    total = terms[0].array
+    for t in terms[1:]:
+        total = total + t.array
+    return LevelTensor._from_array(d, k, total)
+
+
 def concat_product(a: TensorSeries, b: TensorSeries) -> TensorSeries:
     """Concatenation product in the truncated tensor algebra.
 
@@ -344,19 +474,17 @@ def concat_product(a: TensorSeries, b: TensorSeries) -> TensorSeries:
     """
     if a.d != b.d or a.n != b.n:
         raise ValueError("series must share dimension and truncation order")
-    live_a = [any(lvl.entries) for lvl in a.levels]
-    live_b = [any(lvl.entries) for lvl in b.levels]
+    live_a = [lvl._live() for lvl in a.levels]
+    live_b = [lvl._live() for lvl in b.levels]
     levels = []
     for k in range(a.n + 1):
-        acc = None
-        for p in range(k + 1):
-            if live_a[p] and live_b[k - p]:
-                term = a.levels[p].tensor_product(b.levels[k - p]).array
-                acc = term if acc is None else acc + term
-        if acc is None:
-            levels.append(LevelTensor.zeros(a.d, k, _scalar_zero(a, b)))
+        terms = [
+            a.levels[p].tensor_product(b.levels[k - p]) for p in range(k + 1) if live_a[p] and live_b[k - p]
+        ]
+        if terms:
+            levels.append(_level_sum(a.d, k, terms))
         else:
-            levels.append(LevelTensor._from_array(a.d, k, acc))
+            levels.append(LevelTensor.zeros(a.d, k, _scalar_zero(a, b)))
     return TensorSeries(a.d, a.n, levels)
 
 
@@ -391,8 +519,7 @@ def log_series(q: TensorSeries) -> TensorSeries:
 
 
 def project_level(series: TensorSeries, k: int) -> LevelTensor:
-    """Copy of the order-k homogeneous component."""
+    """The order-k homogeneous component (levels are immutable, so it is shared)."""
     if not 0 <= k <= series.n:
         raise ValueError(f"level {k} outside 0..{series.n}")
-    src = series.levels[k]
-    return LevelTensor(src.d, src.k, src.entries)
+    return series.levels[k]

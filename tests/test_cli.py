@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigtensor import (
     canonical_axis,
@@ -92,6 +98,14 @@ def test_compute_rejects_an_empty_coefficient_row(tmp_path, capsys):
     code, out, err = run_cli(capsys, "compute", path, "--level", "2")
     assert code == 2 and out == ""
     assert "coefficient rows are empty" in err and "Traceback" not in err
+
+
+def test_compute_names_dim_and_rows_for_an_empty_polynomial(tmp_path, capsys):
+    path = write_json(tmp_path, "p.json", {"type": "polynomial", "dim": 0, "coeffs": []})
+    code, out, err = run_cli(capsys, "compute", path, "--trunc", "2")
+    assert code == 2 and out == ""
+    assert "dim >= 1, got dim 0" in err and "one non-empty coefficient row per coordinate" in err
+    assert "Traceback" not in err
 
 
 def test_compute_check_round_trip(tmp_path, capsys):
@@ -332,6 +346,46 @@ def test_malformed_inputs_are_usage_errors_that_name_the_fault(tmp_path, capsys)
         assert message in err and "Traceback" not in err
 
 
+def test_fuzz_found_inputs_are_usage_errors_that_name_the_field(tmp_path, capsys):
+    listed_entries = write_json(tmp_path, "t.json", {"dim": 2, "order": 2, "entries": [{"12": "1"}]})
+    infinite_dim = tmp_path / "inf.json"
+    infinite_dim.write_text('{"type": "piecewise_linear", "dim": Infinity, "steps": []}')
+    bad_level = write_json(
+        tmp_path, "s.json", {"dim": 2, "trunc": 1, "levels": ["1", {"dim": 3, "order": 1, "entries": {}}]}
+    )
+    for argv, message in (
+        (("invariants", listed_entries), "'entries' must be a JSON object"),
+        (("check", listed_entries, "--what", "Mdm", "--m", "2"), "'entries' must be a JSON object"),
+        (("compute", str(infinite_dim), "--trunc", "1"), "dim must be an integer, got inf"),
+        (("check", bad_level, "--what", "lie"), "level 1 has dim 3 and order 1, expected dim 2 and order 1"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert message in err and "Traceback" not in err
+
+
+def test_inputs_beyond_the_entry_cap_are_refused_before_they_are_built(tmp_path, capsys, monkeypatch):
+    import sigtensor.cli as cli
+
+    monkeypatch.setattr(cli, "ENTRY_CAP", 5)
+    axis = write_json(tmp_path, "a.json", {"type": "axis_parallel", "dim": 6, "dirs": [1], "lengths": ["1"]})
+    tensor = write_json(tmp_path, "t.json", {"dim": 3, "order": 2, "entries": {}})
+    series = write_json(tmp_path, "s.json", {"dim": 2, "trunc": 3, "levels": ["1"] + [{}] * 3})
+    lie = write_json(tmp_path, "l.json", {"type": "log_linear", "dim": 2, "lie": json.loads(open(series).read())})
+    huge_order = write_json(tmp_path, "h.json", {"dim": 2, "order": 1e300, "entries": {}})
+    for argv in (
+        ("invariants", huge_order),
+        ("compute", axis, "--trunc", "10000000000000000"),
+        ("compute", axis, "--trunc", "0"),
+        ("invariants", tensor),
+        ("recover", "--family", "pl", "--d", "3", "--m", "2", "--k", "2", "--input", tensor),
+        ("check", series, "--what", "lie"),
+        ("compute", lie, "--trunc", "1"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "entry cap" in err, argv
+
+
 def test_word_listings_beyond_the_entry_cap_are_refused_before_enumerating(capsys, monkeypatch):
     import sigtensor.cli as cli
 
@@ -383,3 +437,123 @@ def test_closed_stdout_ends_the_call_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+# --- fuzzing the input contract ---------------------------------------------------
+
+FUZZ = settings(derandomize=True, deadline=None, max_examples=300, database=None)
+
+_scalar_json = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 4),
+    st.sampled_from([0.5, -2.0, 1e300, float("inf"), float("nan")]),
+    st.sampled_from(["1", "-1/2", "0", "3/4", "1/0", "x", "", "1.5", "2e3"]),
+)
+_json = st.recursive(
+    _scalar_json,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["1", "12", "dim", "a"]), inner, max_size=3),
+    max_leaves=6,
+)
+
+_TENSOR = {"dim": 2, "order": 2, "scalar": "rational", "entries": {"12": "1/2", "21": "-1/2"}}
+_SERIES = {
+    "dim": 2,
+    "trunc": 2,
+    "levels": ["0", {"dim": 2, "order": 1, "entries": {"1": "1"}}, {"dim": 2, "order": 2, "entries": {"12": "1"}}],
+}
+_MODEL = {"mu": ["1", "-1"], "sigma": [["1", "1/2"], ["1/2", "2"]], "q": [["0", "1"], ["-1", "0"]]}
+_TEMPLATES = {
+    "path": [
+        {"type": "piecewise_linear", "dim": 2, "steps": [["1", "1/2"], ["-1", "2"]]},
+        {"type": "polynomial", "dim": 2, "coeffs": [["1", "0"], ["0", "1"]]},
+        {"type": "axis_parallel", "dim": 2, "dirs": [1, 2, 1], "lengths": ["1", "2", "-1"]},
+        {"type": "log_linear", "dim": 2, "lie": _SERIES},
+    ],
+    "model": [_MODEL, {"signed": False, "components": [{"weight": "1", "model": _MODEL}]}],
+    "tensor": [_TENSOR, _SERIES],
+    # order-3 signature of the two-step planar path (1, 2), (3, -1)
+    "planar": [project_level(pl_signature([[1, 2], [3, -1]], 3), 3).to_json()],
+}
+
+
+@st.composite
+def _mutated(draw, value):
+    """A template JSON value with some fields replaced, dropped or nested."""
+    choice = draw(st.sampled_from(["keep"] * 9 + ["replace", "nest", "empty"]))
+    if choice == "replace":
+        return draw(_json)
+    if choice == "nest":
+        return [value]
+    if choice == "empty":
+        return type(value)() if isinstance(value, (list, dict, str)) else None
+    if isinstance(value, dict):
+        out = {}
+        for key, item in value.items():
+            if not draw(st.booleans()) or draw(st.integers(0, 5)):
+                out[key] = draw(_mutated(item))
+        return out
+    if isinstance(value, list):
+        return [draw(_mutated(item)) for item in value]
+    return value
+
+
+_order = st.sampled_from(["-1", "0", "1", "2", "3"])
+_dim = st.sampled_from(["-1", "0", "1", "2", "3"])
+
+
+@st.composite
+def _calls(draw):
+    """(argv with FILE for the input path, JSON document or None)."""
+    command = draw(st.sampled_from(
+        ["compute", "expected", "check", "invariants", "verify-vanishing", "recover", "lyndon", "normal-form"]
+    ))
+    if command in ("lyndon", "normal-form"):
+        argv = [command, "--d", draw(_dim), "--n", draw(_order)]
+        if command == "normal-form" and draw(st.booleans()):
+            argv += ["--word", draw(st.sampled_from(["1", "12", "21", "3", "", "1.2", "x"]))]
+        return argv, None
+    kinds = {"compute": "path", "verify-vanishing": "path", "expected": "model", "recover": "planar"}
+    kind = kinds.get(command, "tensor")
+    document = draw(st.sampled_from(_TEMPLATES[kind]))
+    if draw(st.integers(0, 3)):
+        document = draw(_mutated(document))
+    if command == "compute":
+        argv = [command, "FILE", draw(st.sampled_from(["--level", "--trunc"])), draw(_order)]
+        argv += ["--scalar", draw(st.sampled_from(["exact", "float"]))]
+    elif command == "expected":
+        argv = [command, "FILE", "--trunc", draw(_order), "--scalar", draw(st.sampled_from(["exact", "float"]))]
+    elif command == "check":
+        argv = [command, "FILE", "--what", draw(st.sampled_from(["grouplike", "lie", "Mdm"]))]
+        argv += draw(st.sampled_from([[], ["--m", "2"], ["--m", "0"], ["--tol", "1e-9"]]))
+    elif command == "verify-vanishing":
+        argv = [command, "FILE", "--upto", draw(_order)]
+    elif command == "recover":
+        planar = st.just("2") | _dim
+        argv = [command, "--family", draw(st.sampled_from(["pl", "poly"])), "--d", draw(planar), "--m", draw(planar)]
+        argv += ["--k", draw(st.just("3") | _order), "--input", "FILE"]
+        argv += ["--mode", draw(st.sampled_from(["exact", "newton"]))]
+    else:
+        argv = [command, "FILE"]
+    return argv, document
+
+
+@FUZZ
+@given(_calls())
+def test_fuzzed_inputs_exit_with_a_contract_code_and_at_most_one_document(call):
+    argv, document = call
+    with tempfile.TemporaryDirectory() as folder:
+        target = Path(folder) / "input.json"
+        target.write_text(json.dumps(document))
+        argv = [str(target) if arg == "FILE" else arg for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, document, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if out.getvalue():
+        assert out.getvalue().endswith("\n") and out.getvalue().count("\n") == 1
+        json.loads(out.getvalue())
+    if code in (2, 3):
+        assert out.getvalue() == "" and err.getvalue().startswith(("error: ", "numerical failure: ", "usage: "))

@@ -19,7 +19,7 @@ from sigtensor import (
     normal_form_table,
     standard_factorization,
 )
-from sigtensor.lyndon import mobius, poly_eval, poly_from_json, poly_to_json
+from sigtensor.lyndon import lyndon_count_level, mobius, poly_eval, poly_from_json, poly_to_json
 from sigtensor.words import all_words
 
 from conftest import rand_fraction, random_grouplike
@@ -52,6 +52,15 @@ def test_counts_match_table_and_duval():
             # Duval agrees with a brute-force rotation scan
             brute = [w for k in range(1, n + 1) for w in all_words(d, k) if is_lyndon(w)]
             assert sorted(brute) == list(basis.words)
+
+
+def test_level_counts_over_divisor_pairs_match_the_full_divisor_scan():
+    def scanned(d, k):
+        return sum(mobius(ell) * d ** (k // ell) for ell in range(1, k + 1) if k % ell == 0) // k
+
+    for d in range(1, 5):
+        for k in range(1, 301):
+            assert lyndon_count_level(d, k) == scanned(d, k), (d, k)
 
 
 def test_small_bases():

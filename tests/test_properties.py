@@ -402,3 +402,115 @@ def test_gauss_newton_abandons_the_zero_start_and_counts_it(family, d, k, data):
     assert used >= 2
     if k == 4 and d <= 3:
         assert used == 2
+
+
+# --- exact levels as integers over one denominator, against word-by-word Fractions ---
+
+
+def _ref_outer(a, b):
+    """Word-by-word outer product of two flat levels in base-d word order."""
+    return [x * y for x in a for y in b]
+
+
+def _ref_concat(a, b, d):
+    """Truncated concatenation product on lists of flat levels.  As documented
+    for concat_product: pairs with an all-zero side are skipped, and a level
+    with no pair left is Fraction(0)."""
+    out = []
+    for k in range(len(a)):
+        acc = None
+        for p in range(k + 1):
+            if any(a[p]) and any(b[k - p]):
+                term = _ref_outer(a[p], b[k - p])
+                acc = term if acc is None else [x + y for x, y in zip(acc, term)]
+        out.append([Fraction(0)] * d**k if acc is None else acc)
+    return out
+
+
+def _ref_add(a, b):
+    return [[x + y for x, y in zip(u, v)] for u, v in zip(a, b)]
+
+
+def _ref_scale(a, c):
+    return [[c * x for x in u] for u in a]
+
+
+def _ref_graded(d, n, constant):
+    return [[constant]] + [[Fraction(0)] * d**k for k in range(1, n + 1)]
+
+
+def _ref_exp(p, d):
+    n = len(p) - 1
+    result = term = _ref_graded(d, n, Fraction(1))
+    for r in range(1, n + 1):
+        term = _ref_scale(_ref_concat(term, p, d), Fraction(1, r))
+        result = _ref_add(result, term)
+    return result
+
+
+def _ref_log(q, d):
+    n = len(q) - 1
+    power = _ref_graded(d, n, Fraction(1))
+    shifted = _ref_add(q, _ref_scale(power, -1))
+    result = _ref_graded(d, n, Fraction(0))
+    for r in range(1, n + 1):
+        power = _ref_concat(power, shifted, d)
+        result = _ref_add(result, _ref_scale(power, Fraction((-1) ** (r - 1), r)))
+    return result
+
+
+def _typed_levels(levels):
+    return [[(v, type(v)) for v in level] for level in levels]
+
+
+@st.composite
+def flat_levels(draw, d, k):
+    """All-zero (int or Fraction zeros), all-int or all-Fraction entries of one level."""
+    style = draw(st.sampled_from(["zero", "int", "fraction"]))
+    if style == "zero":
+        return [draw(st.sampled_from([0, Fraction(0)]))] * d**k
+    values = st.integers(-4, 4) if style == "int" else rationals
+    return draw(st.lists(values, min_size=d**k, max_size=d**k))
+
+
+@st.composite
+def series_pairs(draw):
+    """(d, a, b): two lists of flat levels 0..n with d <= 3, n <= 5."""
+    d, n = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    pair = [[draw(flat_levels(d, k)) for k in range(n + 1)] for _ in range(2)]
+    return d, pair[0], pair[1]
+
+
+def _as_series(levels, d):
+    return TensorSeries(d, len(levels) - 1, [LevelTensor(d, k, lvl) for k, lvl in enumerate(levels)])
+
+
+def _series_typed(series):
+    return _typed_levels(lvl.entries for lvl in series.levels)
+
+
+@PROPERTY
+@given(series_pairs(), st.sampled_from([3, -2, Fraction(2, 3), Fraction(-5, 4), 0]))
+def test_integer_levels_match_word_by_word_fractions(case, c):
+    d, a, b = case
+    x, y = _as_series(a, d), _as_series(b, d)
+    assert _series_typed(concat_product(x, y)) == _typed_levels(_ref_concat(a, b, d))
+    assert _series_typed(x.add(y)) == _typed_levels(_ref_add(a, b))
+    assert _series_typed(x.scale(c)) == _typed_levels(_ref_scale(a, c))
+    assert _series_typed(x.negate()) == _typed_levels(_ref_scale(a, -1))
+    top = len(a) - 1
+    product = x.levels[1].tensor_product(y.levels[top])
+    assert _typed_levels([product.entries]) == _typed_levels([_ref_outer(a[1], b[top])])
+    # the level's own integers carry the same values
+    numerators, denominator = product.as_integers()
+    assert [Fraction(v, denominator) for v in numerators.tolist()] == list(product.entries)
+
+
+@PROPERTY
+@given(series_pairs())
+def test_integer_exp_and_log_match_word_by_word_fractions(case):
+    d, a, b = case
+    p = [[Fraction(0)]] + a[1:]
+    q = [[b[0][0] * 0 + 1]] + b[1:]
+    assert _series_typed(exp_series(_as_series(p, d))) == _typed_levels(_ref_exp(p, d))
+    assert _series_typed(log_series(_as_series(q, d))) == _typed_levels(_ref_log(q, d))

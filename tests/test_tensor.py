@@ -248,3 +248,25 @@ def test_cube_is_the_level_in_word_order():
     assert level.cube[1, 2] == level[(2, 3)] == 5
     assert not level.cube.flags.writeable
     assert LevelTensor(2, 0, [Fraction(7)]).cube.shape == ()
+
+
+def test_exact_levels_are_integers_over_one_reduced_denominator():
+    level = LevelTensor(2, 1, [Fraction(1, 6), Fraction(-1, 4)])
+    numerators, denominator = level.as_integers()
+    assert numerators.tolist() == [2, -3] and denominator == 12
+    assert not numerators.flags.writeable
+    product = level.tensor_product(level).scale(6)
+    assert product.as_integers()[0].tolist() == [4, -6, -6, 9] and product.as_integers()[1] == 24
+    assert product.entries == (Fraction(1, 6), Fraction(-1, 4), Fraction(-1, 4), Fraction(3, 8))
+    zero = level.add(level.negate())
+    assert zero.as_integers()[1] == 1 and zero.entries == (Fraction(0), Fraction(0))
+    with pytest.raises(ValueError):
+        LevelTensor(2, 1, [0.5, 1.0]).as_integers()
+
+
+def test_int_levels_stay_int_and_mixed_levels_compute_as_fractions():
+    ints = LevelTensor(2, 1, [1, 2])
+    assert all(type(v) is int for v in ints.tensor_product(ints).add(ints.tensor_product(ints)).scale(3).entries)
+    mixed = LevelTensor(2, 1, [1, Fraction(1, 2)])
+    assert mixed.entries == (1, Fraction(1, 2)) and type(mixed.entries[0]) is int  # kept as given
+    assert [type(v) for v in mixed.tensor_product(ints).entries] == [Fraction] * 4
