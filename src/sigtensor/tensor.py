@@ -128,13 +128,8 @@ class LevelTensor:
         if self._kind not in _EXACT_KINDS:
             return False
         if self._numerators is None:
-            entries = self._entries
-            if self._kind is int:
-                self._denominator, numerators = 1, [v.numerator for v in entries]
-            else:
-                self._denominator = den = math.lcm(*(v.denominator for v in entries))
-                numerators = [v.numerator * (den // v.denominator) for v in entries]
-            self._numerators = _frozen(np.array(numerators, dtype=object))
+            numerators, self._denominator = _integer_multiple(np.array(self._entries, dtype=object))
+            self._numerators = _frozen(numerators)
         return True
 
     def as_integers(self) -> tuple:
@@ -159,7 +154,7 @@ class LevelTensor:
     def array(self) -> np.ndarray:
         """The entries as a read-only flat ndarray (float64 or object)."""
         if self._array is None:
-            if self._kind is int:
+            if self._kind is int and self._is_exact_pair():
                 self._array = self._numerators
             else:
                 self._array = _frozen(np.array(self.entries, dtype=object))

@@ -12,10 +12,12 @@ from sigtensor import (
     concat_product,
     exp_series,
     from_vector,
+    is_grouplike,
     is_lie,
     log_series,
     pl_signature,
     project_level,
+    recover_group_element,
     unit_series,
     zero_series,
 )
@@ -270,3 +272,16 @@ def test_int_levels_stay_int_and_mixed_levels_compute_as_fractions():
     mixed = LevelTensor(2, 1, [1, Fraction(1, 2)])
     assert mixed.entries == (1, Fraction(1, 2)) and type(mixed.entries[0]) is int  # kept as given
     assert [type(v) for v in mixed.tensor_product(ints).entries] == [Fraction] * 4
+
+
+def test_levels_built_from_int_entries_read_as_arrays_before_any_arithmetic():
+    # the array readers must build the integer pair themselves
+    assert LevelTensor(2, 2, [1, 2, 3, 4]).cube.tolist() == [[1, 2], [3, 4]]
+    assert LevelTensor(2, 2, [1, 2, 3, 4]).symmetrize().entries == (2, 5, 5, 8)
+    assert LevelTensor(2, 1, [1, 2]).scale(0.5).entries == (0.5, 1.0)
+    assert LevelTensor(2, 1, [0.5, 1.0]).add(LevelTensor(2, 1, [1, 2])).entries == (1.5, 3.0)
+    assert LevelTensor(2, 1, [0.5, 1.0]).tensor_product(LevelTensor(2, 1, [1, 2])).entries == (0.5, 1.0, 1.0, 2.0)
+    result = recover_group_element(LevelTensor(2, 2, [2, 1, -1, 0]))
+    assert result.series.levels[1].entries == (2, 0) and result.series.levels[2].entries == (2, 1, -1, 0)
+    ints = TensorSeries(2, 2, [LevelTensor(2, 0, [1]), LevelTensor(2, 1, [2, 0]), LevelTensor(2, 2, [2, 1, -1, 0])])
+    assert is_grouplike(ints, tol=1e-9) and not is_lie(ints, tol=1e-9)
