@@ -72,7 +72,8 @@ class LevelTensor:
     gcd(A, D) == 1.  Its entries are `Fraction`s A[i] / D, or plain `int`s
     when every entry it was built from is an int (a level mixing the two
     gives `Fraction`s).  A level built from given entries keeps them as
-    given and builds its pair on first arithmetic use; a level computed by
+    given and builds its pair on first arithmetic use (an all-int level
+    also on first read of `array`, which is A); a level computed by
     arithmetic builds its entries (and its object array) on first read.
     """
 
