@@ -11,7 +11,12 @@ interquartile range over the rounds for each tree.  Both trees must share
 the private calling convention used below (`_core_array`, and
 `_residual_and_jacobian(core, x, target)`).  Polynomial signatures and
 group-element recovery are timed through their public functions on seeded
-rational inputs (group elements: the top level of a (d+1)-step path).  The
+rational inputs (group elements: the top level of a (d+1)-step path; at
+CHANGE_SHAPE that path's first coordinate returns to 0, so the 1...1 entry
+vanishes and recovery runs a coordinate change).  `tensor_congruence` acts
+on the axis core prebuilt at each Chen shape (m, n) by a seeded d x m
+matrix, exact or float; a float matrix meets the exact core, as in
+`pl_signature_congruence` of float steps, so the call converts the core.  The
 shuffle-law tests `is_grouplike` and `is_lie` run on member inputs (the
 series of a (d+1)-step path and its logarithm), so each call checks every
 form; float calls pass tol=1e-9, as the algebra workload does.  Chen
@@ -47,6 +52,7 @@ SHUFFLE_SHAPES = [(2, 8), (3, 6), (4, 5)]  # (d, n)
 CHEN_SHAPES = [(2, 5, 6), (3, 5, 5), (3, 10, 6), (4, 4, 5)]  # (d, m, n), as in the forward workload
 SERIES_SHAPE = (3, 6)  # (d, n) of exp_series and log_series
 EXPECTED_SHAPE = (3, 5)  # (d, n) of expected_signature
+CHANGE_SHAPE = (3, 4)  # (d, n) of a group element whose 1...1 entry is 0
 ROUNDS = 7
 
 
@@ -100,6 +106,7 @@ def layers():
     from fractions import Fraction
 
     from sigtensor import (
+        canonical_axis,
         exp_series,
         expected_signature,
         is_grouplike,
@@ -110,6 +117,7 @@ def layers():
         poly_signature_integrate,
         recover_group_element,
         recovery,
+        tensor_congruence,
     )
 
     out = []
@@ -150,6 +158,22 @@ def layers():
         shape = {"d": d, "m": d + 1, "n": n}
         for scalar, mode in (("exact", "rational"), ("float", "real")):
             out.append(("recovery.recover_group_element", shape, scalar, lambda t=top, mode=mode: recover_group_element(t, mode=mode)))
+    for d, m, n in CHEN_SHAPES:
+        values = _rationals(d * 100 + m * 10 + n + 2, d * m)
+        matrix = [values[i * m : (i + 1) * m] for i in range(d)]
+        core = canonical_axis(m, n)
+        shape = {"d": d, "m": m, "k": n}
+        for scalar, rows in (("exact", matrix), ("float", [[float(v) for v in row] for row in matrix])):
+            call = _reading(lambda c=core, r=rows: tensor_congruence(c, r))
+            out.append(("paths.tensor_congruence", shape, scalar, call))
+    d, n = CHANGE_SHAPE
+    values = _rationals(d * 10 + n + 3, d * (d + 1))
+    steps = [values[j * d : (j + 1) * d] for j in range(d + 1)]
+    steps[-1][0] = -sum(step[0] for step in steps[:-1])
+    top = pl_signature(steps, n).levels[n]
+    shape = {"d": d, "m": d + 1, "n": n, "leading_entry": 0}
+    for scalar, mode in (("exact", "rational"), ("float", "real")):
+        out.append(("recovery.recover_group_element", shape, scalar, lambda t=top, mode=mode: recover_group_element(t, mode=mode)))
     for d, n in SHUFFLE_SHAPES:
         values = _rationals(d * 10 + n, d * (d + 1))
         group = pl_signature([values[j * d : (j + 1) * d] for j in range(d + 1)], n)

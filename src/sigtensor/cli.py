@@ -16,7 +16,7 @@ import sys
 
 from . import __version__
 from .invariants import linear_invariants, quadric_family_eval
-from .lyndon import lyndon_count_level, lyndon_words, normal_form_table, poly_to_json
+from .lyndon import _longest_lyndon, lyndon_count_level, lyndon_words, normal_form_table, poly_to_json
 from .matrices import NumericalFailure, signature_matrix_generators, signature_matrix_witness
 from .paths import AxisParallel, path_from_json, signature_series
 from .recovery import (
@@ -120,23 +120,21 @@ def _check_order_from_model(data: dict, n: int) -> None:
     _check_order(d, n, "--trunc")
 
 
-def _word_count(args, level_count) -> int:
-    """Words over levels 1..n, counted level by level; bad --d/--n, or more than
-    ENTRY_CAP words, is a UsageError raised before any word is enumerated."""
-    if args.d < 1 or args.n < 1:
-        raise UsageError(f"need --d >= 1 and --n >= 1, got --d {args.d} --n {args.n}")
+def _word_count(command: str, d: int, n: int, level_count) -> int:
+    """Sum of level_count(d, k) over the levels k = 1..n; bad --d/--n, or a sum
+    beyond ENTRY_CAP, is a UsageError raised before any word is enumerated."""
+    if d < 1 or n < 1:
+        raise UsageError(f"need --d >= 1 and --n >= 1, got --d {d} --n {n}")
     total = 0
-    for k in range(1, args.n + 1):
-        total += level_count(args.d, k)
+    for k in range(1, n + 1):
+        total += level_count(d, k)
         if total > ENTRY_CAP:
-            raise UsageError(
-                f"{args.command} --d {args.d} --n {args.n} covers more than {ENTRY_CAP} words (the entry cap)"
-            )
+            raise UsageError(f"{command} --d {d} --n {n} builds more than {ENTRY_CAP} entries (the entry cap)")
     return total
 
 
 def cmd_lyndon(args) -> int:
-    count = _word_count(args, lyndon_count_level)
+    count = _word_count("lyndon", args.d, _longest_lyndon(args.d, args.n), lyndon_count_level)
     basis = lyndon_words(args.d, args.n)
     payload = {"dim": args.d, "trunc": args.n, "count": count}
     if not args.count_only:
@@ -150,7 +148,8 @@ def cmd_normal_form(args) -> int:
         word = word_from_string(args.word, args.d)
         if len(word) > args.n:
             raise UsageError(f"word {args.word!r} longer than truncation {args.n}")
-    _word_count(args, pow)
+    # the table keys every word of length <= n: count their letters
+    _word_count("normal-form", args.d, args.n, lambda d, k: k * d**k)
     table = normal_form_table(args.d, args.n)
     if args.word:
         _emit(poly_to_json(word, table.phi(word), args.d))

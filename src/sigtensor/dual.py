@@ -8,8 +8,9 @@ for float seeds.
 Dual stays the public forward-mode type: `recovery.signature_map` accepts a
 matrix of Duals and returns Duals, but computes them from the closed-form
 multilinear Jacobian rather than by Dual arithmetic.  Gauss-Newton and
-`jacobian_rank` use that Jacobian directly.  Dual arithmetic through
-`paths.tensor_congruence` remains an independent oracle for the tests.
+`jacobian_rank` use that Jacobian directly.  `paths.tensor_congruence` of a
+Dual matrix contracts object arrays, so its derivatives come from Dual
+products alone; the tests keep it as the oracle for the closed form.
 """
 
 from __future__ import annotations

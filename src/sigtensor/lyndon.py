@@ -57,7 +57,13 @@ def lyndon_count(d: int, n: int) -> int:
     """Number of Lyndon words of length <= n over d letters."""
     if d < 1 or n < 1:
         raise ValueError("need d >= 1 and n >= 1")
-    return sum(lyndon_count_level(d, k) for k in range(1, n + 1))
+    return sum(lyndon_count_level(d, k) for k in range(1, _longest_lyndon(d, n) + 1))
+
+
+def _longest_lyndon(d: int, n: int) -> int:
+    """Bound n on the length of Lyndon words over d letters, cut to 1 for one
+    letter, whose only Lyndon word is 1."""
+    return n if d != 1 else min(n, 1)
 
 
 def is_lyndon(word: Sequence[int]) -> bool:
@@ -82,10 +88,11 @@ def lyndon_words(d: int, n: int) -> LyndonBasis:
         raise ValueError("need d >= 1 and n >= 1")
     out = []
     w = [1]
+    longest = _longest_lyndon(d, n)
     while w:
         out.append(tuple(w))
         m = len(w)
-        while len(w) < n:
+        while len(w) < longest:
             w.append(w[len(w) % m])
         while w and w[-1] == d:
             w.pop()

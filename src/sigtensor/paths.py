@@ -22,6 +22,8 @@ from .shuffle import is_lie
 from .tensor import (
     LevelTensor,
     TensorSeries,
+    _integer_multiple,
+    _scalar_kind,
     concat_product,
     exp_series,
     project_level,
@@ -182,12 +184,19 @@ def canonical_mono(m: int, k: int) -> LevelTensor:
     return LevelTensor(m, k, entries)
 
 
+def _contract(t: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
+    """Multiply mode `axis` of t (size m) by the d x m matrix x, in place of it."""
+    return np.moveaxis(np.tensordot(x, t, axes=([1], [axis])), 0, axis)
+
+
 def tensor_congruence(core: LevelTensor, matrix: Sequence[Sequence]) -> LevelTensor:
     """Multiply every side of an order-k core by the d x m matrix.
 
-    Output entry (j1..jk) = sum over (i1..ik) of core(i1..ik) * prod X[j, i].
-    The contraction is done one mode at a time, cycling the leading axis to
-    the back, so the cost stays linear in the number of entries per mode.
+    Output entry (j1..jk) = sum over (i1..ik) of core(i1..ik) * prod X[j, i],
+    formed by contracting modes 1..k-1, then mode 0.  An exact core A / D and
+    an exact matrix M / L contract as Python ints A and M over D * L^k (an
+    int result only when both hold ints); a float in either makes it float64,
+    and other scalars (`Dual`s, say) contract as object arrays.
     """
     rows = [list(r) for r in matrix]
     d = len(rows)
@@ -198,28 +207,23 @@ def tensor_congruence(core: LevelTensor, matrix: Sequence[Sequence]) -> LevelTen
         raise ValueError(f"matrix has {m} columns, core dimension is {core.d}")
     if core.k == 0:
         return LevelTensor(d, 0, core.entries)
-    entries = list(core.entries)
-    # Each pass contracts the leading axis (always an original mode of size
-    # core.d) and appends the transformed axis of size d at the back; after
-    # k passes the axis order is restored with every mode transformed.
-    for _ in range(core.k):
-        rest = len(entries) // core.d
-        out = [0] * (rest * d)
-        for a in range(core.d):
-            base = a * rest
-            column = [rows[b][a] for b in range(d)]
-            for r in range(rest):
-                v = entries[base + r]
-                if v == 0:
-                    continue
-                off = r * d
-                for b in range(d):
-                    c = column[b]
-                    if c:
-                        out[off + b] = out[off + b] + c * v
-        entries = out
-    zero = Fraction(0)
-    return LevelTensor(d, core.k, [zero if v == 0 else v for v in entries])
+    kind = _scalar_kind([v for r in rows for v in r])
+    x = np.array(rows, dtype=object).reshape(d, m)
+    exact = core.is_exact() and kind in (int, Fraction)
+    if exact:
+        t, denominator = core.as_integers()
+        x, scale = _integer_multiple(x)
+    elif kind is not object and (core.is_exact() or core.holds_floats):
+        t, x = (core if core.holds_floats else core.to_float()).array, x.astype(np.float64)
+    else:
+        t = core.array
+    t = t.reshape((m,) * core.k)
+    for axis in (*range(1, core.k), 0):
+        t = _contract(t, x, axis)
+    if not exact:
+        return LevelTensor._from_array(d, core.k, t.reshape(-1))
+    kind = int if kind is int and core._kind is int else Fraction
+    return LevelTensor._from_integers(d, core.k, t.reshape(-1), denominator * scale**core.k, kind)
 
 
 # --- piecewise linear -----------------------------------------------------

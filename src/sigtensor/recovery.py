@@ -6,11 +6,13 @@ quadratic paths at order 3 admit linear closed-form recovery; any family
 admits damped Gauss-Newton recovery in float mode; and Jacobian ranks of
 the parametrizations certify dimensions.
 
-Gauss-Newton, jacobian_rank and signature_map of `Dual` matrices share one
-kernel: the image of X -> core . X^(x)k and its closed-form multilinear
-Jacobian (a sum over modes of the core contracted with X on the other
-modes), on float64 arrays or on object arrays of Fractions, over a core
-array cached per (family, m, k, scalar mode).
+signature_map of a plain matrix is `paths.tensor_congruence` of the cached
+canonical core.  Gauss-Newton, jacobian_rank and signature_map of `Dual`
+matrices share one kernel: the image of X -> core . X^(x)k and its
+closed-form multilinear Jacobian (a sum over modes of the core contracted
+with X, by `paths._contract`, on the other modes), on float64 arrays or on
+object arrays of Fractions, over a core array cached per (family, m, k,
+scalar mode).
 
 Reduction recipe for d > m (not automated here): a rank-m path matrix X
 factors through its column space, so with any left inverse G of an
@@ -33,7 +35,7 @@ import numpy as np
 
 from .dual import Dual
 from .matrices import _eliminate, exact_det, exact_rank, matrix_inverse
-from .paths import canonical_axis, canonical_mono, tensor_congruence
+from .paths import _contract, canonical_axis, canonical_mono, tensor_congruence
 from .scalars import fraction_nth_root, real_nth_root
 from .tensor import LevelTensor, TensorSeries, _integer_multiple
 
@@ -317,13 +319,8 @@ def _core_array(family: str, m: int, k: int, floats: bool) -> np.ndarray:
     return array
 
 
-def _contract(t: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
-    """Multiply mode `axis` of t (size m) by the d x m matrix x, in place of it."""
-    return np.moveaxis(np.tensordot(x, t, axes=([1], [axis])), 0, axis)
-
-
-def _image_and_jacobian(core: np.ndarray, x: np.ndarray, jacobian: bool = True):
-    """Flat image core . X^(x)k and its (d*m) x d^k Jacobian (None if not asked).
+def _image_and_jacobian(core: np.ndarray, x: np.ndarray):
+    """Flat image core . X^(x)k and its (d*m) x d^k Jacobian.
 
     Closed form: d image / d X[a, b] = sum over modes p of the core
     contracted with X on every mode but p, with mode p fixed to b, placed
@@ -333,15 +330,13 @@ def _image_and_jacobian(core: np.ndarray, x: np.ndarray, jacobian: bool = True):
     d, m = x.shape
     k = core.ndim
     partials = []
-    for p in range(k if jacobian else 1):
+    for p in range(k):
         t = core
         for q in range(k):
             if q != p:
                 t = _contract(t, x, q)
         partials.append(t)
     image = _contract(partials[0], x, 0).reshape(-1)
-    if not jacobian:
-        return image, None
     jac = np.zeros((d, m) + (d,) * k, dtype=x.dtype)
     for p, t in enumerate(partials):
         t = np.moveaxis(t, p, 0)
@@ -371,15 +366,14 @@ def signature_map(family: str, matrix: Sequence[Sequence], k: int) -> LevelTenso
     if any(len(r) != m for r in rows):
         raise ValueError("ragged matrix")
     flat = [v for r in rows for v in r]
-    values = [v.a if isinstance(v, Dual) else v for v in flat]
     seeds = [v.b for v in flat if isinstance(v, Dual)]
+    if not seeds:
+        return tensor_congruence(_core_level(family, m, k), rows)
+    values = [v.a if isinstance(v, Dual) else v for v in flat]
     floats = _any_float(values) or any(_any_float(b) for b in seeds)
     dtype = np.float64 if floats else object
     x = np.array(values, dtype=dtype).reshape(d, m)
     core = _core_array(family, m, k, floats)
-    if not seeds:
-        image, _ = _image_and_jacobian(core, x, jacobian=False)
-        return LevelTensor(d, k, image.tolist())
     width = len(seeds[0])
     tangents = [v.b if isinstance(v, Dual) else (0,) * width for v in flat]
     if any(len(b) != width for b in tangents):

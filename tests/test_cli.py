@@ -371,7 +371,7 @@ def test_inputs_beyond_the_entry_cap_are_refused_before_they_are_built(tmp_path,
     axis = write_json(tmp_path, "a.json", {"type": "axis_parallel", "dim": 6, "dirs": [1], "lengths": ["1"]})
     tensor = write_json(tmp_path, "t.json", {"dim": 3, "order": 2, "entries": {}})
     series = write_json(tmp_path, "s.json", {"dim": 2, "trunc": 3, "levels": ["1"] + [{}] * 3})
-    lie = write_json(tmp_path, "l.json", {"type": "log_linear", "dim": 2, "lie": json.loads(open(series).read())})
+    lie = write_json(tmp_path, "l.json", {"type": "log_linear", "dim": 2, "lie": json.loads(Path(series).read_text())})
     huge_order = write_json(tmp_path, "h.json", {"dim": 2, "order": 1e300, "entries": {}})
     for argv in (
         ("invariants", huge_order),
@@ -408,6 +408,27 @@ def test_word_listings_beyond_the_entry_cap_are_refused_before_enumerating(capsy
         assert code == 2 and "entry cap" in err
     code, _, err = run_cli(capsys, "lyndon", "--d", "0", "--n", "4")
     assert code == 2 and "--d >= 1" in err
+
+
+def test_one_letter_listings_are_bounded_at_any_truncation(capsys, monkeypatch):
+    import sigtensor.cli as cli
+
+    # one letter has one Lyndon word at every truncation: nothing grows with --n
+    code, out, _ = run_cli(capsys, "lyndon", "--d", "1", "--n", str(10**9))
+    assert code == 0 and json.loads(out) == {"dim": 1, "trunc": 10**9, "count": 1, "words": ["1"]}
+
+    def refuse(*args):
+        raise AssertionError("built a normal-form table past the entry cap")
+
+    # the table over one letter holds n words but n(n+1)/2 letters
+    monkeypatch.setattr(cli, "normal_form_table", refuse)
+    code, out, err = run_cli(capsys, "normal-form", "--d", "1", "--n", str(10**9))
+    assert code == 2 and out == "" and "entry cap" in err and "normal-form" in err
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "ENTRY_CAP", 10)
+    for n, expected in ((4, 0), (5, 2)):
+        code, _, _ = run_cli(capsys, "normal-form", "--d", "1", "--n", str(n))
+        assert code == expected, n
 
 
 def test_words_at_twelve_letters_are_dot_separated(capsys):

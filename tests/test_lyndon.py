@@ -63,6 +63,12 @@ def test_level_counts_over_divisor_pairs_match_the_full_divisor_scan():
             assert lyndon_count_level(d, k) == scanned(d, k), (d, k)
 
 
+def test_one_letter_has_one_lyndon_word_at_any_truncation():
+    basis = lyndon_words(1, 10**9)
+    assert basis.words == ((1,),) and basis.count == 1 and basis.n == 10**9
+    assert lyndon_count(1, 10**9) == 1
+
+
 def test_small_bases():
     assert lyndon_words(2, 2).words == ((1,), (1, 2), (2,))
     assert lyndon_count(2, 5) == 14

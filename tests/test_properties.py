@@ -1,8 +1,9 @@
 """Property tests over random exact inputs: the level-product kernel, the
 polynomial integration engine, the fraction-free elimination, JSON round
 trips, group-element recovery, the group-like/Lie correspondence, the
-shuffle-law witnesses against a pair scan and the closed-form multilinear
-Jacobian."""
+shuffle-law witnesses against a pair scan, the closed-form multilinear
+Jacobian and the multilinear action `tensor_congruence` against a
+word-by-word sum."""
 
 from fractions import Fraction
 
@@ -514,3 +515,67 @@ def test_integer_exp_and_log_match_word_by_word_fractions(case):
     q = [[b[0][0] * 0 + 1]] + b[1:]
     assert _series_typed(exp_series(_as_series(p, d))) == _typed_levels(_ref_exp(p, d))
     assert _series_typed(log_series(_as_series(q, d))) == _typed_levels(_ref_log(q, d))
+
+
+# --- the multilinear action, against a word-by-word sum ---
+
+_SCALARS = {
+    "int": st.integers(-4, 4),
+    "fraction": rationals,
+    "mixed": st.integers(-4, 4) | rationals,
+    "float": st.floats(-2, 2),
+    "zero": st.sampled_from([0, Fraction(0)]),
+}
+
+
+@st.composite
+def congruence_cases(draw):
+    """(core, matrix): an order-k core over m letters and a d x m matrix with
+    d, m in 1..4 and k in 0..4, each filled from its own scalar style."""
+    d, m, k = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    core_values, matrix_values = (_SCALARS[draw(st.sampled_from(sorted(_SCALARS)))] for _ in range(2))
+    core = draw(st.lists(core_values, min_size=m**k, max_size=m**k))
+    matrix = draw(st.lists(st.lists(matrix_values, min_size=m, max_size=m), min_size=d, max_size=d))
+    return LevelTensor(m, k, core), matrix
+
+
+def _reference_congruence(core, matrix):
+    """Entry j1..jk as the sum over words i1..ik of core(i) * X[j1, i1] ... X[jk, ik]."""
+    out = []
+    for word in all_words(len(matrix), core.k):
+        total = 0
+        for inner in all_words(core.d, core.k):
+            term = core[inner]
+            for j, i in zip(word, inner):
+                term = term * matrix[j - 1][i - 1]
+            total = total + term
+        out.append(total)
+    return out
+
+
+@PROPERTY
+@given(congruence_cases())
+def test_tensor_congruence_equals_the_word_by_word_sum(case):
+    core, matrix = case
+    image = tensor_congruence(core, matrix)
+    expected = _reference_congruence(core, matrix)
+    # the matrix acts on k >= 1 modes; an order-0 core is returned as it is
+    values = list(core.entries) + ([v for row in matrix for v in row] if core.k else [])
+    if any(isinstance(v, float) for v in values):
+        assert all(type(v) is float for v in image.entries)
+        assert np.allclose(image.entries, [float(v) for v in expected], rtol=1e-9, atol=1e-9)
+    else:
+        scalar = int if all(type(v) is int for v in values) else Fraction
+        assert list(image.entries) == expected
+        assert all(type(v) is scalar for v in image.entries)
+
+
+@PROPERTY
+@given(family_points(scalars=st.integers(-4, 4) | rationals))
+def test_exact_signature_map_is_the_congruence_of_the_core(case):
+    family, point, k = case
+    m = len(point[0])
+    core = canonical_axis(m, k) if family == "pl" else canonical_mono(m, k)
+    image, congruence = signature_map(family, point, k), tensor_congruence(core, point)
+    assert [(v, type(v)) for v in image.entries] == [(v, type(v)) for v in congruence.entries]
+    assert image.is_exact()
