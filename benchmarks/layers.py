@@ -8,15 +8,16 @@ per-layer medians (ms) are printed as JSON.  With --compare, each of ROUNDS
 rounds runs one fresh `--src` process per tree, alternating which tree goes
 first; the output holds, per layer, shape and scalar mode, the median and the
 interquartile range over the rounds for each tree.  Both trees must share
-the private calling convention used below (`_core_array`, and
-`_residual_and_jacobian(core, x, target)`).  Polynomial signatures and
+the private calling convention used below (`_core_level(...).to_float()`,
+and `_residual_and_jacobian(core, x, target)`).  Polynomial signatures and
 group-element recovery are timed through their public functions on seeded
 rational inputs (group elements: the top level of a (d+1)-step path; at
 CHANGE_SHAPE that path's first coordinate returns to 0, so the 1...1 entry
 vanishes and recovery runs a coordinate change).  `tensor_congruence` acts
 on the axis core prebuilt at each Chen shape (m, n) by a seeded d x m
 matrix, exact or float; a float matrix meets the exact core, as in
-`pl_signature_congruence` of float steps, so the call converts the core.  The
+`pl_signature_congruence` of float steps, and uses the core's `to_float()`,
+which the level keeps after the warm-up call.  The
 shuffle-law tests `is_grouplike` and `is_lie` run on member inputs (the
 series of a (d+1)-step path and its logarithm), so each call checks every
 form; float calls pass tol=1e-9, as the algebra workload does.  Chen
@@ -71,7 +72,7 @@ def _gn_eval(recovery, d, k):
     rng = np.random.default_rng(0)
     x = np.eye(d) + rng.uniform(-0.3, 0.3, (d, d))
     target = np.zeros(d**k)
-    core = recovery._core_array("pl", d, k, True)
+    core = recovery._core_level("pl", d, k).to_float().cube
     return lambda: recovery._residual_and_jacobian(core, x, target)
 
 

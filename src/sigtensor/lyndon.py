@@ -10,6 +10,7 @@ polynomials by Radford-style elimination against shuffle expansions.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -233,6 +234,9 @@ class NormalFormTable:
     def _rewrite(self, word: tuple) -> LyndonPolynomial:
         if word in self._lyndon:
             return {(word,): Fraction(1)}
+        if len(set(word)) == 1:
+            # a^k is the shuffle power (a)^k / k!: its expansion is k! a^k alone
+            return {((word[0],),) * len(word): Fraction(1, math.factorial(len(word)))}
         factors = cfl_factorization(word)
         expansion = shuffle_word_list(factors).terms
         leading = expansion[word]

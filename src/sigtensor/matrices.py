@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .paths import canonical_axis, canonical_mono
-from .scalars import is_exact
+from .scalars import scalar_mode
 from .tensor import LevelTensor
 
 
@@ -139,19 +139,21 @@ def _eliminate(rows: list) -> _Echelon:
 def exact_rank(matrix, float_tol: float = 1e-9) -> int:
     """Rank of a matrix: fraction-free elimination over the rationals.
 
-    Float matrices fall back to counting singular values above
-    float_tol * sigma_max.
+    Matrices whose scalar mode is not exact fall back to counting singular
+    values above float_tol * sigma_max.
     """
     rows = _as_rows(matrix)
     if not rows or not rows[0]:
         return 0
-    if not all(is_exact(v) for row in rows for v in row):
-        a = np.asarray(rows, dtype=float)
-        s = np.linalg.svd(a, compute_uv=False)
-        if s.size == 0 or s[0] == 0.0:
-            return 0
-        return int(np.sum(s > float_tol * s[0]))
-    return len(_eliminate(rows).pivots)
+    mode, values = scalar_mode(v for row in rows for v in row)
+    exact = mode in (int, Fraction)
+    grid = np.array(values, dtype=object if exact else float).reshape(len(rows), -1)
+    if exact:
+        return len(_eliminate(grid.tolist()).pivots)
+    s = np.linalg.svd(grid, compute_uv=False)
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.sum(s > float_tol * s[0]))
 
 
 def exact_det(matrix):
@@ -325,21 +327,18 @@ def mono_matrix(d: int, m: int | None = None) -> list:
     return _core_matrix(canonical_mono, d, m)
 
 
-def mono_matrix_det(d: int):
-    """Closed form for det of the order-2 monomial matrix (Cauchy-type)."""
+def _cauchy_det(d: int, shift: int) -> Fraction:
+    """d! * prod over i < j of (j-i)^2, over the product of (i+j+shift) for i, j in 1..d."""
     if d < 1:
         raise ValueError("need d >= 1")
-    num = Fraction(1)
-    for i in range(1, d + 1):
-        num *= Fraction(i)
-    for i in range(1, d + 1):
-        for j in range(i + 1, d + 1):
-            num *= Fraction(j - i) ** 2
-    den = Fraction(1)
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            den *= Fraction(i + j)
-    return num / den
+    pairs = itertools.combinations(range(1, d + 1), 2)
+    num = math.factorial(d) * math.prod((j - i) ** 2 for i, j in pairs)
+    return Fraction(num, math.prod(i + j + shift for i in range(1, d + 1) for j in range(1, d + 1)))
+
+
+def mono_matrix_det(d: int):
+    """Closed form for det of the order-2 monomial matrix (Cauchy-type)."""
+    return _cauchy_det(d, 0)
 
 
 def mono_slice_matrix(d: int) -> list:
@@ -352,20 +351,7 @@ def mono_slice_matrix(d: int) -> list:
 
 def mono_slice_det(d: int):
     """Closed form for det of the order-3 monomial first slice."""
-    if d < 1:
-        raise ValueError("need d >= 1")
-    num = Fraction(1)
-    for i in range(1, d + 1):
-        num *= Fraction(i)
-    num /= Fraction(d + 1)
-    for i in range(1, d + 1):
-        for j in range(i + 1, d + 1):
-            num *= Fraction(j - i) ** 2
-    den = Fraction(1)
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            den *= Fraction(i + j + 1)
-    return num / den
+    return _cauchy_det(d, 1) / (d + 1)
 
 
 def mono_to_axis_congruence(d: int, tol: float = 1e-8) -> np.ndarray:

@@ -17,13 +17,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .scalars import parse_int, parse_scalar
+from .scalars import parse_int, parse_scalar, scalar_mode
 from .shuffle import is_lie
 from .tensor import (
     LevelTensor,
     TensorSeries,
     _integer_multiple,
-    _scalar_kind,
     concat_product,
     exp_series,
     project_level,
@@ -207,14 +206,14 @@ def tensor_congruence(core: LevelTensor, matrix: Sequence[Sequence]) -> LevelTen
         raise ValueError(f"matrix has {m} columns, core dimension is {core.d}")
     if core.k == 0:
         return LevelTensor(d, 0, core.entries)
-    kind = _scalar_kind([v for r in rows for v in r])
-    x = np.array(rows, dtype=object).reshape(d, m)
+    kind, values = scalar_mode(v for r in rows for v in r)
+    x = np.array(values, dtype=object).reshape(d, m)
     exact = core.is_exact() and kind in (int, Fraction)
     if exact:
         t, denominator = core.as_integers()
         x, scale = _integer_multiple(x)
     elif kind is not object and (core.is_exact() or core.holds_floats):
-        t, x = (core if core.holds_floats else core.to_float()).array, x.astype(np.float64)
+        t, x = core.to_float().array, x.astype(np.float64)
     else:
         t = core.array
     t = t.reshape((m,) * core.k)
@@ -308,19 +307,20 @@ def poly_signature_integrate(coeffs: Sequence[Sequence], n: int) -> TensorSeries
     order) of t-coefficients.  Appending letter i multiplies a row by
     X_i'(t) and integrates.  A level-k integral vanishes to order t^k, so
     its row holds the coefficients of t^k .. t^(k*m) only.  Coefficients
-    are rational, or floats (a float64 array) when any input coefficient is
-    a float; ragged rows count as zero-padded.  Entries are the values at
-    t=1, the row sums.
+    are rational, or floats (a float64 array) in the float scalar mode of
+    the input coefficients; ragged rows count as zero-padded.  Entries are
+    the values at t=1, the row sums.
     """
-    floats = any(isinstance(c, float) for r in coeffs for c in r)
-    scalar, dtype = (float, np.float64) if floats else (Fraction, object)
+    mode, values = scalar_mode(c for r in coeffs for c in r)
+    scalar, dtype = (float, np.float64) if mode is float else (Fraction, object)
     d, m = len(coeffs), max([1, *map(len, coeffs)])
     zero, one = scalar(0), scalar(1)
     # derivative[i, b] is the t^b coefficient of X_i'(t)
     derivative = np.full((d, m), zero, dtype=dtype)
+    values = iter(values)
     for i, row in enumerate(coeffs):
-        for b, c in enumerate(row):
-            derivative[i, b] = (b + 1) * scalar(c)
+        for b in range(len(row)):
+            derivative[i, b] = (b + 1) * scalar(next(values))
     levels = [LevelTensor(d, 0, [one])]
     integrals = np.full((1, 1), one, dtype=dtype)
     for k in range(1, n + 1):
@@ -330,7 +330,8 @@ def poly_signature_integrate(coeffs: Sequence[Sequence], n: int) -> TensorSeries
             product[:, :, b : b + width] += integrals[:, None, :] * derivative[None, :, b, None]
         # the t^(k+j) coefficient of the antiderivative is that of t^(k-1+j) over k+j
         integrals = (product / np.arange(k, k + width + m - 1).astype(dtype)).reshape(d**k, -1)
-        levels.append(LevelTensor._from_array(d, k, integrals.sum(axis=1)))
+        row_sums = integrals.sum(axis=1)
+        levels.append(LevelTensor._from_array(d, k, row_sums) if mode is float else LevelTensor(d, k, row_sums))
     return TensorSeries(d, n, levels)
 
 
@@ -343,15 +344,13 @@ def poly_signature_congruence(coeffs: Sequence[Sequence], k: int) -> LevelTensor
 # --- log-linear paths -----------------------------------------------------
 
 
-def loglinear_level(lie: TensorSeries, k: int, check: bool = True) -> LevelTensor:
+def loglinear_level(lie: TensorSeries, k: int) -> LevelTensor:
     """Order-k component of exp(L) for a Lie element L."""
-    if check and not is_lie(lie):
-        raise ValueError("log-linear path requires a Lie element")
-    return project_level(exp_series(lie.truncate(k)), k)
+    return project_level(loglinear_signature(lie, k), k)
 
 
-def loglinear_signature(lie: TensorSeries, n: int, check: bool = True) -> TensorSeries:
-    if check and not is_lie(lie):
+def loglinear_signature(lie: TensorSeries, n: int) -> TensorSeries:
+    if not is_lie(lie):
         raise ValueError("log-linear path requires a Lie element")
     return exp_series(lie.truncate(n))
 

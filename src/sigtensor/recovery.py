@@ -11,8 +11,9 @@ canonical core.  Gauss-Newton, jacobian_rank and signature_map of `Dual`
 matrices share one kernel: the image of X -> core . X^(x)k and its
 closed-form multilinear Jacobian (a sum over modes of the core contracted
 with X, by `paths._contract`, on the other modes), on float64 arrays or on
-object arrays of Fractions, over a core array cached per (family, m, k,
-scalar mode).
+object arrays of Fractions.  Each canonical core is one exact level cached
+per (family, m, k); float code reads its `to_float()`, which the level
+keeps.
 
 Reduction recipe for d > m (not automated here): a rank-m path matrix X
 factors through its column space, so with any left inverse G of an
@@ -36,7 +37,7 @@ import numpy as np
 from .dual import Dual
 from .matrices import _eliminate, exact_det, exact_rank, matrix_inverse
 from .paths import _contract, canonical_axis, canonical_mono, tensor_congruence
-from .scalars import fraction_nth_root, real_nth_root
+from .scalars import fraction_nth_root, real_nth_root, scalar_mode
 from .tensor import LevelTensor, TensorSeries, _integer_multiple
 
 
@@ -96,16 +97,14 @@ def _random_change(d: int, rng: random.Random) -> list:
             return a
 
 
-def recover_group_element(
-    tensor: LevelTensor, mode: str = "rational", seed: int = 0, attempts: int = 4
-) -> RecoveryResult:
+def recover_group_element(tensor: LevelTensor, mode: str = "rational", seed: int = 0) -> RecoveryResult:
     """Reconstruct the group-like series from its top-level tensor.
 
     The leading coordinate is an n-th root of n! times the 1...1 entry
     (exact in rational mode, the positive real root for even order in real
     mode); lower levels follow by dividing shuffle forms by that
     coordinate.  When the 1...1 entry vanishes, or an even-order root has
-    a negative radicand, a few seeded random linear changes of coordinates
+    a negative radicand, four seeded random linear changes of coordinates
     are tried before giving up.
     """
     if mode not in ("rational", "real"):
@@ -120,7 +119,7 @@ def recover_group_element(
 
     rng = random.Random(seed)
     saw_negative = False
-    for attempt in range(attempts + 1):
+    for attempt in range(5):  # the identity, then four random changes
         change = None if attempt == 0 else _random_change(tensor.d, rng)
         working = tensor if change is None else tensor_congruence(tensor, change)
         leading = working[(1,) * n]
@@ -142,8 +141,6 @@ def recover_group_element(
         series = _descend(working, root)
         if change is not None:
             inverse = matrix_inverse(change)
-            if mode == "real":
-                inverse = [[float(v) for v in row] for row in inverse]
             series = TensorSeries(
                 series.d,
                 series.n,
@@ -169,22 +166,26 @@ def _descend(tensor: LevelTensor, sigma1) -> TensorSeries:
     k+1 places p of the slice with letter 1 at place p.  Level 1 is read off
     the top cube instead: the form of ((i), 1^(n-1)) is the sum of the n
     one-axis slices with letter 1 on every other axis, scaled by
-    (n-1)! / sigma1^(n-1); its first coordinate is sigma1 itself.
+    (n-1)! / sigma1^(n-1); its first coordinate is sigma1 itself.  An exact
+    level sums the slices of its numerators and divides on its denominator.
     """
     d, n = tensor.d, tensor.k
+    exact = tensor.is_exact()
     levels: list = [None] * (n + 1)
     levels[0] = LevelTensor(d, 0, [sigma1 / sigma1])
     levels[n] = tensor
     if n >= 2:
-        top = tensor.cube
-        forms = sum(top[(0,) * p + (slice(None),) + (0,) * (n - 1 - p)] for p in range(n))
-        vec = math.factorial(n - 1) * forms / sigma1 ** (n - 1)
-        vec[0] = sigma1
-        levels[1] = LevelTensor._from_array(d, 1, vec)
+        slices = [(0,) * p + (slice(None),) + (0,) * (n - 1 - p) for p in range(n)]
+        forms = tensor._linear_map(1, lambda top: sum(top[s] for s in slices))
+        if exact:  # its first coordinate is sigma1 already
+            levels[1] = forms.scale(math.factorial(n - 1) / sigma1 ** (n - 1))
+        else:
+            vec = math.factorial(n - 1) * forms.array / sigma1 ** (n - 1)
+            vec[0] = sigma1
+            levels[1] = LevelTensor._from_array(d, 1, vec)
     for k in range(n - 1, 1, -1):
-        upper = levels[k + 1].cube
-        forms = sum(np.take(upper, 0, axis=p) for p in range(k + 1))
-        levels[k] = LevelTensor._from_array(d, k, (forms / sigma1).reshape(-1))
+        forms = levels[k + 1]._linear_map(k, lambda upper: sum(np.take(upper, 0, axis=p) for p in range(upper.ndim)))
+        levels[k] = forms.scale(1 / sigma1) if exact else LevelTensor._from_array(d, k, forms.array / sigma1)
     return TensorSeries(d, n, levels)
 
 
@@ -198,7 +199,7 @@ def negate_odd_levels(series: TensorSeries) -> TensorSeries:
 
 def _swapped_tensor(tensor: LevelTensor) -> LevelTensor:
     """The planar tensor with letters 1 and 2 exchanged in every word."""
-    return LevelTensor._from_array(2, tensor.k, np.flip(tensor.cube).reshape(-1))
+    return tensor._linear_map(tensor.k, np.flip)
 
 
 def _kernel_point(rows: list) -> tuple:
@@ -304,21 +305,6 @@ def _core_level(family: str, m: int, k: int) -> LevelTensor:
     return canonical_axis(m, k) if family == "pl" else canonical_mono(m, k)
 
 
-@functools.lru_cache(maxsize=32)
-def _core_array(family: str, m: int, k: int, floats: bool) -> np.ndarray:
-    """Read-only (m,)*k core of a family: float64, or object holding Fractions.
-
-    Built once per (family, m, k, scalar mode); the float core is converted
-    from the cached exact one, so each canonical core is computed once.
-    """
-    if floats:
-        array = _core_array(family, m, k, False).astype(np.float64)
-    else:
-        array = _core_level(family, m, k).cube
-    array.flags.writeable = False
-    return array
-
-
 def _image_and_jacobian(core: np.ndarray, x: np.ndarray):
     """Flat image core . X^(x)k and its (d*m) x d^k Jacobian.
 
@@ -345,10 +331,6 @@ def _image_and_jacobian(core: np.ndarray, x: np.ndarray):
     return image, jac.reshape(d * m, d**k)
 
 
-def _any_float(values) -> bool:
-    return any(isinstance(v, (float, np.floating)) for v in values)
-
-
 def signature_map(family: str, matrix: Sequence[Sequence], k: int) -> LevelTensor:
     """Order-k signature of the family member encoded by a d x m matrix.
 
@@ -367,18 +349,19 @@ def signature_map(family: str, matrix: Sequence[Sequence], k: int) -> LevelTenso
         raise ValueError("ragged matrix")
     flat = [v for r in rows for v in r]
     seeds = [v.b for v in flat if isinstance(v, Dual)]
+    core = _core_level(family, m, k)
     if not seeds:
-        return tensor_congruence(_core_level(family, m, k), rows)
-    values = [v.a if isinstance(v, Dual) else v for v in flat]
-    floats = _any_float(values) or any(_any_float(b) for b in seeds)
-    dtype = np.float64 if floats else object
-    x = np.array(values, dtype=dtype).reshape(d, m)
-    core = _core_array(family, m, k, floats)
+        return tensor_congruence(core, rows)
     width = len(seeds[0])
     tangents = [v.b if isinstance(v, Dual) else (0,) * width for v in flat]
     if any(len(b) != width for b in tangents):
         raise ValueError("Dual entries carry derivative tuples of different lengths")
-    image, jac = _image_and_jacobian(core, x)
+    mode, values = scalar_mode(v.a if isinstance(v, Dual) else v for v in flat)
+    if mode is not float:  # float derivatives make the map float too
+        mode, values = scalar_mode(values + tuple(t for b in tangents for t in b))
+        values, tangents = values[: d * m], values[d * m :]
+    core, dtype = (core.to_float(), np.float64) if mode is float else (core, object)
+    image, jac = _image_and_jacobian(core.cube, np.array(values, dtype=dtype).reshape(d, m))
     partials = jac.T @ np.array(tangents, dtype=dtype).reshape(d * m, width)
     return LevelTensor(d, k, [Dual(v, b) for v, b in zip(image.tolist(), partials.tolist())])
 
@@ -448,7 +431,7 @@ def gauss_newton_recover(
         raise ValueError("need k >= 3 for tensor recovery")
     if (tensor.d, tensor.k) != (d, k):
         raise ValueError(f"tensor has d={tensor.d}, k={tensor.k}, but d={d}, k={k} were given")
-    core = _core_array(_family_name(family), m, k, True)
+    core = _core_level(_family_name(family), m, k).to_float().cube
     target = np.asarray([float(v) for v in tensor.entries])
     denom = float(np.linalg.norm(target)) or 1.0
     rng = random.Random(seed)

@@ -1,13 +1,17 @@
 """Scalar helpers shared by the exact (rational) and float code paths.
 
-Every algebraic routine in this package is generic over its scalar type:
-it works on `fractions.Fraction` (exact mode) or `float` (tolerant mode),
-and mixed expressions degrade to float the way Python arithmetic does.
+`scalar_mode` is the one rule for the scalar mode of values entering the
+package: exact (Python `int` and `fractions.Fraction`), float, or other.
+Computed levels carry their mode on; an exact operand that meets a float one
+enters as `LevelTensor.to_float()`, rounded as `Fraction`-with-`float`
+arithmetic rounds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+import numpy as np
 
 #: Relative tolerance used for float comparisons when none is given.
 DEFAULT_REL_TOL = 1e-10
@@ -16,6 +20,30 @@ DEFAULT_REL_TOL = 1e-10
 def is_exact(x) -> bool:
     """True for scalars that support exact arithmetic (int or Fraction)."""
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
+def scalar_mode(values) -> tuple:
+    """(mode, values): the scalar mode of some values, and the values as a tuple.
+
+    numpy integer scalars are read (and returned) as `int`, other numpy
+    floating scalars as `float`.  The mode is `int` when every value is an
+    int, `Fraction` when every value is exact (`is_exact`), `float` when
+    the others are floats, and `object` otherwise (bools included).
+    """
+    values = tuple(values)
+    kinds = set(map(type, values))
+    if not kinds.issubset((int, Fraction, float)):
+        if any(issubclass(t, (np.integer, np.floating)) and not issubclass(t, float) for t in kinds):
+            values = tuple(
+                int(v) if isinstance(v, np.integer) else float(v) if isinstance(v, np.floating) else v for v in values
+            )
+            kinds = set(map(type, values))
+        # the plain type each kind computes like: int or Fraction as in is_exact, then float
+        kinds = {next((p for p in (int, Fraction, float) if issubclass(t, p) and t is not bool), object) for t in kinds}
+    for mode in (object, float, Fraction):
+        if mode in kinds:
+            return mode, values
+    return int, values
 
 
 def values_close(a, b, tol: float | None = None) -> bool:
@@ -27,10 +55,6 @@ def values_close(a, b, tol: float | None = None) -> bool:
     diff = abs(a - b)
     scale = max(1.0, abs(a), abs(b))
     return diff <= tol * scale
-
-
-def is_zero(x, tol: float | None = None) -> bool:
-    return values_close(x, 0 * x, tol)
 
 
 def parse_scalar(text, exact: bool = True):

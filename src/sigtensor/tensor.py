@@ -5,14 +5,17 @@ levels 0..n (level 0 is a single scalar) and carries the concatenation
 product, exponential and logarithm, truncated at order n.  Values are
 immutable after construction and safe to share across threads.
 
+A level's scalar mode is decided once, by `scalars.scalar_mode`, when it is
+built from entries, and every level computed from it carries that mode on.
 Level arithmetic runs on flat ndarrays.  A float level is one float64
 array.  An exact level (every entry an `int` or a `Fraction`) is an object
 array of Python ints A over one positive int denominator D, reduced by one
 gcd over the level, so products, sums and scalings never run a gcd per
-entry; its `entries` are built from (A, D) only when read.  Levels of any
-other scalar type use an object array of their entries.
-`LevelTensor.tensor_product` (one `np.multiply.outer`) is the only level
-product; the series operations are built on it.
+entry.  Levels of any other scalar type use an object array of their
+entries.  Where an exact level meets a float level or a float scalar, the
+exact operand enters as its `to_float()`.  `LevelTensor.tensor_product`
+(one `np.multiply.outer`) is the only level product; the series operations
+are built on it.
 """
 
 from __future__ import annotations
@@ -24,22 +27,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .scalars import format_scalar, parse_int, parse_scalar, values_close
+from .scalars import format_scalar, parse_int, parse_scalar, scalar_mode, values_close
 from .words import index_word, word_from_string, word_index, word_to_string
 
 _EXACT_KINDS = (int, Fraction)
-
-
-def _scalar_kind(entries):
-    """The scalar mode of a level's entries: float when some are floats and the
-    rest ints or Fractions, else int when all are ints, Fraction when all are
-    ints or Fractions, and object for anything else (bools included)."""
-    kinds = set(map(type, entries))
-    if any(t is bool or not issubclass(t, (float, *_EXACT_KINDS)) for t in kinds):
-        return object
-    if any(issubclass(t, float) for t in kinds):
-        return float
-    return int if all(issubclass(t, int) for t in kinds) else Fraction
 
 
 def _integer_multiple(array: np.ndarray) -> tuple:
@@ -59,54 +50,57 @@ def _check_shape(d: int, k: int) -> None:
         raise ValueError("need d >= 1 and k >= 0")
 
 
+def _arrays(*levels: "LevelTensor") -> list:
+    """The levels' arrays, an exact level's as its to_float() when some level holds floats."""
+    floats = any(t._kind is float for t in levels)
+    return [t.to_float().array if floats and t._numerators is not None else t.array for t in levels]
+
+
 class LevelTensor:
     """Dense order-k tensor with d^k entries indexed by words.
 
     `entries` is a flat tuple of plain scalars in base-d word order; `array`
-    is the same data as a read-only flat ndarray.  A level holding floats is
-    a float level: its float64 array is built at once and its entries are
-    read back from it, so they are all Python floats (exact zeros included).
+    is the same data as a read-only flat ndarray.  The constructor reads the
+    scalar mode of its entries with `scalar_mode` (numpy integer and floating
+    scalars become `int` and `float`).  A level holding floats is a float
+    level: its float64 array is built at once and its entries are read back
+    from it, so they are all Python floats (exact zeros included).
 
     An exact level is held as `as_integers()`, a pair (A, D) of an object
     array of Python ints and one positive int D with entries == A / D and
-    gcd(A, D) == 1.  Its entries are `Fraction`s A[i] / D, or plain `int`s
-    when every entry it was built from is an int (a level mixing the two
-    gives `Fraction`s).  A level built from given entries keeps them as
-    given and builds its pair on first arithmetic use (an all-int level
-    also on first read of `array`, which is A); a level computed by
-    arithmetic builds its entries (and its object array) on first read.
+    gcd(A, D) == 1, built when the level is.  Its entries are `Fraction`s
+    A[i] / D, or plain `int`s when every entry it was built from is an int
+    (a level mixing the two gives `Fraction`s).  A level built from given
+    entries keeps them as given; a level computed by arithmetic builds its
+    entries (and the object array of a `Fraction` level) on first read.
+    `to_float()` is built once per level.
     """
 
-    __slots__ = ("d", "k", "_entries", "_array", "_numerators", "_denominator", "_kind")
+    __slots__ = ("d", "k", "_entries", "_array", "_numerators", "_denominator", "_kind", "_float")
 
     def __init__(self, d: int, k: int, entries: Sequence):
         _check_shape(d, k)
-        entries = tuple(entries)
+        self._kind, entries = scalar_mode(entries)
         if len(entries) != d**k:
             raise ValueError(f"expected {d ** k} entries, got {len(entries)}")
         self.d = d
         self.k = k
-        self._array = self._numerators = self._denominator = None
-        self._kind = _scalar_kind(entries)
+        self._array = self._numerators = self._denominator = self._float = None
         if self._kind is float:
             self._array = _frozen(np.array(entries, dtype=np.float64))
             entries = None
+        elif self._kind in _EXACT_KINDS:
+            numerators, self._denominator = _integer_multiple(np.array(entries, dtype=object))
+            self._numerators = _frozen(numerators)
         self._entries = entries
 
     @classmethod
     def _from_array(cls, d: int, k: int, array: np.ndarray) -> "LevelTensor":
-        """Level owning a fresh flat result array (not copied)."""
+        """Float level owning a fresh flat float64 array, else object level (not copied)."""
         level = cls.__new__(cls)
         level.d, level.k = d, k
-        level._numerators = level._denominator = level._entries = None
-        level._kind = float
-        if array.dtype != np.float64:
-            entries = array.tolist()
-            level._kind = _scalar_kind(entries)
-            if level._kind is float:
-                array = array.astype(np.float64)
-            else:
-                level._entries = tuple(entries)
+        level._numerators = level._denominator = level._entries = level._float = None
+        level._kind = float if array.dtype == np.float64 else object
         level._array = _frozen(array)
         return level
 
@@ -120,23 +114,23 @@ class LevelTensor:
                 numerators, denominator = numerators // g, denominator // g
         level = cls.__new__(cls)
         level.d, level.k = d, k
-        level._entries = level._array = None
+        level._entries = level._array = level._float = None
         level._numerators, level._denominator, level._kind = _frozen(numerators), denominator, kind
         return level
 
-    def _is_exact_pair(self) -> bool:
-        """True for an exact level; builds its integer pair on first use."""
-        if self._kind not in _EXACT_KINDS:
-            return False
+    def _linear_map(self, k: int, f) -> "LevelTensor":
+        """The order-k level f(cube) for an f that only permutes and adds
+        entries; an exact level applies f to its numerators and keeps D."""
+        source = self.array if self._numerators is None else self._numerators
+        out = np.asarray(f(source.reshape((self.d,) * self.k)), dtype=source.dtype).reshape(-1)
         if self._numerators is None:
-            numerators, self._denominator = _integer_multiple(np.array(self._entries, dtype=object))
-            self._numerators = _frozen(numerators)
-        return True
+            return LevelTensor._from_array(self.d, k, out)
+        return LevelTensor._from_integers(self.d, k, out, self._denominator, self._kind)
 
     def as_integers(self) -> tuple:
         """(A, D): read-only flat object array of Python ints and an int D > 0
         with entries == A / D and gcd(A, D) == 1.  Only for exact levels."""
-        if not self._is_exact_pair():
+        if self._numerators is None:
             raise ValueError("integer form of a level that is not exact")
         return self._numerators, self._denominator
 
@@ -147,15 +141,14 @@ class LevelTensor:
                 den = self._denominator
                 self._entries = tuple(Fraction(v, den) for v in self._numerators.tolist())
             else:
-                source = self._numerators if self._kind is int else self._array
-                self._entries = tuple(source.tolist())
+                self._entries = tuple(self.array.tolist())
         return self._entries
 
     @property
     def array(self) -> np.ndarray:
         """The entries as a read-only flat ndarray (float64 or object)."""
         if self._array is None:
-            if self._kind is int and self._is_exact_pair():
+            if self._kind is int:
                 self._array = self._numerators
             else:
                 self._array = _frozen(np.array(self.entries, dtype=object))
@@ -193,7 +186,7 @@ class LevelTensor:
         return f"LevelTensor(d={self.d}, k={self.k})"
 
     def is_exact(self) -> bool:
-        return self._kind in _EXACT_KINDS
+        return self._numerators is not None
 
     def equals(self, other: "LevelTensor", tol: float | None = None) -> bool:
         if self.d != other.d or self.k != other.k:
@@ -212,29 +205,29 @@ class LevelTensor:
         return _level_sum(self.d, self.k, [self, other])
 
     def scale(self, c) -> "LevelTensor":
-        if type(c) in _EXACT_KINDS and self._is_exact_pair():
-            kind = int if self._kind is int and type(c) is int else Fraction
+        if isinstance(c, np.generic):
+            c = scalar_mode((c,))[1][0]
+        if isinstance(c, _EXACT_KINDS) and self._numerators is not None:
+            kind = int if self._kind is int and isinstance(c, int) else Fraction
             numerators = self._numerators if c.numerator == 1 else self._numerators * c.numerator
             return LevelTensor._from_integers(self.d, self.k, numerators, self._denominator * c.denominator, kind)
-        if self.holds_floats and isinstance(c, (int, float, Fraction)):
-            c = float(c)
+        floats = self._kind is float or self._numerators is not None and isinstance(c, float)
+        if floats and isinstance(c, (int, float, Fraction)):
+            return LevelTensor._from_array(self.d, self.k, float(c) * self.to_float().array)
         return LevelTensor._from_array(self.d, self.k, c * self.array)
 
     def negate(self) -> "LevelTensor":
-        if self._is_exact_pair():
+        if self._numerators is not None:
             return LevelTensor._from_integers(self.d, self.k, -self._numerators, self._denominator, self._kind)
         return LevelTensor._from_array(self.d, self.k, -self.array)
 
     def _live(self) -> bool:
         """True when some entry is nonzero, read from the arrays where there are some."""
-        if self._is_exact_pair():
+        if self._numerators is not None:
             return np.count_nonzero(self._numerators) > 0
         if self._kind is float:
             return np.count_nonzero(self._array) > 0
         return any(self.entries)
-
-    def norm_max(self) -> float:
-        return max((abs(v) for v in self.entries), default=0)
 
     def is_zero(self, tol: float | None = None) -> bool:
         return all(values_close(v, 0 * v, tol) for v in self.entries)
@@ -244,12 +237,12 @@ class LevelTensor:
         if self.d != other.d:
             raise ValueError("dimension mismatch")
         k = self.k + other.k
-        if self._is_exact_pair() and other._is_exact_pair():
+        if self._numerators is not None and other._numerators is not None:
             out = np.multiply.outer(self._numerators, other._numerators).reshape(-1)
             kind = self._kind if self._kind is other._kind else Fraction
             return LevelTensor._from_integers(self.d, k, out, self._denominator * other._denominator, kind)
-        out = np.multiply.outer(self.array, other.array).reshape(-1)
-        return LevelTensor._from_array(self.d, k, out)
+        a, b = (self.array, other.array) if self._kind is other._kind else _arrays(self, other)
+        return LevelTensor._from_array(self.d, k, np.multiply.outer(a, b).reshape(-1))
 
     def symmetrize(self) -> "LevelTensor":
         """Sum of entries over all k! position permutations of each word.
@@ -258,20 +251,23 @@ class LevelTensor:
         iterated shuffle form of the single letters i1, ..., ik, so on a
         group-like level it equals the product of the level-1 coordinates.
         """
-        total = 0
-        for perm in itertools.permutations(range(self.k)):
-            # axes perm^-1 put entries[w o perm] at w: each word's terms add
-            # in the order itertools.permutations(w) lists them
-            total = total + np.transpose(self.cube, np.argsort(perm))
-        return LevelTensor._from_array(self.d, self.k, np.reshape(total, -1))
+        # axes perm^-1 put entries[w o perm] at w: each word's terms add
+        # in the order itertools.permutations(w) lists them
+        axes = [np.argsort(perm) for perm in itertools.permutations(range(self.k))]
+        return self._linear_map(self.k, lambda cube: sum(np.transpose(cube, a) for a in axes))
 
     def to_float(self) -> "LevelTensor":
-        if self._numerators is not None:
+        """The level in floats, built once (a float level is its own)."""
+        if self._kind is float:
+            return self
+        if self._float is None:
             # int true division rounds correctly, so A[i] / D == float(A[i] / D as a Fraction)
-            den = self._denominator
-            floats = np.array([v / den for v in self._numerators.tolist()], dtype=np.float64)
-            return LevelTensor._from_array(self.d, self.k, floats)
-        return LevelTensor(self.d, self.k, [float(v) for v in self.entries])
+            if self._numerators is not None:
+                floats = [v / self._denominator for v in self._numerators.tolist()]
+            else:
+                floats = [float(v) for v in self.entries]
+            self._float = LevelTensor._from_array(self.d, self.k, np.array(floats, dtype=np.float64))
+        return self._float
 
     def to_json(self) -> dict:
         exact = self.is_exact()
@@ -447,18 +443,25 @@ def series_from_level(level: LevelTensor, n: int | None = None) -> TensorSeries:
 
 
 def _level_sum(d: int, k: int, terms: Sequence[LevelTensor]) -> LevelTensor:
-    """Sum of same-shape levels, added in order; exact terms add over the lcm of their denominators."""
-    if all(t._is_exact_pair() for t in terms):
+    """Sum of same-shape levels, added in order; exact terms add over the lcm of
+    their denominators, and terms before the first inexact one add exactly."""
+    kinds = {t._kind for t in terms}
+    if kinds.isdisjoint((float, object)):
         den = math.lcm(*(t._denominator for t in terms))
         total = None
         for t in terms:
             part = t._numerators if t._denominator == den else t._numerators * (den // t._denominator)
             total = part if total is None else total + part
-        kind = int if all(t._kind is int for t in terms) else Fraction
+        kind = int if kinds == {int} else Fraction
         return LevelTensor._from_integers(d, k, total, den, kind)
-    total = terms[0].array
-    for t in terms[1:]:
-        total = total + t.array
+    if len(kinds) > 1:
+        head = next(i for i, t in enumerate(terms) if t._numerators is None)
+        if head > 1:
+            terms = [_level_sum(d, k, terms[:head]), *terms[head:]]
+    arrays = _arrays(*terms) if len(kinds) > 1 else [t.array for t in terms]
+    total = arrays[0]
+    for array in arrays[1:]:
+        total = total + array
     return LevelTensor._from_array(d, k, total)
 
 

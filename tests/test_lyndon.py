@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -19,7 +20,8 @@ from sigtensor import (
     normal_form_table,
     standard_factorization,
 )
-from sigtensor.lyndon import lyndon_count_level, mobius, poly_eval, poly_from_json, poly_to_json
+from sigtensor.lyndon import NormalFormTable, lyndon_count_level, mobius, poly_eval, poly_from_json, poly_to_json
+from sigtensor.shuffle import shuffle_word_list
 from sigtensor.words import all_words
 
 from conftest import rand_fraction, random_grouplike
@@ -126,6 +128,27 @@ def test_normal_form_base_cases():
     assert normal_form((1, 2), 2, 3) == {((1, 2),): Fraction(1)}
     with pytest.raises(ValueError):
         normal_form((1, 2, 1, 1), 2, 3)
+
+
+def _shuffle_rewrite(table, word):
+    """Radford's rewrite of a non-Lyndon word from the shuffle of its Lyndon factors."""
+    factors = cfl_factorization(word)
+    expansion = shuffle_word_list(factors).terms
+    poly = {tuple(sorted(factors)): Fraction(1)}
+    for other, coeff in expansion.items():
+        if other != word:
+            for monomial, value in table.table[other].items():
+                poly[monomial] = poly.get(monomial, 0) - coeff * value
+    return {monomial: value / expansion[word] for monomial, value in poly.items() if value != 0}
+
+
+@pytest.mark.parametrize("d, n", [(1, 12), (2, 7)])
+def test_normal_forms_equal_the_shuffle_rewrite_word_for_word(d, n):
+    table = NormalFormTable(d, n)
+    for word, poly in table.table.items():
+        if not table.is_lyndon_word(word):
+            assert poly == _shuffle_rewrite(table, word)
+    assert table.table[(1,) * n] == {((1,),) * n: Fraction(1, math.factorial(n))}
 
 
 def test_normal_forms_homogeneous():

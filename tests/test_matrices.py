@@ -61,6 +61,8 @@ def test_exact_rank_basics():
     assert exact_rank([[0, 0], [0, 0]]) == 0
     assert exact_rank(np.array([[1.0, 2.0], [2.0, 4.0]])) == 1
     assert exact_rank(np.array([[1.0, 0.0], [0.0, 1e-15]])) == 1
+    # numpy integers are exact: float singular values would see rank 1
+    assert exact_rank(np.array([[2**52, 2**52 + 1], [2**52, 2**52]])) == 2
 
 
 def test_determinant_closed_forms():

@@ -51,7 +51,7 @@ from sigtensor import (
 from sigtensor.dual import Dual, seed_matrix
 from sigtensor.lyndon import poly_from_json, poly_to_json
 from sigtensor.matrices import matrix_inverse
-from sigtensor.recovery import _core_array, _image_and_jacobian, _kernel_point
+from sigtensor.recovery import _core_level, _image_and_jacobian, _kernel_point
 from sigtensor.scalars import values_close
 from sigtensor.words import all_words
 
@@ -351,11 +351,47 @@ def _dual_congruence(family, matrix, k):
 def test_closed_form_jacobian_equals_dual_numbers_exactly(case):
     family, point, k = case
     m = len(point[0])
-    image, jac = _image_and_jacobian(_core_array(family, m, k, False), np.array(point, dtype=object))
+    image, jac = _image_and_jacobian(_core_level(family, m, k).cube, np.array(point, dtype=object))
     values, columns = _dual_congruence(family, seed_matrix(point), k)
     assert image.tolist() == values
     assert jac.T.tolist() == columns
     assert all(type(v) in (Fraction, int) for v in jac.flat)
+
+
+def _slope_weights(nodes):
+    """Weights w with sum w_i p(nodes_i) the eps coefficient of any polynomial p
+    of degree < len(nodes): the eps coefficients of the Lagrange basis."""
+    weights = []
+    for i, xi in enumerate(nodes):
+        basis = [Fraction(1)]  # coefficients, constant first, of prod (eps - xj) / (xi - xj)
+        for j, xj in enumerate(nodes):
+            if j != i:
+                shifted, scaled = [0] + basis, [xj * c for c in basis] + [0]
+                basis = [(a - b) / (xi - xj) for a, b in zip(shifted, scaled)]
+        weights.append(basis[1])
+    return weights
+
+
+@PROPERTY
+@given(family_points())
+def test_closed_form_jacobian_rows_are_interpolated_directional_derivatives(case):
+    # eps -> core . (X + eps E_ab)^(x)k has degree k, so k + 1 rational values
+    # give its eps coefficient, row a*m + b of the Jacobian, exactly
+    family, point, k = case
+    d, m = len(point), len(point[0])
+    core = _core_level(family, m, k)
+    _, jac = _image_and_jacobian(core.cube, np.array(point, dtype=object))
+    nodes = [Fraction(j, 2) - 1 for j in range(k + 1)]
+    weights = _slope_weights(nodes)
+    for a in range(d):
+        for b in range(m):
+            images = []
+            for eps in nodes:
+                moved = [list(row) for row in point]
+                moved[a][b] += eps
+                images.append(tensor_congruence(core, moved).entries)
+            slope = [sum(w * image[i] for w, image in zip(weights, images)) for i in range(d**k)]
+            assert jac[a * m + b].tolist() == slope
 
 
 @PROPERTY
@@ -363,7 +399,7 @@ def test_closed_form_jacobian_equals_dual_numbers_exactly(case):
 def test_closed_form_jacobian_matches_dual_numbers_in_floats(case):
     family, point, k = case
     m = len(point[0])
-    image, jac = _image_and_jacobian(_core_array(family, m, k, True), np.array(point))
+    image, jac = _image_and_jacobian(_core_level(family, m, k).to_float().cube, np.array(point))
     values, columns = _dual_congruence(family, seed_matrix(point), k)
     assert image.dtype == jac.dtype == np.float64
     assert np.allclose(image, np.array(values, dtype=float), rtol=1e-9, atol=1e-9)

@@ -285,3 +285,22 @@ def test_levels_built_from_int_entries_read_as_arrays_before_any_arithmetic():
     assert result.series.levels[1].entries == (2, 0) and result.series.levels[2].entries == (2, 1, -1, 0)
     ints = TensorSeries(2, 2, [LevelTensor(2, 0, [1]), LevelTensor(2, 1, [2, 0]), LevelTensor(2, 2, [2, 1, -1, 0])])
     assert is_grouplike(ints, tol=1e-9) and not is_lie(ints, tol=1e-9)
+
+
+def test_numpy_scalars_enter_as_python_scalars():
+    ints = LevelTensor(2, 1, [np.int64(1), np.int64(2)])
+    assert ints.is_exact() and ints.entries == (1, 2) and all(type(v) is int for v in ints.entries)
+    assert ints.to_json() == {"dim": 2, "order": 1, "scalar": "rational", "entries": {"1": "1", "2": "2"}}
+    assert ints.scale(np.int64(3)).entries == (3, 6) and ints.scale(np.float32(0.5)).holds_floats
+    assert LevelTensor(2, 1, [np.float32(0.5), 1]).entries == (0.5, 1.0)
+    assert not LevelTensor(2, 1, [np.bool_(True), 1]).is_exact()
+    floats = poly_signature_integrate([[np.float32(0.5), 1]], 2)
+    assert all(level.holds_floats for level in floats.levels)
+    assert floats == poly_signature_integrate([[0.5, 1.0]], 2)
+    # an int64 array of steps stays exact
+    series = pl_signature(np.array([[1, 2], [3, 4]]), 3)
+    assert all(level.is_exact() for level in series.levels)
+    assert series.levels[3].to_json()["scalar"] == "rational"
+    reference = pl_signature([[1, 2], [3, 4]], 3)
+    assert all(a.entries == b.entries for a, b in zip(series.levels, reference.levels))
+    assert all(type(v) is Fraction for v in series.levels[3].entries)
