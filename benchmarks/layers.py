@@ -27,10 +27,17 @@ on seeded rationals, exact and float.  A call that returns a series or a
 level also reads every entry of every level inside the timed region, so that
 entries built lazily on first read are paid for.
 
+The canonical cores `canonical_axis`/`canonical_mono` are timed cold at
+CORE_SHAPES (each call builds a fresh core; the `_core_level` cache is
+emptied first too, through `getattr(..., "cache_clear", None)`), and
+`pl_signature_congruence` warm on seeded float steps at the Chen shapes.
+`normal_form_table` is timed cold at the shuffle shapes: the table cache and
+the shuffle memo are emptied before every call.
+
 A layer is timed by one warm-up call, then calls until 0.2 s have passed (at
 least 3); its time in a round is the median call.  Caches that persist across
 calls in one process (such as cached canonical cores) are warm after the
-warm-up call.
+warm-up call, except where a row empties them before each call.
 """
 
 from __future__ import annotations
@@ -50,6 +57,7 @@ JACOBIAN_SHAPES = [("pl", 3, 3, 3), ("pl", 4, 3, 4), ("poly", 3, 4, 3), ("pl", 6
 POLY_SHAPES = [(2, 3, 6), (3, 3, 5)]  # (d, m, n), as in the forward workload
 GROUP_SHAPES = [(2, 3), (2, 4), (3, 3), (3, 4)]  # (d, n), as in the inverse workload
 SHUFFLE_SHAPES = [(2, 8), (3, 6), (4, 5)]  # (d, n)
+CORE_SHAPES = [("pl", 4, 5), ("poly", 4, 5), ("pl", 6, 6), ("poly", 6, 6), ("pl", 10, 6)]  # (family, m, k)
 CHEN_SHAPES = [(2, 5, 6), (3, 5, 5), (3, 10, 6), (4, 4, 5)]  # (d, m, n), as in the forward workload
 SERIES_SHAPE = (3, 6)  # (d, n) of exp_series and log_series
 EXPECTED_SHAPE = (3, 5)  # (d, n) of expected_signature
@@ -74,6 +82,18 @@ def _gn_eval(recovery, d, k):
     target = np.zeros(d**k)
     core = recovery._core_level("pl", d, k).to_float().cube
     return lambda: recovery._residual_and_jacobian(core, x, target)
+
+
+def _cold(call, *clears):
+    """The call after emptying the given caches (each a zero-argument clear, or None)."""
+
+    def timed():
+        for clear in clears:
+            if clear is not None:
+                clear()
+        return call()
+
+    return timed
 
 
 def _reading(call):
@@ -108,16 +128,21 @@ def layers():
 
     from sigtensor import (
         canonical_axis,
+        canonical_mono,
         exp_series,
         expected_signature,
         is_grouplike,
         is_lie,
         jacobian_rank,
         log_series,
+        lyndon,
+        normal_form_table,
         pl_signature,
+        pl_signature_congruence,
         poly_signature_integrate,
         recover_group_element,
         recovery,
+        shuffle,
         tensor_congruence,
     )
 
@@ -175,6 +200,19 @@ def layers():
     shape = {"d": d, "m": d + 1, "n": n, "leading_entry": 0}
     for scalar, mode in (("exact", "rational"), ("float", "real")):
         out.append(("recovery.recover_group_element", shape, scalar, lambda t=top, mode=mode: recover_group_element(t, mode=mode)))
+    clear_cores = getattr(recovery._core_level, "cache_clear", None)
+    for family, m, k in CORE_SHAPES:
+        build = canonical_axis if family == "pl" else canonical_mono
+        call = _cold(_reading(lambda b=build, m=m, k=k: b(m, k)), clear_cores)
+        out.append((f"paths.{build.__name__}", {"m": m, "k": k}, "exact", call))
+    for d, m, n in CHEN_SHAPES:
+        values = _rationals(d * 100 + m * 10 + n + 4, d * m)
+        steps = [[float(v) for v in values[j * d : (j + 1) * d]] for j in range(m)]
+        call = _reading(lambda s=steps, n=n: pl_signature_congruence(s, n))
+        out.append(("paths.pl_signature_congruence", {"d": d, "m": m, "k": n}, "float", call))
+    for d, n in SHUFFLE_SHAPES:
+        call = _cold(lambda d=d, n=n: normal_form_table(d, n), lyndon._tables.clear, shuffle._shuffle.cache_clear)
+        out.append(("lyndon.normal_form_table", {"d": d, "n": n}, "exact", call))
     for d, n in SHUFFLE_SHAPES:
         values = _rationals(d * 10 + n, d * (d + 1))
         group = pl_signature([values[j * d : (j + 1) * d] for j in range(d + 1)], n)

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .paths import canonical_axis, canonical_mono
+from .paths import _core_level
 from .scalars import scalar_mode
 from .tensor import LevelTensor
 
@@ -304,27 +304,25 @@ def signature_matrix_generators(matrix, m: int) -> list:
 # --- canonical matrices and the constructive congruence ---------------------
 
 
-def _core_matrix(canonical_core, d: int, m: int | None) -> list:
+def _core_matrix(family: str, d: int, m: int | None) -> list:
     """d x d matrix with an order-2 canonical core in its upper-left m x m block."""
     m = d if m is None else m
     if not 1 <= m <= d:
         raise ValueError("need 1 <= m <= d")
-    core = canonical_core(m, 2)
     out = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(m):
-        for j in range(m):
-            out[i][j] = core.entries[i * m + j]
+    for row, values in zip(out, _core_level(family, m, 2).cube.tolist()):
+        row[:m] = values
     return out
 
 
 def axis_matrix(d: int, m: int | None = None) -> list:
     """d x d matrix with the order-2 axis core in its upper-left m x m block."""
-    return _core_matrix(canonical_axis, d, m)
+    return _core_matrix("pl", d, m)
 
 
 def mono_matrix(d: int, m: int | None = None) -> list:
     """d x d matrix with the order-2 monomial core in its upper-left block."""
-    return _core_matrix(canonical_mono, d, m)
+    return _core_matrix("poly", d, m)
 
 
 def _cauchy_det(d: int, shift: int) -> Fraction:
@@ -343,10 +341,7 @@ def mono_matrix_det(d: int):
 
 def mono_slice_matrix(d: int) -> list:
     """First slice of the order-3 monomial core: entry (j,k) = jk/((j+1)(j+k+1))."""
-    return [
-        [Fraction(j * k, (j + 1) * (j + k + 1)) for k in range(1, d + 1)]
-        for j in range(1, d + 1)
-    ]
+    return _core_level("poly", d, 3).cube[0].tolist()
 
 
 def mono_slice_det(d: int):

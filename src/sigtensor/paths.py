@@ -6,10 +6,16 @@ integration), axis-parallel paths (a piecewise-linear special case), and
 log-linear paths whose signature is the exponential of a Lie element.
 Piecewise-linear and polynomial signatures also come with an independent
 second engine through congruence of a canonical core tensor.
+
+`canonical_axis` and `canonical_mono` build a fresh exact core from its
+closed form on every call.  `_core_level` caches one core per (family, m, k);
+the congruence engines, `recovery` and `matrices` read it.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -28,7 +34,6 @@ from .tensor import (
     project_level,
     unit_series,
 )
-from .words import all_words
 
 
 # --- path specifications -------------------------------------------------
@@ -149,38 +154,46 @@ PathSpec = (PiecewiseLinear, Polynomial, AxisParallel, LogLinear)
 def canonical_axis(m: int, k: int) -> LevelTensor:
     """Order-k signature of the staircase path stepping e_1, ..., e_m.
 
-    Entries vanish off weakly increasing words; a weakly increasing word
-    contributes 1 over the product of its letter-multiplicity factorials.
+    Entries vanish off the C(m+k-1, k) weakly increasing words; such a word
+    is k! over the product of its letter-multiplicity factorials, over k!.
     """
     if m < 1 or k < 1:
         raise ValueError("need m >= 1 and k >= 1")
-    entries = []
-    for word in all_words(m, k):
-        if any(a > b for a, b in zip(word, word[1:])):
-            entries.append(Fraction(0))
-            continue
-        denom = 1
-        run = 1
-        for a, b in zip(word, word[1:]):
-            run = run + 1 if a == b else 1
-            denom *= run if a == b else 1
-        entries.append(Fraction(1, denom))
-    return LevelTensor(m, k, entries)
+    words = np.array(list(combinations_with_replacement(range(m), k)), dtype=np.int64)
+    runs = np.ones(len(words), dtype=np.int64)
+    multiplicities = np.ones(len(words), dtype=object)  # products of multiplicity factorials
+    for i in range(1, k):
+        runs = np.where(words[:, i] == words[:, i - 1], runs + 1, 1)
+        multiplicities *= runs
+    numerators = np.zeros(m**k, dtype=object)
+    numerators[words @ m ** np.arange(k - 1, -1, -1)] = math.factorial(k) // multiplicities
+    return LevelTensor._from_integers(m, k, numerators, math.factorial(k), Fraction)
 
 
 def canonical_mono(m: int, k: int) -> LevelTensor:
-    """Order-k signature of the moment curve t -> (t, t^2, ..., t^m)."""
+    """Order-k signature of the moment curve t -> (t, t^2, ..., t^m).
+
+    Word i1..ik is the product of its letters over that of its prefix sums
+    i1 + ... + ij, formed on the grid of all m^k words at once.
+    """
     if m < 1 or k < 1:
         raise ValueError("need m >= 1 and k >= 1")
-    entries = []
-    for word in all_words(m, k):
-        value = Fraction(1)
-        partial = 0
-        for letter in word:
-            partial += letter
-            value *= Fraction(letter, partial)
-        entries.append(value)
-    return LevelTensor(m, k, entries)
+    # prefix sums are at most m, 2m, ..., km, so no product exceeds m^k k!
+    dtype = np.int64 if m**k * math.factorial(k) < 2**63 else object
+    letters = np.indices((m,) * k, dtype=dtype).reshape(k, -1) + 1
+    numerators = np.prod(letters, axis=0)
+    denominators = np.prod(np.cumsum(letters, axis=0), axis=0)
+    common = np.gcd(numerators, denominators)
+    denominators, inverse = np.unique(denominators // common, return_inverse=True)
+    lcm = math.lcm(*denominators.tolist())
+    scale = (lcm // denominators.astype(object))[inverse]
+    return LevelTensor._from_integers(m, k, (numerators // common).astype(object) * scale, lcm, Fraction)
+
+
+@functools.lru_cache(maxsize=32)
+def _core_level(family: str, m: int, k: int) -> LevelTensor:
+    """The canonical core of a family ("pl" or "poly"), built once per (family, m, k)."""
+    return canonical_axis(m, k) if family == "pl" else canonical_mono(m, k)
 
 
 def _contract(t: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
@@ -289,11 +302,13 @@ def _accumulate_outer(out: list, vectors: list, coeff, d: int) -> None:
 
 
 def pl_signature_congruence(steps: Sequence[Sequence], k: int) -> LevelTensor:
-    """Third engine: congruence of the axis core by the step matrix."""
+    """Third engine: congruence of the cached axis core by the step matrix."""
     steps = [tuple(s) for s in steps]
+    if not steps:
+        raise ValueError("need at least one step")
     d, m = len(steps[0]), len(steps)
     matrix = [[steps[j][i] for j in range(m)] for i in range(d)]
-    return tensor_congruence(canonical_axis(m, k), matrix)
+    return tensor_congruence(_core_level("pl", m, k), matrix)
 
 
 # --- polynomial paths -----------------------------------------------------
@@ -336,9 +351,11 @@ def poly_signature_integrate(coeffs: Sequence[Sequence], n: int) -> TensorSeries
 
 
 def poly_signature_congruence(coeffs: Sequence[Sequence], k: int) -> LevelTensor:
-    """Second engine: congruence of the monomial core by the coefficients."""
+    """Second engine: congruence of the cached monomial core by the coefficients."""
     rows = [tuple(r) for r in coeffs]
-    return tensor_congruence(canonical_mono(len(rows[0]), k), rows)
+    if not rows:
+        raise ValueError("need at least one coefficient row")
+    return tensor_congruence(_core_level("poly", len(rows[0]), k), rows)
 
 
 # --- log-linear paths -----------------------------------------------------

@@ -11,9 +11,9 @@ canonical core.  Gauss-Newton, jacobian_rank and signature_map of `Dual`
 matrices share one kernel: the image of X -> core . X^(x)k and its
 closed-form multilinear Jacobian (a sum over modes of the core contracted
 with X, by `paths._contract`, on the other modes), on float64 arrays or on
-object arrays of Fractions.  Each canonical core is one exact level cached
-per (family, m, k); float code reads its `to_float()`, which the level
-keeps.
+object arrays of Fractions.  Each canonical core is the exact level that
+`paths._core_level` caches per (family, m, k); float code reads its
+`to_float()`, which the level keeps.
 
 Reduction recipe for d > m (not automated here): a rank-m path matrix X
 factors through its column space, so with any left inverse G of an
@@ -25,7 +25,6 @@ handled by gauss_newton_recover or the closed forms.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ import numpy as np
 
 from .dual import Dual
 from .matrices import _eliminate, exact_det, exact_rank, matrix_inverse
-from .paths import _contract, canonical_axis, canonical_mono, tensor_congruence
+from .paths import _contract, _core_level, tensor_congruence
 from .scalars import fraction_nth_root, real_nth_root, scalar_mode
 from .tensor import LevelTensor, TensorSeries, _integer_multiple
 
@@ -297,12 +296,6 @@ def _family_name(family: str) -> str:
         return _FAMILIES[family]
     except (KeyError, TypeError):
         raise ValueError("family must be 'pl' or 'poly'") from None
-
-
-@functools.lru_cache(maxsize=32)
-def _core_level(family: str, m: int, k: int) -> LevelTensor:
-    """The exact canonical core of a family, built once per (family, m, k)."""
-    return canonical_axis(m, k) if family == "pl" else canonical_mono(m, k)
 
 
 def _image_and_jacobian(core: np.ndarray, x: np.ndarray):

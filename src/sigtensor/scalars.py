@@ -9,6 +9,7 @@ arithmetic rounds.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -87,10 +88,16 @@ def parse_int(value, name: str) -> int:
 
 
 def format_scalar(x):
-    """Serialize a scalar: "p/q" (or "p") for rationals, a JSON number for floats."""
+    """Serialize a scalar: "p/q" (or "p") for rationals, a JSON number for floats.
+
+    Integers are written as a `Decimal`, which is exact at any size and, made
+    from an int, has exponent 0, so its str is plain digits; the str of an int
+    stops at Python's int-to-string digit limit (4,300 digits by default).
+    """
     if is_exact(x):
         f = Fraction(x)
-        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+        numerator = str(Decimal(f.numerator))
+        return numerator if f.denominator == 1 else f"{numerator}/{Decimal(f.denominator)}"
     return float(x)
 
 

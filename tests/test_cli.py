@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from sigtensor import (
     project_level,
 )
 from sigtensor.cli import main
+from sigtensor.scalars import format_scalar
 from sigtensor.tensor import LevelTensor
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "sigtensor" / "data"
@@ -429,6 +431,14 @@ def test_one_letter_listings_are_bounded_at_any_truncation(capsys, monkeypatch):
     for n, expected in ((4, 0), (5, 2)):
         code, _, _ = run_cli(capsys, "normal-form", "--d", "1", "--n", str(n))
         assert code == expected, n
+
+
+def test_normal_form_writes_coefficients_past_the_digit_limit(capsys):
+    # the word 1^1700 over one letter is x_1^1700 / 1700!, a 4,756-digit denominator
+    code, out, err = run_cli(capsys, "normal-form", "--d", "1", "--n", "1700", "--word", "1" * 1700)
+    assert code == 0 and err == ""
+    coeff = format_scalar(Fraction(1, math.factorial(1700)))
+    assert json.loads(out) == {"word": "1" * 1700, "poly": [{"vars": ["1"] * 1700, "coeff": coeff}]}
 
 
 def test_words_at_twelve_letters_are_dot_separated(capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -84,6 +85,20 @@ def test_canonical_mono_printed_values():
         for i in range(1, k + 1):
             fact *= i
         assert canonical_mono(2, k)[(1,) * k] == Fraction(1, fact)
+
+
+def test_canonical_mono_where_products_pass_int64():
+    # m^k k! >= 2^63 at (2, 17) and (1, 21): the closed form runs on Python ints
+    core = canonical_mono(2, 17)
+    rng = random.Random(17)
+    words = [(1,) * 17, (2,) * 17] + [tuple(rng.randint(1, 2) for _ in range(17)) for _ in range(20)]
+    for word in words:
+        value, partial = Fraction(1), 0
+        for letter in word:
+            partial += letter
+            value *= Fraction(letter, partial)
+        assert core[word] == value and type(core[word]) is Fraction
+    assert canonical_mono(1, 21).entries == (1 / Fraction(math.factorial(21)),)
 
 
 def test_congruence_identity_and_permutation():
@@ -289,3 +304,10 @@ def test_pl_signature_order_zero(rng):
     sig = pl_signature(steps, 0)
     assert sig.n == 0 and sig.constant_term == 1 and sig == unit_series(3, 0)
     assert pl_signature([[0.5, 1.5]], 0).constant_term == 1.0
+
+
+def test_congruence_engines_reject_an_empty_path():
+    with pytest.raises(ValueError, match="at least one step"):
+        pl_signature_congruence([], 3)
+    with pytest.raises(ValueError, match="at least one coefficient row"):
+        poly_signature_congruence([], 3)

@@ -2,8 +2,9 @@
 polynomial integration engine, the fraction-free elimination, JSON round
 trips, group-element recovery, the group-like/Lie correspondence, the
 shuffle-law witnesses against a pair scan, the closed-form multilinear
-Jacobian and the multilinear action `tensor_congruence` against a
-word-by-word sum."""
+Jacobian, the multilinear action `tensor_congruence` against a
+word-by-word sum, and the closed-form canonical cores against their
+word-by-word definitions."""
 
 from fractions import Fraction
 
@@ -50,7 +51,7 @@ from sigtensor import (
 )
 from sigtensor.dual import Dual, seed_matrix
 from sigtensor.lyndon import poly_from_json, poly_to_json
-from sigtensor.matrices import matrix_inverse
+from sigtensor.matrices import matrix_inverse, mono_slice_matrix
 from sigtensor.recovery import _core_level, _image_and_jacobian, _kernel_point
 from sigtensor.scalars import values_close
 from sigtensor.words import all_words
@@ -615,3 +616,55 @@ def test_exact_signature_map_is_the_congruence_of_the_core(case):
     image, congruence = signature_map(family, point, k), tensor_congruence(core, point)
     assert [(v, type(v)) for v in image.entries] == [(v, type(v)) for v in congruence.entries]
     assert image.is_exact()
+
+
+def _axis_by_words(m, k):
+    """Axis core word by word: 0 off weakly increasing words, else 1 over the
+    product of the letter-multiplicity factorials."""
+    entries = []
+    for word in all_words(m, k):
+        if any(a > b for a, b in zip(word, word[1:])):
+            entries.append(Fraction(0))
+            continue
+        denominator, run = 1, 1
+        for a, b in zip(word, word[1:]):
+            run = run + 1 if a == b else 1
+            denominator *= run
+        entries.append(Fraction(1, denominator))
+    return entries
+
+
+def _mono_by_words(m, k):
+    """Monomial core word by word: the product of letter / prefix sum."""
+    entries = []
+    for word in all_words(m, k):
+        value, partial = Fraction(1), 0
+        for letter in word:
+            partial += letter
+            value *= Fraction(letter, partial)
+        entries.append(value)
+    return entries
+
+
+@PROPERTY
+@given(st.integers(1, 5), st.integers(1, 6), st.integers(1, 8), paths(max_steps=5), st.data())
+def test_closed_form_cores_match_their_word_by_word_definitions_and_are_cached(m, k, d, path, data):
+    for build, reference in ((canonical_axis, _axis_by_words), (canonical_mono, _mono_by_words)):
+        core, expected = build(m, k), reference(m, k)
+        assert [(v, type(v)) for v in core.entries] == [(v, type(v)) for v in expected]
+        (numerators, denominator), (want, want_denominator) = core.as_integers(), LevelTensor(m, k, expected).as_integers()
+        assert (numerators.tolist(), denominator) == (want.tolist(), want_denominator)
+    old_slice = [[Fraction(j * i, (j + 1) * (j + i + 1)) for i in range(1, d + 1)] for j in range(1, d + 1)]
+    assert [[(v, type(v)) for v in row] for row in mono_slice_matrix(d)] == [
+        [(v, type(v)) for v in row] for row in old_slice
+    ]
+    # a second congruence at the same (m, k) reads the cached core
+    steps, order = path
+    dim = len(steps[0])
+    coeffs = data.draw(st.lists(st.lists(rationals, min_size=m, max_size=m), min_size=dim, max_size=dim))
+    for engine, argument in ((pl_signature_congruence, steps), (poly_signature_congruence, coeffs)):
+        first = engine(argument, order)
+        before = _core_level.cache_info()
+        assert engine(argument, order) == first
+        after = _core_level.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)

@@ -1,4 +1,6 @@
+import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +24,7 @@ from sigtensor import (
     zero_series,
 )
 from sigtensor.paths import poly_signature_integrate
+from sigtensor.scalars import format_scalar, parse_scalar
 
 from conftest import rand_fraction, random_lie_series
 
@@ -198,6 +201,20 @@ def test_json_round_trip_exact_and_float():
     assert LevelTensor.from_json(tf.to_json()).equals(tf)
     assert t.to_json()["scalar"] == "rational"
     assert tf.to_json()["scalar"] == "float"
+
+
+def test_format_scalar_writes_integers_past_the_digit_limit():
+    big = math.factorial(1700)  # 4,756 digits
+    text, negative = format_scalar(Fraction(1, big)), format_scalar(-big)
+    assert (format_scalar(0), format_scalar(-7), format_scalar(Fraction(-3, 4))) == ("0", "-7", "-3/4")
+    with pytest.raises(ValueError):  # parsing outside input keeps Python's limit
+        parse_scalar(text)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert (text, negative) == (f"1/{big}", f"-{big}")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("d", [9, 10, 12])
