@@ -32,7 +32,9 @@ CORE_SHAPES (each call builds a fresh core; the `_core_level` cache is
 emptied first too, through `getattr(..., "cache_clear", None)`), and
 `pl_signature_congruence` warm on seeded float steps at the Chen shapes.
 `normal_form_table` is timed cold at the shuffle shapes: the table cache and
-the shuffle memo are emptied before every call.
+the shuffle memo are emptied before every call.  `expand_from_lyndon` is
+timed warm (its table built by the warm-up call) at EXPAND_SHAPES on the
+Lyndon coordinates of a seeded (d+1)-step path, exact and as floats.
 
 A layer is timed by one warm-up call, then calls until 0.2 s have passed (at
 least 3); its time in a round is the median call.  Caches that persist across
@@ -57,6 +59,7 @@ JACOBIAN_SHAPES = [("pl", 3, 3, 3), ("pl", 4, 3, 4), ("poly", 3, 4, 3), ("pl", 6
 POLY_SHAPES = [(2, 3, 6), (3, 3, 5)]  # (d, m, n), as in the forward workload
 GROUP_SHAPES = [(2, 3), (2, 4), (3, 3), (3, 4)]  # (d, n), as in the inverse workload
 SHUFFLE_SHAPES = [(2, 8), (3, 6), (4, 5)]  # (d, n)
+EXPAND_SHAPES = [(3, 5), (3, 6)]  # (d, n), as in the algebra workload
 CORE_SHAPES = [("pl", 4, 5), ("poly", 4, 5), ("pl", 6, 6), ("poly", 6, 6), ("pl", 10, 6)]  # (family, m, k)
 CHEN_SHAPES = [(2, 5, 6), (3, 5, 5), (3, 10, 6), (4, 4, 5)]  # (d, m, n), as in the forward workload
 SERIES_SHAPE = (3, 6)  # (d, n) of exp_series and log_series
@@ -213,6 +216,12 @@ def layers():
     for d, n in SHUFFLE_SHAPES:
         call = _cold(lambda d=d, n=n: normal_form_table(d, n), lyndon._tables.clear, shuffle._shuffle.cache_clear)
         out.append(("lyndon.normal_form_table", {"d": d, "n": n}, "exact", call))
+    for d, n in EXPAND_SHAPES:
+        values = _rationals(d * 10 + n + 5, d * (d + 1))
+        coords = lyndon.lyndon_coordinates(pl_signature([values[j * d : (j + 1) * d] for j in range(d + 1)], n))
+        for scalar, c in (("exact", coords), ("float", {w: float(v) for w, v in coords.items()})):
+            call = _reading(lambda c=c, d=d, n=n: lyndon.expand_from_lyndon(c, d, n))
+            out.append(("lyndon.expand_from_lyndon", {"d": d, "n": n}, scalar, call))
     for d, n in SHUFFLE_SHAPES:
         values = _rationals(d * 10 + n, d * (d + 1))
         group = pl_signature([values[j * d : (j + 1) * d] for j in range(d + 1)], n)

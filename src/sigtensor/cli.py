@@ -297,8 +297,8 @@ def _projective_residual(family: str, matrix, k: int, tensor: LevelTensor) -> fl
     import numpy as np
 
     image = signature_map(family, [[float(v) for v in row] for row in matrix], k)
-    a = np.asarray([float(v) for v in image.entries])
-    b = np.asarray([float(v) for v in tensor.entries])
+    a = image.to_float().array
+    b = tensor.to_float().array
     denom = float(a @ a)
     scale = float(a @ b) / denom if denom else 0.0
     norm_b = float(np.linalg.norm(b)) or 1.0

@@ -6,6 +6,11 @@ every non-Lyndon word on a group-like series is a fixed polynomial in the
 Lyndon coefficients.  This module enumerates the words (Duval), counts
 them (Moebius), builds the bracketed basis, and computes the rewriting
 polynomials by Radford-style elimination against shuffle expansions.
+
+The elimination runs on integers: the polynomial of a word of length k is
+held as an integer row, itself times one level scale S_k (k! at every
+shape tried), and `expand_from_lyndon` sums its levels from these rows.
+`Fraction` coefficients are formed only where they are read.
 """
 
 from __future__ import annotations
@@ -16,7 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Sequence
 
-from .scalars import format_scalar, parse_scalar
+import numpy as np
+
+from .scalars import format_ratio, format_scalar, parse_scalar, scalar_mode
 from .shuffle import shuffle_word_list
 from .tensor import LevelTensor, TensorSeries, series_from_level
 from .words import all_words, word_from_string, word_to_string
@@ -159,10 +166,6 @@ def bracketing(word: Sequence[int], d: int | None = None) -> TensorSeries:
 LyndonPolynomial = Dict[tuple, Fraction]
 
 
-def poly_scale(poly: LyndonPolynomial, c) -> LyndonPolynomial:
-    return {m: c * v for m, v in poly.items()}
-
-
 def poly_add_scaled(target: dict, poly: LyndonPolynomial, c) -> None:
     for m, v in poly.items():
         new = target.get(m, 0) + c * v
@@ -188,16 +191,17 @@ def poly_to_json(word: tuple, poly: LyndonPolynomial, d: int | None = None) -> d
     d defaults to the largest letter present, which writes the same digit
     strings as any alphabet of at most 9 letters.
     """
-    items = sorted(poly.items())
     if d is None:
         words = [word] + [w for mono in poly for w in mono]
         d = max((max(w) for w in words if w), default=1)
+    return _form_json(word, [(mono, format_scalar(coeff)) for mono, coeff in sorted(poly.items())], d)
+
+
+def _form_json(word: tuple, items: list, d: int) -> dict:
+    """JSON form of a rewriting polynomial from its sorted (monomial, formatted coefficient) items."""
     return {
         "word": word_to_string(word, d),
-        "poly": [
-            {"vars": [word_to_string(w, d) for w in mono], "coeff": format_scalar(coeff)}
-            for mono, coeff in items
-        ],
+        "poly": [{"vars": [word_to_string(w, d) for w in mono], "coeff": coeff} for mono, coeff in items],
     }
 
 
@@ -213,9 +217,20 @@ def poly_from_json(data: dict, d: int) -> tuple:
 class NormalFormTable:
     """Rewriting polynomials phi_I for every word I of length <= n.
 
-    Built eagerly so instances are safe to share between threads.  Lyndon
-    words map to themselves; every other word maps to the polynomial in
-    Lyndon variables that reproduces its coefficient on group-like series.
+    Lyndon words map to themselves; every other word maps to the polynomial
+    in Lyndon variables that reproduces its coefficient on group-like series.
+
+    The table is built eagerly and held on integers: a word of length k has
+    the row S_k * phi_I, a dict {monomial: int}, over one level scale S_k.
+    S_k starts at 1 and, whenever an elimination step divides by its leading
+    coefficient, grows by the least factor that keeps the division exact,
+    together with every row already built at level k; the first word 1^k of
+    each level sets it to k!, and it stays k! at every shape tried.
+    `table`, the {word: {monomial: Fraction}} view, is built from the rows on
+    its first read and cached as a plain dict; `phi` converts one word and
+    `to_json` formats straight from the rows.  The rows are built in the
+    constructor, so instances are safe to share between threads; racing
+    first reads of `table` may each build it, as equal dicts.
     """
 
     def __init__(self, d: int, n: int):
@@ -223,42 +238,67 @@ class NormalFormTable:
         self.n = n
         self.basis = lyndon_words(d, n)
         self._lyndon = set(self.basis.words)
-        self.table: Dict[tuple, LyndonPolynomial] = {}
+        self._rows: Dict[tuple, dict] = {}
+        self._scales = [1] * (n + 1)
+        self._table = None
         for k in range(1, n + 1):
+            level: dict = {}
             for word in all_words(d, k):
-                self.table[word] = self._rewrite(word)
+                level[word] = self._rewrite(word, level)
+            self._rows.update(level)
 
     def is_lyndon_word(self, word: tuple) -> bool:
         return word in self._lyndon
 
-    def _rewrite(self, word: tuple) -> LyndonPolynomial:
+    def _rewrite(self, word: tuple, level: dict) -> dict:
+        """The row of a word, from the rows of the words before it at its level."""
+        k = len(word)
         if word in self._lyndon:
-            return {(word,): Fraction(1)}
+            return {(word,): self._scales[k]}
         if len(set(word)) == 1:
             # a^k is the shuffle power (a)^k / k!: its expansion is k! a^k alone
-            return {((word[0],),) * len(word): Fraction(1, math.factorial(len(word)))}
+            return self._divide(level, k, {((word[0],),) * k: self._scales[k]}, math.factorial(k))
         factors = cfl_factorization(word)
         expansion = shuffle_word_list(factors).terms
-        leading = expansion[word]
-        poly: dict = {tuple(sorted(factors)): Fraction(1)}
+        row = {tuple(sorted(factors)): self._scales[k]}
         for other, coeff in expansion.items():
-            if other == word:
-                continue
-            # Radford: every other word of the expansion is lex-smaller,
-            # hence already rewritten by the construction order.
-            poly_add_scaled(poly, self.table[other], -Fraction(coeff))
-        return poly_scale(poly, Fraction(1, leading))
+            if other != word:
+                # Radford: every other word of the expansion is lex-smaller,
+                # hence already rewritten by the construction order.
+                poly_add_scaled(row, level[other], -coeff)
+        return self._divide(level, k, row, expansion[word])
+
+    def _divide(self, level: dict, k: int, row: dict, leading: int) -> dict:
+        """row / leading, after growing S_k (and the level's rows) so that it divides exactly."""
+        grow = leading // math.gcd(leading, *row.values())
+        if grow > 1:
+            self._scales[k] *= grow
+            for built in level.values():
+                for mono in built:
+                    built[mono] *= grow
+            row = {mono: c * grow for mono, c in row.items()}
+        return {mono: c // leading for mono, c in row.items()}
+
+    @property
+    def table(self) -> Dict[tuple, LyndonPolynomial]:
+        """{word: {monomial: Fraction}} for every word, built on first read."""
+        if self._table is None:
+            self._table = {word: self.phi(word) for word in self._rows}
+        return self._table
 
     def phi(self, word: Sequence[int]) -> LyndonPolynomial:
-        return dict(self.table[tuple(word)])
+        word = tuple(word)
+        scale = self._scales[len(word)]
+        return {mono: Fraction(c, scale) for mono, c in self._rows[word].items()}
 
     def to_json(self) -> dict:
-        non_lyndon = [w for w in sorted(self.table) if w not in self._lyndon]
-        return {
-            "dim": self.d,
-            "trunc": self.n,
-            "forms": [poly_to_json(w, self.table[w], self.d) for w in non_lyndon],
-        }
+        forms = []
+        for word in sorted(self._rows):
+            if word not in self._lyndon:
+                scale = self._scales[len(word)]
+                items = sorted(self._rows[word].items())
+                forms.append(_form_json(word, [(mono, format_ratio(c, scale)) for mono, c in items], self.d))
+        return {"dim": self.d, "trunc": self.n, "forms": forms}
 
 
 _tables: dict = {}
@@ -289,15 +329,45 @@ def lyndon_coordinates(series: TensorSeries) -> dict:
 
 
 def expand_from_lyndon(values: dict, d: int, n: int) -> TensorSeries:
-    """Unique group-like series with the given Lyndon coordinates."""
+    """Unique group-like series with the given Lyndon coordinates.
+
+    The scalar mode of the coordinates is decided once (`scalar_mode`), and
+    each level is summed from the integer rows of the normal-form table.
+    Exact coordinates v_w are put over one denominator D as the integers
+    a_w = v_w * D^|w|, so a monomial of total length k lies over D^k and
+    level k is an integer level over S_k * D^k.  Float coordinates weight a
+    monomial by the float c / S_k (int true division rounds correctly, as
+    `Fraction`-with-`float` arithmetic does) and multiply in its order;
+    coordinates of any other type are weighted by the `Fraction` c / S_k.
+    """
     values = {tuple(w): v for w, v in values.items()}
     basis = lyndon_words(d, n)
     missing = [w for w in basis.words if w not in values]
     if missing:
         raise ValueError(f"missing Lyndon coordinates: {missing[:3]}...")
     table = normal_form_table(d, n)
+    mode, coords = scalar_mode(values[w] for w in basis.words)
+    exact = mode in (int, Fraction)
+    if exact:
+        den = math.lcm(*(v.denominator for v in coords))
+        coords = [v.numerator * (den // v.denominator) * den ** (len(w) - 1) for w, v in zip(basis.words, coords)]
+    elif mode is float:
+        coords = map(float, coords)
+    coords = dict(zip(basis.words, coords))
     levels = [LevelTensor(d, 0, [Fraction(1)])]
     for k in range(1, n + 1):
-        entries = [poly_eval(table.table[word], values) for word in all_words(d, k)]
-        levels.append(LevelTensor(d, k, entries))
+        scale = table._scales[k]
+        entries = []
+        for word in all_words(d, k):
+            total = 0
+            for mono, c in table._rows[word].items():
+                term = c if exact else c / scale if mode is float else Fraction(c, scale)
+                for w in mono:
+                    term = term * coords[w]
+                total = total + term
+            entries.append(total)
+        if exact:
+            levels.append(LevelTensor._from_integers(d, k, np.array(entries, dtype=object), scale * den**k, Fraction))
+        else:
+            levels.append(LevelTensor(d, k, entries))
     return TensorSeries(d, n, levels)

@@ -321,32 +321,52 @@ def poly_signature_integrate(coeffs: Sequence[Sequence], n: int) -> TensorSeries
     row of a level array: level k holds the d^k word rows (base-d word
     order) of t-coefficients.  Appending letter i multiplies a row by
     X_i'(t) and integrates.  A level-k integral vanishes to order t^k, so
-    its row holds the coefficients of t^k .. t^(k*m) only.  Coefficients
-    are rational, or floats (a float64 array) in the float scalar mode of
-    the input coefficients; ragged rows count as zero-padded.  Entries are
-    the values at t=1, the row sums.
+    its row holds the coefficients of t^k .. t^(k*m) only.  Ragged rows
+    count as zero-padded.  Entries are the values at t=1, the row sums.
+
+    In the float scalar mode of the input coefficients the rows are float64.
+    Otherwise they are Python ints over one denominator: the derivative is
+    held over the lcm Dc of the coefficient denominators, and level k
+    multiplies the t^(k+j) column by L // (k+j), L = lcm(k, k+1, ...), in
+    place of dividing by k+j, so its denominator is the previous one times
+    Dc * L, reduced by one gcd per level.
     """
     mode, values = scalar_mode(c for r in coeffs for c in r)
-    scalar, dtype = (float, np.float64) if mode is float else (Fraction, object)
+    floats = mode is float
     d, m = len(coeffs), max([1, *map(len, coeffs)])
-    zero, one = scalar(0), scalar(1)
-    # derivative[i, b] is the t^b coefficient of X_i'(t)
-    derivative = np.full((d, m), zero, dtype=dtype)
+    if floats:
+        values = [float(v) for v in values]
+    else:
+        values = [Fraction(v) for v in values]
+        den = math.lcm(*(v.denominator for v in values))
+        values = [v.numerator * (den // v.denominator) for v in values]
+    dtype = np.float64 if floats else object
+    # derivative[i, b] is the t^b coefficient of X_i'(t), times den when exact
+    derivative = np.zeros((d, m), dtype=dtype)
     values = iter(values)
     for i, row in enumerate(coeffs):
         for b in range(len(row)):
-            derivative[i, b] = (b + 1) * scalar(next(values))
-    levels = [LevelTensor(d, 0, [one])]
-    integrals = np.full((1, 1), one, dtype=dtype)
+            derivative[i, b] = (b + 1) * next(values)
+    levels = [LevelTensor(d, 0, [1.0 if floats else Fraction(1)])]
+    integrals = np.ones((1, 1), dtype=dtype)
+    scale = 1  # the exact integrals are integrals / scale
     for k in range(1, n + 1):
         width = integrals.shape[1]
-        product = np.full((len(integrals), d, width + m - 1), zero, dtype=dtype)
+        product = np.zeros((len(integrals), d, width + m - 1), dtype=dtype)
         for b in range(m):
             product[:, :, b : b + width] += integrals[:, None, :] * derivative[None, :, b, None]
         # the t^(k+j) coefficient of the antiderivative is that of t^(k-1+j) over k+j
-        integrals = (product / np.arange(k, k + width + m - 1).astype(dtype)).reshape(d**k, -1)
-        row_sums = integrals.sum(axis=1)
-        levels.append(LevelTensor._from_array(d, k, row_sums) if mode is float else LevelTensor(d, k, row_sums))
+        divisors = range(k, k + width + m - 1)
+        if floats:
+            integrals = (product / np.array(divisors, dtype=np.float64)).reshape(d**k, -1)
+            levels.append(LevelTensor._from_array(d, k, integrals.sum(axis=1)))
+        else:
+            lcm = math.lcm(*divisors)
+            integrals = (product * np.array([lcm // j for j in divisors], dtype=object)).reshape(d**k, -1)
+            scale *= den * lcm
+            g = math.gcd(scale, *integrals.flat)
+            integrals, scale = integrals // g, scale // g
+            levels.append(LevelTensor._from_integers(d, k, integrals.sum(axis=1), scale, Fraction))
     return TensorSeries(d, n, levels)
 
 

@@ -425,7 +425,7 @@ def gauss_newton_recover(
     if (tensor.d, tensor.k) != (d, k):
         raise ValueError(f"tensor has d={tensor.d}, k={tensor.k}, but d={d}, k={k} were given")
     core = _core_level(_family_name(family), m, k).to_float().cube
-    target = np.asarray([float(v) for v in tensor.entries])
+    target = tensor.to_float().array
     denom = float(np.linalg.norm(target)) or 1.0
     rng = random.Random(seed)
     scale = (np.linalg.norm(target) * math.factorial(k)) ** (1.0 / k) / max(1.0, math.sqrt(d * m))

@@ -9,6 +9,7 @@ arithmetic rounds.
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal
 from fractions import Fraction
 
@@ -96,9 +97,18 @@ def format_scalar(x):
     """
     if is_exact(x):
         f = Fraction(x)
-        numerator = str(Decimal(f.numerator))
-        return numerator if f.denominator == 1 else f"{numerator}/{Decimal(f.denominator)}"
+        return format_ratio(f.numerator, f.denominator)
     return float(x)
+
+
+def format_ratio(numerator: int, denominator: int) -> str:
+    """format_scalar(Fraction(numerator, denominator)) of two ints, denominator > 0,
+    reduced by one gcd without building the Fraction."""
+    g = math.gcd(numerator, denominator)
+    if g != 1:
+        numerator, denominator = numerator // g, denominator // g
+    text = str(Decimal(numerator))
+    return text if denominator == 1 else f"{text}/{Decimal(denominator)}"
 
 
 def integer_nth_root(x: int, n: int) -> int | None:

@@ -20,6 +20,7 @@ are built on it.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from fractions import Fraction
@@ -31,6 +32,9 @@ from .scalars import format_scalar, parse_int, parse_scalar, scalar_mode, values
 from .words import index_word, word_from_string, word_index, word_to_string
 
 _EXACT_KINDS = (int, Fraction)
+_ZERO = Fraction(0)
+#: Integers below this size are exact in float64.
+_EXACT_FLOAT_BOUND = 2**53
 
 
 def _integer_multiple(array: np.ndarray) -> tuple:
@@ -38,6 +42,21 @@ def _integer_multiple(array: np.ndarray) -> tuple:
     scale = math.lcm(*(v.denominator for v in array.flat))
     ints = [v.numerator * (scale // v.denominator) for v in array.flat]
     return np.array(ints, dtype=object).reshape(array.shape), scale
+
+
+def _quotients(numerators: np.ndarray, denominator: int) -> np.ndarray:
+    """numerators / denominator in float64, each quotient correctly rounded.
+
+    Int true division rounds correctly, so A[i] / D == float(A[i] / D as a
+    Fraction).  When D and every |A[i]| are below 2^53 both operands are
+    exact in float64, and numpy's division gives the same quotients.
+    """
+    if denominator < _EXACT_FLOAT_BOUND:
+        with contextlib.suppress(OverflowError):  # a numerator past the float range
+            floats = numerators.astype(np.float64)
+            if np.abs(floats).max() < _EXACT_FLOAT_BOUND:
+                return floats / denominator
+    return np.array([v / denominator for v in numerators.tolist()], dtype=np.float64)
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -139,7 +158,7 @@ class LevelTensor:
         if self._entries is None:
             if self._kind is Fraction:
                 den = self._denominator
-                self._entries = tuple(Fraction(v, den) for v in self._numerators.tolist())
+                self._entries = tuple(Fraction(v, den) if v else _ZERO for v in self._numerators.tolist())
             else:
                 self._entries = tuple(self.array.tolist())
         return self._entries
@@ -261,12 +280,11 @@ class LevelTensor:
         if self._kind is float:
             return self
         if self._float is None:
-            # int true division rounds correctly, so A[i] / D == float(A[i] / D as a Fraction)
             if self._numerators is not None:
-                floats = [v / self._denominator for v in self._numerators.tolist()]
+                floats = _quotients(self._numerators, self._denominator)
             else:
-                floats = [float(v) for v in self.entries]
-            self._float = LevelTensor._from_array(self.d, self.k, np.array(floats, dtype=np.float64))
+                floats = np.array([float(v) for v in self.entries], dtype=np.float64)
+            self._float = LevelTensor._from_array(self.d, self.k, floats)
         return self._float
 
     def to_json(self) -> dict:

@@ -5,6 +5,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigtensor import (
     bracketing,
@@ -18,6 +20,7 @@ from sigtensor import (
     lyndon_words,
     normal_form,
     normal_form_table,
+    pl_signature,
     standard_factorization,
 )
 from sigtensor.lyndon import NormalFormTable, lyndon_count_level, mobius, poly_eval, poly_from_json, poly_to_json
@@ -151,6 +154,39 @@ def test_normal_forms_equal_the_shuffle_rewrite_word_for_word(d, n):
     assert table.table[(1,) * n] == {((1,),) * n: Fraction(1, math.factorial(n))}
 
 
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=50, database=None)
+
+TABLE_SHAPES = [(d, n) for d in range(1, 10) for n in range(1, 13) if d**n <= 729]
+
+
+@PROPERTY
+@given(st.sampled_from(TABLE_SHAPES))
+def test_integer_rows_equal_the_shuffle_rewrite_and_write_its_json(shape):
+    d, n = shape
+    table = NormalFormTable(d, n)
+    for word, poly in table.table.items():
+        assert all(type(c) is Fraction for c in poly.values())
+        if table.is_lyndon_word(word):
+            assert poly == {(word,): 1}
+        else:
+            assert poly == _shuffle_rewrite(table, word), word
+        assert table.phi(word) == poly
+    forms = [poly_to_json(w, table.table[w], d) for w in sorted(table.table) if not table.is_lyndon_word(w)]
+    assert table.to_json() == {"dim": d, "trunc": n, "forms": forms}
+
+
+def test_growing_a_level_scale_rescales_the_rows_built_at_that_level():
+    table = NormalFormTable(2, 3)
+    before = {w: table.phi(w) for w in all_words(2, 3)}
+    level = {w: table._rows[w] for w in all_words(2, 3)}
+    scale = table._scales[3]
+    row = table._divide(level, 3, {((1,), (1,), (2,)): 1}, 7)
+    assert table._scales[3] == 7 * scale and row == {((1,), (1,), (2,)): 1}
+    assert {w: table.phi(w) for w in all_words(2, 3)} == before
+    assert table._divide(level, 3, {((1,), (1,), (2,)): 14}, 7) == {((1,), (1,), (2,)): 2}
+    assert table._scales[3] == 7 * scale
+
+
 def test_normal_forms_homogeneous():
     table = normal_form_table(3, 4)
     for word, poly in table.table.items():
@@ -199,6 +235,29 @@ def test_expand_round_trips(rng):
         assert lyndon_coordinates(g) == values
     with pytest.raises(ValueError):
         expand_from_lyndon({(1,): Fraction(1)}, 2, 2)
+
+
+@PROPERTY
+@given(st.integers(1, 3), st.integers(1, 5), st.booleans(), st.data())
+def test_expand_inverts_lyndon_coordinates_in_both_scalar_modes(d, n, floats, data):
+    rationals = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+    steps = data.draw(st.lists(st.lists(rationals, min_size=d, max_size=d), min_size=1, max_size=3))
+    if floats:
+        steps = [[float(v) for v in step] for step in steps]
+    sig = pl_signature(steps, n)
+    coords = lyndon_coordinates(sig)
+    g = expand_from_lyndon(coords, d, n)
+    assert g.levels[0].entries == (1,)
+    typed = [[(v, type(v)) for v in lvl.entries] for lvl in g.levels[1:]]
+    if floats:
+        # Fraction coefficients times float coordinates, multiplied in monomial order
+        table = normal_form_table(d, n)
+        reference = [[poly_eval(table.table[w], coords) for w in all_words(d, k)] for k in range(1, n + 1)]
+        assert [[v.hex() for v, _ in level] for level in typed] == [[v.hex() for v in lvl] for lvl in reference]
+        assert g.equals(sig, tol=1e-9)
+    else:
+        assert g == sig
+        assert typed == [[(v, type(v)) for v in lvl.entries] for lvl in sig.levels[1:]]
 
 
 def test_poly_json_round_trip():

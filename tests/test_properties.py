@@ -120,11 +120,13 @@ def test_log_inverts_exp_on_lie_elements(lie):
 
 @st.composite
 def polynomials(draw):
-    """(rows, n): d <= 3 rows of 1..m <= 4 exact coefficients (ragged), truncation n <= 5."""
+    """(rows, n): d <= 3 rows of 1..m <= 4 exact coefficients (ragged; all ints,
+    all Fractions or mixed), truncation n <= 5."""
     d = draw(st.integers(1, 3))
     m = draw(st.integers(1, 4))
     n = draw(st.integers(0, 5))
-    rows = draw(st.lists(st.lists(rationals, min_size=1, max_size=m), min_size=d, max_size=d))
+    scalars = draw(st.sampled_from([rationals, st.integers(-5, 5), st.one_of(rationals, st.integers(-5, 5))]))
+    rows = draw(st.lists(st.lists(scalars, min_size=1, max_size=m), min_size=d, max_size=d))
     return rows, n
 
 

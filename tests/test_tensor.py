@@ -283,6 +283,25 @@ def test_exact_levels_are_integers_over_one_reduced_denominator():
         LevelTensor(2, 1, [0.5, 1.0]).as_integers()
 
 
+def test_to_float_rounds_every_quotient_as_the_fraction_does():
+    # quotients of ints below 2^53 divide in numpy; larger ones, and numerators
+    # past the float range, divide as Python ints
+    rng = random.Random(53)
+    for bits, den in ((20, 7), (43, 7), (44, 7), (50, 7), (60, 7), (20, 2**60)):
+        entries = [Fraction(rng.randint(-(2**bits), 2**bits), rng.randint(1, den)) for _ in range(64)]
+        level = LevelTensor(2, 6, entries).tensor_product(LevelTensor(2, 0, [Fraction(1, 3)]))
+        assert [v.hex() for v in level.to_float().array.tolist()] == [float(v).hex() for v in level.entries]
+    huge = LevelTensor(1, 1, [Fraction(10**309 + 1, 10**10)])
+    assert huge.to_float().entries == (float(Fraction(10**309 + 1, 10**10)),)
+
+
+def test_zero_entries_of_a_computed_level_share_one_fraction():
+    level = LevelTensor(2, 1, [Fraction(1, 2), Fraction(0)]).tensor_product(LevelTensor(2, 1, [0, 1]))
+    assert level.entries == (0, Fraction(1, 2), 0, 0)
+    zeros = [v for v in level.entries if not v]
+    assert all(type(v) is Fraction and v is zeros[0] for v in zeros)
+
+
 def test_int_levels_stay_int_and_mixed_levels_compute_as_fractions():
     ints = LevelTensor(2, 1, [1, 2])
     assert all(type(v) is int for v in ints.tensor_product(ints).add(ints.tensor_product(ints)).scale(3).entries)
