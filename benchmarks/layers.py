@@ -35,6 +35,9 @@ emptied first too, through `getattr(..., "cache_clear", None)`), and
 the shuffle memo are emptied before every call.  `expand_from_lyndon` is
 timed warm (its table built by the warm-up call) at EXPAND_SHAPES on the
 Lyndon coordinates of a seeded (d+1)-step path, exact and as floats.
+`exact_rank` eliminates the exact Jacobian at RANK_SHAPE (a seeded rational
+point, built before timing from `signature_map` of `Dual` seeds), and
+`exact_det` the order-2 monomial matrix of size DET_SIZE.
 
 A layer is timed by one warm-up call, then calls until 0.2 s have passed (at
 least 3); its time in a round is the median call.  Caches that persist across
@@ -56,6 +59,8 @@ import time
 
 GN_SHAPES = [(d, k) for d in (2, 3, 4) for k in (3, 4)]  # d = m, family pl
 JACOBIAN_SHAPES = [("pl", 3, 3, 3), ("pl", 4, 3, 4), ("poly", 3, 4, 3), ("pl", 6, 3, 6)]  # (family, d, k, m)
+RANK_SHAPE = ("pl", 6, 3, 6)  # (family, d, k, m) of the Jacobian that exact_rank eliminates
+DET_SIZE = 8  # exact_det of mono_matrix(DET_SIZE)
 POLY_SHAPES = [(2, 3, 6), (3, 3, 5)]  # (d, m, n), as in the forward workload
 GROUP_SHAPES = [(2, 3), (2, 4), (3, 3), (3, 4)]  # (d, n), as in the inverse workload
 SHUFFLE_SHAPES = [(2, 8), (3, 6), (4, 5)]  # (d, n)
@@ -85,6 +90,18 @@ def _gn_eval(recovery, d, k):
     target = np.zeros(d**k)
     core = recovery._core_level("pl", d, k).to_float().cube
     return lambda: recovery._residual_and_jacobian(core, x, target)
+
+
+def _jacobian(family, d, k, m):
+    """The exact (d*m) x d^k Jacobian of the family's signature map at a seeded
+    rational point, read off `signature_map` of `Dual` seeds (row a*m+b is the
+    partial in X[a, b])."""
+    from sigtensor import signature_map
+    from sigtensor.dual import seed_matrix
+
+    values = _rationals(d * 100 + m * 10 + k + 6, d * m)
+    image = signature_map(family, seed_matrix([values[i * m : (i + 1) * m] for i in range(d)]), k)
+    return [list(row) for row in zip(*(entry.b for entry in image.entries))]
 
 
 def _cold(call, *clears):
@@ -132,6 +149,8 @@ def layers():
     from sigtensor import (
         canonical_axis,
         canonical_mono,
+        exact_det,
+        exact_rank,
         exp_series,
         expected_signature,
         is_grouplike,
@@ -139,6 +158,7 @@ def layers():
         jacobian_rank,
         log_series,
         lyndon,
+        mono_matrix,
         normal_form_table,
         pl_signature,
         pl_signature_congruence,
@@ -173,6 +193,12 @@ def layers():
     for family, d, k, m in JACOBIAN_SHAPES:
         shape = {"family": family, "d": d, "m": m, "k": k}
         out.append(("recovery.jacobian_rank", shape, "exact", lambda a=(family, d, k, m): jacobian_rank(*a)))
+    family, d, k, m = RANK_SHAPE
+    jacobian = _jacobian(family, d, k, m)
+    shape = {"family": family, "d": d, "m": m, "k": k, "rows": len(jacobian), "cols": len(jacobian[0])}
+    out.append(("matrices.exact_rank", shape, "exact", lambda: exact_rank(jacobian)))
+    mono = mono_matrix(DET_SIZE)
+    out.append(("matrices.exact_det", {"matrix": "mono_matrix", "d": DET_SIZE}, "exact", lambda: exact_det(mono)))
     for d, m, n in POLY_SHAPES:
         values = _rationals(d * 100 + m * 10 + n, d * m)
         coeffs = [values[i * m : (i + 1) * m] for i in range(d)]

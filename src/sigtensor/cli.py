@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -178,6 +179,8 @@ def _check_input_size(data: dict, field: str) -> None:
 
 
 def cmd_check(args) -> int:
+    if args.tol is not None and not 0 <= args.tol < math.inf:
+        raise UsageError(f"--tol must be a finite value >= 0, got {args.tol}")
     value = _load_series_or_tensor(args.input)
     if args.what in ("grouplike", "lie"):
         if isinstance(value, LevelTensor):
@@ -252,6 +255,8 @@ def cmd_verify_vanishing(args) -> int:
 
 
 def cmd_recover(args) -> int:
+    if not 0 < args.tol < math.inf:
+        raise UsageError(f"--tol must be a finite value > 0, got {args.tol}")
     data = _load_json(args.input)
     _check_input_size(data, "order")
     tensor = LevelTensor.from_json(data)

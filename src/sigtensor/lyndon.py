@@ -23,7 +23,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from .scalars import format_ratio, format_scalar, parse_scalar, scalar_mode
+from .scalars import format_ratio, format_scalar, integer_multiple, parse_scalar, scalar_mode
 from .shuffle import shuffle_word_list
 from .tensor import LevelTensor, TensorSeries, series_from_level
 from .words import all_words, word_from_string, word_to_string
@@ -106,7 +106,6 @@ def lyndon_words(d: int, n: int) -> LyndonBasis:
             w.pop()
         if w:
             w[-1] += 1
-    out.sort()
     return LyndonBasis(d, n, tuple(out), len(out))
 
 
@@ -333,12 +332,13 @@ def expand_from_lyndon(values: dict, d: int, n: int) -> TensorSeries:
 
     The scalar mode of the coordinates is decided once (`scalar_mode`), and
     each level is summed from the integer rows of the normal-form table.
-    Exact coordinates v_w are put over one denominator D as the integers
-    a_w = v_w * D^|w|, so a monomial of total length k lies over D^k and
-    level k is an integer level over S_k * D^k.  Float coordinates weight a
-    monomial by the float c / S_k (int true division rounds correctly, as
-    `Fraction`-with-`float` arithmetic does) and multiply in its order;
-    coordinates of any other type are weighted by the `Fraction` c / S_k.
+    Exact coordinates v_w are put over one denominator D
+    (`scalars.integer_multiple`) as the integers a_w = v_w * D^|w|, so a
+    monomial of total length k lies over D^k and level k is an integer
+    level over S_k * D^k.  Float coordinates weight a monomial by the float
+    c / S_k (int true division rounds correctly, as `Fraction`-with-`float`
+    arithmetic does), multiply in its order, and give the constant term
+    1.0; coordinates of any other type are weighted by the `Fraction` c / S_k.
     """
     values = {tuple(w): v for w, v in values.items()}
     basis = lyndon_words(d, n)
@@ -349,12 +349,12 @@ def expand_from_lyndon(values: dict, d: int, n: int) -> TensorSeries:
     mode, coords = scalar_mode(values[w] for w in basis.words)
     exact = mode in (int, Fraction)
     if exact:
-        den = math.lcm(*(v.denominator for v in coords))
-        coords = [v.numerator * (den // v.denominator) * den ** (len(w) - 1) for w, v in zip(basis.words, coords)]
+        coords, den = integer_multiple(coords)
+        coords = [a * den ** (len(w) - 1) for w, a in zip(basis.words, coords.tolist())]
     elif mode is float:
         coords = map(float, coords)
     coords = dict(zip(basis.words, coords))
-    levels = [LevelTensor(d, 0, [Fraction(1)])]
+    levels = [LevelTensor(d, 0, [1.0 if mode is float else Fraction(1)])]
     for k in range(1, n + 1):
         scale = table._scales[k]
         entries = []

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .paths import _core_level
-from .scalars import scalar_mode
+from .scalars import integer_multiple, scalar_mode
 from .tensor import LevelTensor
 
 
@@ -82,15 +82,16 @@ def split_pencil(matrix) -> MatrixPencil:
 
 @dataclass(frozen=True)
 class _Echelon:
-    """Integer echelon form of an exact matrix.
+    """Integer echelon form of an exact matrix M.
 
-    Each row was scaled to integers (`scale` is the product of the row
-    scalings) and then eliminated fraction-free (Bareiss), so the k-th
-    pivot is a k x k minor of the scaled matrix; `sign` is the sign of the
-    row swaps and `pivots` the pivot column of each row, in order.
+    `rows` is the (n_rows x n_cols) object array of Python ints that
+    fraction-free (Bareiss) elimination leaves from the integer matrix
+    A = scale * M, so the k-th pivot is a k x k minor of A; `sign` is the
+    sign of the row swaps and `pivots` the pivot column of each row, in
+    order.
     """
 
-    rows: list
+    rows: np.ndarray
     pivots: tuple
     sign: int
     scale: int
@@ -98,80 +99,78 @@ class _Echelon:
     def kernel_vector(self, free: Sequence) -> list:
         """Solution v of rows @ v = 0 that agrees with `free` off the pivots."""
         v = [Fraction(x) for x in free]
-        for row, col in reversed(list(zip(self.rows, self.pivots))):
+        for row, col in reversed(list(zip(self.rows.tolist(), self.pivots))):
             total = sum(row[c] * v[c] for c in range(col + 1, len(v)) if row[c])
             v[col] = -Fraction(total) / row[col]
         return v
 
 
-def _eliminate(rows: list) -> _Echelon:
-    """Fraction-free forward elimination; stops once every row has a pivot."""
-    work, scale = [], 1
-    for row in rows:
-        fracs = [Fraction(v) for v in row]
-        lcm = math.lcm(*(f.denominator for f in fracs))
-        work.append([f.numerator * (lcm // f.denominator) for f in fracs])
-        scale *= lcm
-    n_rows, n_cols = len(work), len(work[0]) if work else 0
+def _integer_matrix(rows: list) -> tuple:
+    """(A, L): the matrix as A / L over the lcm L of its denominators
+    (`scalars.integer_multiple`); entries that are not exact enter as `Fraction`s."""
+    mode, values = scalar_mode(v for row in rows for v in row)
+    array, scale = integer_multiple(values if mode in (int, Fraction) else [Fraction(v) for v in values])
+    return array.reshape(len(rows), len(rows[0]) if rows else 0), scale
+
+
+def _eliminate(work: np.ndarray, scale: int) -> _Echelon:
+    """Fraction-free forward elimination, in place, of an object array of Python
+    ints standing for work / scale.  Each pivot clears its column below it and
+    updates the rows below in one array expression (its division by the
+    previous pivot is exact); stops once every row has a pivot."""
+    n_rows, n_cols = work.shape
     pivots, sign, prev = [], 1, 1
     for col in range(n_cols):
-        if len(pivots) == n_rows:
-            break
         top = len(pivots)
-        pivot = next((r for r in range(top, n_rows) if work[r][col] != 0), None)
+        if top == n_rows:
+            break
+        pivot = next((r for r in range(top, n_rows) if work[r, col]), None)
         if pivot is None:
             continue
         if pivot != top:
-            work[top], work[pivot] = work[pivot], work[top]
+            work[[top, pivot]] = work[[pivot, top]]
             sign = -sign
-        head = work[top]
-        p = head[col]
-        for r in range(top + 1, n_rows):
-            row = work[r]
-            f = row[col]
-            row[col + 1 :] = [(p * a - f * b) // prev for a, b in zip(row[col + 1 :], head[col + 1 :])]
-            row[col] = 0
+        p = work[top, col]
+        below = work[top + 1 :]
+        below[:, col:] = (p * below[:, col:] - np.multiply.outer(below[:, col], work[top, col:])) // prev
         prev = p
         pivots.append(col)
     return _Echelon(work, tuple(pivots), sign, scale)
 
 
-def exact_rank(matrix, float_tol: float = 1e-9) -> int:
+def exact_rank(matrix) -> int:
     """Rank of a matrix: fraction-free elimination over the rationals.
 
     Matrices whose scalar mode is not exact fall back to counting singular
-    values above float_tol * sigma_max.
+    values above 1e-9 * sigma_max.
     """
     rows = _as_rows(matrix)
-    if not rows or not rows[0]:
-        return 0
     mode, values = scalar_mode(v for row in rows for v in row)
-    exact = mode in (int, Fraction)
-    grid = np.array(values, dtype=object if exact else float).reshape(len(rows), -1)
-    if exact:
-        return len(_eliminate(grid.tolist()).pivots)
-    s = np.linalg.svd(grid, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > float_tol * s[0]))
+    shape = (len(rows), len(rows[0]) if rows else 0)
+    if mode in (int, Fraction):
+        array, scale = integer_multiple(values)
+        return len(_eliminate(array.reshape(shape), scale).pivots)
+    s = np.linalg.svd(np.array(values, dtype=float).reshape(shape), compute_uv=False)
+    return int(np.sum(s > 1e-9 * s[0]))
 
 
 def exact_det(matrix):
-    """Determinant: sign times the last fraction-free pivot over the row scalings."""
+    """Determinant of M = A / L: sign times the last fraction-free pivot, over L^n."""
     rows = _square_rows(matrix)
     if not rows:
         return Fraction(1)
-    echelon = _eliminate(rows)
+    echelon = _eliminate(*_integer_matrix(rows))
     if len(echelon.pivots) < len(rows):
         return Fraction(0)
-    return Fraction(echelon.sign * echelon.rows[-1][-1], echelon.scale)
+    return Fraction(echelon.sign * echelon.rows[-1, -1], echelon.scale ** len(rows))
 
 
 def matrix_inverse(matrix) -> list:
-    """Exact inverse, read off the kernel of [A | I]: column j solves A x = e_j."""
+    """Exact inverse, read off the kernel of [A | L*I]: column j solves M x = e_j."""
     rows = _square_rows(matrix)
     n = len(rows)
-    echelon = _eliminate([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)])
+    array, scale = _integer_matrix(rows)
+    echelon = _eliminate(np.hstack([array, scale * np.eye(n, dtype=object)]), scale)
     if echelon.pivots != tuple(range(n)):
         raise ValueError("matrix is singular")
     columns = [echelon.kernel_vector([0] * n + [-int(i == j) for i in range(n)]) for j in range(n)]
@@ -249,20 +248,20 @@ def circuit_matrix(matrix, m: int) -> list:
 # --- membership and generators ---------------------------------------------
 
 
-def is_signature_matrix(matrix, m: int, float_tol: float = 1e-9) -> bool:
+def is_signature_matrix(matrix, m: int) -> bool:
     """Whether S = P + Q satisfies rank(P) <= 1 and rank([P Q]) <= m."""
-    ok, _ = signature_matrix_witness(matrix, m, float_tol)
+    ok, _ = signature_matrix_witness(matrix, m)
     return ok
 
 
-def signature_matrix_witness(matrix, m: int, float_tol: float = 1e-9):
+def signature_matrix_witness(matrix, m: int):
     """Membership boolean plus a description of the violated rank condition."""
     pencil = split_pencil(matrix)
-    rank_p = exact_rank(pencil.P, float_tol)
+    rank_p = exact_rank(pencil.P)
     if rank_p > 1:
         return False, f"rank(P) = {rank_p} > 1"
     stacked = [list(prow) + list(qrow) for prow, qrow in zip(pencil.P, pencil.Q)]
-    rank_pq = exact_rank(stacked, float_tol)
+    rank_pq = exact_rank(stacked)
     if rank_pq > m:
         return False, f"rank([P Q]) = {rank_pq} > {m}"
     return True, None

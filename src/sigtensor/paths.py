@@ -23,12 +23,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .scalars import parse_int, parse_scalar, scalar_mode
+from .scalars import integer_multiple, parse_int, parse_scalar, scalar_mode
 from .shuffle import is_lie
 from .tensor import (
     LevelTensor,
     TensorSeries,
-    _integer_multiple,
     concat_product,
     exp_series,
     project_level,
@@ -224,7 +223,7 @@ def tensor_congruence(core: LevelTensor, matrix: Sequence[Sequence]) -> LevelTen
     exact = core.is_exact() and kind in (int, Fraction)
     if exact:
         t, denominator = core.as_integers()
-        x, scale = _integer_multiple(x)
+        x, scale = integer_multiple(x)
     elif kind is not object and (core.is_exact() or core.holds_floats):
         t, x = core.to_float().array, x.astype(np.float64)
     else:
@@ -337,9 +336,7 @@ def poly_signature_integrate(coeffs: Sequence[Sequence], n: int) -> TensorSeries
     if floats:
         values = [float(v) for v in values]
     else:
-        values = [Fraction(v) for v in values]
-        den = math.lcm(*(v.denominator for v in values))
-        values = [v.numerator * (den // v.denominator) for v in values]
+        values, den = integer_multiple([Fraction(v) for v in values])
     dtype = np.float64 if floats else object
     # derivative[i, b] is the t^b coefficient of X_i'(t), times den when exact
     derivative = np.zeros((d, m), dtype=dtype)

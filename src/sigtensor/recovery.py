@@ -34,10 +34,10 @@ from typing import Sequence
 import numpy as np
 
 from .dual import Dual
-from .matrices import _eliminate, exact_det, exact_rank, matrix_inverse
+from .matrices import _eliminate, _integer_matrix, exact_det, exact_rank, matrix_inverse
 from .paths import _contract, _core_level, tensor_congruence
-from .scalars import fraction_nth_root, real_nth_root, scalar_mode
-from .tensor import LevelTensor, TensorSeries, _integer_multiple
+from .scalars import fraction_nth_root, integer_multiple, real_nth_root, scalar_mode
+from .tensor import LevelTensor, TensorSeries
 
 
 class NonGenericInput(ValueError):
@@ -204,21 +204,16 @@ def _swapped_tensor(tensor: LevelTensor) -> LevelTensor:
 def _kernel_point(rows: list) -> tuple:
     """Unique (up to scale) kernel vector of an exact matrix, else error."""
     cols = len(rows[0])
-    echelon = _eliminate(rows)
+    echelon = _eliminate(*_integer_matrix(rows))
     if cols - len(echelon.pivots) != 1:
         raise DegenerateRecovery(
             f"relations determine a {cols - len(echelon.pivots)}-dimensional solution space"
         )
     sol = echelon.kernel_vector([int(c not in echelon.pivots) for c in range(cols)])
     # normalize to coprime integers with the first nonzero entry positive
-    lcm = math.lcm(*(v.denominator for v in sol))
-    ints = [int(v * lcm) for v in sol]
-    g = math.gcd(*ints)
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints if v != 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(Fraction(v) for v in ints)
+    ints = integer_multiple(sol)[0].tolist()
+    g = math.gcd(*ints) * (1 if next(v for v in ints if v) > 0 else -1)
+    return tuple(Fraction(v // g) for v in ints)
 
 
 def _planar_kernel_point(tensor: LevelTensor, relations, perm: tuple) -> tuple:
@@ -368,22 +363,25 @@ def jacobian_rank(
     """Exact rank of the (d*m) x d^k Jacobian of the parametrization.
 
     The closed-form Jacobian is evaluated exactly at random rational
-    points; the report keeps the maximum rank over the seeds.  Scaling the
-    core by L and the point by D scales the Jacobian by L * D^(k-1) and
-    keeps its rank, so the kernel runs on Python ints.
+    points; the report keeps the maximum rank over the seeds, and stops
+    early once a seed reaches min(d*m, d^k), which no seed can exceed.
+    Scaling the core by L and the point by D scales the Jacobian by
+    L * D^(k-1) and keeps its rank, so the kernel runs on Python ints.
     """
     if d < 1 or m < 1 or k < 1:
         raise ValueError(f"need d, m, k >= 1, got d={d}, m={m}, k={k}")
     core = _core_level(_family_name(family), m, k).as_integers()[0].reshape((m,) * k)
     rng = random.Random(seed)
-    best = 0
+    best, full = 0, min(d * m, d**k)
     for _ in range(seed_count):
         point = [
             [Fraction(rng.randint(1, 12), rng.randint(1, 4)) * (-1) ** rng.randint(0, 1) for _ in range(m)]
             for _ in range(d)
         ]
-        _, jac = _image_and_jacobian(core, _integer_multiple(np.array(point, dtype=object))[0])
-        best = max(best, exact_rank(jac.tolist()))
+        _, jac = _image_and_jacobian(core, integer_multiple(point)[0])
+        best = max(best, exact_rank(jac))
+        if best == full:
+            break
     return JacobianReport(family, d, k, m, d * m, best)
 
 
@@ -406,7 +404,6 @@ def gauss_newton_recover(
     k: int,
     tensor: LevelTensor,
     tol: float = 1e-10,
-    max_iter: int = 200,
     restarts: int = 8,
     seed: int = 0,
 ) -> GaussNewtonResult:
@@ -415,10 +412,11 @@ def gauss_newton_recover(
     Minimizes the squared distance between the family signature of a d x m
     matrix and the target tensor.  Each evaluation computes the image and
     the closed-form multilinear Jacobian on the cached float core.  Restarts
-    draw seeded random starting matrices; a start whose gradient is exactly
-    zero (the zero matrix at k >= 3) is abandoned, since no damped step can
-    leave it.  The best residual wins, and RecoveryFailed (carrying the best
-    attempt) is raised when no restart meets tol.
+    draw seeded random starting matrices and run at most 200 iterations
+    each; a start whose gradient is exactly zero (the zero matrix at k >= 3)
+    is abandoned, since no damped step can leave it.  The best residual
+    wins, and RecoveryFailed (carrying the best attempt) is raised when no
+    restart meets tol.
     """
     if k < 3:
         raise ValueError("need k >= 3 for tensor recovery")
@@ -445,7 +443,7 @@ def gauss_newton_recover(
         residual, jac = _residual_and_jacobian(core, x, target)
         norm = float(np.linalg.norm(residual)) / denom
         iterations = 0
-        for iterations in range(1, max_iter + 1):
+        for iterations in range(1, 201):
             if norm < tol:
                 break
             g = jac @ residual
@@ -476,13 +474,7 @@ def gauss_newton_recover(
             best = (norm, x.copy(), norm < tol, restart_index + 1, iterations)
         if norm < tol:
             break
-    residual, matrix, converged, used, iterations = (
-        best[0],
-        best[1],
-        best[2],
-        best[3],
-        best[4],
-    )
+    residual, matrix, converged, used, iterations = best
     if not converged:
         raise RecoveryFailed(
             f"recovery failed: best relative residual {residual:.3e} after {used} restarts",

@@ -5,6 +5,10 @@ package: exact (Python `int` and `fractions.Fraction`), float, or other.
 Computed levels carry their mode on; an exact operand that meets a float one
 enters as `LevelTensor.to_float()`, rounded as `Fraction`-with-`float`
 arithmetic rounds.
+
+`integer_multiple` is the one conversion of exact values to Python ints over
+one denominator; exact levels, congruence matrices, polynomial coefficients,
+Lyndon coordinates and the fraction-free elimination all enter through it.
 """
 
 from __future__ import annotations
@@ -46,6 +50,16 @@ def scalar_mode(values) -> tuple:
         if mode in kinds:
             return mode, values
     return int, values
+
+
+def integer_multiple(values) -> tuple:
+    """(A, L): exact values (ints or `Fraction`s) times the lcm L of their
+    denominators, A an object ndarray of Python ints with the values' shape."""
+    array = np.asarray(values, dtype=object)
+    flat = array.ravel().tolist()
+    scale = math.lcm(*(v.denominator for v in flat))
+    ints = [v.numerator * (scale // v.denominator) for v in flat]
+    return np.array(ints, dtype=object).reshape(array.shape), scale
 
 
 def values_close(a, b, tol: float | None = None) -> bool:

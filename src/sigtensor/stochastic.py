@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .scalars import format_scalar, parse_scalar
-from .shuffle import WordCombination, shuffle_combinations
+from .shuffle import WordCombination, shuffle_word_list
 from .tensor import LevelTensor, TensorSeries, exp_series, zero_series
 
 
@@ -164,13 +164,9 @@ def mixture_expected_signature(mixture: MixtureModel, n: int) -> TensorSeries:
 
 def moment_word_combination(u: Sequence[int]) -> WordCombination:
     """Iterated shuffle power of single letters: letter i taken u[i-1] times."""
-    acc = {(): 1}
-    for letter, power in enumerate(u, start=1):
-        if power < 0:
-            raise ValueError("multi-index entries must be >= 0")
-        for _ in range(power):
-            acc = shuffle_combinations(acc, {(letter,): 1})
-    return WordCombination(acc)
+    if any(power < 0 for power in u):
+        raise ValueError("multi-index entries must be >= 0")
+    return shuffle_word_list([(letter,) for letter, power in enumerate(u, start=1) for _ in range(power)])
 
 
 def gaussian_moment(u: Sequence[int], series: TensorSeries):

@@ -28,20 +28,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .scalars import format_scalar, parse_int, parse_scalar, scalar_mode, values_close
+from .scalars import format_scalar, integer_multiple, parse_int, parse_scalar, scalar_mode, values_close
 from .words import index_word, word_from_string, word_index, word_to_string
 
 _EXACT_KINDS = (int, Fraction)
 _ZERO = Fraction(0)
 #: Integers below this size are exact in float64.
 _EXACT_FLOAT_BOUND = 2**53
-
-
-def _integer_multiple(array: np.ndarray) -> tuple:
-    """(A, L): the exact array times the lcm L of its denominators, as Python ints."""
-    scale = math.lcm(*(v.denominator for v in array.flat))
-    ints = [v.numerator * (scale // v.denominator) for v in array.flat]
-    return np.array(ints, dtype=object).reshape(array.shape), scale
 
 
 def _quotients(numerators: np.ndarray, denominator: int) -> np.ndarray:
@@ -109,7 +102,7 @@ class LevelTensor:
             self._array = _frozen(np.array(entries, dtype=np.float64))
             entries = None
         elif self._kind in _EXACT_KINDS:
-            numerators, self._denominator = _integer_multiple(np.array(entries, dtype=object))
+            numerators, self._denominator = integer_multiple(entries)
             self._numerators = _frozen(numerators)
         self._entries = entries
 

@@ -289,6 +289,42 @@ def test_recover_newton_failure_exit_code(tmp_path, capsys):
     assert code == 3 and "numerical failure" in err
 
 
+def _unit_series_file(tmp_path):
+    return write_json(tmp_path, "unit.json", pl_signature([], 3, d=2).to_json())
+
+
+def test_check_rejects_an_infinite_tol(tmp_path, capsys):
+    series = pl_signature([(Fraction(1), Fraction(2)), (Fraction(0), Fraction(1))], 3)
+    data = series.to_json()
+    data["levels"][3]["entries"]["111"] = "99"
+    series_file = write_json(tmp_path, "broken.json", data)
+    code, out, err = run_cli(capsys, "check", series_file, "--what", "grouplike", "--tol", "inf")
+    assert code == 2 and out == "" and "--tol" in err
+
+
+def test_check_rejects_a_negative_tol(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "check", _unit_series_file(tmp_path), "--what", "grouplike", "--tol", "-1")
+    assert code == 2 and out == "" and "--tol" in err
+    code, _, _ = run_cli(capsys, "check", _unit_series_file(tmp_path), "--what", "grouplike", "--tol", "0")
+    assert code == 0
+
+
+def test_check_rejects_a_nan_tol(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "check", _unit_series_file(tmp_path), "--what", "lie", "--tol", "nan")
+    assert code == 2 and out == "" and "--tol" in err
+
+
+def test_recover_rejects_a_tol_that_is_not_positive(tmp_path, capsys):
+    tensor = project_level(pl_signature([(1, 0), (0, 1)], 3), 3)
+    tensor_file = write_json(tmp_path, "t.json", tensor.to_json())
+    for tol in ("-1", "0", "nan", "inf"):
+        code, out, err = run_cli(
+            capsys, "recover", "--family", "pl", "--d", "2", "--m", "2", "--k", "3",
+            "--input", tensor_file, "--mode", "newton", "--tol", tol,
+        )
+        assert code == 2 and out == "" and "--tol" in err, tol
+
+
 def test_bundled_canonical_matrices():
     axis = LevelTensor.from_json(json.loads((DATA / "canonical_axis_d3_k2.json").read_text()))
     mono = LevelTensor.from_json(json.loads((DATA / "canonical_mono_d3_k2.json").read_text()))

@@ -14,10 +14,12 @@ from sigtensor import (
     canonical_mono,
     commutator,
     exp_series,
+    expand_from_lyndon,
     is_grouplike,
     is_lie,
     log_series,
     loglinear_level,
+    lyndon_coordinates,
     path_from_json,
     path_to_json,
     pl_level_direct,
@@ -290,9 +292,14 @@ def test_float_series_carry_float_constant_term(rng):
     steps = [[float(v) for v in rand_vector(rng, 2)] for _ in range(3)]
     sig = pl_signature(steps, 3)
     lie = random_lie_series(rng, 2, 3).to_float()
-    for series in (sig, poly_signature_integrate([[0.5, 1.0], [-1.0, 0.25]], 3), exp_series(lie), log_series(sig)):
+    expanded = expand_from_lyndon(lyndon_coordinates(sig), 2, 3)
+    for series in (sig, poly_signature_integrate([[0.5, 1.0], [-1.0, 0.25]], 3), exp_series(lie), log_series(sig), expanded):
         assert _series_floats_only(series)
     assert sig.constant_term == 1.0 and log_series(sig).constant_term == 0.0
+    assert expanded.levels[0].entries == (1.0,) and expanded.equals(sig, tol=1e-12)
+    exact = pl_signature([[rand_fraction(rng) for _ in range(2)] for _ in range(3)], 3)
+    constant = expand_from_lyndon(lyndon_coordinates(exact), 2, 3).levels[0].entries
+    assert constant == (1,) and type(constant[0]) is Fraction
     zero_step = pl_signature([[0.0, 0.0]], 2)
     assert _series_floats_only(zero_step)
     assert zero_step.levels[2].to_json()["scalar"] == "float"

@@ -1,5 +1,6 @@
 """Property tests over random exact inputs: the level-product kernel, the
-polynomial integration engine, the fraction-free elimination, JSON round
+polynomial integration engine, the fraction-free elimination (also
+against a plain-`Fraction` Gauss-Jordan oracle), JSON round
 trips, group-element recovery, the group-like/Lie correspondence, the
 shuffle-law witnesses against a pair scan, the closed-form multilinear
 Jacobian, the multilinear action `tensor_congruence` against a
@@ -201,6 +202,75 @@ def test_inverse_is_exact_or_singular(data):
             matrix_inverse(a)
     else:
         assert _product(a, matrix_inverse(a)) == _identity(n)
+
+
+def _gauss_jordan(rows):
+    """(rank, det, inverse) of a matrix by Gauss-Jordan on plain `Fraction`s;
+    det and inverse are None unless the matrix is square, inverse also when singular."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    n_rows, n_cols = len(a), len(a[0])
+    inverse = [[Fraction(int(i == j)) for j in range(n_rows)] for i in range(n_rows)]
+    det, rank = Fraction(1), 0
+    for col in range(n_cols):
+        pivot = next((r for r in range(rank, n_rows) if a[r][col] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            a[rank], a[pivot] = a[pivot], a[rank]
+            inverse[rank], inverse[pivot] = inverse[pivot], inverse[rank]
+            det = -det
+        p = a[rank][col]
+        det *= p
+        a[rank] = [x / p for x in a[rank]]
+        inverse[rank] = [x / p for x in inverse[rank]]
+        for r in range(n_rows):
+            if r != rank and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
+                inverse[r] = [x - f * y for x, y in zip(inverse[r], inverse[rank])]
+        rank += 1
+    if n_rows != n_cols:
+        return rank, None, None
+    return rank, (det if rank == n_rows else Fraction(0)), (inverse if rank == n_rows else None)
+
+
+_ENTRIES = {  # zeros are drawn often, so that pivots need row swaps
+    "int": st.one_of(st.just(0), st.integers(-6, 6)),
+    "Fraction": st.one_of(st.just(Fraction(0)), rationals),
+    "float": st.one_of(st.just(0.0), st.integers(-24, 24).map(lambda v: v / 4)),  # dyadic: row sums are exact
+}
+
+
+@st.composite
+def mixed_matrices(draw):
+    """1..6 x 1..6 matrix of ints, Fractions or floats; some rows are forced to be
+    integer combinations of two earlier rows."""
+    rows, cols = draw(sizes), draw(sizes)
+    entries = _ENTRIES[draw(st.sampled_from(sorted(_ENTRIES)))]
+    a = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    for i in range(1, rows):
+        if draw(st.booleans()):
+            p, q = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            s, t = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            a[i] = [s * x + t * y for x, y in zip(a[p], a[q])]
+    return a
+
+
+@settings(PROPERTY, max_examples=150)
+@given(mixed_matrices())
+def test_elimination_agrees_with_a_fraction_gauss_jordan_oracle(a):
+    rank, det, inverse = _gauss_jordan(a)
+    assert exact_rank(a) == rank
+    if det is None:
+        return
+    value = exact_det(a)
+    assert value == det and type(value) is Fraction
+    if inverse is None:
+        with pytest.raises(ValueError, match="singular"):
+            matrix_inverse(a)
+    else:
+        result = matrix_inverse(a)
+        assert result == inverse and all(type(v) is Fraction for row in result for v in row)
 
 
 @PROPERTY

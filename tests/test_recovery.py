@@ -11,6 +11,7 @@ from sigtensor import (
     RootUnavailable,
     basis_series,
     commutator,
+    exact_rank,
     exp_series,
     gauss_newton_recover,
     is_grouplike,
@@ -212,6 +213,24 @@ def test_jacobian_ranks_match_dimension_table():
             expected = m * d - m * (m - 1) // 2
             assert jacobian_rank("pl", d, 2, m, seed_count=2).rank == expected
             assert jacobian_rank("poly", d, 2, m, seed_count=2).rank == expected
+
+
+def test_jacobian_rank_stops_at_full_rank(monkeypatch):
+    calls = []
+
+    def counted(matrix):
+        calls.append(1)
+        return exact_rank(matrix)
+
+    monkeypatch.setattr(recovery, "exact_rank", counted)
+    report = jacobian_rank("pl", 4, 3, 4, seed_count=3)
+    assert report.rank == 16 and len(calls) == 1
+    calls.clear()
+    report = jacobian_rank("pl", 5, 2, 5, seed_count=3)  # rank 15 < min(25, 25): every seed runs
+    assert report.rank == 15 and len(calls) == 3
+    calls.clear()
+    report = jacobian_rank("pl", 3, 1, 4, seed_count=4)  # full rank d^k = 3 < d*m = 12
+    assert report.rank == 3 and len(calls) == 1
 
 
 def test_jacobian_full_rank_squares():
