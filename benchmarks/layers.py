@@ -37,7 +37,9 @@ timed warm (its table built by the warm-up call) at EXPAND_SHAPES on the
 Lyndon coordinates of a seeded (d+1)-step path, exact and as floats.
 `exact_rank` eliminates the exact Jacobian at RANK_SHAPE (a seeded rational
 point, built before timing from `signature_map` of `Dual` seeds), and
-`exact_det` the order-2 monomial matrix of size DET_SIZE.
+`exact_det` the order-2 monomial matrix of size DET_SIZE.  `LevelTensor.to_json`
+writes the top level of a seeded PL path at JSON_SHAPE, exact and as its
+`to_float()`.
 
 A layer is timed by one warm-up call, then calls until 0.2 s have passed (at
 least 3); its time in a round is the median call.  Caches that persist across
@@ -70,6 +72,7 @@ CHEN_SHAPES = [(2, 5, 6), (3, 5, 5), (3, 10, 6), (4, 4, 5)]  # (d, m, n), as in 
 SERIES_SHAPE = (3, 6)  # (d, n) of exp_series and log_series
 EXPECTED_SHAPE = (3, 5)  # (d, n) of expected_signature
 CHANGE_SHAPE = (3, 4)  # (d, n) of a group element whose 1...1 entry is 0
+JSON_SHAPE = (4, 3, 7)  # (d, m, k) of the PL level that to_json writes: 4^7 = 16,384 entries
 ROUNDS = 7
 
 
@@ -255,6 +258,11 @@ def layers():
         for name, (test, series) in members.items():
             out.append((name, {"d": d, "n": n}, "exact", lambda t=test, s=series: t(s)))
             out.append((name, {"d": d, "n": n}, "float", lambda t=test, s=series.to_float(): t(s, 1e-9)))
+    d, m, k = JSON_SHAPE
+    values = _rationals(d * 100 + m * 10 + k, d * m)
+    top = pl_signature([values[j * d : (j + 1) * d] for j in range(m)], k).levels[k]
+    for scalar, level in (("exact", top), ("float", top.to_float())):
+        out.append(("tensor.to_json", {"d": d, "m": m, "k": k}, scalar, level.to_json))
     return out
 
 

@@ -179,6 +179,8 @@ def _check_input_size(data: dict, field: str) -> None:
 
 
 def cmd_check(args) -> int:
+    if args.tol is not None and args.what == "Mdm":
+        raise UsageError("--tol has no effect with --what Mdm: its ranks are exact, or cut at 1e-9 * sigma_max on floats")
     if args.tol is not None and not 0 <= args.tol < math.inf:
         raise UsageError(f"--tol must be a finite value >= 0, got {args.tol}")
     value = _load_series_or_tensor(args.input)
@@ -255,7 +257,9 @@ def cmd_verify_vanishing(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    if not 0 < args.tol < math.inf:
+    if args.tol is not None and args.mode == "exact":
+        raise UsageError("--tol has no effect with --mode exact: it applies to --mode newton only")
+    if args.tol is not None and not 0 < args.tol < math.inf:
         raise UsageError(f"--tol must be a finite value > 0, got {args.tol}")
     data = _load_json(args.input)
     _check_input_size(data, "order")
@@ -283,9 +287,8 @@ def cmd_recover(args) -> int:
             }
         )
         return EXIT_OK
-    result = gauss_newton_recover(
-        args.family, args.d, args.m, args.k, tensor, tol=args.tol, seed=args.seed
-    )
+    tol = {} if args.tol is None else {"tol": args.tol}
+    result = gauss_newton_recover(args.family, args.d, args.m, args.k, tensor, seed=args.seed, **tol)
     _emit(
         {
             "matrix": [[float(v) for v in row] for row in result.matrix],
@@ -338,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--mode", choices=("exact", "newton"), default="exact")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_recover)
 

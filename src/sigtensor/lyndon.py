@@ -367,7 +367,7 @@ def expand_from_lyndon(values: dict, d: int, n: int) -> TensorSeries:
                 total = total + term
             entries.append(total)
         if exact:
-            levels.append(LevelTensor._from_integers(d, k, np.array(entries, dtype=object), scale * den**k, Fraction))
+            levels.append(LevelTensor._of(d, k, np.array(entries, dtype=object), scale * den**k, Fraction))
         else:
             levels.append(LevelTensor(d, k, entries))
     return TensorSeries(d, n, levels)

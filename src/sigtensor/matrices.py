@@ -150,8 +150,12 @@ def exact_rank(matrix) -> int:
     if mode in (int, Fraction):
         array, scale = integer_multiple(values)
         return len(_eliminate(array.reshape(shape), scale).pivots)
-    s = np.linalg.svd(np.array(values, dtype=float).reshape(shape), compute_uv=False)
-    return int(np.sum(s > 1e-9 * s[0]))
+    return _float_rank(np.linalg.svd(np.array(values, dtype=float).reshape(shape), compute_uv=False))
+
+
+def _float_rank(singular_values: np.ndarray) -> int:
+    """The rank of a float matrix: its singular values above 1e-9 * sigma_max."""
+    return int(np.sum(singular_values > 1e-9 * singular_values[0]))
 
 
 def exact_det(matrix):

@@ -28,6 +28,7 @@ from .shuffle import is_lie
 from .tensor import (
     LevelTensor,
     TensorSeries,
+    _common,
     concat_product,
     exp_series,
     project_level,
@@ -166,7 +167,7 @@ def canonical_axis(m: int, k: int) -> LevelTensor:
         multiplicities *= runs
     numerators = np.zeros(m**k, dtype=object)
     numerators[words @ m ** np.arange(k - 1, -1, -1)] = math.factorial(k) // multiplicities
-    return LevelTensor._from_integers(m, k, numerators, math.factorial(k), Fraction)
+    return LevelTensor._of(m, k, numerators, math.factorial(k), Fraction)
 
 
 def canonical_mono(m: int, k: int) -> LevelTensor:
@@ -186,7 +187,7 @@ def canonical_mono(m: int, k: int) -> LevelTensor:
     denominators, inverse = np.unique(denominators // common, return_inverse=True)
     lcm = math.lcm(*denominators.tolist())
     scale = (lcm // denominators.astype(object))[inverse]
-    return LevelTensor._from_integers(m, k, (numerators // common).astype(object) * scale, lcm, Fraction)
+    return LevelTensor._of(m, k, (numerators // common).astype(object) * scale, lcm, Fraction)
 
 
 @functools.lru_cache(maxsize=32)
@@ -206,8 +207,9 @@ def tensor_congruence(core: LevelTensor, matrix: Sequence[Sequence]) -> LevelTen
     Output entry (j1..jk) = sum over (i1..ik) of core(i1..ik) * prod X[j, i],
     formed by contracting modes 1..k-1, then mode 0.  An exact core A / D and
     an exact matrix M / L contract as Python ints A and M over D * L^k (an
-    int result only when both hold ints); a float in either makes it float64,
-    and other scalars (`Dual`s, say) contract as object arrays.
+    int result only when both hold ints); otherwise they meet as mixed levels
+    do (`tensor._common`): a float in either makes it float64, and other
+    scalars (`Dual`s, say) contract as object arrays.
     """
     rows = [list(r) for r in matrix]
     d = len(rows)
@@ -218,23 +220,12 @@ def tensor_congruence(core: LevelTensor, matrix: Sequence[Sequence]) -> LevelTen
         raise ValueError(f"matrix has {m} columns, core dimension is {core.d}")
     if core.k == 0:
         return LevelTensor(d, 0, core.entries)
-    kind, values = scalar_mode(v for r in rows for v in r)
-    x = np.array(values, dtype=object).reshape(d, m)
-    exact = core.is_exact() and kind in (int, Fraction)
-    if exact:
-        t, denominator = core.as_integers()
-        x, scale = integer_multiple(x)
-    elif kind is not object and (core.is_exact() or core.holds_floats):
-        t, x = core.to_float().array, x.astype(np.float64)
-    else:
-        t = core.array
-    t = t.reshape((m,) * core.k)
+    # the matrix entries as one level, so that core and matrix meet in one scalar mode
+    kind, (t, x), (denominator, scale) = _common((core, LevelTensor(d * m, 1, [v for r in rows for v in r])))
+    t, x = t.reshape((m,) * core.k), x.reshape(d, m)
     for axis in (*range(1, core.k), 0):
         t = _contract(t, x, axis)
-    if not exact:
-        return LevelTensor._from_array(d, core.k, t.reshape(-1))
-    kind = int if kind is int and core._kind is int else Fraction
-    return LevelTensor._from_integers(d, core.k, t.reshape(-1), denominator * scale**core.k, kind)
+    return LevelTensor._of(d, core.k, t.reshape(-1), denominator * scale**core.k, kind)
 
 
 # --- piecewise linear -----------------------------------------------------
@@ -356,14 +347,13 @@ def poly_signature_integrate(coeffs: Sequence[Sequence], n: int) -> TensorSeries
         divisors = range(k, k + width + m - 1)
         if floats:
             integrals = (product / np.array(divisors, dtype=np.float64)).reshape(d**k, -1)
-            levels.append(LevelTensor._from_array(d, k, integrals.sum(axis=1)))
         else:
             lcm = math.lcm(*divisors)
             integrals = (product * np.array([lcm // j for j in divisors], dtype=object)).reshape(d**k, -1)
             scale *= den * lcm
             g = math.gcd(scale, *integrals.flat)
             integrals, scale = integrals // g, scale // g
-            levels.append(LevelTensor._from_integers(d, k, integrals.sum(axis=1), scale, Fraction))
+        levels.append(LevelTensor._of(d, k, integrals.sum(axis=1), scale, None if floats else Fraction))
     return TensorSeries(d, n, levels)
 
 

@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .dual import Dual
-from .matrices import _eliminate, _integer_matrix, exact_det, exact_rank, matrix_inverse
+from .matrices import _eliminate, _float_rank, _integer_matrix, exact_det, exact_rank, matrix_inverse
 from .paths import _contract, _core_level, tensor_congruence
 from .scalars import fraction_nth_root, integer_multiple, real_nth_root, scalar_mode
 from .tensor import LevelTensor, TensorSeries
@@ -181,10 +181,10 @@ def _descend(tensor: LevelTensor, sigma1) -> TensorSeries:
         else:
             vec = math.factorial(n - 1) * forms.array / sigma1 ** (n - 1)
             vec[0] = sigma1
-            levels[1] = LevelTensor._from_array(d, 1, vec)
+            levels[1] = LevelTensor._of(d, 1, vec)
     for k in range(n - 1, 1, -1):
         forms = levels[k + 1]._linear_map(k, lambda upper: sum(np.take(upper, 0, axis=p) for p in range(upper.ndim)))
-        levels[k] = forms.scale(1 / sigma1) if exact else LevelTensor._from_array(d, k, forms.array / sigma1)
+        levels[k] = forms.scale(1 / sigma1) if exact else LevelTensor._of(d, k, forms.array / sigma1)
     return TensorSeries(d, n, levels)
 
 
@@ -202,13 +202,29 @@ def _swapped_tensor(tensor: LevelTensor) -> LevelTensor:
 
 
 def _kernel_point(rows: list) -> tuple:
-    """Unique (up to scale) kernel vector of an exact matrix, else error."""
+    """Unique (up to scale) kernel vector of the rows, else error.
+
+    Exact rows give coprime integers by fraction-free elimination.  Other
+    rows are read as floats: the kernel is the last right singular vector,
+    the rank is counted as `exact_rank` counts it on floats, and the vector
+    has unit length.  Either way the first nonzero entry (in floats, the
+    first above 1e-9) is positive.
+    """
     cols = len(rows[0])
-    echelon = _eliminate(*_integer_matrix(rows))
-    if cols - len(echelon.pivots) != 1:
-        raise DegenerateRecovery(
-            f"relations determine a {cols - len(echelon.pivots)}-dimensional solution space"
-        )
+    mode, values = scalar_mode(v for row in rows for v in row)
+    exact = mode in (int, Fraction)
+    if exact:
+        echelon = _eliminate(*_integer_matrix(rows))
+        rank = len(echelon.pivots)
+    else:
+        _, sigma, vt = np.linalg.svd(np.array(values, dtype=np.float64).reshape(len(rows), cols))
+        rank = _float_rank(sigma)
+    if cols - rank != 1:
+        raise DegenerateRecovery(f"relations determine a {cols - rank}-dimensional solution space")
+    if not exact:
+        sol = vt[-1] / np.linalg.norm(vt[-1])
+        sign = 1.0 if next(v for v in sol if abs(v) > 1e-9) > 0 else -1.0
+        return tuple((sign * sol).tolist())
     sol = echelon.kernel_vector([int(c not in echelon.pivots) for c in range(cols)])
     # normalize to coprime integers with the first nonzero entry positive
     ints = integer_multiple(sol)[0].tolist()

@@ -3,8 +3,8 @@
 `scalar_mode` is the one rule for the scalar mode of values entering the
 package: exact (Python `int` and `fractions.Fraction`), float, or other.
 Computed levels carry their mode on; an exact operand that meets a float one
-enters as `LevelTensor.to_float()`, rounded as `Fraction`-with-`float`
-arithmetic rounds.
+enters as `LevelTensor.to_float()`, each entry correctly rounded, also where
+it is one term of a sum.
 
 `integer_multiple` is the one conversion of exact values to Python ints over
 one denominator; exact levels, congruence matrices, polynomial coefficients,

@@ -7,15 +7,17 @@ immutable after construction and safe to share across threads.
 
 A level's scalar mode is decided once, by `scalars.scalar_mode`, when it is
 built from entries, and every level computed from it carries that mode on.
-Level arithmetic runs on flat ndarrays.  A float level is one float64
-array.  An exact level (every entry an `int` or a `Fraction`) is an object
-array of Python ints A over one positive int denominator D, reduced by one
-gcd over the level, so products, sums and scalings never run a gcd per
-entry.  Levels of any other scalar type use an object array of their
-entries.  Where an exact level meets a float level or a float scalar, the
-exact operand enters as its `to_float()`.  `LevelTensor.tensor_product`
-(one `np.multiply.outer`) is the only level product; the series operations
-are built on it.
+Every level is one read-only flat ndarray of values over one positive int
+denominator D: Python ints A over D, reduced by one gcd over the level, for
+an exact level (every entry an `int` or a `Fraction`); float64 values over 1
+for a float level; an object array of its entries over 1 for any other
+scalar type.  So each level operation is written once: products multiply
+values and denominators, sums bring their terms to the lcm of the
+denominators, and none runs a gcd per entry.  Levels of different modes meet
+by one rule (`_common`): where some level holds floats, an exact level
+enters as its `to_float()`, also in a sum whose first terms are exact.
+`LevelTensor.tensor_product` (one `np.multiply.outer`) is the only level
+product; the series operations are built on it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .scalars import format_scalar, integer_multiple, parse_int, parse_scalar, scalar_mode, values_close
+from .scalars import format_ratio, format_scalar, integer_multiple, parse_int, parse_scalar, scalar_mode, values_close
 from .words import index_word, word_from_string, word_index, word_to_string
 
 _EXACT_KINDS = (int, Fraction)
@@ -62,10 +64,20 @@ def _check_shape(d: int, k: int) -> None:
         raise ValueError("need d >= 1 and k >= 0")
 
 
-def _arrays(*levels: "LevelTensor") -> list:
-    """The levels' arrays, an exact level's as its to_float() when some level holds floats."""
-    floats = any(t._kind is float for t in levels)
-    return [t.to_float().array if floats and t._numerators is not None else t.array for t in levels]
+def _common(levels) -> tuple:
+    """(kind, arrays, denominators): the levels' values in one scalar mode.
+
+    Exact levels keep their integers and denominators (kind `int` only when
+    every level is).  Otherwise each array is over 1: an exact level enters
+    as its `to_float()` when some level holds floats, else as its `array`.
+    """
+    kinds = {t._kind for t in levels}
+    if kinds.issubset(_EXACT_KINDS):
+        kind = int if kinds == {int} else Fraction
+        return kind, [t._values for t in levels], [t._denominator for t in levels]
+    floats = float in kinds
+    arrays = [t.to_float()._values if floats and t._kind in _EXACT_KINDS else t.array for t in levels]
+    return (object if object in kinds else float), arrays, [1] * len(levels)
 
 
 class LevelTensor:
@@ -74,96 +86,87 @@ class LevelTensor:
     `entries` is a flat tuple of plain scalars in base-d word order; `array`
     is the same data as a read-only flat ndarray.  The constructor reads the
     scalar mode of its entries with `scalar_mode` (numpy integer and floating
-    scalars become `int` and `float`).  A level holding floats is a float
-    level: its float64 array is built at once and its entries are read back
-    from it, so they are all Python floats (exact zeros included).
+    scalars become `int` and `float`).
 
-    An exact level is held as `as_integers()`, a pair (A, D) of an object
-    array of Python ints and one positive int D with entries == A / D and
-    gcd(A, D) == 1, built when the level is.  Its entries are `Fraction`s
-    A[i] / D, or plain `int`s when every entry it was built from is an int
-    (a level mixing the two gives `Fraction`s).  A level built from given
-    entries keeps them as given; a level computed by arithmetic builds its
-    entries (and the object array of a `Fraction` level) on first read.
-    `to_float()` is built once per level.
+    Every level holds its values as one read-only flat ndarray over one
+    positive int denominator D.  An exact level holds Python ints A with
+    entries == A / D and gcd(A, D) == 1 (`as_integers()`); its entries are
+    `Fraction`s A[i] / D, or plain `int`s when every entry it was built from
+    is an int (a level mixing the two gives `Fraction`s).  A float level
+    holds float64 values over 1, and its entries are read back from them, so
+    they are all Python floats (exact zeros included).  A level of other
+    scalars (`Dual`s, say) holds an object array of them over 1.  A level
+    built from given entries keeps them as given; a computed level builds its
+    entries (and a `Fraction` level its `array`) on first read.  `to_float()`
+    is built once per level.
     """
 
-    __slots__ = ("d", "k", "_entries", "_array", "_numerators", "_denominator", "_kind", "_float")
+    __slots__ = ("d", "k", "_values", "_denominator", "_kind", "_entries", "_array", "_float")
 
     def __init__(self, d: int, k: int, entries: Sequence):
         _check_shape(d, k)
-        self._kind, entries = scalar_mode(entries)
+        kind, entries = scalar_mode(entries)
         if len(entries) != d**k:
             raise ValueError(f"expected {d ** k} entries, got {len(entries)}")
-        self.d = d
-        self.k = k
-        self._array = self._numerators = self._denominator = self._float = None
-        if self._kind is float:
-            self._array = _frozen(np.array(entries, dtype=np.float64))
-            entries = None
-        elif self._kind in _EXACT_KINDS:
-            numerators, self._denominator = integer_multiple(entries)
-            self._numerators = _frozen(numerators)
-        self._entries = entries
+        if kind in _EXACT_KINDS:
+            values, denominator = integer_multiple(entries)  # gcd(A, lcm of denominators) == 1
+        else:
+            values, denominator = np.array(entries, dtype=np.float64 if kind is float else object), 1
+        self.d, self.k, self._kind = d, k, kind
+        self._values, self._denominator = _frozen(values), denominator
+        self._entries = None if kind is float else entries
+        self._array = self._float = None
 
     @classmethod
-    def _from_array(cls, d: int, k: int, array: np.ndarray) -> "LevelTensor":
-        """Float level owning a fresh flat float64 array, else object level (not copied)."""
-        level = cls.__new__(cls)
-        level.d, level.k = d, k
-        level._numerators = level._denominator = level._entries = level._float = None
-        level._kind = float if array.dtype == np.float64 else object
-        level._array = _frozen(array)
-        return level
+    def _of(cls, d: int, k: int, values: np.ndarray, denominator: int = 1, kind=None) -> "LevelTensor":
+        """The level values / denominator from a flat ndarray (not copied).
 
-    @classmethod
-    def _from_integers(cls, d: int, k: int, numerators: np.ndarray, denominator: int, kind) -> "LevelTensor":
-        """Exact level numerators / denominator from a flat object array of
-        Python ints (not copied), reduced by one gcd over the level."""
+        Exact levels (kind `int` or `Fraction`) pass Python ints over an int
+        denominator, reduced here by one gcd over the level; kind None is
+        `float` for float64 values and `object` for others, over 1.
+        """
         if denominator != 1:
-            g = math.gcd(denominator, *numerators)
+            g = math.gcd(denominator, *values)
             if g != 1:
-                numerators, denominator = numerators // g, denominator // g
+                values, denominator = values // g, denominator // g
         level = cls.__new__(cls)
         level.d, level.k = d, k
+        level._kind = kind or (float if values.dtype == np.float64 else object)
+        level._values, level._denominator = _frozen(values), denominator
         level._entries = level._array = level._float = None
-        level._numerators, level._denominator, level._kind = _frozen(numerators), denominator, kind
         return level
 
     def _linear_map(self, k: int, f) -> "LevelTensor":
-        """The order-k level f(cube) for an f that only permutes and adds
-        entries; an exact level applies f to its numerators and keeps D."""
-        source = self.array if self._numerators is None else self._numerators
-        out = np.asarray(f(source.reshape((self.d,) * self.k)), dtype=source.dtype).reshape(-1)
-        if self._numerators is None:
-            return LevelTensor._from_array(self.d, k, out)
-        return LevelTensor._from_integers(self.d, k, out, self._denominator, self._kind)
+        """The order-k level f(cube) over the same denominator, for an f that
+        only permutes and adds entries."""
+        values = self._values
+        out = np.asarray(f(values.reshape((self.d,) * self.k)), dtype=values.dtype).reshape(-1)
+        return LevelTensor._of(self.d, k, out, self._denominator, self._kind)
 
     def as_integers(self) -> tuple:
         """(A, D): read-only flat object array of Python ints and an int D > 0
         with entries == A / D and gcd(A, D) == 1.  Only for exact levels."""
-        if self._numerators is None:
+        if not self.is_exact():
             raise ValueError("integer form of a level that is not exact")
-        return self._numerators, self._denominator
+        return self._values, self._denominator
 
     @property
     def entries(self) -> tuple:
         if self._entries is None:
             if self._kind is Fraction:
                 den = self._denominator
-                self._entries = tuple(Fraction(v, den) if v else _ZERO for v in self._numerators.tolist())
+                self._entries = tuple(Fraction(v, den) if v else _ZERO for v in self._values.tolist())
             else:
-                self._entries = tuple(self.array.tolist())
+                self._entries = tuple(self._values.tolist())
         return self._entries
 
     @property
     def array(self) -> np.ndarray:
         """The entries as a read-only flat ndarray (float64 or object)."""
+        if self._kind is not Fraction:
+            return self._values
         if self._array is None:
-            if self._kind is int:
-                self._array = self._numerators
-            else:
-                self._array = _frozen(np.array(self.entries, dtype=object))
+            self._array = _frozen(np.array(self.entries, dtype=object))
         return self._array
 
     @property
@@ -177,10 +180,13 @@ class LevelTensor:
 
     @classmethod
     def zeros(cls, d: int, k: int, zero=Fraction(0)) -> "LevelTensor":
-        if type(zero) in _EXACT_KINDS and not zero:
-            _check_shape(d, k)
-            return cls._from_integers(d, k, np.zeros(d**k, dtype=object), 1, type(zero))
-        return cls(d, k, [zero] * d**k)
+        """The level with every entry `zero`, in the scalar mode of `zero`."""
+        _check_shape(d, k)
+        kind, (zero,) = scalar_mode((zero,))
+        numerator, denominator = (zero.numerator, zero.denominator) if kind is Fraction else (zero, 1)
+        values = np.empty(d**k, dtype=np.float64 if kind is float else object)
+        values.fill(numerator)
+        return cls._of(d, k, values, denominator, kind)
 
     @classmethod
     def from_map(cls, d: int, k: int, mapping, zero=Fraction(0)) -> "LevelTensor":
@@ -198,7 +204,7 @@ class LevelTensor:
         return f"LevelTensor(d={self.d}, k={self.k})"
 
     def is_exact(self) -> bool:
-        return self._numerators is not None
+        return self._kind in _EXACT_KINDS
 
     def equals(self, other: "LevelTensor", tol: float | None = None) -> bool:
         if self.d != other.d or self.k != other.k:
@@ -219,27 +225,21 @@ class LevelTensor:
     def scale(self, c) -> "LevelTensor":
         if isinstance(c, np.generic):
             c = scalar_mode((c,))[1][0]
-        if isinstance(c, _EXACT_KINDS) and self._numerators is not None:
+        if isinstance(c, _EXACT_KINDS) and self._kind in _EXACT_KINDS:
             kind = int if self._kind is int and isinstance(c, int) else Fraction
-            numerators = self._numerators if c.numerator == 1 else self._numerators * c.numerator
-            return LevelTensor._from_integers(self.d, self.k, numerators, self._denominator * c.denominator, kind)
-        floats = self._kind is float or self._numerators is not None and isinstance(c, float)
+            values = self._values if c.numerator == 1 else self._values * c.numerator
+            return LevelTensor._of(self.d, self.k, values, self._denominator * c.denominator, kind)
+        floats = self._kind is float or self._kind in _EXACT_KINDS and isinstance(c, float)
         if floats and isinstance(c, (int, float, Fraction)):
-            return LevelTensor._from_array(self.d, self.k, float(c) * self.to_float().array)
-        return LevelTensor._from_array(self.d, self.k, c * self.array)
+            return LevelTensor._of(self.d, self.k, float(c) * self.to_float()._values)
+        return LevelTensor._of(self.d, self.k, c * self.array)
 
     def negate(self) -> "LevelTensor":
-        if self._numerators is not None:
-            return LevelTensor._from_integers(self.d, self.k, -self._numerators, self._denominator, self._kind)
-        return LevelTensor._from_array(self.d, self.k, -self.array)
+        return LevelTensor._of(self.d, self.k, -self._values, self._denominator, self._kind)
 
     def _live(self) -> bool:
-        """True when some entry is nonzero, read from the arrays where there are some."""
-        if self._numerators is not None:
-            return np.count_nonzero(self._numerators) > 0
-        if self._kind is float:
-            return np.count_nonzero(self._array) > 0
-        return any(self.entries)
+        """True when some entry is nonzero."""
+        return np.count_nonzero(self._values) > 0
 
     def is_zero(self, tol: float | None = None) -> bool:
         return all(values_close(v, 0 * v, tol) for v in self.entries)
@@ -248,13 +248,11 @@ class LevelTensor:
         """Concatenation (outer) product of two levels."""
         if self.d != other.d:
             raise ValueError("dimension mismatch")
-        k = self.k + other.k
-        if self._numerators is not None and other._numerators is not None:
-            out = np.multiply.outer(self._numerators, other._numerators).reshape(-1)
-            kind = self._kind if self._kind is other._kind else Fraction
-            return LevelTensor._from_integers(self.d, k, out, self._denominator * other._denominator, kind)
-        a, b = (self.array, other.array) if self._kind is other._kind else _arrays(self, other)
-        return LevelTensor._from_array(self.d, k, np.multiply.outer(a, b).reshape(-1))
+        if self._kind is other._kind:
+            kind, (a, b), (p, q) = self._kind, (self._values, other._values), (self._denominator, other._denominator)
+        else:
+            kind, (a, b), (p, q) = _common((self, other))
+        return LevelTensor._of(self.d, self.k + other.k, np.multiply.outer(a, b).reshape(-1), p * q, kind)
 
     def symmetrize(self) -> "LevelTensor":
         """Sum of entries over all k! position permutations of each word.
@@ -273,20 +271,16 @@ class LevelTensor:
         if self._kind is float:
             return self
         if self._float is None:
-            if self._numerators is not None:
-                floats = _quotients(self._numerators, self._denominator)
-            else:
-                floats = np.array([float(v) for v in self.entries], dtype=np.float64)
-            self._float = LevelTensor._from_array(self.d, self.k, floats)
+            self._float = LevelTensor._of(self.d, self.k, _quotients(self._values, self._denominator))
         return self._float
 
     def to_json(self) -> dict:
         exact = self.is_exact()
+        values, den = self._values.tolist(), self._denominator
         entries = {}
-        for i, v in enumerate(self.entries):
-            if v == 0:
-                continue
-            entries[word_to_string(index_word(i, self.d, self.k), self.d)] = format_scalar(v)
+        for i in np.flatnonzero(self._values).tolist():
+            word = word_to_string(index_word(i, self.d, self.k), self.d)
+            entries[word] = format_ratio(values[i], den) if exact else format_scalar(values[i])
         return {
             "dim": self.d,
             "order": self.k,
@@ -454,26 +448,16 @@ def series_from_level(level: LevelTensor, n: int | None = None) -> TensorSeries:
 
 
 def _level_sum(d: int, k: int, terms: Sequence[LevelTensor]) -> LevelTensor:
-    """Sum of same-shape levels, added in order; exact terms add over the lcm of
-    their denominators, and terms before the first inexact one add exactly."""
-    kinds = {t._kind for t in terms}
-    if kinds.isdisjoint((float, object)):
-        den = math.lcm(*(t._denominator for t in terms))
-        total = None
-        for t in terms:
-            part = t._numerators if t._denominator == den else t._numerators * (den // t._denominator)
-            total = part if total is None else total + part
-        kind = int if kinds == {int} else Fraction
-        return LevelTensor._from_integers(d, k, total, den, kind)
-    if len(kinds) > 1:
-        head = next(i for i, t in enumerate(terms) if t._numerators is None)
-        if head > 1:
-            terms = [_level_sum(d, k, terms[:head]), *terms[head:]]
-    arrays = _arrays(*terms) if len(kinds) > 1 else [t.array for t in terms]
-    total = arrays[0]
-    for array in arrays[1:]:
-        total = total + array
-    return LevelTensor._from_array(d, k, total)
+    """Sum of same-shape levels, added in order; exact terms add over the lcm
+    of their denominators, and in a mixed sum every exact term enters as its
+    `to_float()` (see `_common`)."""
+    kind, arrays, denominators = _common(terms)
+    den = math.lcm(*denominators)
+    total = None
+    for array, q in zip(arrays, denominators):
+        part = array if q == den else array * (den // q)
+        total = part if total is None else total + part
+    return LevelTensor._of(d, k, total, den, kind)
 
 
 def concat_product(a: TensorSeries, b: TensorSeries) -> TensorSeries:

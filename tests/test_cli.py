@@ -325,6 +325,23 @@ def test_recover_rejects_a_tol_that_is_not_positive(tmp_path, capsys):
         assert code == 2 and out == "" and "--tol" in err, tol
 
 
+def test_check_rejects_a_tol_that_mdm_would_ignore(tmp_path, capsys):
+    tensor = project_level(pl_signature([(1, 0, 2), (0, 1, 1)], 2), 2)
+    tensor_file = write_json(tmp_path, "m.json", tensor.to_json())
+    code, out, err = run_cli(capsys, "check", tensor_file, "--what", "Mdm", "--m", "2", "--tol", "1e-9")
+    assert code == 2 and out == "" and "--tol" in err and "Mdm" in err
+
+
+def test_recover_rejects_a_tol_that_exact_mode_would_ignore(tmp_path, capsys):
+    tensor = project_level(pl_signature([(1, 0), (0, 1)], 3), 3)
+    tensor_file = write_json(tmp_path, "t.json", tensor.to_json())
+    code, out, err = run_cli(
+        capsys, "recover", "--family", "pl", "--d", "2", "--m", "2", "--k", "3",
+        "--input", tensor_file, "--mode", "exact", "--tol", "1e-10",
+    )
+    assert code == 2 and out == "" and "--tol" in err and "--mode exact" in err
+
+
 def test_bundled_canonical_matrices():
     axis = LevelTensor.from_json(json.loads((DATA / "canonical_axis_d3_k2.json").read_text()))
     mono = LevelTensor.from_json(json.loads((DATA / "canonical_mono_d3_k2.json").read_text()))

@@ -191,6 +191,33 @@ def test_quadratic_recovery_round_trips(rng):
         recover_quadratic_planar(tensor)
 
 
+def test_closed_form_recovery_of_float_tensors_is_the_normalised_exact_point(rng):
+    # float relations are solved by an SVD, not read as binary fractions
+    done = 0
+    while done < 10:
+        steps = [rand_vector(rng, 2), rand_vector(rng, 2)]
+        coeffs = [rand_vector(rng, 2), rand_vector(rng, 2)]
+        cases = (
+            (project_level(pl_signature(steps, 3), 3), recover_two_step_planar),
+            (project_level(poly_signature_integrate(coeffs, 3), 3), recover_quadratic_planar),
+        )
+        for tensor, recover in cases:
+            try:
+                exact = np.array([float(v) for v in recover(tensor)])
+            except DegenerateRecovery:
+                continue
+            point = recover(tensor.to_float())
+            assert all(type(v) is float for v in point)
+            # unit length, first nonzero entry positive, as the exact point scaled
+            assert np.abs(np.array(point) - exact / np.linalg.norm(exact)).max() < 1e-12
+            done += 1
+    tensor = project_level(pl_signature([(Fraction(2), Fraction(1)), (Fraction(4), Fraction(2))], 3), 3)
+    with pytest.raises(DegenerateRecovery):
+        recover_two_step_planar(tensor.to_float())
+    with pytest.raises(DegenerateRecovery):
+        recover_two_step_planar(LevelTensor.zeros(2, 3, 0.0))
+
+
 def test_recovered_point_reproduces_tensor_projectively(rng):
     steps = [(Fraction(1), Fraction(2)), (Fraction(-1, 2), Fraction(1, 3))]
     tensor = project_level(pl_signature(steps, 3), 3)
