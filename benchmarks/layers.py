@@ -20,7 +20,8 @@ matrix, exact or float; a float matrix meets the exact core, as in
 which the level keeps after the warm-up call.  The
 shuffle-law tests `is_grouplike` and `is_lie` run on member inputs (the
 series of a (d+1)-step path and its logarithm), so each call checks every
-form; float calls pass tol=1e-9, as the algebra workload does.  Chen
+form; float calls pass tol=1e-9, as the algebra workload does, and exact
+calls run without a tol and with tol=1e-9 (shape key "tol").  Chen
 (`pl_signature`), `exp_series`/`log_series` (on the logarithm of a (d+1)-step
 path, and on that path's series) and `expected_signature` run at fixed shapes
 on seeded rationals, exact and float.  A call that returns a series or a
@@ -257,6 +258,7 @@ def layers():
         members = {"shuffle.is_grouplike": (is_grouplike, group), "shuffle.is_lie": (is_lie, log_series(group))}
         for name, (test, series) in members.items():
             out.append((name, {"d": d, "n": n}, "exact", lambda t=test, s=series: t(s)))
+            out.append((name, {"d": d, "n": n, "tol": 1e-9}, "exact", lambda t=test, s=series: t(s, 1e-9)))
             out.append((name, {"d": d, "n": n}, "float", lambda t=test, s=series.to_float(): t(s, 1e-9)))
     d, m, k = JSON_SHAPE
     values = _rationals(d * 100 + m * 10 + k, d * m)

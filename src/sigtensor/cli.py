@@ -261,6 +261,8 @@ def cmd_recover(args) -> int:
         raise UsageError("--tol has no effect with --mode exact: it applies to --mode newton only")
     if args.tol is not None and not 0 < args.tol < math.inf:
         raise UsageError(f"--tol must be a finite value > 0, got {args.tol}")
+    if args.mode == "newton":
+        _check_newton_size(args.d, args.m, args.k)
     data = _load_json(args.input)
     _check_input_size(data, "order")
     tensor = LevelTensor.from_json(data)
@@ -299,6 +301,17 @@ def cmd_recover(args) -> int:
         }
     )
     return EXIT_OK
+
+
+def _check_newton_size(d: int, m: int, k: int) -> None:
+    """Refuse a Gauss-Newton run whose m^k core or (d*m) x d^k Jacobian has more
+    entries than the cap, from the flags alone; other bad flags are refused later."""
+    if min(d, m, k) < 1:
+        return
+    steep = k >= ENTRY_CAP.bit_length()  # any base >= 2 to such a k exceeds the cap: the power is not built
+    for part, base, factor in (("m^k core", m, 1), ("(d*m) x d^k Jacobian", d, d * m)):
+        if base >= 2 and steep or factor * base**k > ENTRY_CAP:
+            raise UsageError(f"--d {d} --m {m} --k {k}: the {part} exceeds the {ENTRY_CAP}-entry cap")
 
 
 def _projective_residual(family: str, matrix, k: int, tensor: LevelTensor) -> float:

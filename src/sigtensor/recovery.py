@@ -125,18 +125,12 @@ def recover_group_element(tensor: LevelTensor, mode: str = "rational", seed: int
         if leading == 0:
             continue
         base = math.factorial(n) * leading
-        if mode == "rational":
-            root = fraction_nth_root(Fraction(base), n)
-            if root is None:
-                if n % 2 == 0 and base < 0:
-                    saw_negative = True
-                    continue
-                raise RootUnavailable("root unavailable in this scalar mode")
-        else:
-            if n % 2 == 0 and base < 0:
-                saw_negative = True
-                continue
-            root = real_nth_root(float(base), n)
+        if n % 2 == 0 and base < 0:
+            saw_negative = True
+            continue
+        root = fraction_nth_root(base, n) if mode == "rational" else real_nth_root(float(base), n)
+        if root is None:
+            raise RootUnavailable("root unavailable in this scalar mode")
         series = _descend(working, root)
         if change is not None:
             inverse = matrix_inverse(change)
@@ -160,31 +154,20 @@ def recover_group_element(tensor: LevelTensor, mode: str = "rational", seed: int
 def _descend(tensor: LevelTensor, sigma1) -> TensorSeries:
     """Fill levels n-1 .. 1 downward from the top level, dividing by sigma1.
 
-    Level k (2 <= k < n) at a word w is the shuffle form of (w, 1) on level
-    k+1, over sigma1; on the level-(k+1) cube that form is the sum over the
-    k+1 places p of the slice with letter 1 at place p.  Level 1 is read off
-    the top cube instead: the form of ((i), 1^(n-1)) is the sum of the n
-    one-axis slices with letter 1 on every other axis, scaled by
-    (n-1)! / sigma1^(n-1); its first coordinate is sigma1 itself.  An exact
-    level sums the slices of its numerators and divides on its denominator.
+    Level k at a word w is the shuffle form of (w, 1) on level k+1, over
+    sigma1; on the level-(k+1) cube that form is the sum over the k+1 places
+    p of the slice with letter 1 at place p.  The slices act on the level's
+    values and keep its denominator, so one rule serves every scalar mode.
+    Level 1 so starts with n! T_1...1 / sigma1^(n-1), which is sigma1 when
+    sigma1^n = n! T_1...1 (in floats, up to rounding).
     """
     d, n = tensor.d, tensor.k
-    exact = tensor.is_exact()
     levels: list = [None] * (n + 1)
     levels[0] = LevelTensor(d, 0, [sigma1 / sigma1])
     levels[n] = tensor
-    if n >= 2:
-        slices = [(0,) * p + (slice(None),) + (0,) * (n - 1 - p) for p in range(n)]
-        forms = tensor._linear_map(1, lambda top: sum(top[s] for s in slices))
-        if exact:  # its first coordinate is sigma1 already
-            levels[1] = forms.scale(math.factorial(n - 1) / sigma1 ** (n - 1))
-        else:
-            vec = math.factorial(n - 1) * forms.array / sigma1 ** (n - 1)
-            vec[0] = sigma1
-            levels[1] = LevelTensor._of(d, 1, vec)
-    for k in range(n - 1, 1, -1):
+    for k in range(n - 1, 0, -1):
         forms = levels[k + 1]._linear_map(k, lambda upper: sum(np.take(upper, 0, axis=p) for p in range(upper.ndim)))
-        levels[k] = forms.scale(1 / sigma1) if exact else LevelTensor._of(d, k, forms.array / sigma1)
+        levels[k] = forms.scale(1 / sigma1)
     return TensorSeries(d, n, levels)
 
 

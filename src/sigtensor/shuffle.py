@@ -108,20 +108,19 @@ def _first_violation(series: TensorSeries, tol: float | None, grouplike: bool):
     """First (I, J, form value) in scan order whose form breaks the law, or None.
 
     Scan order: total length, then |I| <= |J|, then I and J in index order,
-    with I <= J when |I| = |J|.  A series with a float level is compared in
-    floats.  Exact levels without tol are compared in their own integers
-    T_k = A_k / L_k (`LevelTensor.as_integers`), and the group-like law is
-    checked as F * L_r * L_s == A_r (x) A_s * L_k.
+    with I <= J when |I| = |J|.  With no tol (or tol 0, which asks for
+    equality) and every level exact, the levels are read as their own
+    integers T_k = A_k / L_k (`LevelTensor.as_integers`), and the group-like
+    law is checked as F * L_r * L_s == A_r (x) A_s * L_k.  Otherwise every
+    level is read as its `to_float()`, so an exact series checked with a
+    positive tol is compared in floats.
     """
-    d, floats = series.d, any(lvl.holds_floats for lvl in series.levels[1:])
-    integers = tol is None and all(lvl.is_exact() for lvl in series.levels[1:])
+    d = series.d
+    integers = not tol and all(lvl.is_exact() for lvl in series.levels[1:])
 
     @functools.cache
     def level(k):
-        if integers:
-            return series.levels[k].as_integers()
-        array = series.levels[k].array
-        return (np.asarray(array, dtype=np.float64) if floats else array), 1
+        return series.levels[k].as_integers() if integers else (series.levels[k].to_float().array, 1)
 
     for total in range(2, series.n + 1):
         top, top_scale = level(total)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .scalars import format_scalar, parse_scalar
 from .shuffle import WordCombination, shuffle_word_list
-from .tensor import LevelTensor, TensorSeries, exp_series, zero_series
+from .tensor import LevelTensor, TensorSeries, _scalar_zero, exp_series
 
 
 @dataclass(frozen=True)
@@ -132,15 +132,17 @@ class MixtureModel:
 def drift_covariance_exponent(model: BrownianModel, n: int) -> TensorSeries:
     """The exponent mu + (sigma + 2q)/2 as a series (levels 1 and 2)."""
     d = model.d
-    series = zero_series(d, n)
-    levels = list(series.levels)
+    parts = []
     if n >= 1:
-        levels[1] = LevelTensor(d, 1, list(model.mu))
+        parts.append(LevelTensor(d, 1, list(model.mu)))
     if n >= 2:
         value = Fraction(1, 2) * np.array(model.sigma, dtype=object)
         if model.q is not None:
             value = value + np.array(model.q, dtype=object)
-        levels[2] = LevelTensor(d, 2, value.reshape(-1).tolist())
+        parts.append(LevelTensor(d, 2, value.reshape(-1).tolist()))
+    zero = _scalar_zero(parts)  # the other levels are zeros in the model's mode
+    levels = [LevelTensor(d, 0, [zero]), *parts]
+    levels += [LevelTensor.zeros(d, k, zero) for k in range(len(levels), n + 1)]
     return TensorSeries(d, n, levels)
 
 

@@ -97,11 +97,11 @@ class LevelTensor:
     they are all Python floats (exact zeros included).  A level of other
     scalars (`Dual`s, say) holds an object array of them over 1.  A level
     built from given entries keeps them as given; a computed level builds its
-    entries (and a `Fraction` level its `array`) on first read.  `to_float()`
-    is built once per level.
+    entries on first read, and `to_float()` once.  The `array` of a `Fraction`
+    level is built on each read: hot code reads `as_integers()` or `to_float()`.
     """
 
-    __slots__ = ("d", "k", "_values", "_denominator", "_kind", "_entries", "_array", "_float")
+    __slots__ = ("d", "k", "_values", "_denominator", "_kind", "_entries", "_float")
 
     def __init__(self, d: int, k: int, entries: Sequence):
         _check_shape(d, k)
@@ -115,7 +115,7 @@ class LevelTensor:
         self.d, self.k, self._kind = d, k, kind
         self._values, self._denominator = _frozen(values), denominator
         self._entries = None if kind is float else entries
-        self._array = self._float = None
+        self._float = None
 
     @classmethod
     def _of(cls, d: int, k: int, values: np.ndarray, denominator: int = 1, kind=None) -> "LevelTensor":
@@ -133,7 +133,7 @@ class LevelTensor:
         level.d, level.k = d, k
         level._kind = kind or (float if values.dtype == np.float64 else object)
         level._values, level._denominator = _frozen(values), denominator
-        level._entries = level._array = level._float = None
+        level._entries = level._float = None
         return level
 
     def _linear_map(self, k: int, f) -> "LevelTensor":
@@ -162,12 +162,10 @@ class LevelTensor:
 
     @property
     def array(self) -> np.ndarray:
-        """The entries as a read-only flat ndarray (float64 or object)."""
+        """The entries as a read-only flat ndarray (float64 or object), built on each read of a `Fraction` level."""
         if self._kind is not Fraction:
             return self._values
-        if self._array is None:
-            self._array = _frozen(np.array(self.entries, dtype=object))
-        return self._array
+        return _frozen(np.array(self.entries, dtype=object))
 
     @property
     def cube(self) -> np.ndarray:
@@ -367,7 +365,7 @@ class TensorSeries:
         """Copy truncated (or zero-extended, in the series' scalar mode) to order n."""
         if n <= self.n:
             return TensorSeries(self.d, n, self.levels[: n + 1])
-        zero = _scalar_zero(self)
+        zero = _scalar_zero(self.levels)
         extra = [LevelTensor.zeros(self.d, k, zero) for k in range(self.n + 1, n + 1)]
         return TensorSeries(self.d, n, list(self.levels) + extra)
 
@@ -401,9 +399,9 @@ class TensorSeries:
         return cls(d, n, levels)
 
 
-def _scalar_zero(*series: TensorSeries):
-    """0.0 when any level of the series holds floats, else Fraction(0)."""
-    return 0.0 if any(lvl.holds_floats for s in series for lvl in s.levels) else Fraction(0)
+def _scalar_zero(levels: Sequence[LevelTensor]):
+    """0.0 when any of the levels holds floats, else Fraction(0)."""
+    return 0.0 if any(lvl.holds_floats for lvl in levels) else Fraction(0)
 
 
 def _graded(d: int, n: int, constant, zero) -> TensorSeries:
@@ -431,18 +429,19 @@ def basis_series(d: int, n: int, letter: int) -> TensorSeries:
 
 
 def from_vector(vector: Sequence, n: int) -> TensorSeries:
-    """Series whose only nonzero level is level 1."""
-    d = len(vector)
-    levels = [LevelTensor.zeros(d, 0), LevelTensor(d, 1, list(vector))]
-    levels += [LevelTensor.zeros(d, k) for k in range(2, n + 1)]
-    return TensorSeries(d, n, levels)
+    """Series whose only nonzero level is level 1, in the vector's scalar mode."""
+    return series_from_level(LevelTensor(len(vector), 1, list(vector)), n)
 
 
 def series_from_level(level: LevelTensor, n: int | None = None) -> TensorSeries:
-    """Series with a single nonzero homogeneous component."""
+    """Series with a single nonzero homogeneous component; the other levels
+    are zeros in the level's scalar mode (0.0 beside a float level)."""
     if n is None:
         n = level.k
-    levels = [LevelTensor.zeros(level.d, k) for k in range(n + 1)]
+    if n < level.k:
+        raise ValueError(f"a level of order {level.k} does not fit a series truncated at {n}")
+    zero = _scalar_zero([level])
+    levels = [LevelTensor.zeros(level.d, k, zero) for k in range(n + 1)]
     levels[level.k] = level
     return TensorSeries(level.d, n, levels)
 
@@ -470,7 +469,7 @@ def concat_product(a: TensorSeries, b: TensorSeries) -> TensorSeries:
         raise ValueError("series must share dimension and truncation order")
     live_a = [lvl._live() for lvl in a.levels]
     live_b = [lvl._live() for lvl in b.levels]
-    levels = []
+    levels, zero = [], None
     for k in range(a.n + 1):
         terms = [
             a.levels[p].tensor_product(b.levels[k - p]) for p in range(k + 1) if live_a[p] and live_b[k - p]
@@ -478,7 +477,8 @@ def concat_product(a: TensorSeries, b: TensorSeries) -> TensorSeries:
         if terms:
             levels.append(_level_sum(a.d, k, terms))
         else:
-            levels.append(LevelTensor.zeros(a.d, k, _scalar_zero(a, b)))
+            zero = _scalar_zero(a.levels + b.levels) if zero is None else zero
+            levels.append(LevelTensor.zeros(a.d, k, zero))
     return TensorSeries(a.d, a.n, levels)
 
 
@@ -490,7 +490,7 @@ def exp_series(p: TensorSeries) -> TensorSeries:
     """exp(p) = sum p^r / r!, which terminates at r = n for constant term 0."""
     if p.constant_term != 0:
         raise ValueError("exponential requires constant term 0")
-    zero = _scalar_zero(p)
+    zero = _scalar_zero(p.levels)
     result = term = _graded(p.d, p.n, zero + 1, zero)
     for r in range(1, p.n + 1):
         term = concat_product(term, p).scale(Fraction(1, r))
@@ -502,7 +502,7 @@ def log_series(q: TensorSeries) -> TensorSeries:
     """log(q) = sum (-1)^(r-1)/r (q-1)^r, defined for constant term 1."""
     if q.constant_term != 1:
         raise ValueError("logarithm requires constant term 1")
-    zero = _scalar_zero(q)
+    zero = _scalar_zero(q.levels)
     power = _graded(q.d, q.n, zero + 1, zero)
     p = q.add(power.negate())
     result = _graded(q.d, q.n, zero, zero)

@@ -441,6 +441,27 @@ def test_inputs_beyond_the_entry_cap_are_refused_before_they_are_built(tmp_path,
         assert code == 2 and out == "" and "entry cap" in err, argv
 
 
+def test_recover_newton_refuses_a_core_beyond_the_entry_cap_before_reading_the_input(tmp_path, capsys):
+    # the 11^7-entry core exceeds the 10^7 cap; the input file does not exist
+    code, out, err = run_cli(
+        capsys, "recover", "--family", "pl", "--d", "2", "--m", "11", "--k", "7",
+        "--input", str(tmp_path / "absent.json"), "--mode", "newton",
+    )
+    assert code == 2 and out == ""
+    assert "core" in err and "entry cap" in err
+
+
+def test_recover_newton_refuses_a_jacobian_beyond_the_entry_cap(tmp_path, capsys):
+    # the input level has 10^7 entries, at the cap, but its (10*2) x 10^7 Jacobian does not fit
+    tensor = write_json(tmp_path, "t.json", {"dim": 10, "order": 7, "entries": {}})
+    code, out, err = run_cli(
+        capsys, "recover", "--family", "pl", "--d", "10", "--m", "2", "--k", "7",
+        "--input", tensor, "--mode", "newton",
+    )
+    assert code == 2 and out == ""
+    assert "Jacobian" in err and "entry cap" in err
+
+
 def test_word_listings_beyond_the_entry_cap_are_refused_before_enumerating(capsys, monkeypatch):
     import sigtensor.cli as cli
 

@@ -7,6 +7,8 @@ Jacobian, the multilinear action `tensor_congruence` against a
 word-by-word sum, and the closed-form canonical cores against their
 word-by-word definitions."""
 
+import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 import pytest
 
 from sigtensor import (
+    BrownianModel,
     DegenerateRecovery,
     LevelTensor,
     RecoveryFailed,
@@ -31,6 +34,7 @@ from sigtensor import (
     exp_series,
     find_grouplike_violation,
     find_lie_violation,
+    from_vector,
     gauss_newton_recover,
     is_grouplike,
     is_lie,
@@ -53,8 +57,9 @@ from sigtensor import (
 from sigtensor.dual import Dual, seed_matrix
 from sigtensor.lyndon import poly_from_json, poly_to_json
 from sigtensor.matrices import matrix_inverse, mono_slice_matrix
-from sigtensor.recovery import _core_level, _image_and_jacobian, _kernel_point
+from sigtensor.recovery import _core_level, _descend, _image_and_jacobian, _kernel_point
 from sigtensor.scalars import values_close
+from sigtensor.stochastic import drift_covariance_exponent
 from sigtensor.words import all_words
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=50, database=None)
@@ -366,9 +371,10 @@ def _scan_violation(series, tol, grouplike):
 
 
 @st.composite
-def shuffle_law_cases(draw):
+def shuffle_law_cases(draw, floats=True):
     """(series, tol, grouplike): a group-like series or its log, d <= 3, n <= 5,
-    maybe with one entry moved, exact (tol None) or float (tol given)."""
+    maybe with one entry moved, exact (tol None) or, when floats is set, float
+    (tol given)."""
     d, n = draw(st.integers(1, 3)), draw(st.integers(0, 5))
     steps = draw(st.lists(st.lists(rationals, min_size=d, max_size=d), min_size=1, max_size=3))
     grouplike = draw(st.booleans())
@@ -380,7 +386,7 @@ def shuffle_law_cases(draw):
         levels = list(series.levels)
         levels[k] = LevelTensor(d, k, entries)
         series = TensorSeries(d, n, levels)
-    if draw(st.booleans()):
+    if floats and draw(st.booleans()):
         return series.to_float(), draw(st.sampled_from([1e-9, 1e-12])), grouplike
     return series, None, grouplike
 
@@ -398,6 +404,69 @@ def test_shuffle_law_witness_equals_the_pair_scan(case):
         assert found[:2] == expected[:2]
         assert found[2:] == pytest.approx(expected[2:], rel=1e-12)
     assert found is None or all(type(v) in (int, Fraction, float) for v in found[2:])
+
+
+@PROPERTY
+@given(shuffle_law_cases(floats=False), st.sampled_from([1e-12, 1e-9]), st.data())
+def test_exact_series_with_a_tol_are_scanned_as_their_floats_with_exact_witnesses(case, tol, data):
+    series, _, grouplike = case
+    if series.n >= 1 and data.draw(st.booleans()):  # move one entry by about the tolerance
+        k = data.draw(st.integers(1, series.n))
+        entries = list(series.levels[k].entries)
+        entries[data.draw(st.integers(0, series.d**k - 1))] += Fraction(
+            data.draw(st.sampled_from([1, -1])), 10 ** data.draw(st.integers(8, 14))
+        )
+        levels = list(series.levels)
+        levels[k] = LevelTensor(series.d, k, entries)
+        series = TensorSeries(series.d, series.n, levels)
+    find = find_grouplike_violation if grouplike else find_lie_violation
+    found, in_floats = find(series, tol), find(series.to_float(), tol)
+    assert find(series, 0.0) == find(series)  # tol 0 asks for equality: no float rounding
+    assert (found is None) == (in_floats is None)
+    if found is not None:
+        left, right, value, *law = found
+        assert (left, right) == in_floats[:2]
+        assert all(type(v) in (int, Fraction) for v in found[2:])
+        if left:
+            assert value == shuffle_form_eval(left, right, series.levels[len(left) + len(right)])
+            assert law in ([], [series.coefficient(left) * series.coefficient(right)])
+        else:
+            assert value == series.constant_term
+
+
+@PROPERTY
+@given(st.integers(1, 3), st.integers(2, 5), st.data())
+def test_descent_reads_level_one_as_the_direct_form_of_the_top_level(d, n, data):
+    """Level 1 read down through every level equals (n-1)!/sigma^(n-1) times the
+    form ((i) ⧢ 1^(n-1)) of the top level: its n one-axis slices, summed."""
+    scalars = rationals | st.integers(-5, 5)
+    top = LevelTensor(d, n, data.draw(st.lists(scalars, min_size=d**n, max_size=d**n)))
+    sigma = data.draw(rationals.filter(bool))
+    ones = (1,) * (n - 1)
+    direct = [
+        sum(top[ones[:p] + (i,) + ones[p:]] for p in range(n)) * math.factorial(n - 1) / sigma ** (n - 1)
+        for i in range(1, d + 1)
+    ]
+    level = _descend(top, sigma).levels[1]
+    assert level.entries == tuple(direct)
+    assert all(type(v) is Fraction for v in level.entries)
+
+
+@PROPERTY
+@given(st.integers(1, 3), st.integers(1, 4), st.data())
+def test_series_built_from_floats_hold_only_floats_and_round_trip_through_json(d, n, data):
+    floats = st.floats(-4, 4, allow_nan=False)
+    vector = data.draw(st.lists(floats, min_size=d, max_size=d))
+    k = data.draw(st.integers(0, n))
+    level = LevelTensor(d, k, data.draw(st.lists(floats, min_size=d**k, max_size=d**k)))
+    a = data.draw(st.lists(floats, min_size=d * d, max_size=d * d))
+    sigma = tuple(tuple(a[min(i, j) * d + max(i, j)] for j in range(d)) for i in range(d))
+    q = tuple(tuple(a[i * d + j] - a[j * d + i] for j in range(d)) for i in range(d))
+    model = BrownianModel(tuple(vector), sigma, q)
+    for series in (from_vector(vector, n), series_from_level(level, n), drift_covariance_exponent(model, n)):
+        assert all(type(v) is float for lvl in series.levels for v in lvl.entries)
+        text = json.dumps(series.to_json())
+        assert json.dumps(TensorSeries.from_json(json.loads(text)).to_json()) == text
 
 
 @st.composite

@@ -20,6 +20,7 @@ from sigtensor import (
     pl_signature,
     project_level,
     recover_group_element,
+    series_from_level,
     unit_series,
     zero_series,
 )
@@ -157,6 +158,23 @@ def test_project_copy_and_errors():
     with pytest.raises(ValueError):
         project_level(s, 4)
     assert lvl.scale(0).is_zero()
+
+
+def test_single_level_series_keep_the_mode_and_refuse_a_level_above_the_truncation():
+    series = from_vector([0.5, 1.0], 2)
+    assert series.to_json() == {
+        "dim": 2,
+        "trunc": 2,
+        "levels": [
+            0.0,
+            {"dim": 2, "order": 1, "scalar": "float", "entries": {"1": 0.5, "2": 1.0}},
+            {"dim": 2, "order": 2, "scalar": "float", "entries": {}},
+        ],
+    }
+    assert TensorSeries.from_json(series.to_json()).to_json() == series.to_json()
+    assert type(from_vector([1, Fraction(1, 2)], 2).constant_term) is Fraction
+    with pytest.raises(ValueError, match="order 2"):
+        series_from_level(LevelTensor(2, 2, [1, 2, 3, 4]), 1)
 
 
 def test_symmetrize_axis_and_skew():
