@@ -9,7 +9,8 @@ rounds runs one fresh `--src` process per tree, alternating which tree goes
 first; the output holds, per layer, shape and scalar mode, the median and the
 interquartile range over the rounds for each tree.  Both trees must share
 the private calling convention used below (`_core_level(...).to_float()`,
-and `_residual_and_jacobian(core, x, target)`).  Polynomial signatures and
+`_residual_and_jacobian(core, x, target)`, `_core_level(...).as_integers()`
+and `_image_and_jacobian(core, x)`).  Polynomial signatures and
 group-element recovery are timed through their public functions on seeded
 rational inputs (group elements: the top level of a (d+1)-step path; at
 CHANGE_SHAPE that path's first coordinate returns to 0, so the 1...1 entry
@@ -36,9 +37,12 @@ emptied first too, through `getattr(..., "cache_clear", None)`), and
 the shuffle memo are emptied before every call.  `expand_from_lyndon` is
 timed warm (its table built by the warm-up call) at EXPAND_SHAPES on the
 Lyndon coordinates of a seeded (d+1)-step path, exact and as floats.
-`exact_rank` eliminates the exact Jacobian at RANK_SHAPE (a seeded rational
-point, built before timing from `signature_map` of `Dual` seeds), and
-`exact_det` the order-2 monomial matrix of size DET_SIZE.  `LevelTensor.to_json`
+`exact_rank` takes the exact Jacobian at each of RANK_SHAPES (a seeded
+rational point, built before timing as `jacobian_rank` builds it: the
+closed-form `_image_and_jacobian` on the integer core and the point's
+integer multiple); the last shape has a deficient rank, so its row pays for
+the fallback from the mod-p certificate to Bareiss elimination.  `exact_det`
+eliminates the order-2 monomial matrix of size DET_SIZE.  `LevelTensor.to_json`
 writes the top level of a seeded PL path at JSON_SHAPE, exact and as its
 `to_float()`.
 
@@ -62,7 +66,7 @@ import time
 
 GN_SHAPES = [(d, k) for d in (2, 3, 4) for k in (3, 4)]  # d = m, family pl
 JACOBIAN_SHAPES = [("pl", 3, 3, 3), ("pl", 4, 3, 4), ("poly", 3, 4, 3), ("pl", 6, 3, 6)]  # (family, d, k, m)
-RANK_SHAPE = ("pl", 6, 3, 6)  # (family, d, k, m) of the Jacobian that exact_rank eliminates
+RANK_SHAPES = [("pl", 6, 3, 6), ("pl", 4, 4, 5), ("poly", 5, 4, 5), ("pl", 5, 2, 5)]  # (family, d, k, m) of exact_rank
 DET_SIZE = 8  # exact_det of mono_matrix(DET_SIZE)
 POLY_SHAPES = [(2, 3, 6), (3, 3, 5)]  # (d, m, n), as in the forward workload
 GROUP_SHAPES = [(2, 3), (2, 4), (3, 3), (3, 4)]  # (d, n), as in the inverse workload
@@ -96,16 +100,17 @@ def _gn_eval(recovery, d, k):
     return lambda: recovery._residual_and_jacobian(core, x, target)
 
 
-def _jacobian(family, d, k, m):
-    """The exact (d*m) x d^k Jacobian of the family's signature map at a seeded
-    rational point, read off `signature_map` of `Dual` seeds (row a*m+b is the
+def _jacobian(recovery, family, d, k, m):
+    """The (d*m) x d^k Jacobian of the family's signature map at a seeded rational
+    point, as `jacobian_rank` builds it: an object array of Python ints, the exact
+    Jacobian times the core's and the point's denominators (row a*m+b is the
     partial in X[a, b])."""
-    from sigtensor import signature_map
-    from sigtensor.dual import seed_matrix
+    from sigtensor.scalars import integer_multiple
 
     values = _rationals(d * 100 + m * 10 + k + 6, d * m)
-    image = signature_map(family, seed_matrix([values[i * m : (i + 1) * m] for i in range(d)]), k)
-    return [list(row) for row in zip(*(entry.b for entry in image.entries))]
+    core = recovery._core_level(family, m, k).as_integers()[0].reshape((m,) * k)
+    point = integer_multiple([values[i * m : (i + 1) * m] for i in range(d)])[0]
+    return recovery._image_and_jacobian(core, point)[1]
 
 
 def _cold(call, *clears):
@@ -197,10 +202,11 @@ def layers():
     for family, d, k, m in JACOBIAN_SHAPES:
         shape = {"family": family, "d": d, "m": m, "k": k}
         out.append(("recovery.jacobian_rank", shape, "exact", lambda a=(family, d, k, m): jacobian_rank(*a)))
-    family, d, k, m = RANK_SHAPE
-    jacobian = _jacobian(family, d, k, m)
-    shape = {"family": family, "d": d, "m": m, "k": k, "rows": len(jacobian), "cols": len(jacobian[0])}
-    out.append(("matrices.exact_rank", shape, "exact", lambda: exact_rank(jacobian)))
+    for family, d, k, m in RANK_SHAPES:
+        jacobian = _jacobian(recovery, family, d, k, m)
+        rows, cols = jacobian.shape
+        shape = {"family": family, "d": d, "m": m, "k": k, "rows": rows, "cols": cols}
+        out.append(("matrices.exact_rank", shape, "exact", lambda j=jacobian: exact_rank(j)))
     mono = mono_matrix(DET_SIZE)
     out.append(("matrices.exact_det", {"matrix": "mono_matrix", "d": DET_SIZE}, "exact", lambda: exact_det(mono)))
     for d, m, n in POLY_SHAPES:

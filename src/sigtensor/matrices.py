@@ -138,18 +138,57 @@ def _eliminate(work: np.ndarray, scale: int) -> _Echelon:
     return _Echelon(work, tuple(pivots), sign, scale)
 
 
-def exact_rank(matrix) -> int:
-    """Rank of a matrix: fraction-free elimination over the rationals.
+#: The word-size prime of `_rank_mod_p`: below 2^31, so a product of two
+#: residues plus a residue fits in int64.
+_PRIME = 2**31 - 1
 
-    Matrices whose scalar mode is not exact fall back to counting singular
-    values above 1e-9 * sigma_max.
+
+def _rank_mod_p(array: np.ndarray) -> int:
+    """Rank over GF(_PRIME) of an integer matrix (an object array of Python ints).
+
+    Row reduction on an int64 copy of the residues: each pivot row is scaled
+    to a leading 1 and cleared from the rows below in one array update.
+    """
+    work = (array % _PRIME).astype(np.int64)
+    n_rows, n_cols = work.shape
+    top = 0
+    for col in range(n_cols):
+        if top == n_rows:
+            break
+        nonzero = np.flatnonzero(work[top:, col])
+        if not nonzero.size:
+            continue
+        pivot = top + int(nonzero[0])
+        if pivot != top:
+            work[[top, pivot]] = work[[pivot, top]]
+        row = work[top, col:] * pow(int(work[top, col]), -1, _PRIME) % _PRIME
+        below = work[top + 1 :, col:]
+        below -= np.multiply.outer(below[:, 0], row)
+        below %= _PRIME
+        top += 1
+    return top
+
+
+def exact_rank(matrix) -> int:
+    """Rank of a matrix, certified mod a prime or by fraction-free elimination.
+
+    An exact matrix M = A / L is first reduced over GF(p) for one word-size
+    prime p (`_rank_mod_p`).  A nonzero minor mod p is a nonzero integer, so
+    rank_p <= rank(M) <= min(rows, cols), and rank_p = min(rows, cols) is
+    returned as proved.  A lower rank_p may only mean that p divides every
+    maximal minor, so the rank then comes from Bareiss elimination over the
+    integers.  Matrices whose scalar mode is not exact fall back to counting
+    singular values above 1e-9 * sigma_max.
     """
     rows = _as_rows(matrix)
     mode, values = scalar_mode(v for row in rows for v in row)
     shape = (len(rows), len(rows[0]) if rows else 0)
     if mode in (int, Fraction):
         array, scale = integer_multiple(values)
-        return len(_eliminate(array.reshape(shape), scale).pivots)
+        array = array.reshape(shape)
+        if _rank_mod_p(array) == min(shape):
+            return min(shape)
+        return len(_eliminate(array, scale).pivots)
     return _float_rank(np.linalg.svd(np.array(values, dtype=float).reshape(shape), compute_uv=False))
 
 

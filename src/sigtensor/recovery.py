@@ -361,14 +361,18 @@ def jacobian_rank(
 ) -> JacobianReport:
     """Exact rank of the (d*m) x d^k Jacobian of the parametrization.
 
-    The closed-form Jacobian is evaluated exactly at random rational
-    points; the report keeps the maximum rank over the seeds, and stops
-    early once a seed reaches min(d*m, d^k), which no seed can exceed.
+    The closed-form Jacobian is evaluated exactly at seed_count >= 1 random
+    rational points; the report keeps the maximum rank over the seeds, and
+    stops early once a seed reaches min(d*m, d^k), which no seed can exceed.
     Scaling the core by L and the point by D scales the Jacobian by
-    L * D^(k-1) and keeps its rank, so the kernel runs on Python ints.
+    L * D^(k-1) and keeps its rank, so the kernel runs on Python ints.  Each
+    rank is `exact_rank`'s: a full rank is certified mod a word-size prime,
+    a deficient one comes from Bareiss elimination.
     """
     if d < 1 or m < 1 or k < 1:
         raise ValueError(f"need d, m, k >= 1, got d={d}, m={m}, k={k}")
+    if seed_count < 1:
+        raise ValueError(f"need seed_count >= 1, got {seed_count}")
     core = _core_level(_family_name(family), m, k).as_integers()[0].reshape((m,) * k)
     rng = random.Random(seed)
     best, full = 0, min(d * m, d**k)

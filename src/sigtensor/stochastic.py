@@ -15,9 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .scalars import format_scalar, parse_scalar
+from .scalars import format_scalar, parse_scalar, scalar_mode
 from .shuffle import WordCombination, shuffle_word_list
-from .tensor import LevelTensor, TensorSeries, _scalar_zero, exp_series
+from .tensor import LevelTensor, TensorSeries, exp_series
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,9 @@ def drift_covariance_exponent(model: BrownianModel, n: int) -> TensorSeries:
         if model.q is not None:
             value = value + np.array(model.q, dtype=object)
         parts.append(LevelTensor(d, 2, value.reshape(-1).tolist()))
-    zero = _scalar_zero(parts)  # the other levels are zeros in the model's mode
+    # the constant and the other levels are zeros in the model's mode
+    values = [*model.mu, *(v for row in model.sigma + (model.q or ()) for v in row)]
+    zero = 0.0 if scalar_mode(values)[0] is float else Fraction(0)
     levels = [LevelTensor(d, 0, [zero]), *parts]
     levels += [LevelTensor.zeros(d, k, zero) for k in range(len(levels), n + 1)]
     return TensorSeries(d, n, levels)

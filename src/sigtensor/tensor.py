@@ -385,8 +385,11 @@ class TensorSeries:
             raise ValueError("'levels' must be a JSON list: the constant term, then one tensor per order")
         if len(raw_levels) != n + 1:
             raise ValueError("level count does not match trunc")
-        tensors = [lvl if isinstance(lvl, dict) else None for lvl in raw_levels]
-        exact = all(t is None or t.get("scalar", "rational") == "rational" for t in tensors)
+        tensors = [lvl for lvl in raw_levels[1:] if isinstance(lvl, dict)]
+        if tensors:
+            exact = all(t.get("scalar", "rational") == "rational" for t in tensors)
+        else:  # no level tensors: the constant's JSON type carries the mode
+            exact = not isinstance(raw_levels[0], float)
         levels = [LevelTensor(d, 0, [parse_scalar(raw_levels[0], exact)])]
         for k in range(1, n + 1):
             raw = raw_levels[k]

@@ -207,6 +207,14 @@ def test_verify_vanishing_simple_cases(tmp_path, capsys):
     assert code == 2
 
 
+def test_expected_at_truncation_zero_follows_the_scalar_mode(tmp_path, capsys):
+    model = write_json(tmp_path, "model.json", {"mu": ["1", "-1"], "sigma": [["1", "1/2"], ["1/2", "2"]], "q": None})
+    code, out, _ = run_cli(capsys, "expected", model, "--trunc", "0", "--scalar", "float")
+    assert code == 0 and json.loads(out) == {"dim": 2, "trunc": 0, "levels": [1.0]}
+    code, out, _ = run_cli(capsys, "expected", model, "--trunc", "0")
+    assert code == 0 and json.loads(out) == {"dim": 2, "trunc": 0, "levels": ["1"]}
+
+
 def test_expected_command(tmp_path, capsys):
     model = write_json(
         tmp_path,

@@ -24,7 +24,8 @@ from sigtensor import (
     signature_matrix_witness,
     split_pencil,
 )
-from sigtensor.matrices import matrix_inverse
+from sigtensor import matrices
+from sigtensor.matrices import _PRIME, _rank_mod_p, matrix_inverse
 
 from conftest import rand_fraction, rand_skew, rand_vector
 
@@ -63,6 +64,49 @@ def test_exact_rank_basics():
     assert exact_rank(np.array([[1.0, 0.0], [0.0, 1e-15]])) == 1
     # numpy integers are exact: float singular values would see rank 1
     assert exact_rank(np.array([[2**52, 2**52 + 1], [2**52, 2**52]])) == 2
+
+
+def _counting_eliminations(monkeypatch):
+    calls = []
+    eliminate = matrices._eliminate
+
+    def counted(work, scale):
+        calls.append(work.shape)
+        return eliminate(work, scale)
+
+    monkeypatch.setattr(matrices, "_eliminate", counted)
+    return calls
+
+
+def test_full_rank_mod_p_is_returned_without_bareiss(monkeypatch):
+    calls = _counting_eliminations(monkeypatch)
+    assert exact_rank(mono_matrix(4)) == 4
+    assert exact_rank([[1, 2, 3], [Fraction(1, 2), 0, 7]]) == 2
+    assert calls == []
+
+
+@pytest.mark.parametrize("rows", [[[_PRIME, 0], [0, 1]], [[_PRIME, 1], [0, 1]], [[1, 1], [1, 1 + _PRIME]]])
+def test_a_maximal_minor_divisible_by_p_reaches_bareiss_and_keeps_full_rank(monkeypatch, rows):
+    calls = _counting_eliminations(monkeypatch)
+    assert _rank_mod_p(np.array(rows, dtype=object)) == 1
+    assert exact_rank(rows) == 2
+    assert calls == [(2, 2)]
+
+
+def test_exact_rank_of_huge_negative_zero_and_empty_matrices():
+    big = 2**64 + 13
+    assert exact_rank([[big, -(2**63)], [-1, 2**70]]) == 2
+    assert exact_rank([[big, -big], [-3 * big, 3 * big]]) == 1
+    assert exact_rank([[2**100, 2**100 + _PRIME], [1, 1]]) == 2  # proportional rows mod p
+    assert exact_rank([[-2, 4, -6], [3, -6, 9], [-1, 2, -3]]) == 1
+    assert exact_rank([[0, 0, 0], [0, 0, 0]]) == 0
+    assert exact_rank([[Fraction(0)] * 4] * 3) == 0
+    assert exact_rank([[], [], []]) == 0  # 3 x 0
+    assert exact_rank(np.zeros((0, 3), dtype=object)) == 0  # 0 x 3
+    assert exact_rank([]) == 0
+    for shape in ((0, 3), (3, 0), (0, 0)):
+        assert _rank_mod_p(np.zeros(shape, dtype=object)) == 0
+    assert _rank_mod_p(np.array([[-1, big], [2**200, -_PRIME]], dtype=object)) == 2
 
 
 def test_determinant_closed_forms():

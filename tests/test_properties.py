@@ -56,7 +56,7 @@ from sigtensor import (
 )
 from sigtensor.dual import Dual, seed_matrix
 from sigtensor.lyndon import poly_from_json, poly_to_json
-from sigtensor.matrices import matrix_inverse, mono_slice_matrix
+from sigtensor.matrices import _PRIME, _eliminate, _integer_matrix, matrix_inverse, mono_slice_matrix
 from sigtensor.recovery import _core_level, _descend, _image_and_jacobian, _kernel_point
 from sigtensor.scalars import values_close
 from sigtensor.stochastic import drift_covariance_exponent
@@ -276,6 +276,38 @@ def test_elimination_agrees_with_a_fraction_gauss_jordan_oracle(a):
     else:
         result = matrix_inverse(a)
         assert result == inverse and all(type(v) is Fraction for row in result for v in row)
+
+
+@st.composite
+def integer_matrices_near_the_prime(draw):
+    """1..6 x 1..6 integer matrix, entries up to 2^70 in size or multiples of
+    _PRIME; some rows are integer combinations of two earlier rows, and some of
+    those are then moved by multiples of _PRIME (dependent mod p only); a column
+    may be scaled by _PRIME."""
+    rows, cols = draw(sizes), draw(sizes)
+    entries = st.one_of(
+        st.just(0), st.integers(-6, 6), st.integers(-(2**70), 2**70), st.integers(-3, 3).map(lambda v: v * _PRIME)
+    )
+    a = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    for i in range(1, rows):
+        kind = draw(st.sampled_from(("free", "dependent", "dependent mod p")))
+        if kind != "free":
+            p, q = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            s, t = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            a[i] = [s * x + t * y for x, y in zip(a[p], a[q])]
+        if kind == "dependent mod p":
+            a[i] = [v + _PRIME * draw(st.integers(-2, 2)) for v in a[i]]
+    if draw(st.booleans()):
+        col = draw(st.integers(0, cols - 1))
+        for row in a:
+            row[col] *= _PRIME
+    return a
+
+
+@settings(PROPERTY, max_examples=150)
+@given(integer_matrices_near_the_prime())
+def test_rank_certified_mod_p_equals_the_bareiss_rank(a):
+    assert exact_rank(a) == len(_eliminate(*_integer_matrix(a)).pivots)
 
 
 @PROPERTY

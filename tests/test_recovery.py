@@ -260,6 +260,12 @@ def test_jacobian_rank_stops_at_full_rank(monkeypatch):
     assert report.rank == 3 and len(calls) == 1
 
 
+@pytest.mark.parametrize("seed_count", [0, -1])
+def test_jacobian_rank_needs_at_least_one_seed(seed_count):
+    with pytest.raises(ValueError, match="seed_count"):
+        jacobian_rank("pl", 2, 3, 2, seed_count=seed_count)
+
+
 def test_jacobian_full_rank_squares():
     for m in (2, 3, 4):
         assert jacobian_rank("pl", m, 3, m, seed_count=2).rank == m * m

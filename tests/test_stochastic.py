@@ -177,6 +177,16 @@ def test_magnetic_matches_loglinear(rng):
             assert delta == q[i][j]
 
 
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_expected_signature_of_a_float_model_is_float_at_every_truncation(n):
+    model = BrownianModel((0.5, -1.0), ((1.0, 0.25), (0.25, 2.0)))
+    series = expected_signature(model, n)
+    assert type(series.constant_term) is float and series.constant_term == 1.0
+    assert all(lvl.holds_floats for lvl in series.levels)
+    exact = expected_signature(BrownianModel((Fraction(1, 2), -1), ((1, 0), (0, 2))), n)
+    assert type(exact.constant_term) is Fraction
+
+
 def test_model_json_round_trip(rng):
     model = _random_model(rng, 2, with_q=True)
     assert BrownianModel.from_json(model.to_json()) == model

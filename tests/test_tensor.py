@@ -221,6 +221,16 @@ def test_json_round_trip_exact_and_float():
     assert tf.to_json()["scalar"] == "float"
 
 
+def test_series_truncated_at_zero_keep_their_mode_through_json():
+    for constant in (0.5, 1.0, 0.0):
+        series = TensorSeries(2, 0, [LevelTensor(2, 0, [constant])])
+        back = TensorSeries.from_json(series.to_json())
+        assert type(back.constant_term) is float and back.constant_term == constant
+    exact = TensorSeries(2, 0, [LevelTensor(2, 0, [Fraction(1, 2)])])
+    assert TensorSeries.from_json(exact.to_json()) == exact
+    assert type(TensorSeries.from_json({"dim": 2, "trunc": 0, "levels": [1]}).constant_term) is Fraction
+
+
 def test_format_scalar_writes_integers_past_the_digit_limit():
     big = math.factorial(1700)  # 4,756 digits
     text, negative = format_scalar(Fraction(1, big)), format_scalar(-big)
