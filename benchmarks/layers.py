@@ -7,14 +7,15 @@ With --src, every layer is timed in this process on that tree and the
 per-layer medians (ms) are printed as JSON.  With --compare, each of ROUNDS
 rounds runs one fresh `--src` process per tree, alternating which tree goes
 first; the output holds, per layer, shape and scalar mode, the median and the
-interquartile range over the rounds for each tree.  Both trees must share
-the private calling convention used below (`_core_level(...).to_float()`,
-`_residual_and_jacobian(core, x, target)`, `_core_level(...).as_integers()`
-and `_image_and_jacobian(core, x)`).  Polynomial signatures and
-group-element recovery are timed through their public functions on seeded
-rational inputs (group elements: the top level of a (d+1)-step path; at
-CHANGE_SHAPE that path's first coordinate returns to 0, so the 1...1 entry
-vanishes and recovery runs a coordinate change).  `tensor_congruence` acts
+interquartile range over the rounds for each tree (null for a row that one
+tree does not time).  Both trees must share the private calling convention
+used below (`_core_level(...).to_float()`, `_residual_and_jacobian(core, x,
+target)`, `_core_level(...).as_integers()` and `_image_and_jacobian(core,
+x)`); the residue row runs only on a tree with `_jacobian_residues`.
+Polynomial signatures and group-element recovery are timed through their
+public functions on seeded rational inputs (group elements: the top level
+of a (d+1)-step path; at CHANGE_SHAPE that path's first coordinate returns
+to 0, so the 1...1 entry vanishes and recovery runs a coordinate change).  `tensor_congruence` acts
 on the axis core prebuilt at each Chen shape (m, n) by a seeded d x m
 matrix, exact or float; a float matrix meets the exact core, as in
 `pl_signature_congruence` of float steps, and uses the core's `to_float()`,
@@ -37,11 +38,14 @@ emptied first too, through `getattr(..., "cache_clear", None)`), and
 the shuffle memo are emptied before every call.  `expand_from_lyndon` is
 timed warm (its table built by the warm-up call) at EXPAND_SHAPES on the
 Lyndon coordinates of a seeded (d+1)-step path, exact and as floats.
-`exact_rank` takes the exact Jacobian at each of RANK_SHAPES (a seeded
-rational point, built before timing as `jacobian_rank` builds it: the
-closed-form `_image_and_jacobian` on the integer core and the point's
-integer multiple); the last shape has a deficient rank, so its row pays for
-the fallback from the mod-p certificate to Bareiss elimination.  `exact_det`
+`exact_rank` takes the exact integer Jacobian at each of RANK_SHAPES (at a
+seeded rational point, built before timing by the closed-form
+`_image_and_jacobian` on the integer core and the point's integer multiple:
+an object array of Python ints); the last shape has a deficient rank, so
+its row pays for the fallback from the mod-p certificate to Bareiss
+elimination.  At the same points, `recovery.jacobian_residues_rank` times
+what `jacobian_rank` runs for each seed first: the residue Jacobian mod p
+(`_jacobian_residues`) and its rank (`_rank_mod_p`).  `exact_det`
 eliminates the order-2 monomial matrix of size DET_SIZE.  `LevelTensor.to_json`
 writes the top level of a seeded PL path at JSON_SHAPE, exact and as its
 `to_float()`.
@@ -100,17 +104,16 @@ def _gn_eval(recovery, d, k):
     return lambda: recovery._residual_and_jacobian(core, x, target)
 
 
-def _jacobian(recovery, family, d, k, m):
-    """The (d*m) x d^k Jacobian of the family's signature map at a seeded rational
-    point, as `jacobian_rank` builds it: an object array of Python ints, the exact
-    Jacobian times the core's and the point's denominators (row a*m+b is the
-    partial in X[a, b])."""
+def _integer_point(recovery, family, d, k, m):
+    """(core, point): the family's integer core and the integer multiple of a
+    seeded rational d x m point, object arrays of Python ints; the Jacobian of
+    `_image_and_jacobian` on them is the exact one times the core's and the
+    point's denominators (row a*m+b is the partial in X[a, b])."""
     from sigtensor.scalars import integer_multiple
 
     values = _rationals(d * 100 + m * 10 + k + 6, d * m)
     core = recovery._core_level(family, m, k).as_integers()[0].reshape((m,) * k)
-    point = integer_multiple([values[i * m : (i + 1) * m] for i in range(d)])[0]
-    return recovery._image_and_jacobian(core, point)[1]
+    return core, integer_multiple([values[i * m : (i + 1) * m] for i in range(d)])[0]
 
 
 def _cold(call, *clears):
@@ -203,10 +206,14 @@ def layers():
         shape = {"family": family, "d": d, "m": m, "k": k}
         out.append(("recovery.jacobian_rank", shape, "exact", lambda a=(family, d, k, m): jacobian_rank(*a)))
     for family, d, k, m in RANK_SHAPES:
-        jacobian = _jacobian(recovery, family, d, k, m)
+        core, point = _integer_point(recovery, family, d, k, m)
+        jacobian = recovery._image_and_jacobian(core, point)[1]
         rows, cols = jacobian.shape
         shape = {"family": family, "d": d, "m": m, "k": k, "rows": rows, "cols": cols}
         out.append(("matrices.exact_rank", shape, "exact", lambda j=jacobian: exact_rank(j)))
+        if hasattr(recovery, "_jacobian_residues"):
+            call = lambda c=core, p=point: recovery._rank_mod_p(recovery._jacobian_residues(c, p))
+            out.append(("recovery.jacobian_residues_rank", shape, "exact", call))
     mono = mono_matrix(DET_SIZE)
     out.append(("matrices.exact_det", {"matrix": "mono_matrix", "d": DET_SIZE}, "exact", lambda: exact_det(mono)))
     for d, m, n in POLY_SHAPES:
@@ -308,12 +315,19 @@ def compare(old: str, new: str) -> dict:
                 [sys.executable, __file__, "--src", src], env=env, capture_output=True, text=True, check=True
             )
             runs[label].append(json.loads(proc.stdout))
+
+    def key(row):
+        return json.dumps([row["layer"], row["shape"], row["scalar"]])
+
+    timed = {label: [{key(row): row["ms"] for row in run} for run in tree_runs] for label, tree_runs in runs.items()}
     rows = []
-    for i, row in enumerate(runs["parent"][0]):
+    for row in {key(row): row for tree_runs in runs.values() for row in tree_runs[0]}.values():
         entry = {"layer": row["layer"], "shape": row["shape"], "scalar": row["scalar"], "unit": "ms"}
         for label in ("parent", "change"):
-            entry[label] = _quartiles([run[i]["ms"] for run in runs[label]])
-        entry["speedup"] = entry["parent"]["median"] / entry["change"]["median"]
+            times = [run[key(row)] for run in timed[label] if key(row) in run]
+            entry[label] = _quartiles(times) if times else None
+        both = entry["parent"] and entry["change"]
+        entry["speedup"] = entry["parent"]["median"] / entry["change"]["median"] if both else None
         rows.append(entry)
     import numpy
 

@@ -138,18 +138,27 @@ def _eliminate(work: np.ndarray, scale: int) -> _Echelon:
     return _Echelon(work, tuple(pivots), sign, scale)
 
 
-#: The word-size prime of `_rank_mod_p`: below 2^31, so a product of two
-#: residues plus a residue fits in int64.
-_PRIME = 2**31 - 1
+#: The one word-size prime of residue arithmetic (`_residues`, `_rank_mod_p`
+#: and the residue Jacobians of `recovery.jacobian_rank`): below 2^28, so a
+#: sum of up to 127 products of two residues, 127 (p-1)^2, fits in int64.
+_PRIME = 2**28 - 57
 
 
-def _rank_mod_p(array: np.ndarray) -> int:
-    """Rank over GF(_PRIME) of an integer matrix (an object array of Python ints).
+def _residues(array: np.ndarray) -> np.ndarray:
+    """The int64 residues mod _PRIME, in [0, _PRIME), of an integer array: any
+    integer dtype, or an object array of Python ints."""
+    if array.dtype.kind in "iu":
+        array = array.astype(array.dtype.kind + "8", copy=False)  # _PRIME fits int64 and uint64 only
+    return (array % _PRIME).astype(np.int64)
 
-    Row reduction on an int64 copy of the residues: each pivot row is scaled
-    to a leading 1 and cleared from the rows below in one array update.
+
+def _rank_mod_p(residues: np.ndarray) -> int:
+    """Rank over GF(_PRIME) of a matrix given by its int64 residues (`_residues`).
+
+    Row reduction on a copy: each pivot row is scaled to a leading 1 and
+    cleared from the rows below in one array update.
     """
-    work = (array % _PRIME).astype(np.int64)
+    work = residues.copy()
     n_rows, n_cols = work.shape
     top = 0
     for col in range(n_cols):
@@ -169,26 +178,36 @@ def _rank_mod_p(array: np.ndarray) -> int:
     return top
 
 
+def _integer_rank(array: np.ndarray) -> int:
+    """Rank of an integer matrix: min(rows, cols) when the residues reach it,
+    else Bareiss elimination on a copy as Python ints."""
+    full = min(array.shape)
+    if _rank_mod_p(_residues(array)) == full:
+        return full
+    return len(_eliminate(array.astype(object), 1).pivots)
+
+
 def exact_rank(matrix) -> int:
     """Rank of a matrix, certified mod a prime or by fraction-free elimination.
 
-    An exact matrix M = A / L is first reduced over GF(p) for one word-size
-    prime p (`_rank_mod_p`).  A nonzero minor mod p is a nonzero integer, so
-    rank_p <= rank(M) <= min(rows, cols), and rank_p = min(rows, cols) is
-    returned as proved.  A lower rank_p may only mean that p divides every
-    maximal minor, so the rank then comes from Bareiss elimination over the
-    integers.  Matrices whose scalar mode is not exact fall back to counting
+    An exact matrix M = A / L is first reduced over GF(p) for the one
+    word-size prime p = _PRIME (`_rank_mod_p`).  A nonzero minor mod p is a
+    nonzero integer, so rank_p <= rank(M) <= min(rows, cols), and
+    rank_p = min(rows, cols) is returned as proved.  A lower rank_p may only
+    mean that p divides every maximal minor, so the rank then comes from
+    Bareiss elimination over the integers.  A 2-d ndarray of an integer
+    dtype, or of Python ints, is A itself and skips the conversion to
+    A / L.  Matrices whose scalar mode is not exact fall back to counting
     singular values above 1e-9 * sigma_max.
     """
+    if isinstance(matrix, np.ndarray) and matrix.ndim == 2:
+        if matrix.dtype.kind in "iu" or (matrix.dtype.kind == "O" and set(map(type, matrix.flat)) <= {int}):
+            return _integer_rank(matrix)
     rows = _as_rows(matrix)
     mode, values = scalar_mode(v for row in rows for v in row)
     shape = (len(rows), len(rows[0]) if rows else 0)
     if mode in (int, Fraction):
-        array, scale = integer_multiple(values)
-        array = array.reshape(shape)
-        if _rank_mod_p(array) == min(shape):
-            return min(shape)
-        return len(_eliminate(array, scale).pivots)
+        return _integer_rank(integer_multiple(values)[0].reshape(shape))
     return _float_rank(np.linalg.svd(np.array(values, dtype=float).reshape(shape), compute_uv=False))
 
 

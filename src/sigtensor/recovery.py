@@ -10,10 +10,14 @@ signature_map of a plain matrix is `paths.tensor_congruence` of the cached
 canonical core.  Gauss-Newton, jacobian_rank and signature_map of `Dual`
 matrices share one kernel: the image of X -> core . X^(x)k and its
 closed-form multilinear Jacobian (a sum over modes of the core contracted
-with X, by `paths._contract`, on the other modes), on float64 arrays or on
-object arrays of Fractions.  Each canonical core is the exact level that
-`paths._core_level` caches per (family, m, k); float code reads its
-`to_float()`, which the level keeps.
+with X, by `paths._contract`, on the other modes), on float64 arrays, on
+object arrays of Fractions, or on int64 residues mod the one word-size
+prime p = 2^28 - 57 (`matrices._PRIME`) reduced after every contraction.
+jacobian_rank runs it on residues first while m <= 127, where no sum of m
+products of residues reaches 2^63, and builds the exact integer Jacobian
+only for a seed whose rank mod p is deficient.  Each canonical core is the
+exact level that `paths._core_level` caches per (family, m, k); float code
+reads its `to_float()`, which the level keeps.
 
 Reduction recipe for d > m (not automated here): a rank-m path matrix X
 factors through its column space, so with any left inverse G of an
@@ -26,6 +30,7 @@ handled by gauss_newton_recover or the closed forms.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +39,16 @@ from typing import Sequence
 import numpy as np
 
 from .dual import Dual
-from .matrices import _eliminate, _float_rank, _integer_matrix, exact_det, exact_rank, matrix_inverse
+from .matrices import (
+    _PRIME,
+    _eliminate,
+    _float_rank,
+    _integer_matrix,
+    _rank_mod_p,
+    _residues,
+    exact_det,
+    matrix_inverse,
+)
 from .paths import _contract, _core_level, tensor_congruence
 from .scalars import fraction_nth_root, integer_multiple, real_nth_root, scalar_mode
 from .tensor import LevelTensor, TensorSeries
@@ -292,30 +306,39 @@ def _family_name(family: str) -> str:
         raise ValueError("family must be 'pl' or 'poly'") from None
 
 
-def _image_and_jacobian(core: np.ndarray, x: np.ndarray):
+def _image_and_jacobian(core: np.ndarray, x: np.ndarray, modulus: int | None = None):
     """Flat image core . X^(x)k and its (d*m) x d^k Jacobian.
 
     Closed form: d image / d X[a, b] = sum over modes p of the core
     contracted with X on every mode but p, with mode p fixed to b, placed
     where output letter p equals a.  Row a*m + b is the partial in X[a, b].
     Runs on float64 arrays, or on object arrays of Python Fractions/ints.
+    With a modulus, core and X hold int64 residues and every contraction,
+    and the result, is reduced mod it; the caller keeps m (modulus-1)^2
+    below 2^63, so no sum of m products overflows (`_jacobian_residues`).
     """
     d, m = x.shape
     k = core.ndim
+
+    def contract(t, axis):
+        t = _contract(t, x, axis)
+        return t if modulus is None else t % modulus
+
     partials = []
     for p in range(k):
         t = core
         for q in range(k):
             if q != p:
-                t = _contract(t, x, q)
+                t = contract(t, q)
         partials.append(t)
-    image = _contract(partials[0], x, 0).reshape(-1)
+    image = contract(partials[0], 0).reshape(-1)
     jac = np.zeros((d, m) + (d,) * k, dtype=x.dtype)
     for p, t in enumerate(partials):
         t = np.moveaxis(t, p, 0)
         for a in range(d):
             jac[(a, slice(None)) + (slice(None),) * p + (a,)] += t
-    return image, jac.reshape(d * m, d**k)
+    jac = jac.reshape(d * m, d**k)
+    return image, jac if modulus is None else jac % modulus
 
 
 def signature_map(family: str, matrix: Sequence[Sequence], k: int) -> LevelTensor:
@@ -356,19 +379,51 @@ def signature_map(family: str, matrix: Sequence[Sequence], k: int) -> LevelTenso
 # --- Jacobian ranks ----------------------------------------------------------
 
 
+#: The largest m whose residue Jacobian `_jacobian_residues` contracts in
+#: int64: a contraction sums m products of two residues, and
+#: 127 (_PRIME - 1)^2 < 2^63.
+_RESIDUE_MAX_M = 127
+
+
+def _jacobian_residues(core: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """The Jacobian of `_image_and_jacobian(core, point)` mod _PRIME, as int64
+    residues, for an integer core and d x m point (object arrays of Python
+    ints): contracted on residues while m <= _RESIDUE_MAX_M, else reduced
+    from the exact integer Jacobian."""
+    if point.shape[1] > _RESIDUE_MAX_M:
+        return _residues(_image_and_jacobian(core, point)[1])
+    return _image_and_jacobian(_residues(core), _residues(point), _PRIME)[1]
+
+
+def _count(name: str, value) -> int:
+    """An integer argument read through `operator.index`; bools and other
+    non-integers raise a ValueError that names the parameter."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def jacobian_rank(
     family: str, d: int, k: int, m: int, seed_count: int = 3, seed: int = 0
 ) -> JacobianReport:
     """Exact rank of the (d*m) x d^k Jacobian of the parametrization.
 
-    The closed-form Jacobian is evaluated exactly at seed_count >= 1 random
-    rational points; the report keeps the maximum rank over the seeds, and
-    stops early once a seed reaches min(d*m, d^k), which no seed can exceed.
+    The closed-form Jacobian is evaluated at seed_count >= 1 random rational
+    points; the report keeps the maximum rank over the seeds, and stops
+    early once a seed reaches min(d*m, d^k), which no seed can exceed.
     Scaling the core by L and the point by D scales the Jacobian by
-    L * D^(k-1) and keeps its rank, so the kernel runs on Python ints.  Each
-    rank is `exact_rank`'s: a full rank is certified mod a word-size prime,
-    a deficient one comes from Bareiss elimination.
+    L * D^(k-1) and keeps its rank, so the kernel needs only integers, and
+    each seed runs it first on their residues mod the one word-size prime
+    p = _PRIME (`_jacobian_residues`, in int64 for m <= 127).  A rank mod p
+    never exceeds the rank over Q, so a full residue rank is proved; below
+    it, p may divide every maximal minor, and the seed's rank comes from
+    Bareiss elimination of the exact integer Jacobian.  d, k, m and
+    seed_count are integers (`operator.index`, bools refused).
     """
+    d, k, m, seed_count = _count("d", d), _count("k", k), _count("m", m), _count("seed_count", seed_count)
     if d < 1 or m < 1 or k < 1:
         raise ValueError(f"need d, m, k >= 1, got d={d}, m={m}, k={k}")
     if seed_count < 1:
@@ -381,8 +436,11 @@ def jacobian_rank(
             [Fraction(rng.randint(1, 12), rng.randint(1, 4)) * (-1) ** rng.randint(0, 1) for _ in range(m)]
             for _ in range(d)
         ]
-        _, jac = _image_and_jacobian(core, integer_multiple(point)[0])
-        best = max(best, exact_rank(jac))
+        point = integer_multiple(point)[0]
+        rank = _rank_mod_p(_jacobian_residues(core, point))
+        if rank < full:
+            rank = len(_eliminate(_image_and_jacobian(core, point)[1], 1).pivots)
+        best = max(best, rank)
         if best == full:
             break
     return JacobianReport(family, d, k, m, d * m, best)

@@ -25,7 +25,7 @@ from sigtensor import (
     split_pencil,
 )
 from sigtensor import matrices
-from sigtensor.matrices import _PRIME, _rank_mod_p, matrix_inverse
+from sigtensor.matrices import _PRIME, _rank_mod_p, _residues, matrix_inverse
 
 from conftest import rand_fraction, rand_skew, rand_vector
 
@@ -88,7 +88,7 @@ def test_full_rank_mod_p_is_returned_without_bareiss(monkeypatch):
 @pytest.mark.parametrize("rows", [[[_PRIME, 0], [0, 1]], [[_PRIME, 1], [0, 1]], [[1, 1], [1, 1 + _PRIME]]])
 def test_a_maximal_minor_divisible_by_p_reaches_bareiss_and_keeps_full_rank(monkeypatch, rows):
     calls = _counting_eliminations(monkeypatch)
-    assert _rank_mod_p(np.array(rows, dtype=object)) == 1
+    assert _rank_mod_p(_residues(np.array(rows, dtype=object))) == 1
     assert exact_rank(rows) == 2
     assert calls == [(2, 2)]
 
@@ -105,8 +105,60 @@ def test_exact_rank_of_huge_negative_zero_and_empty_matrices():
     assert exact_rank(np.zeros((0, 3), dtype=object)) == 0  # 0 x 3
     assert exact_rank([]) == 0
     for shape in ((0, 3), (3, 0), (0, 0)):
-        assert _rank_mod_p(np.zeros(shape, dtype=object)) == 0
-    assert _rank_mod_p(np.array([[-1, big], [2**200, -_PRIME]], dtype=object)) == 2
+        assert _rank_mod_p(_residues(np.zeros(shape, dtype=object))) == 0
+    assert _rank_mod_p(_residues(np.array([[-1, big], [2**200, -_PRIME]], dtype=object))) == 2
+
+
+def test_residues_of_every_integer_dtype_match_python_ints():
+    top, low = 2**63 - 1, -(2**63)
+    cases = [
+        np.array([[top, low], [-1, 0]], dtype=np.int64),
+        np.array([[2**64 - 1, 2**63], [_PRIME, 0]], dtype=np.uint64),
+        np.array([[-128, 127], [-1, 5]], dtype=np.int8),
+        np.array([[2**200, -(2**90)], [-_PRIME - 1, 3]], dtype=object),
+    ]
+    for array in cases:
+        residues = _residues(array)
+        assert residues.dtype == np.int64
+        assert residues.tolist() == [[int(v) % _PRIME for v in row] for row in array.tolist()]
+
+
+def _rank_inputs_near_the_word_size():
+    top, low = 2**63 - 1, -(2**63)
+    return [
+        np.array([[top, low], [low, top]], dtype=np.int64),  # det = top^2 - low^2 != 0
+        np.array([[top, top - 1], [top - 1, top - 2]], dtype=np.int64),  # full rank, det = -1
+        np.array([[low, top], [low, top], [2, -2]], dtype=np.int64),
+        np.array([[top, low, 1], [-2, 4, -6], [1, -2, 3]], dtype=np.int64),  # rows 2, 3 proportional
+        np.array([[2**64 - 1, 2**63], [2**64 - 1, 2**63]], dtype=np.uint64),
+        np.array([[2**64 - 1, 1], [2**63, 2**63 + _PRIME]], dtype=np.uint64),
+        np.array([[_PRIME, 0], [0, 1]], dtype=np.int32),  # full rank, rank 1 mod p
+        np.array([[2**100, 2**100 + _PRIME], [1, 1]], dtype=object),
+        np.array([[-3, 6, 9], [1, -2, -3]], dtype=object),
+        np.array([[True, False], [True, False]]),
+        np.array([[True, False], [False, True]]),
+    ]
+
+
+@pytest.mark.parametrize("array", _rank_inputs_near_the_word_size(), ids=lambda a: str(a.dtype))
+def test_exact_rank_of_integer_arrays_equals_the_list_input(array):
+    before = array.copy()
+    assert exact_rank(array) == exact_rank(array.tolist())
+    assert array.tolist() == before.tolist()  # the elimination works on a copy
+
+
+def test_integer_arrays_skip_the_conversion_to_exact_rows(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("integer arrays are already an integer matrix")
+
+    for name in ("_as_rows", "scalar_mode", "integer_multiple"):
+        monkeypatch.setattr(matrices, name, refuse)
+    top = 2**63 - 1
+    assert exact_rank(np.array([[top, -top], [-top, top]], dtype=np.int64)) == 1
+    assert exact_rank(np.array([[2**64 - 1, 1], [1, 1]], dtype=np.uint64)) == 2
+    assert exact_rank(np.array([[2**70, 1, 0], [2, 3, 0]], dtype=object)) == 2
+    with pytest.raises(AssertionError):
+        exact_rank(np.array([[Fraction(1, 2), 1], [1, 2]], dtype=object))
 
 
 def test_determinant_closed_forms():

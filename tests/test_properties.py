@@ -3,17 +3,19 @@ polynomial integration engine, the fraction-free elimination (also
 against a plain-`Fraction` Gauss-Jordan oracle), JSON round
 trips, group-element recovery, the group-like/Lie correspondence, the
 shuffle-law witnesses against a pair scan, the closed-form multilinear
-Jacobian, the multilinear action `tensor_congruence` against a
-word-by-word sum, and the closed-form canonical cores against their
-word-by-word definitions."""
+Jacobian (exact, in floats, and mod p against the exact one reduced), the
+ranks of `jacobian_rank` against Bareiss, the multilinear action
+`tensor_congruence` against a word-by-word sum, and the closed-form
+canonical cores against their word-by-word definitions."""
 
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pytest
@@ -38,6 +40,7 @@ from sigtensor import (
     gauss_newton_recover,
     is_grouplike,
     is_lie,
+    jacobian_rank,
     log_series,
     lyndon_words,
     negate_odd_levels,
@@ -54,10 +57,11 @@ from sigtensor import (
     tensor_congruence,
     zero_series,
 )
+from sigtensor import recovery
 from sigtensor.dual import Dual, seed_matrix
 from sigtensor.lyndon import poly_from_json, poly_to_json
 from sigtensor.matrices import _PRIME, _eliminate, _integer_matrix, matrix_inverse, mono_slice_matrix
-from sigtensor.recovery import _core_level, _descend, _image_and_jacobian, _kernel_point
+from sigtensor.recovery import _core_level, _descend, _image_and_jacobian, _jacobian_residues, _kernel_point
 from sigtensor.scalars import values_close
 from sigtensor.stochastic import drift_covariance_exponent
 from sigtensor.words import all_words
@@ -578,6 +582,66 @@ def test_closed_form_jacobian_matches_dual_numbers_in_floats(case):
     assert image.dtype == jac.dtype == np.float64
     assert np.allclose(image, np.array(values, dtype=float), rtol=1e-9, atol=1e-9)
     assert np.allclose(jac.T, np.array(columns, dtype=float), rtol=1e-9, atol=1e-9)
+
+
+#: Integers near 0, near +-_PRIME, and far past int64.
+near_the_prime = st.one_of(
+    st.integers(-6, 6),
+    st.integers(_PRIME - 3, _PRIME + 3),
+    st.integers(-_PRIME - 3, -_PRIME + 3),
+    st.integers(-(2**70), 2**70),
+)
+
+
+def _integer_core(family, m, k):
+    return _core_level(family, m, k).as_integers()[0].reshape((m,) * k)
+
+
+@PROPERTY
+@given(st.sampled_from(["pl", "poly"]), st.integers(1, 4), st.integers(1, 4), st.integers(1, 5), st.data())
+def test_residue_jacobian_is_the_exact_jacobian_mod_p(family, d, k, m, data):
+    core = _integer_core(family, m, k)
+    rows = st.lists(st.lists(near_the_prime, min_size=m, max_size=m), min_size=d, max_size=d)
+    point = np.array(data.draw(rows), dtype=object)
+    residues = _jacobian_residues(core, point)
+    assert residues.dtype == np.int64
+    assert residues.tolist() == (_image_and_jacobian(core, point)[1] % _PRIME).tolist()
+
+
+@PROPERTY
+@given(
+    st.sampled_from(["pl", "poly"]),
+    st.integers(1, 5),
+    st.integers(1, 4),
+    st.integers(1, 5),
+    st.integers(1, 3),
+    st.integers(0, 2**16),
+)
+def test_jacobian_rank_is_the_best_bareiss_rank_over_its_seeds(family, d, k, m, seed_count, seed):
+    assume(d**k <= 256)
+    points = []
+
+    def recorded(core, point):
+        points.append(point)
+        return _jacobian_residues(core, point)
+
+    with mock.patch.object(recovery, "_jacobian_residues", recorded):
+        report = jacobian_rank(family, d, k, m, seed_count=seed_count, seed=seed)
+    core = _integer_core(family, m, k)
+    ranks = [len(_eliminate(_image_and_jacobian(core, point)[1], 1).pivots) for point in points]
+    assert report.rank == max(ranks)
+    # a seed is skipped only after one reached the full rank, which none can exceed
+    assert len(points) == seed_count or report.rank == min(d * m, d**k)
+
+
+@pytest.mark.parametrize("m", [127, 130])
+def test_residue_jacobian_at_and_past_the_int64_bound(m):
+    # every residue is p - 1, so each contraction sums m products (p - 1)^2:
+    # under 2^63 at m = 127, past it at m = 130 (guarded by the exact path),
+    # and two unreduced partials summed at m = 127 would pass it too
+    core = np.full((m, m), -1, dtype=object)
+    point = np.full((1, m), -1, dtype=object)
+    assert _jacobian_residues(core, point).tolist() == [[2 * m]] * m
 
 
 @PROPERTY

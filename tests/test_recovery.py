@@ -11,7 +11,6 @@ from sigtensor import (
     RootUnavailable,
     basis_series,
     commutator,
-    exact_rank,
     exp_series,
     gauss_newton_recover,
     is_grouplike,
@@ -243,21 +242,34 @@ def test_jacobian_ranks_match_dimension_table():
 
 
 def test_jacobian_rank_stops_at_full_rank(monkeypatch):
-    calls = []
+    # every seed takes one rank of its residue Jacobian; only a deficient one
+    # also builds the exact Jacobian and eliminates it (Bareiss)
+    residue_ranks, fallbacks = [], []
 
-    def counted(matrix):
-        calls.append(1)
-        return exact_rank(matrix)
+    def counted_rank(residues):
+        assert residues.dtype == np.int64
+        residue_ranks.append(residues.shape)
+        return rank_mod_p(residues)
 
-    monkeypatch.setattr(recovery, "exact_rank", counted)
-    report = jacobian_rank("pl", 4, 3, 4, seed_count=3)
-    assert report.rank == 16 and len(calls) == 1
-    calls.clear()
-    report = jacobian_rank("pl", 5, 2, 5, seed_count=3)  # rank 15 < min(25, 25): every seed runs
-    assert report.rank == 15 and len(calls) == 3
-    calls.clear()
-    report = jacobian_rank("pl", 3, 1, 4, seed_count=4)  # full rank d^k = 3 < d*m = 12
-    assert report.rank == 3 and len(calls) == 1
+    def counted_elimination(work, scale):
+        fallbacks.append(work.shape)
+        return eliminate(work, scale)
+
+    rank_mod_p, eliminate = recovery._rank_mod_p, recovery._eliminate
+    monkeypatch.setattr(recovery, "_rank_mod_p", counted_rank)
+    monkeypatch.setattr(recovery, "_eliminate", counted_elimination)
+    cases = [
+        # (family, d, k, m, seed_count), rank, residue ranks, Bareiss fallbacks
+        (("pl", 4, 3, 4, 3), 16, 1, 0),
+        (("pl", 5, 2, 5, 3), 15, 3, 3),  # rank 15 < min(25, 25): every seed runs
+        (("pl", 3, 1, 4, 4), 3, 1, 0),  # full rank d^k = 3 < d*m = 12
+    ]
+    for (family, d, k, m, seed_count), rank, residues, eliminations in cases:
+        residue_ranks.clear()
+        fallbacks.clear()
+        assert jacobian_rank(family, d, k, m, seed_count=seed_count).rank == rank
+        assert len(residue_ranks) == residues and set(residue_ranks) == {(d * m, d**k)}
+        assert fallbacks == [(d * m, d**k)] * eliminations
 
 
 @pytest.mark.parametrize("seed_count", [0, -1])
@@ -355,3 +367,24 @@ def test_jacobian_rank_names_a_bad_dimension():
         jacobian_rank("pl", 0, 3, 2)
     with pytest.raises(ValueError, match="d=2, m=0"):
         jacobian_rank("poly", 2, 3, 0)
+
+
+@pytest.mark.parametrize(
+    "name, arguments",
+    [
+        ("d", ("pl", 2.0, 2, 2)),
+        ("k", ("pl", 2, True, 2)),
+        ("m", ("poly", 2, 2, "2")),
+        ("seed_count", ("pl", 2, 2, 2, 1.5)),
+        ("seed_count", ("pl", 2, 2, 2, False)),
+    ],
+)
+def test_jacobian_rank_refuses_non_integer_counts(name, arguments):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        jacobian_rank(*arguments)
+
+
+def test_jacobian_rank_reads_integer_counts_through_index():
+    report = jacobian_rank("pl", np.int64(3), np.uint8(2), np.int32(2), seed_count=np.int16(2))
+    assert report == jacobian_rank("pl", 3, 2, 2, seed_count=2)
+    assert type(report.d) is int and report.rank == 5
