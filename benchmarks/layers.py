@@ -38,6 +38,9 @@ emptied first too, through `getattr(..., "cache_clear", None)`), and
 the shuffle memo are emptied before every call.  `expand_from_lyndon` is
 timed warm (its table built by the warm-up call) at EXPAND_SHAPES on the
 Lyndon coordinates of a seeded (d+1)-step path, exact and as floats.
+`gauss_newton_recover` solves, at each of SOLVE_SHAPES, for the signature
+of a seeded near-identity matrix (identity plus entries in [-0.3, 0.3]), as
+the inverse workload's solves do; the target is built before timing.
 `exact_rank` takes the exact integer Jacobian at each of RANK_SHAPES (at a
 seeded rational point, built before timing by the closed-form
 `_image_and_jacobian` on the integer core and the point's integer multiple:
@@ -69,6 +72,7 @@ import sys
 import time
 
 GN_SHAPES = [(d, k) for d in (2, 3, 4) for k in (3, 4)]  # d = m, family pl
+SOLVE_SHAPES = [("pl", 2, 4), ("poly", 2, 3), ("poly", 2, 4), ("pl", 3, 4)]  # (family, d = m, k), as in inverse
 JACOBIAN_SHAPES = [("pl", 3, 3, 3), ("pl", 4, 3, 4), ("poly", 3, 4, 3), ("pl", 6, 3, 6)]  # (family, d, k, m)
 RANK_SHAPES = [("pl", 6, 3, 6), ("pl", 4, 4, 5), ("poly", 5, 4, 5), ("pl", 5, 2, 5)]  # (family, d, k, m) of exact_rank
 DET_SIZE = 8  # exact_det of mono_matrix(DET_SIZE)
@@ -102,6 +106,15 @@ def _gn_eval(recovery, d, k):
     target = np.zeros(d**k)
     core = recovery._core_level("pl", d, k).to_float().cube
     return lambda: recovery._residual_and_jacobian(core, x, target)
+
+
+def _gn_solve(gauss_newton_recover, signature_map, family, d, k):
+    """One Gauss-Newton solve whose target is the signature of a seeded
+    near-identity d x d matrix (identity plus entries in [-0.3, 0.3])."""
+    rng = random.Random(d * 10 + k)
+    x = [[float(i == j) + rng.uniform(-0.3, 0.3) for j in range(d)] for i in range(d)]
+    target = signature_map(family, x, k)
+    return lambda: gauss_newton_recover(family, d, d, k, target)
 
 
 def _integer_point(recovery, family, d, k, m):
@@ -165,6 +178,7 @@ def layers():
         exact_rank,
         exp_series,
         expected_signature,
+        gauss_newton_recover,
         is_grouplike,
         is_lie,
         jacobian_rank,
@@ -178,6 +192,7 @@ def layers():
         recover_group_element,
         recovery,
         shuffle,
+        signature_map,
         tensor_congruence,
     )
 
@@ -202,6 +217,9 @@ def layers():
         out.append(("stochastic.expected_signature", {"d": d, "n": n}, scalar, call))
     for d, k in GN_SHAPES:
         out.append(("recovery.gn_eval", {"family": "pl", "d": d, "m": d, "k": k}, "float", _gn_eval(recovery, d, k)))
+    for family, d, k in SOLVE_SHAPES:
+        call = _gn_solve(gauss_newton_recover, signature_map, family, d, k)
+        out.append(("recovery.gauss_newton_recover", {"family": family, "d": d, "m": d, "k": k}, "float", call))
     for family, d, k, m in JACOBIAN_SHAPES:
         shape = {"family": family, "d": d, "m": m, "k": k}
         out.append(("recovery.jacobian_rank", shape, "exact", lambda a=(family, d, k, m): jacobian_rank(*a)))

@@ -197,8 +197,19 @@ def _core_level(family: str, m: int, k: int) -> LevelTensor:
 
 
 def _contract(t: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
-    """Multiply mode `axis` of t (size m) by the d x m matrix x, in place of it."""
-    return np.moveaxis(np.tensordot(x, t, axes=([1], [axis])), 0, axis)
+    """Multiply mode `axis` of t (size m) by the d x m matrix x, in place of it.
+
+    A mode product is one matrix product on a reshaped t: x times the
+    (before, m, after) stack of m x after slices, whose new axis lands in
+    place, or for the last mode the (before, m) matrix times x^T.  On object
+    arrays `np.matmul` sums Python products, so ints stay ints.
+    """
+    shape = t.shape
+    if axis == t.ndim - 1:
+        out = t.reshape(-1, shape[axis]) @ x.T
+    else:
+        out = np.matmul(x, t.reshape(math.prod(shape[:axis]), shape[axis], math.prod(shape[axis + 1 :])))
+    return out.reshape(shape[:axis] + (x.shape[0],) + shape[axis + 1 :])
 
 
 def tensor_congruence(core: LevelTensor, matrix: Sequence[Sequence]) -> LevelTensor:

@@ -8,16 +8,21 @@ the parametrizations certify dimensions.
 
 signature_map of a plain matrix is `paths.tensor_congruence` of the cached
 canonical core.  Gauss-Newton, jacobian_rank and signature_map of `Dual`
-matrices share one kernel: the image of X -> core . X^(x)k and its
-closed-form multilinear Jacobian (a sum over modes of the core contracted
-with X, by `paths._contract`, on the other modes), on float64 arrays, on
-object arrays of Fractions, or on int64 residues mod the one word-size
-prime p = 2^28 - 57 (`matrices._PRIME`) reduced after every contraction.
-jacobian_rank runs it on residues first while m <= 127, where no sum of m
-products of residues reaches 2^63, and builds the exact integer Jacobian
-only for a seed whose rank mod p is deficient.  Each canonical core is the
-exact level that `paths._core_level` caches per (family, m, k); float code
-reads its `to_float()`, which the level keeps.
+matrices share one kernel (`_image_and_jacobian`): the image of
+X -> core . X^(x)k and its closed-form multilinear Jacobian, a sum over
+modes of the core contracted with X on the other modes.  Each mode
+contraction is one matrix product (`paths._contract`); the k partials come
+from about k log2(k) contractions by halving the modes, and each is added
+into the Jacobian through one strided view (`as_strided`, since einsum on
+object arrays needs numpy >= 1.25 and numpy >= 1.22 is supported).  The
+kernel runs on float64 arrays, on object arrays of Fractions, or on int64
+residues mod the one word-size prime p = 2^28 - 57 (`matrices._PRIME`)
+reduced after every contraction.  jacobian_rank runs it on residues first
+while m <= 127, where no sum of m products of residues reaches 2^63, and
+builds the exact integer Jacobian only for a seed whose rank mod p is
+deficient.  Each canonical core is the exact level that `paths._core_level`
+caches per (family, m, k); float code reads its `to_float()`, which the
+level keeps.
 
 Reduction recipe for d > m (not automated here): a rank-m path matrix X
 factors through its column space, so with any left inverse G of an
@@ -30,6 +35,7 @@ handled by gauss_newton_recover or the closed forms.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import random
 from dataclasses import dataclass
@@ -310,12 +316,20 @@ def _image_and_jacobian(core: np.ndarray, x: np.ndarray, modulus: int | None = N
     """Flat image core . X^(x)k and its (d*m) x d^k Jacobian.
 
     Closed form: d image / d X[a, b] = sum over modes p of the core
-    contracted with X on every mode but p, with mode p fixed to b, placed
-    where output letter p equals a.  Row a*m + b is the partial in X[a, b].
+    contracted with X on every mode but p (the partial of mode p), with
+    mode p fixed to b, placed where output letter p equals a.  Row a*m + b
+    is the partial in X[a, b].  The k partials come by halving: the modes
+    split in two halves, and the core contracted on either half recurses
+    into the other, so the k partials cost about k log2(k) contractions
+    (`_contract`, one matrix product each), not k(k-1).  Partial p is then
+    added in one step into the strided view of the Jacobian where letter p
+    equals a (`as_strided`: `np.einsum` on object arrays needs numpy >= 1.25,
+    and numpy >= 1.22 is supported).
     Runs on float64 arrays, or on object arrays of Python Fractions/ints.
     With a modulus, core and X hold int64 residues and every contraction,
     and the result, is reduced mod it; the caller keeps m (modulus-1)^2
-    below 2^63, so no sum of m products overflows (`_jacobian_residues`).
+    below 2^63, so no sum of m non-negative products overflows, in any
+    order (`_jacobian_residues`).
     """
     d, m = x.shape
     k = core.ndim
@@ -324,19 +338,30 @@ def _image_and_jacobian(core: np.ndarray, x: np.ndarray, modulus: int | None = N
         t = _contract(t, x, axis)
         return t if modulus is None else t % modulus
 
-    partials = []
-    for p in range(k):
-        t = core
-        for q in range(k):
-            if q != p:
-                t = contract(t, q)
-        partials.append(t)
-    image = contract(partials[0], 0).reshape(-1)
+    def partials(t, modes):
+        # t is the core contracted on every mode outside `modes`
+        if len(modes) == 1:
+            return [t]
+        left, right = modes[: len(modes) // 2], modes[len(modes) // 2 :]
+        out = []
+        for keep, drop in ((left, right), (right, left)):
+            s = t
+            for axis in drop:
+                s = contract(s, axis)
+            out += partials(s, keep)
+        return out
+
+    parts = partials(core, range(k))
+    image = contract(parts[0], 0).reshape(-1)
     jac = np.zeros((d, m) + (d,) * k, dtype=x.dtype)
-    for p, t in enumerate(partials):
-        t = np.moveaxis(t, p, 0)
-        for a in range(d):
-            jac[(a, slice(None)) + (slice(None),) * p + (a,)] += t
+    for p, t in enumerate(parts):
+        # view[a, b, i, j] = jac[a, b, i, a, j]: i the letters before p, j after
+        block = jac.reshape(d, m, d**p, d, d ** (k - 1 - p))
+        step = block.strides
+        view = np.lib.stride_tricks.as_strided(
+            block, (d, m, d**p, d ** (k - 1 - p)), (step[0] + step[3], step[1], step[2], step[4])
+        )
+        view += t.reshape(d**p, m, -1).swapaxes(0, 1)
     jac = jac.reshape(d * m, d**k)
     return image, jac if modulus is None else jac % modulus
 
@@ -347,9 +372,12 @@ def signature_map(family: str, matrix: Sequence[Sequence], k: int) -> LevelTenso
     Float entries give a float result and exact entries an exact one.  On a
     matrix of `Dual` entries each output entry is Dual(value, J^T . B), where
     J is the closed-form Jacobian and B stacks the entries' derivative tuples
-    (row-major), so Fraction seeds keep rational partials.
+    (row-major), so Fraction seeds keep rational partials.  k >= 1 is an
+    integer (`operator.index`, bools refused).
     """
-    family = _family_name(family)
+    family, k = _family_name(family), _count("k", k)
+    if k < 1:
+        raise ValueError(f"need k >= 1, got k={k}")
     rows = [list(r) for r in matrix]
     d = len(rows)
     m = len(rows[0]) if rows else 0
@@ -477,10 +505,18 @@ def gauss_newton_recover(
     each; a start whose gradient is exactly zero (the zero matrix at k >= 3)
     is abandoned, since no damped step can leave it.  The best residual
     wins, and RecoveryFailed (carrying the best attempt) is raised when no
-    restart meets tol.
+    restart meets tol.  d, m, k and restarts >= 1 are integers
+    (`operator.index`, bools refused), and tol is a finite number > 0.
     """
+    d, m, k, restarts = _count("d", d), _count("m", m), _count("k", k), _count("restarts", restarts)
+    if d < 1 or m < 1:
+        raise ValueError(f"need d, m >= 1, got d={d}, m={m}")
     if k < 3:
         raise ValueError("need k >= 3 for tensor recovery")
+    if restarts < 1:
+        raise ValueError(f"need restarts >= 1, got {restarts}")
+    if not (isinstance(tol, numbers.Real) and 0 < tol < math.inf):
+        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
     if (tensor.d, tensor.k) != (d, k):
         raise ValueError(f"tensor has d={tensor.d}, k={tensor.k}, but d={d}, k={k} were given")
     core = _core_level(_family_name(family), m, k).to_float().cube
@@ -493,7 +529,7 @@ def gauss_newton_recover(
     starts = [np.zeros((d, m))]
     starts += [
         np.array([[rng.gauss(0.0, scale + 1e-3) for _ in range(m)] for _ in range(d)])
-        for _ in range(max(0, restarts - 1))
+        for _ in range(restarts - 1)
     ]
 
     best = (math.inf, starts[0], False, 0, 0)

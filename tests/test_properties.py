@@ -4,18 +4,21 @@ against a plain-`Fraction` Gauss-Jordan oracle), JSON round
 trips, group-element recovery, the group-like/Lie correspondence, the
 shuffle-law witnesses against a pair scan, the closed-form multilinear
 Jacobian (exact, in floats, and mod p against the exact one reduced), the
-ranks of `jacobian_rank` against Bareiss, the multilinear action
+ranks of `jacobian_rank` against Bareiss, the mode contraction and the
+Jacobian kernel in all three scalar modes against tensordot references,
+the multilinear action
 `tensor_congruence` against a word-by-word sum, and the closed-form
 canonical cores against their word-by-word definitions."""
 
 import json
 import math
+import random
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import pytest
@@ -60,7 +63,8 @@ from sigtensor import (
 from sigtensor import recovery
 from sigtensor.dual import Dual, seed_matrix
 from sigtensor.lyndon import poly_from_json, poly_to_json
-from sigtensor.matrices import _PRIME, _eliminate, _integer_matrix, matrix_inverse, mono_slice_matrix
+from sigtensor.paths import _contract
+from sigtensor.matrices import _PRIME, _eliminate, _integer_matrix, _residues, matrix_inverse, mono_slice_matrix
 from sigtensor.recovery import _core_level, _descend, _image_and_jacobian, _jacobian_residues, _kernel_point
 from sigtensor.scalars import values_close
 from sigtensor.stochastic import drift_covariance_exponent
@@ -642,6 +646,108 @@ def test_residue_jacobian_at_and_past_the_int64_bound(m):
     core = np.full((m, m), -1, dtype=object)
     point = np.full((1, m), -1, dtype=object)
     assert _jacobian_residues(core, point).tolist() == [[2 * m]] * m
+
+
+# --- the multilinear kernels against tensordot references ---
+
+
+def _ref_contract(t, x, axis):
+    """Mode `axis` of t times x, by tensordot and moveaxis."""
+    return np.moveaxis(np.tensordot(x, t, axes=([1], [axis])), 0, axis)
+
+
+def _ref_image_and_jacobian(core, x):
+    """Image and Jacobian with each of the k partials contracted on its own
+    k - 1 modes, and placed entry by entry."""
+    d, m = x.shape
+    k = core.ndim
+    partials = []
+    for p in range(k):
+        t = core
+        for q in range(k):
+            if q != p:
+                t = _ref_contract(t, x, q)
+        partials.append(t)
+    jac = np.zeros((d, m) + (d,) * k, dtype=x.dtype)
+    for p, t in enumerate(partials):
+        for a in range(d):
+            jac[(a, slice(None)) + (slice(None),) * p + (a,)] += np.moveaxis(t, p, 0)
+    return _ref_contract(partials[0], x, 0).reshape(-1), jac.reshape(d * m, d**k)
+
+
+def _typed_entries(array):
+    return [(type(v), v) for v in array.flat]
+
+
+#: Seeded entries in the three scalar modes of the kernels, by name.
+SCALAR_ENTRIES = {
+    "float": lambda rng: rng.uniform(-2, 2),
+    "exact": lambda rng: rng.choice([Fraction(rng.randint(-9, 9), rng.randint(1, 4)), rng.randint(-(2**70), 2**70)]),
+    "residue": lambda rng: rng.randint(0, _PRIME - 1),
+}
+
+
+def _seeded_array(mode, shape, seed):
+    rng = random.Random(seed)
+    dtype = {"float": np.float64, "exact": object, "residue": np.int64}[mode]
+    return np.array([SCALAR_ENTRIES[mode](rng) for _ in range(math.prod(shape))], dtype=dtype).reshape(shape)
+
+
+@PROPERTY
+@given(
+    st.sampled_from(sorted(SCALAR_ENTRIES)),
+    st.lists(st.integers(1, 4), min_size=1, max_size=5),
+    st.integers(0, 4),
+    st.integers(1, 4),
+    st.integers(0, 2**16),
+)
+@example("exact", [3], 0, 1, 0)  # k = 1, d = 1
+@example("residue", [2, 1, 3], 1, 4, 0)  # m = 1
+@example("float", [4, 4, 4, 4, 4], 4, 4, 0)
+def test_contract_equals_tensordot_on_every_axis(mode, shape, axis, d, seed):
+    axis %= len(shape)
+    t, x = _seeded_array(mode, shape, seed), _seeded_array(mode, (d, shape[axis]), seed + 1)
+    got, want = _contract(t, x, axis), _ref_contract(t, x, axis)
+    assert got.shape == want.shape == tuple(shape[:axis]) + (d,) + tuple(shape[axis + 1 :])
+    assert got.dtype == want.dtype
+    if mode == "float":
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+    else:  # object results hold Python ints and Fractions, never numpy scalars
+        assert _typed_entries(got) == _typed_entries(want)
+        assert mode == "residue" or all(type(v) in (int, Fraction) for v in got.flat)
+
+
+def test_contract_of_python_ints_holds_python_ints():
+    t = np.array([[2**70, -3], [5, 7]], dtype=object)
+    x = np.array([[1, 2], [3, 4], [5, 6]], dtype=object)
+    for axis in (0, 1):
+        assert all(type(v) is int for v in _contract(t, x, axis).flat)
+
+
+@PROPERTY
+@given(st.sampled_from(["pl", "poly"]), st.integers(1, 4), st.integers(1, 4), st.integers(1, 5), st.integers(0, 2**16))
+@example("pl", 3, 2, 1, 0)  # k = 1
+@example("poly", 1, 4, 4, 0)  # d = 1
+@example("pl", 4, 1, 5, 0)  # m = 1
+def test_image_and_jacobian_equal_the_partial_by_partial_reference(family, d, m, k, seed):
+    assume(d**k * d * m <= 4096)
+    level = _core_level(family, m, k)
+    rng = random.Random(seed)
+    point = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(m)] for _ in range(d)]
+    # exact: Fractions in, the same values of the same types out
+    x = np.array(point, dtype=object)
+    got, want = _image_and_jacobian(level.cube, x), _ref_image_and_jacobian(level.cube, x)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and _typed_entries(g) == _typed_entries(w)
+    # residues: the exact integer kernel reduced mod p
+    core, ints = _integer_core(family, m, k), np.array([[int(v * 12) for v in row] for row in point], dtype=object)
+    residues = _image_and_jacobian(_residues(core), _residues(ints), _PRIME)
+    for g, w in zip(residues, _ref_image_and_jacobian(core, ints)):
+        assert g.dtype == np.int64 and g.tolist() == (w % _PRIME).tolist()
+    # floats: within 1e-12 of the largest entry
+    x = np.array(point, dtype=float)
+    for g, w in zip(_image_and_jacobian(level.to_float().cube, x), _ref_image_and_jacobian(level.to_float().cube, x)):
+        assert g.dtype == np.float64 and np.allclose(g, w, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(w).max()))
 
 
 @PROPERTY

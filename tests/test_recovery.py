@@ -388,3 +388,51 @@ def test_jacobian_rank_reads_integer_counts_through_index():
     report = jacobian_rank("pl", np.int64(3), np.uint8(2), np.int32(2), seed_count=np.int16(2))
     assert report == jacobian_rank("pl", 3, 2, 2, seed_count=2)
     assert type(report.d) is int and report.rank == 5
+
+
+@pytest.mark.parametrize(
+    "name, options",
+    [
+        ("tol", {"tol": -1}),
+        ("tol", {"tol": 0.0}),
+        ("tol", {"tol": float("nan")}),
+        ("tol", {"tol": float("inf")}),
+        ("tol", {"tol": "1e-10"}),
+        ("restarts", {"restarts": 0}),
+        ("restarts", {"restarts": -3}),
+        ("restarts", {"restarts": 2.5}),
+        ("restarts", {"restarts": True}),
+        ("m", {"m": True}),
+        ("m", {"m": 2.0}),
+        ("d", {"d": "2"}),
+        ("k", {"k": 3.0}),
+    ],
+)
+def test_gauss_newton_names_a_bad_argument(name, options):
+    tensor = signature_map("pl", [[1.0, 0.5], [-0.25, 1.0]], 3)
+    arguments = {"family": "pl", "d": 2, "m": 2, "k": 3, "tensor": tensor, **options}
+    with pytest.raises(ValueError, match=f"(^{name} must be|need .*{name}.*>= 1)") as info:
+        gauss_newton_recover(**arguments)
+    assert not isinstance(info.value, RecoveryFailed)
+
+
+def test_gauss_newton_accepts_one_restart_and_integer_counts():
+    tensor = signature_map("pl", [[1.0, 0.5], [-0.25, 1.0]], 3)
+    counts = np.int64(2), np.int32(2), np.uint8(3)
+    result = gauss_newton_recover("pl", *counts, tensor, tol=np.float32(1e-9), restarts=np.int16(8))
+    plain = gauss_newton_recover("pl", 2, 2, 3, tensor, tol=float(np.float32(1e-9)), restarts=8)
+    assert result.converged and (result.matrix == plain.matrix).all()
+    assert (result.restarts_used, result.iterations) == (plain.restarts_used, plain.iterations)
+    with pytest.raises(ValueError, match=r"need d, m >= 1, got d=2, m=0"):
+        gauss_newton_recover("pl", 2, 0, 3, tensor)
+    with pytest.raises(RecoveryFailed):  # restarts=1 runs only the zero start
+        gauss_newton_recover("pl", 2, 2, 3, tensor, restarts=1)
+
+
+@pytest.mark.parametrize(
+    "k, message", [(2.0, "^k must be an integer"), (True, "^k must be an integer"), (0, "need k >= 1")]
+)
+def test_signature_map_names_a_bad_order(k, message):
+    with pytest.raises(ValueError, match=message):
+        signature_map("pl", [[1.0, 0.5], [-0.25, 1.0]], k)
+    assert signature_map("pl", [[1, 2]], np.int64(2)) == signature_map("pl", [[1, 2]], 2)
