@@ -9,9 +9,9 @@ rounds runs one fresh `--src` process per tree, alternating which tree goes
 first; the output holds, per layer, shape and scalar mode, the median and the
 interquartile range over the rounds for each tree (null for a row that one
 tree does not time).  Both trees must share the private calling convention
-used below (`_core_level(...).to_float()`, `_residual_and_jacobian(core, x,
-target)`, `_core_level(...).as_integers()` and `_image_and_jacobian(core,
-x)`); the residue row runs only on a tree with `_jacobian_residues`.
+used below (`_core_level(...).to_float()`, `_core_level(...).as_integers()`,
+`_image_and_jacobian(core, x)` and `matrices._rank_mod_p`); the residue row
+runs only on a tree with `_jacobian_residues`.
 Polynomial signatures and group-element recovery are timed through their
 public functions on seeded rational inputs (group elements: the top level
 of a (d+1)-step path; at CHANGE_SHAPE that path's first coordinate returns
@@ -98,14 +98,13 @@ def _rationals(seed, count):
 
 
 def _gn_eval(recovery, d, k):
-    """One Gauss-Newton residual + Jacobian evaluation, as inside a solve."""
+    """One Gauss-Newton evaluation (image and Jacobian), as inside a solve."""
     import numpy as np
 
     rng = np.random.default_rng(0)
     x = np.eye(d) + rng.uniform(-0.3, 0.3, (d, d))
-    target = np.zeros(d**k)
     core = recovery._core_level("pl", d, k).to_float().cube
-    return lambda: recovery._residual_and_jacobian(core, x, target)
+    return lambda: recovery._image_and_jacobian(core, x)
 
 
 def _gn_solve(gauss_newton_recover, signature_map, family, d, k):
@@ -184,6 +183,7 @@ def layers():
         jacobian_rank,
         log_series,
         lyndon,
+        matrices,
         mono_matrix,
         normal_form_table,
         pl_signature,
@@ -230,7 +230,7 @@ def layers():
         shape = {"family": family, "d": d, "m": m, "k": k, "rows": rows, "cols": cols}
         out.append(("matrices.exact_rank", shape, "exact", lambda j=jacobian: exact_rank(j)))
         if hasattr(recovery, "_jacobian_residues"):
-            call = lambda c=core, p=point: recovery._rank_mod_p(recovery._jacobian_residues(c, p))
+            call = lambda c=core, p=point: matrices._rank_mod_p(recovery._jacobian_residues(c, p))
             out.append(("recovery.jacobian_residues_rank", shape, "exact", call))
     mono = mono_matrix(DET_SIZE)
     out.append(("matrices.exact_det", {"matrix": "mono_matrix", "d": DET_SIZE}, "exact", lambda: exact_det(mono)))

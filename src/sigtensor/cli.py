@@ -58,8 +58,16 @@ def _load_json(path: str) -> dict:
 
 
 def _emit(payload) -> None:
-    json.dump(payload, sys.stdout, indent=None, separators=(",", ":"))
-    sys.stdout.write("\n")
+    """One line of JSON on stdout; a NaN or infinite float, which JSON cannot
+    carry, is a numerical failure raised before anything is written."""
+    try:
+        text = json.dumps(payload, separators=(",", ":"), allow_nan=False) + "\n"
+    except ValueError:
+        raise NumericalFailure("the result holds a NaN or infinite float, which JSON cannot carry") from None
+    # in writes of PIPE_BUF bytes: a longer write to a pipe may be cut short when the
+    # reader leaves, and an unbuffered stdout (python -u) drops the rest silently
+    for start in range(0, len(text), 4096):
+        sys.stdout.write(text[start : start + 4096])
     sys.stdout.flush()
 
 
@@ -402,7 +410,7 @@ def main(argv=None) -> int:
         # Point stdout at devnull so the flush at interpreter exit stays quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except (RecoveryFailed, NumericalFailure) as exc:
+    except (RecoveryFailed, NumericalFailure, OverflowError) as exc:  # OverflowError: a float result out of range
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except KeyError as exc:

@@ -178,36 +178,39 @@ def _rank_mod_p(residues: np.ndarray) -> int:
     return top
 
 
-def _integer_rank(array: np.ndarray) -> int:
-    """Rank of an integer matrix: min(rows, cols) when the residues reach it,
-    else Bareiss elimination on a copy as Python ints."""
-    full = min(array.shape)
-    if _rank_mod_p(_residues(array)) == full:
+def _certified_rank(residues: np.ndarray, exact) -> int:
+    """Rank over Q of an integer matrix A from its int64 residues mod _PRIME.
+
+    A nonzero minor mod p is a nonzero integer, so rank_p <= rank(A) <=
+    min(rows, cols), and a full rank_p is returned as proved.  A lower one
+    may only mean that p divides every maximal minor, so the rank then comes
+    from Bareiss elimination of `exact()`, which builds A as an object array
+    of Python ints.
+    """
+    full = min(residues.shape)
+    if _rank_mod_p(residues) == full:
         return full
-    return len(_eliminate(array.astype(object), 1).pivots)
+    return len(_eliminate(exact(), 1).pivots)
 
 
 def exact_rank(matrix) -> int:
     """Rank of a matrix, certified mod a prime or by fraction-free elimination.
 
-    An exact matrix M = A / L is first reduced over GF(p) for the one
-    word-size prime p = _PRIME (`_rank_mod_p`).  A nonzero minor mod p is a
-    nonzero integer, so rank_p <= rank(M) <= min(rows, cols), and
-    rank_p = min(rows, cols) is returned as proved.  A lower rank_p may only
-    mean that p divides every maximal minor, so the rank then comes from
-    Bareiss elimination over the integers.  A 2-d ndarray of an integer
-    dtype, or of Python ints, is A itself and skips the conversion to
-    A / L.  Matrices whose scalar mode is not exact fall back to counting
-    singular values above 1e-9 * sigma_max.
+    An exact matrix M = A / L has the rank of the integer matrix A, which
+    `_certified_rank` takes.  A 2-d ndarray of an integer dtype, or of Python
+    ints, is A itself and skips the conversion to A / L.  Matrices whose
+    scalar mode is not exact fall back to counting singular values above
+    1e-9 * sigma_max.
     """
     if isinstance(matrix, np.ndarray) and matrix.ndim == 2:
         if matrix.dtype.kind in "iu" or (matrix.dtype.kind == "O" and set(map(type, matrix.flat)) <= {int}):
-            return _integer_rank(matrix)
+            return _certified_rank(_residues(matrix), lambda: matrix.astype(object))
     rows = _as_rows(matrix)
     mode, values = scalar_mode(v for row in rows for v in row)
     shape = (len(rows), len(rows[0]) if rows else 0)
     if mode in (int, Fraction):
-        return _integer_rank(integer_multiple(values)[0].reshape(shape))
+        array = integer_multiple(values)[0].reshape(shape)
+        return _certified_rank(_residues(array), lambda: array)
     return _float_rank(np.linalg.svd(np.array(values, dtype=float).reshape(shape), compute_uv=False))
 
 

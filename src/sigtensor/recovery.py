@@ -47,10 +47,10 @@ import numpy as np
 from .dual import Dual
 from .matrices import (
     _PRIME,
+    _certified_rank,
     _eliminate,
     _float_rank,
     _integer_matrix,
-    _rank_mod_p,
     _residues,
     exact_det,
     matrix_inverse,
@@ -443,13 +443,12 @@ def jacobian_rank(
     points; the report keeps the maximum rank over the seeds, and stops
     early once a seed reaches min(d*m, d^k), which no seed can exceed.
     Scaling the core by L and the point by D scales the Jacobian by
-    L * D^(k-1) and keeps its rank, so the kernel needs only integers, and
-    each seed runs it first on their residues mod the one word-size prime
-    p = _PRIME (`_jacobian_residues`, in int64 for m <= 127).  A rank mod p
-    never exceeds the rank over Q, so a full residue rank is proved; below
-    it, p may divide every maximal minor, and the seed's rank comes from
-    Bareiss elimination of the exact integer Jacobian.  d, k, m and
-    seed_count are integers (`operator.index`, bools refused).
+    L * D^(k-1) and keeps its rank, so the kernel needs only integers.  A
+    seed's rank is `_certified_rank` of its Jacobian mod the one word-size
+    prime p = _PRIME (`_jacobian_residues`, in int64 for m <= 127): a full
+    rank mod p is proved, and the exact integer Jacobian is built and
+    eliminated (Bareiss) only when it is deficient.  d, k, m and seed_count
+    are integers (`operator.index`, bools refused).
     """
     d, k, m, seed_count = _count("d", d), _count("k", k), _count("m", m), _count("seed_count", seed_count)
     if d < 1 or m < 1 or k < 1:
@@ -465,9 +464,7 @@ def jacobian_rank(
             for _ in range(d)
         ]
         point = integer_multiple(point)[0]
-        rank = _rank_mod_p(_jacobian_residues(core, point))
-        if rank < full:
-            rank = len(_eliminate(_image_and_jacobian(core, point)[1], 1).pivots)
+        rank = _certified_rank(_jacobian_residues(core, point), lambda: _image_and_jacobian(core, point)[1])
         best = max(best, rank)
         if best == full:
             break
@@ -500,13 +497,16 @@ def gauss_newton_recover(
 
     Minimizes the squared distance between the family signature of a d x m
     matrix and the target tensor.  Each evaluation computes the image and
-    the closed-form multilinear Jacobian on the cached float core.  Restarts
-    draw seeded random starting matrices and run at most 200 iterations
-    each; a start whose gradient is exactly zero (the zero matrix at k >= 3)
-    is abandoned, since no damped step can leave it.  The best residual
-    wins, and RecoveryFailed (carrying the best attempt) is raised when no
-    restart meets tol.  d, m, k and restarts >= 1 are integers
-    (`operator.index`, bools refused), and tol is a finite number > 0.
+    the closed-form multilinear Jacobian on the cached float core.  Each of
+    the `restarts` starts is a seeded random matrix and runs at most 200
+    iterations.  An iteration raises the damping lambda x10 from its last
+    value until a step lowers the residual; a start ends when no lambda up
+    to the cap 1e12 does, since x and lambda then stay where they are.
+    The first start that meets tol is returned, with `restarts_used` its
+    number; otherwise RecoveryFailed carries the best start's matrix and
+    residual.  d, m, k and restarts >= 1 are integers (`operator.index`,
+    bools refused), tol is a finite number > 0, and the tensor's entries
+    are finite.
     """
     d, m, k, restarts = _count("d", d), _count("m", m), _count("k", k), _count("restarts", restarts)
     if d < 1 or m < 1:
@@ -521,66 +521,49 @@ def gauss_newton_recover(
         raise ValueError(f"tensor has d={tensor.d}, k={tensor.k}, but d={d}, k={k} were given")
     core = _core_level(_family_name(family), m, k).to_float().cube
     target = tensor.to_float().array
+    if not np.isfinite(target).all():
+        raise ValueError("tensor must have finite entries")
     denom = float(np.linalg.norm(target)) or 1.0
     rng = random.Random(seed)
     scale = (np.linalg.norm(target) * math.factorial(k)) ** (1.0 / k) / max(1.0, math.sqrt(d * m))
     scale = float(scale) if scale > 0 else 1.0
+    eye = np.eye(d * m)
 
-    starts = [np.zeros((d, m))]
-    starts += [
-        np.array([[rng.gauss(0.0, scale + 1e-3) for _ in range(m)] for _ in range(d)])
-        for _ in range(restarts - 1)
-    ]
-
-    best = (math.inf, starts[0], False, 0, 0)
-    for restart_index, x0 in enumerate(starts):
-        x = x0.copy()
-        lam = 1e-3
-        stalled = 0
-        residual, jac = _residual_and_jacobian(core, x, target)
+    best = (math.inf, None)  # (residual, matrix) of the best start so far
+    for start in range(1, restarts + 1):
+        x = np.array([rng.gauss(0.0, scale + 1e-3) for _ in range(d * m)]).reshape(d, m)
+        image, jac = _image_and_jacobian(core, x)
+        residual = image - target
         norm = float(np.linalg.norm(residual)) / denom
-        iterations = 0
+        lam = 1e-3
         for iterations in range(1, 201):
             if norm < tol:
                 break
-            g = jac @ residual
-            if not g.any():
-                break
-            h = jac @ jac.T
-            accepted = False
-            for _ in range(40):
+            g, h = jac @ residual, jac @ jac.T
+            dampings = [lam]  # lam, then x10 up to the cap 1e12, which is tried once
+            while dampings[-1] < 1e12:
+                dampings.append(min(dampings[-1] * 10.0, 1e12))
+            for lam in dampings:
                 try:
-                    step = np.linalg.solve(h + lam * np.eye(d * m), -g)
+                    step = np.linalg.solve(h + lam * eye, -g)
                 except np.linalg.LinAlgError:
-                    lam = min(lam * 10.0, 1e12)
                     continue
                 trial = x + step.reshape(d, m)
-                trial_res, trial_jac = _residual_and_jacobian(core, trial, target)
+                image, trial_jac = _image_and_jacobian(core, trial)
+                trial_res = image - target
                 trial_norm = float(np.linalg.norm(trial_res)) / denom
                 if trial_norm < norm:
-                    x, residual, jac, norm = trial, trial_res, trial_jac, trial_norm
-                    lam = max(lam / 10.0, 1e-14)
-                    accepted = True
                     break
-                lam = min(lam * 10.0, 1e12)
-            if not accepted:
-                stalled += 1
-                if stalled >= 3:
-                    break
-        if norm < best[0]:
-            best = (norm, x.copy(), norm < tol, restart_index + 1, iterations)
+            else:
+                break  # no damping up to the cap lowers the residual: the start ends
+            x, residual, jac, norm = trial, trial_res, trial_jac, trial_norm
+            lam = max(lam / 10.0, 1e-14)
         if norm < tol:
-            break
-    residual, matrix, converged, used, iterations = best
-    if not converged:
-        raise RecoveryFailed(
-            f"recovery failed: best relative residual {residual:.3e} after {used} restarts",
-            matrix=matrix,
-            residual=residual,
-        )
-    return GaussNewtonResult(matrix, residual, converged, used, iterations)
-
-
-def _residual_and_jacobian(core: np.ndarray, x: np.ndarray, target: np.ndarray):
-    image, jac = _image_and_jacobian(core, x)
-    return image - target, jac
+            return GaussNewtonResult(x, norm, True, start, iterations)
+        if norm < best[0]:
+            best = (norm, x)
+    raise RecoveryFailed(
+        f"recovery failed: best relative residual {best[0]:.3e} with restarts={restarts}",
+        matrix=best[1],
+        residual=best[0],
+    )

@@ -76,22 +76,26 @@ def values_close(a, b, tol: float | None = None) -> bool:
 def parse_scalar(text, exact: bool = True):
     """Parse a JSON scalar: "p/q" or "p" strings in exact mode, numbers otherwise.
 
-    Numbers are accepted in exact mode only when they are integral.
+    Numbers are accepted in exact mode only when they are integral.  NaN, the
+    infinities and (in float mode) values beyond the float range are refused.
     """
-    if isinstance(text, str):
-        value = Fraction(text)
-        return value if exact else float(value)
     if isinstance(text, bool):
         raise ValueError("booleans are not scalars")
-    if isinstance(text, int):
-        return Fraction(text) if exact else float(text)
     if isinstance(text, float):
-        if exact:
-            if not float(text).is_integer():
-                raise ValueError(f"non-integral float {text!r} in exact mode")
-            return Fraction(int(text))
-        return text
-    raise ValueError(f"cannot parse scalar from {text!r}")
+        if not math.isfinite(text):
+            raise ValueError(f"non-finite float {text!r} is not a scalar")
+        if not exact:
+            return text
+        if not text.is_integer():
+            raise ValueError(f"non-integral float {text!r} in exact mode")
+        text = int(text)
+    if not isinstance(text, (str, int)):
+        raise ValueError(f"cannot parse scalar from {text!r}")
+    value = Fraction(text)
+    try:
+        return value if exact else float(value)
+    except OverflowError:
+        raise ValueError(f"{text!r} is beyond the float range") from None
 
 
 def parse_int(value, name: str) -> int:

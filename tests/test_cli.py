@@ -9,6 +9,7 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -427,6 +428,36 @@ def test_fuzz_found_inputs_are_usage_errors_that_name_the_field(tmp_path, capsys
         assert message in err and "Traceback" not in err
 
 
+def test_non_finite_input_floats_are_usage_errors(tmp_path, capsys):
+    # Python's json reads NaN and Infinity, which are not JSON numbers
+    nan_step = tmp_path / "nan.json"
+    nan_step.write_text('{"type": "piecewise_linear", "dim": 2, "steps": [[NaN, 1], [1, 2]]}')
+    inf_entry = tmp_path / "inf.json"
+    inf_entry.write_text('{"dim": 3, "order": 3, "scalar": "float", "entries": {"123": Infinity}}')
+    huge = write_json(tmp_path, "huge.json", {"type": "piecewise_linear", "dim": 2, "steps": [["1e400", "1"]]})
+    for argv, message in (
+        (("compute", str(nan_step), "--trunc", "2", "--scalar", "float"), "non-finite float nan"),
+        (("invariants", str(inf_entry)), "non-finite float inf"),
+        (("compute", huge, "--trunc", "1", "--scalar", "float"), "'1e400' is beyond the float range"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert message in err and "Traceback" not in err
+
+
+def test_a_non_finite_result_is_a_numerical_failure_with_no_output(tmp_path, capsys):
+    steps = write_json(tmp_path, "big.json", {"type": "piecewise_linear", "dim": 2, "steps": [[1e308, 1e308], [1e308, 2.0]]})
+    # numpy warns on the overflow (an error under this suite's warning filter)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run_cli(capsys, "compute", steps, "--trunc", "2", "--scalar", "float")
+    assert code == 3 and out == ""
+    assert err == "numerical failure: the result holds a NaN or infinite float, which JSON cannot carry\n"
+    # the separating quadrics square Python floats, which raises OverflowError
+    tensor = write_json(tmp_path, "q.json", {"dim": 2, "order": 3, "scalar": "float", "entries": {"111": 1e160, "112": 1e160}})
+    code, out, err = run_cli(capsys, "invariants", tensor)
+    assert code == 3 and out == "" and err.startswith("numerical failure: ")
+
+
 def test_inputs_beyond_the_entry_cap_are_refused_before_they_are_built(tmp_path, capsys, monkeypatch):
     import sigtensor.cli as cli
 
@@ -652,6 +683,10 @@ def _calls(draw):
     return argv, document
 
 
+def _refuse_constant(name):
+    raise AssertionError(f"stdout holds {name}, which is not JSON")
+
+
 @FUZZ
 @given(_calls())
 def test_fuzzed_inputs_exit_with_a_contract_code_and_at_most_one_document(call):
@@ -667,6 +702,6 @@ def test_fuzzed_inputs_exit_with_a_contract_code_and_at_most_one_document(call):
     assert "Traceback" not in err.getvalue()
     if out.getvalue():
         assert out.getvalue().endswith("\n") and out.getvalue().count("\n") == 1
-        json.loads(out.getvalue())
+        json.loads(out.getvalue(), parse_constant=_refuse_constant)
     if code in (2, 3):
         assert out.getvalue() == "" and err.getvalue().startswith(("error: ", "numerical failure: ", "usage: "))

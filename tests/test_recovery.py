@@ -24,7 +24,7 @@ from sigtensor import (
     recover_two_step_planar,
     signature_map,
 )
-from sigtensor import recovery
+from sigtensor import matrices, recovery
 from sigtensor.dual import Dual, seed_matrix
 from sigtensor.tensor import LevelTensor
 
@@ -255,9 +255,9 @@ def test_jacobian_rank_stops_at_full_rank(monkeypatch):
         fallbacks.append(work.shape)
         return eliminate(work, scale)
 
-    rank_mod_p, eliminate = recovery._rank_mod_p, recovery._eliminate
-    monkeypatch.setattr(recovery, "_rank_mod_p", counted_rank)
-    monkeypatch.setattr(recovery, "_eliminate", counted_elimination)
+    rank_mod_p, eliminate = matrices._rank_mod_p, matrices._eliminate
+    monkeypatch.setattr(matrices, "_rank_mod_p", counted_rank)
+    monkeypatch.setattr(matrices, "_eliminate", counted_elimination)
     cases = [
         # (family, d, k, m, seed_count), rank, residue ranks, Bareiss fallbacks
         (("pl", 4, 3, 4, 3), 16, 1, 0),
@@ -300,7 +300,7 @@ def test_gauss_newton_round_trips(rng):
 def test_gauss_newton_zero_tensor():
     tensor = LevelTensor.zeros(2, 3).to_float()
     result = gauss_newton_recover("pl", 2, 2, 3, tensor)
-    assert result.residual < 1e-10
+    assert result.residual < 1e-10 and result.restarts_used == 1
 
 
 def test_gauss_newton_off_variety(rng):
@@ -329,20 +329,34 @@ def test_signature_map_matches_forward_engines(rng):
         signature_map("spline", x, 3)
 
 
-def test_gauss_newton_abandons_a_start_with_zero_gradient(monkeypatch):
-    from sigtensor import recovery
+def test_gauss_newton_solves_each_damped_system_once(monkeypatch):
+    # Off the variety every start ends at a damping sweep that fails up to
+    # the cap 1e12.  A repeated sweep, or a repeated try at the cap, would
+    # solve the same system (x, lambda) again.  Every evaluation is a start or
+    # the trial of one solve.  (Trial matrices may still repeat bit for bit:
+    # lambdas far below the Hessian's scale give the same step, and near the
+    # cap a step rounds back to x.)
+    systems, evaluations = [], []
+    solve, evaluate = np.linalg.solve, recovery._image_and_jacobian
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: systems.append(a.tobytes() + b.tobytes()) or solve(a, b))
+    monkeypatch.setattr(recovery, "_image_and_jacobian", lambda core, x: evaluations.append(1) or evaluate(core, x))
+    x = np.array([[1.0, -0.5], [0.25, 1.5]])
+    entries = [float(v) for v in signature_map("pl", x.tolist(), 3).entries]
+    entries[0] += 1e-3
+    with pytest.raises(RecoveryFailed, match=r"with restarts=3$") as info:
+        gauss_newton_recover("pl", 2, 2, 3, LevelTensor(2, 3, entries), tol=1e-12, restarts=3)
+    assert len(systems) == len(set(systems))
+    assert len(evaluations) == 3 + len(systems)
+    assert info.value.matrix.shape == (2, 2) and info.value.residual > 1e-8
 
-    evaluations = []
-    evaluate = recovery._residual_and_jacobian
-    monkeypatch.setattr(
-        recovery, "_residual_and_jacobian", lambda *args: evaluations.append(1) or evaluate(*args)
-    )
-    tensor = signature_map("pl", [[1.0, 0.5], [-0.25, 1.0]], 3)
-    with pytest.raises(RecoveryFailed) as info:
-        gauss_newton_recover("pl", 2, 2, 3, tensor, restarts=1)
-    # one evaluation at the zero matrix, no damping retries
-    assert len(evaluations) == 1
-    assert info.value.residual == 1.0 and not info.value.matrix.any()
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_gauss_newton_names_a_non_finite_tensor(bad):
+    entries = [float(v) for v in signature_map("pl", [[1.0, 0.5], [-0.25, 1.0]], 3).entries]
+    entries[3] = bad
+    with pytest.raises(ValueError, match="^tensor must have finite entries") as info:
+        gauss_newton_recover("pl", 2, 2, 3, LevelTensor(2, 3, entries))
+    assert not isinstance(info.value, RecoveryFailed)
 
 
 def test_gauss_newton_rejects_a_tensor_of_another_shape():
@@ -425,8 +439,9 @@ def test_gauss_newton_accepts_one_restart_and_integer_counts():
     assert (result.restarts_used, result.iterations) == (plain.restarts_used, plain.iterations)
     with pytest.raises(ValueError, match=r"need d, m >= 1, got d=2, m=0"):
         gauss_newton_recover("pl", 2, 0, 3, tensor)
-    with pytest.raises(RecoveryFailed):  # restarts=1 runs only the zero start
-        gauss_newton_recover("pl", 2, 2, 3, tensor, restarts=1)
+    # restarts counts random starts: one is enough near the identity at k = 4
+    one = gauss_newton_recover("pl", 2, 2, 4, signature_map("pl", [[1.0, 0.5], [-0.25, 1.0]], 4), restarts=np.int8(1))
+    assert one.converged and one.restarts_used == 1 and one.residual < 1e-10
 
 
 @pytest.mark.parametrize(
