@@ -25,8 +25,9 @@ series of a (d+1)-step path and its logarithm), so each call checks every
 form; float calls pass tol=1e-9, as the algebra workload does, and exact
 calls run without a tol and with tol=1e-9 (shape key "tol").  Chen
 (`pl_signature`), `exp_series`/`log_series` (on the logarithm of a (d+1)-step
-path, and on that path's series) and `expected_signature` run at fixed shapes
-on seeded rationals, exact and float.  A call that returns a series or a
+path, and on that path's series), `concat_product` (of that path's series and
+the series of a seeded d-step path) and `expected_signature` run at fixed
+shapes on seeded rationals, exact and float.  A call that returns a series or a
 level also reads every entry of every level inside the timed region, so that
 entries built lazily on first read are paid for.
 
@@ -81,8 +82,8 @@ GROUP_SHAPES = [(2, 3), (2, 4), (3, 3), (3, 4)]  # (d, n), as in the inverse wor
 SHUFFLE_SHAPES = [(2, 8), (3, 6), (4, 5)]  # (d, n)
 EXPAND_SHAPES = [(3, 5), (3, 6)]  # (d, n), as in the algebra workload
 CORE_SHAPES = [("pl", 4, 5), ("poly", 4, 5), ("pl", 6, 6), ("poly", 6, 6), ("pl", 10, 6)]  # (family, m, k)
-CHEN_SHAPES = [(2, 5, 6), (3, 5, 5), (3, 10, 6), (4, 4, 5)]  # (d, m, n), as in the forward workload
-SERIES_SHAPE = (3, 6)  # (d, n) of exp_series and log_series
+CHEN_SHAPES = [(3, 3, 4), (2, 5, 6), (3, 5, 5), (3, 10, 6), (4, 4, 5)]  # (d, m, n), as in the forward workload
+SERIES_SHAPE = (3, 6)  # (d, n) of exp_series, log_series and concat_product
 EXPECTED_SHAPE = (3, 5)  # (d, n) of expected_signature
 CHANGE_SHAPE = (3, 4)  # (d, n) of a group element whose 1...1 entry is 0
 JSON_SHAPE = (4, 3, 7)  # (d, m, k) of the PL level that to_json writes: 4^7 = 16,384 entries
@@ -173,6 +174,7 @@ def layers():
     from sigtensor import (
         canonical_axis,
         canonical_mono,
+        concat_product,
         exact_det,
         exact_rank,
         exp_series,
@@ -207,9 +209,15 @@ def layers():
     values = _rationals(d * 10 + n + 1, d * (d + 1))
     group = pl_signature([values[j * d : (j + 1) * d] for j in range(d + 1)], n)
     lie = log_series(group)
-    for scalar, (g, p) in (("exact", (group, lie)), ("float", (group.to_float(), lie.to_float()))):
+    other = pl_signature([values[j * d + 1 : (j + 1) * d + 1] for j in range(d)], n)
+    for scalar, (g, p, h) in (
+        ("exact", (group, lie, other)),
+        ("float", (group.to_float(), lie.to_float(), other.to_float())),
+    ):
         out.append(("tensor.exp_series", {"d": d, "n": n}, scalar, _reading(lambda p=p: exp_series(p))))
         out.append(("tensor.log_series", {"d": d, "n": n}, scalar, _reading(lambda g=g: log_series(g))))
+        call = _reading(lambda g=g, h=h: concat_product(g, h))
+        out.append(("tensor.concat_product", {"d": d, "n": n}, scalar, call))
     d, n = EXPECTED_SHAPE
     for scalar, convert in (("exact", Fraction), ("float", float)):
         model = _brownian(d, 7, convert)

@@ -15,6 +15,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .invariants import linear_invariants, quadric_family_eval
 from .lyndon import _longest_lyndon, lyndon_count_level, lyndon_words, normal_form_table, poly_to_json
@@ -405,7 +407,8 @@ def main(argv=None) -> int:
         # argparse exits with 2 on usage errors and 0 on --help/--version
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):  # non-finite results are reported by `_emit` (exit 3)
+            return args.func(args)
     except BrokenPipeError:
         # Point stdout at devnull so the flush at interpreter exit stays quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -535,7 +535,7 @@ def gauss_newton_recover(
         image, jac = _image_and_jacobian(core, x)
         residual = image - target
         norm = float(np.linalg.norm(residual)) / denom
-        lam = 1e-3
+        lam, seen = 1e-3, {x.tobytes()}  # every matrix this start has evaluated
         for iterations in range(1, 201):
             if norm < tol:
                 break
@@ -549,6 +549,9 @@ def gauss_newton_recover(
                 except np.linalg.LinAlgError:
                     continue
                 trial = x + step.reshape(d, m)
+                if trial.tobytes() in seen:
+                    continue  # evaluated already: its residual is no lower than x's, which only falls
+                seen.add(trial.tobytes())
                 image, trial_jac = _image_and_jacobian(core, trial)
                 trial_res = image - target
                 trial_norm = float(np.linalg.norm(trial_res)) / denom

@@ -16,8 +16,8 @@ values and denominators, sums bring their terms to the lcm of the
 denominators, and none runs a gcd per entry.  Levels of different modes meet
 by one rule (`_common`): where some level holds floats, an exact level
 enters as its `to_float()`, also in a sum whose first terms are exact.
-`LevelTensor.tensor_product` (one `np.multiply.outer`) is the only level
-product; the series operations are built on it.
+`_product` (one `np.multiply.outer`) and `_level_sum` are the only level
+product and sum; `concat_product` builds and reduces each result level once.
 """
 
 from __future__ import annotations
@@ -64,20 +64,23 @@ def _check_shape(d: int, k: int) -> None:
         raise ValueError("need d >= 1 and k >= 0")
 
 
-def _common(levels) -> tuple:
-    """(kind, arrays, denominators): the levels' values in one scalar mode.
-
-    Exact levels keep their integers and denominators (kind `int` only when
-    every level is).  Otherwise each array is over 1: an exact level enters
-    as its `to_float()` when some level holds floats, else as its `array`.
-    """
-    kinds = {t._kind for t in levels}
+def _mode(kinds: set) -> tuple:
+    """(kind, floats): the scalar mode where levels of these kinds meet (`int`
+    only when all are), and whether an exact level enters it as its `to_float()`."""
     if kinds.issubset(_EXACT_KINDS):
-        kind = int if kinds == {int} else Fraction
+        return (int if kinds == {int} else Fraction), False
+    return (object if object in kinds else float), float in kinds
+
+
+def _common(levels) -> tuple:
+    """(kind, arrays, denominators): the levels' values in their mode (`_mode`).
+    Exact levels keep their integers and denominators; otherwise each array is
+    over 1, an exact level's its `to_float()` beside floats, else its `array`."""
+    kind, floats = _mode({t._kind for t in levels})
+    if kind in _EXACT_KINDS:
         return kind, [t._values for t in levels], [t._denominator for t in levels]
-    floats = float in kinds
     arrays = [t.to_float()._values if floats and t._kind in _EXACT_KINDS else t.array for t in levels]
-    return (object if object in kinds else float), arrays, [1] * len(levels)
+    return kind, arrays, [1] * len(levels)
 
 
 class LevelTensor:
@@ -218,7 +221,7 @@ class LevelTensor:
     def add(self, other: "LevelTensor") -> "LevelTensor":
         if (self.d, self.k) != (other.d, other.k):
             raise ValueError("shape mismatch")
-        return _level_sum(self.d, self.k, [self, other])
+        return _level_sum(self.d, self.k, [(self,), (other,)])
 
     def scale(self, c) -> "LevelTensor":
         if isinstance(c, np.generic):
@@ -235,10 +238,6 @@ class LevelTensor:
     def negate(self) -> "LevelTensor":
         return LevelTensor._of(self.d, self.k, -self._values, self._denominator, self._kind)
 
-    def _live(self) -> bool:
-        """True when some entry is nonzero."""
-        return np.count_nonzero(self._values) > 0
-
     def is_zero(self, tol: float | None = None) -> bool:
         return all(values_close(v, 0 * v, tol) for v in self.entries)
 
@@ -246,11 +245,7 @@ class LevelTensor:
         """Concatenation (outer) product of two levels."""
         if self.d != other.d:
             raise ValueError("dimension mismatch")
-        if self._kind is other._kind:
-            kind, (a, b), (p, q) = self._kind, (self._values, other._values), (self._denominator, other._denominator)
-        else:
-            kind, (a, b), (p, q) = _common((self, other))
-        return LevelTensor._of(self.d, self.k + other.k, np.multiply.outer(a, b).reshape(-1), p * q, kind)
+        return LevelTensor._of(self.d, self.k + other.k, *_product(self, other))
 
     def symmetrize(self) -> "LevelTensor":
         """Sum of entries over all k! position permutations of each word.
@@ -449,39 +444,53 @@ def series_from_level(level: LevelTensor, n: int | None = None) -> TensorSeries:
     return TensorSeries(level.d, n, levels)
 
 
-def _level_sum(d: int, k: int, terms: Sequence[LevelTensor]) -> LevelTensor:
-    """Sum of same-shape levels, added in order; exact terms add over the lcm
-    of their denominators, and in a mixed sum every exact term enters as its
-    `to_float()` (see `_common`)."""
-    kind, arrays, denominators = _common(terms)
-    den = math.lcm(*denominators)
+def _product(a: LevelTensor, b: LevelTensor, den: int = 0) -> tuple:
+    """(values, denominator, kind) of the product of two levels (`_common`), not reduced;
+    an exact one is brought to the multiple `den` of its denominator by scaling its shorter factor."""
+    if a._kind is b._kind:
+        kind, (x, y), (p, q) = a._kind, (a._values, b._values), (a._denominator, b._denominator)
+    else:
+        kind, (x, y), (p, q) = _common((a, b))
+    scale = den // (p * q) if kind in _EXACT_KINDS and den > p * q else 1
+    if scale > 1:
+        x, y = (x * scale, y) if len(x) <= len(y) else (x, y * scale)
+    return np.multiply.outer(x, y).reshape(-1), p * q * scale, kind
+
+
+def _level_sum(d: int, k: int, terms: Sequence[tuple]) -> LevelTensor:
+    """The sum of terms in order, each one level or a pair of levels whose product
+    (`_product`) is built as it is added, reduced by one gcd: exact terms over the lcm
+    of their denominators, an exact term beside floats as its `to_float()` (`_mode`)."""
+    kind, floats = _mode({t._kind for term in terms for t in term})
+    exact = kind in _EXACT_KINDS
+    den = math.lcm(*(math.prod(t._denominator for t in term) for term in terms)) if exact else 1
     total = None
-    for array, q in zip(arrays, denominators):
-        part = array if q == den else array * (den // q)
-        total = part if total is None else total + part
+    for term in terms:
+        v, q, c = _product(*term, den) if len(term) == 2 else (term[0]._values, term[0]._denominator, term[0]._kind)
+        if c in _EXACT_KINDS and not exact:
+            v = _quotients(v, q) if floats else LevelTensor._of(d, k, v, q, c).array
+        elif q != den:
+            v = v * (den // q)
+        total, v = (v if total is None else total + v), None  # one part alive at a time beside the sum
     return LevelTensor._of(d, k, total, den, kind)
 
 
 def concat_product(a: TensorSeries, b: TensorSeries) -> TensorSeries:
     """Concatenation product in the truncated tensor algebra.
 
-    Pairs of levels where either side is all zero are skipped; a result
-    level with no remaining pair is zero in the scalar mode of the inputs.
+    Level k sums the products of the live pairs of levels (p, k-p), where
+    neither is all zero, built one at a time (`_level_sum`); with no live
+    pair it is zero in the scalar mode of the inputs.
     """
     if a.d != b.d or a.n != b.n:
         raise ValueError("series must share dimension and truncation order")
-    live_a = [lvl._live() for lvl in a.levels]
-    live_b = [lvl._live() for lvl in b.levels]
+    live_a, live_b = ([np.count_nonzero(lvl._values) > 0 for lvl in s.levels] for s in (a, b))
     levels, zero = [], None
     for k in range(a.n + 1):
-        terms = [
-            a.levels[p].tensor_product(b.levels[k - p]) for p in range(k + 1) if live_a[p] and live_b[k - p]
-        ]
-        if terms:
-            levels.append(_level_sum(a.d, k, terms))
-        else:
-            zero = _scalar_zero(a.levels + b.levels) if zero is None else zero
-            levels.append(LevelTensor.zeros(a.d, k, zero))
+        pairs = [(a.levels[p], b.levels[k - p]) for p in range(k + 1) if live_a[p] and live_b[k - p]]
+        if not pairs and zero is None:
+            zero = _scalar_zero(a.levels + b.levels)
+        levels.append(_level_sum(a.d, k, pairs) if pairs else LevelTensor.zeros(a.d, k, zero))
     return TensorSeries(a.d, a.n, levels)
 
 

@@ -447,15 +447,24 @@ def test_non_finite_input_floats_are_usage_errors(tmp_path, capsys):
 
 def test_a_non_finite_result_is_a_numerical_failure_with_no_output(tmp_path, capsys):
     steps = write_json(tmp_path, "big.json", {"type": "piecewise_linear", "dim": 2, "steps": [[1e308, 1e308], [1e308, 2.0]]})
-    # numpy warns on the overflow (an error under this suite's warning filter)
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, out, err = run_cli(capsys, "compute", steps, "--trunc", "2", "--scalar", "float")
+    # the overflow raises no numpy warning (an error under this suite's warning filter)
+    code, out, err = run_cli(capsys, "compute", steps, "--trunc", "2", "--scalar", "float")
     assert code == 3 and out == ""
     assert err == "numerical failure: the result holds a NaN or infinite float, which JSON cannot carry\n"
     # the separating quadrics square Python floats, which raises OverflowError
     tensor = write_json(tmp_path, "q.json", {"dim": 2, "order": 3, "scalar": "float", "entries": {"111": 1e160, "112": 1e160}})
     code, out, err = run_cli(capsys, "invariants", tensor)
     assert code == 3 and out == "" and err.startswith("numerical failure: ")
+
+
+def test_an_overflow_under_warnings_as_errors_is_a_numerical_failure(tmp_path):
+    steps = write_json(tmp_path, "big.json", {"type": "piecewise_linear", "dim": 2, "steps": [[1e308, 1e308], [1e308, 2.0]]})
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    argv = [sys.executable, "-W", "error", "-m", "sigtensor.cli", "compute", steps, "--trunc", "3", "--scalar", "float"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == "numerical failure: the result holds a NaN or infinite float, which JSON cannot carry\n"
 
 
 def test_inputs_beyond_the_entry_cap_are_refused_before_they_are_built(tmp_path, capsys, monkeypatch):

@@ -2,7 +2,9 @@
 polynomial integration engine, the fraction-free elimination (also
 against a plain-`Fraction` Gauss-Jordan oracle), JSON round
 trips, group-element recovery, the group-like/Lie correspondence, the
-shuffle-law witnesses against a pair scan, the closed-form multilinear
+shuffle-law witnesses against a pair scan, the Chen product and its
+callers in every scalar mode against the product and sum rules applied to
+plain scalars, the closed-form multilinear
 Jacobian (exact, in floats, and mod p against the exact one reduced), the
 ranks of `jacobian_rank` against Bareiss, the mode contraction and the
 Jacobian kernel in all three scalar modes against tensordot references,
@@ -66,7 +68,7 @@ from sigtensor.lyndon import poly_from_json, poly_to_json
 from sigtensor.paths import _contract
 from sigtensor.matrices import _PRIME, _eliminate, _integer_matrix, _residues, matrix_inverse, mono_slice_matrix
 from sigtensor.recovery import _core_level, _descend, _image_and_jacobian, _jacobian_residues, _kernel_point
-from sigtensor.scalars import values_close
+from sigtensor.scalars import scalar_mode, values_close
 from sigtensor.stochastic import drift_covariance_exponent
 from sigtensor.words import all_words
 
@@ -130,6 +132,132 @@ def test_float_signature_agrees_with_exact(path):
 @given(lie_elements())
 def test_log_inverts_exp_on_lie_elements(lie):
     assert log_series(exp_series(lie)) == lie
+
+
+# The level product and sum rules on plain Python scalars.  A level is (kind,
+# values).  A pair of exact levels multiplies exactly, `int` only when both
+# are; any other pair multiplies in floats, each exact value rounded by
+# float().  A level of `concat_product` sums the products of its live pairs in
+# order: exactly when all are exact, else in floats, each exact product
+# rounded once.
+
+
+def _kind(kinds):
+    return float if float in kinds else int if set(kinds) == {int} else Fraction
+
+
+def _plain(series):
+    return [scalar_mode(lvl.entries) for lvl in series.levels]
+
+
+def _plain_product(a, b):
+    kind = _kind({a[0], b[0]})
+    return kind, [kind(x) * kind(y) for x in a[1] for y in b[1]]
+
+
+def _plain_sum(terms):
+    kind = _kind({t[0] for t in terms})
+    total = [kind(v) for v in terms[0][1]]
+    for _, values in terms[1:]:
+        total = [s + kind(v) for s, v in zip(total, values)]
+    return kind, total
+
+
+def _plain_scale(level, c):
+    if level[0] is float:
+        return float, [float(c) * v for v in level[1]]
+    return Fraction, [Fraction(v * c) for v in level[1]]
+
+
+def _plain_graded(d, n, constant, zero):
+    return [scalar_mode([constant])] + [scalar_mode([zero] * d**k) for k in range(1, n + 1)]
+
+
+def _plain_concat(a, b, d):
+    live = [[any(v != 0 for v in lvl[1]) for lvl in s] for s in (a, b)]
+    zero = 0.0 if any(lvl[0] is float for lvl in a + b) else Fraction(0)
+    levels = []
+    for k in range(len(a)):
+        terms = [_plain_product(a[p], b[k - p]) for p in range(k + 1) if live[0][p] and live[1][k - p]]
+        levels.append(_plain_sum(terms) if terms else scalar_mode([zero] * d**k))
+    return levels
+
+
+def _plain_exp(p, d):
+    zero = 0.0 if any(lvl[0] is float for lvl in p) else Fraction(0)
+    result = term = _plain_graded(d, len(p) - 1, zero + 1, zero)
+    for r in range(1, len(p)):
+        term = [_plain_scale(lvl, Fraction(1, r)) for lvl in _plain_concat(term, p, d)]
+        result = [_plain_sum(pair) for pair in zip(result, term)]
+    return result
+
+
+def _plain_log(q, d):
+    zero = 0.0 if any(lvl[0] is float for lvl in q) else Fraction(0)
+    power = _plain_graded(d, len(q) - 1, zero + 1, zero)
+    p = [_plain_sum([x, (kind, [-v for v in values])]) for x, (kind, values) in zip(q, power)]
+    result = _plain_graded(d, len(q) - 1, zero, zero)
+    for r in range(1, len(q)):
+        power = _plain_concat(power, p, d)
+        result = [_plain_sum([x, _plain_scale(y, Fraction((-1) ** (r - 1), r))]) for x, y in zip(result, power)]
+    return result
+
+
+def _plain_pl(steps, n, d):
+    series = _plain_graded(d, n, Fraction(1), Fraction(0))
+    steps = [scalar_mode(s) for s in steps]
+    if any(kind is float for kind, _ in steps):
+        series = [(float, [float(v) for v in values]) for _, values in series]
+        steps = [(kind, [float(v) for v in values]) if kind is float else (kind, values) for kind, values in steps]
+    for x in steps:
+        exponential = [series[0]]
+        for k in range(1, n + 1):
+            exponential.append(_plain_scale(_plain_product(exponential[-1], x), Fraction(1, k)))
+        series = _plain_concat(series, exponential, d)
+    return series
+
+
+def _reprs(levels):
+    """Each entry's repr: its value, its type and the sign of a float zero."""
+    return [[repr(v) for v in values] for _, values in levels]
+
+
+_TYPED = {
+    int: st.integers(-4, 4),
+    Fraction: st.one_of(rationals, st.integers(-4, 4)),
+    float: st.one_of(rationals.map(float), st.just(-0.0)),
+}
+
+
+@st.composite
+def typed_series(draw, d, n, kinds, constants=None):
+    """Levels 0..n in dimension d, each of one kind drawn from kinds, and about
+    one in four all zero; the constant term is drawn from constants if given."""
+    levels = []
+    for k in range(n + 1):
+        kind = draw(st.sampled_from(kinds))
+        zeros = draw(st.integers(0, 3)) == 0
+        scalars = st.just(kind(0)) if zeros else _TYPED[kind]
+        levels.append(LevelTensor(d, k, draw(st.lists(scalars, min_size=d**k, max_size=d**k))))
+    if constants is not None:
+        levels[0] = LevelTensor(d, 0, [draw(st.sampled_from([c for c in constants if type(c) in kinds]))])
+    return TensorSeries(d, n, levels)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(
+    st.integers(1, 3), st.integers(0, 4), st.sampled_from([(int, Fraction), (float,), (int, Fraction, float)]), st.data()
+)
+def test_chen_product_and_its_callers_follow_the_pair_and_sum_rules(d, n, kinds, data):
+    a, b = data.draw(typed_series(d, n, kinds)), data.draw(typed_series(d, n, kinds))
+    assert _reprs(_plain(concat_product(a, b))) == _reprs(_plain_concat(_plain(a), _plain(b), d))
+    p = data.draw(typed_series(d, n, kinds, constants=(0, Fraction(0), 0.0, -0.0)))
+    assert _reprs(_plain(exp_series(p))) == _reprs(_plain_exp(_plain(p), d))
+    q = data.draw(typed_series(d, n, kinds, constants=(1, Fraction(1), 1.0)))
+    assert _reprs(_plain(log_series(q))) == _reprs(_plain_log(_plain(q), d))
+    step = st.lists(st.one_of(*(_TYPED[kind] for kind in kinds)), min_size=d, max_size=d)
+    steps = data.draw(st.lists(st.one_of(step, st.just([0] * d)), max_size=3))
+    assert _reprs(_plain(pl_signature(steps, n, d))) == _reprs(_plain_pl(steps, n, d))
 
 
 @st.composite

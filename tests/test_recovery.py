@@ -332,21 +332,31 @@ def test_signature_map_matches_forward_engines(rng):
 def test_gauss_newton_solves_each_damped_system_once(monkeypatch):
     # Off the variety every start ends at a damping sweep that fails up to
     # the cap 1e12.  A repeated sweep, or a repeated try at the cap, would
-    # solve the same system (x, lambda) again.  Every evaluation is a start or
-    # the trial of one solve.  (Trial matrices may still repeat bit for bit:
-    # lambdas far below the Hessian's scale give the same step, and near the
-    # cap a step rounds back to x.)
-    systems, evaluations = [], []
+    # solve the same system (x, lambda) again.  Lambdas far below the
+    # Hessian's scale give the same step, and near the cap a step rounds back
+    # to x: such a trial is not evaluated again.  So every evaluation is a
+    # start or the trial of one solve, and no start evaluates a matrix twice
+    # (two starts may meet at one point).  The solve with restarts=r repeats
+    # the r - 1 starts of the one before it, so each start's own evaluations
+    # are what one more restart adds.
+    log = {}
     solve, evaluate = np.linalg.solve, recovery._image_and_jacobian
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: systems.append(a.tobytes() + b.tobytes()) or solve(a, b))
-    monkeypatch.setattr(recovery, "_image_and_jacobian", lambda core, x: evaluations.append(1) or evaluate(core, x))
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: log["solves"].append(a.tobytes() + b.tobytes()) or solve(a, b))
+    monkeypatch.setattr(recovery, "_image_and_jacobian", lambda c, x: log["xs"].append(x.tobytes()) or evaluate(c, x))
     x = np.array([[1.0, -0.5], [0.25, 1.5]])
     entries = [float(v) for v in signature_map("pl", x.tolist(), 3).entries]
     entries[0] += 1e-3
-    with pytest.raises(RecoveryFailed, match=r"with restarts=3$") as info:
-        gauss_newton_recover("pl", 2, 2, 3, LevelTensor(2, 3, entries), tol=1e-12, restarts=3)
-    assert len(systems) == len(set(systems))
-    assert len(evaluations) == 3 + len(systems)
+    runs = [[]]
+    for restarts in (1, 2, 3):
+        log.update(solves=[], xs=[])
+        with pytest.raises(RecoveryFailed, match=rf"with restarts={restarts}$") as info:
+            gauss_newton_recover("pl", 2, 2, 3, LevelTensor(2, 3, entries), tol=1e-12, restarts=restarts)
+        assert log["xs"][: len(runs[-1])] == runs[-1]
+        start = log["xs"][len(runs[-1]) :]
+        assert start and len(start) == len(set(start))
+        runs.append(log["xs"])
+    assert len(log["solves"]) == len(set(log["solves"]))
+    assert len(log["xs"]) <= 3 + len(log["solves"])
     assert info.value.matrix.shape == (2, 2) and info.value.residual > 1e-8
 
 
