@@ -4,18 +4,24 @@
     python benchmarks/layers.py --compare OLD/src NEW/src > BENCH_N.json
 
 With --src, every layer is timed in this process on that tree and the
-per-layer medians (ms) are printed as JSON.  With --compare, each of ROUNDS
-rounds runs one fresh `--src` process per tree, alternating which tree goes
-first; the output holds, per layer, shape and scalar mode, the median and the
-interquartile range over the rounds for each tree (null for a row that one
-tree does not time).  Both trees must share the private calling convention
+per-layer medians (ms) are printed as JSON.  After each layer the process
+also runs `bench/worker.py`'s `ref_loop`, a fixed mix of integer, float,
+Fraction and Chen work, and its median over the process is the last row,
+REFERENCE: it tracks the host's speed while the layers ran.  With --compare,
+each of ROUNDS rounds runs one fresh `--src` process per tree, alternating
+which tree goes first; the output holds, per layer, shape and scalar mode,
+the median and the interquartile range over the rounds for each tree (null
+for a row that one tree does not time), and the same for each round's time
+divided by that round's REFERENCE ("parent_scaled", "change_scaled"), whose
+ratio ("scaled_speedup") discounts a host that ran faster or slower in one
+round.  Both trees must share the private calling convention
 used below (`_core_level(...).to_float()`, `_core_level(...).as_integers()`,
 `_image_and_jacobian(core, x)` and `matrices._rank_mod_p`); the residue row
 runs only on a tree with `_jacobian_residues`.
 Polynomial signatures and group-element recovery are timed through their
 public functions on seeded rational inputs (group elements: the top level
 of a (d+1)-step path; at CHANGE_SHAPE that path's first coordinate returns
-to 0, so the 1...1 entry vanishes and recovery runs a coordinate change).  `tensor_congruence` acts
+to 0, so the 1...1 entry vanishes and recovery descends along letter 2).  `tensor_congruence` acts
 on the axis core prebuilt at each Chen shape (m, n) by a seeded d x m
 matrix, exact or float; a float matrix meets the exact core, as in
 `pl_signature_congruence` of float steps, and uses the core's `to_float()`,
@@ -88,6 +94,7 @@ EXPECTED_SHAPE = (3, 5)  # (d, n) of expected_signature
 CHANGE_SHAPE = (3, 4)  # (d, n) of a group element whose 1...1 entry is 0
 JSON_SHAPE = (4, 3, 7)  # (d, m, k) of the PL level that to_json writes: 4^7 = 16,384 entries
 ROUNDS = 7
+REFERENCE = "reference.ref_loop"  # the layer name of the host-speed row
 
 
 def _rationals(seed, count):
@@ -320,10 +327,14 @@ def _time_call(call) -> float:
 
 def measure(src: str) -> list:
     sys.path.insert(0, os.path.abspath(src))
-    return [
-        {"layer": name, "shape": shape, "scalar": scalar, "ms": _time_call(call)}
-        for name, shape, scalar, call in layers()
-    ]
+    sys.path.insert(1, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench"))
+    from worker import ref_loop
+
+    rows, reference = [], []
+    for name, shape, scalar, call in layers():
+        rows.append({"layer": name, "shape": shape, "scalar": scalar, "ms": _time_call(call)})
+        reference.append(ref_loop() * 1e3)
+    return rows + [{"layer": REFERENCE, "shape": {}, "scalar": "mixed", "ms": statistics.median(reference)}]
 
 
 def _quartiles(values):
@@ -346,20 +357,25 @@ def compare(old: str, new: str) -> dict:
         return json.dumps([row["layer"], row["shape"], row["scalar"]])
 
     timed = {label: [{key(row): row["ms"] for row in run} for run in tree_runs] for label, tree_runs in runs.items()}
+    reference = key({"layer": REFERENCE, "shape": {}, "scalar": "mixed"})
     rows = []
     for row in {key(row): row for tree_runs in runs.values() for row in tree_runs[0]}.values():
         entry = {"layer": row["layer"], "shape": row["shape"], "scalar": row["scalar"], "unit": "ms"}
         for label in ("parent", "change"):
             times = [run[key(row)] for run in timed[label] if key(row) in run]
+            scaled = [run[key(row)] / run[reference] for run in timed[label] if key(row) in run and reference in run]
             entry[label] = _quartiles(times) if times else None
-        both = entry["parent"] and entry["change"]
-        entry["speedup"] = entry["parent"]["median"] / entry["change"]["median"] if both else None
+            entry[f"{label}_scaled"] = _quartiles(scaled) if scaled else None
+        for ratio, label in (("speedup", ""), ("scaled_speedup", "_scaled")):
+            parent, change = entry["parent" + label], entry["change" + label]
+            entry[ratio] = parent["median"] / change["median"] if parent and change else None
         rows.append(entry)
     import numpy
 
     return {
         "method": f"{ROUNDS} alternating rounds, one fresh process per tree and round; "
-        "median and IQR over rounds of each round's median call (benchmarks/layers.py)",
+        "median and IQR over rounds of each round's median call, and of that call over the round's "
+        f"{REFERENCE} median (benchmarks/layers.py)",
         "machine": {"python": platform.python_version(), "numpy": numpy.__version__, "nproc": os.cpu_count()},
         "layers": rows,
     }

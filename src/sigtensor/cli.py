@@ -214,20 +214,40 @@ def cmd_check(args) -> int:
             }
         )
         return EXIT_FALSE
-    if args.what == "Mdm":
-        if args.m is None:
-            raise UsageError("--what Mdm requires --m")
-        if isinstance(value, TensorSeries):
-            if value.n < 2:
-                raise UsageError("series has no level 2")
-            value = project_level(value, 2)
-        if value.k != 2:
-            raise UsageError("Mdm check needs an order-2 tensor")
-        ok, witness = signature_matrix_witness(value, args.m)
-        generators = [format_scalar(v) for v in signature_matrix_generators(value, args.m)]
-        _emit({"ok": ok, "witness": witness, "generators": generators})
-        return EXIT_OK if ok else EXIT_FALSE
-    raise UsageError(f"unknown --what {args.what!r}")
+    if args.m is None:  # --what Mdm, the one choice left
+        raise UsageError("--what Mdm requires --m")
+    if isinstance(value, TensorSeries):
+        if value.n < 2:
+            raise UsageError("series has no level 2")
+        value = project_level(value, 2)
+    if value.k != 2:
+        raise UsageError("Mdm check needs an order-2 tensor")
+    _check_mdm_size(value.d, args.m)
+    ok, witness = signature_matrix_witness(value, args.m)
+    generators = [format_scalar(v) for v in signature_matrix_generators(value, args.m)]
+    _emit({"ok": ok, "witness": witness, "generators": generators})
+    return EXIT_OK if ok else EXIT_FALSE
+
+
+def _check_mdm_size(d: int, m: int) -> None:
+    """Refuse an Mdm check whose generators plus pfaffian expansion terms exceed
+    the cap, from d and m alone.  The 2-minors of P number C(C(d,2)+1, 2).  Odd
+    m adds the C(d,m+1) pfaffians of size m+1, each expanded into m!! products.
+    Even m adds the C(d,m+2) pfaffians of size m+2, (m+1)!! products each, and
+    the d C(d,m+1) entries of P C_m(Q): each circuit column expands m+1
+    pfaffians of size m, (m-1)!! products each, and each entry sums d products."""
+    if m < 1:
+        raise UsageError(f"--m {m}: need --m >= 1")
+    count = math.comb(math.comb(d, 2) + 1, 2)
+    if m < d:  # else no pfaffian or circuit column has a large enough subset
+        double = lambda k: math.prod(range(k, 0, -2))
+        if m % 2:
+            count += math.comb(d, m + 1) * (1 + double(m))
+        else:
+            top, columns = math.comb(d, m + 2), math.comb(d, m + 1)
+            count += top * (1 + double(m + 1)) + columns * (d + (m + 1) * double(m - 1) + d * d)
+    if count > ENTRY_CAP:
+        raise UsageError(f"--what Mdm --m {m} in dimension {d} builds more than {ENTRY_CAP} terms (the entry cap)")
 
 
 def cmd_invariants(args) -> int:

@@ -82,19 +82,17 @@ def split_pencil(matrix) -> MatrixPencil:
 
 @dataclass(frozen=True)
 class _Echelon:
-    """Integer echelon form of an exact matrix M.
+    """Integer echelon form of an integer matrix A.
 
     `rows` is the (n_rows x n_cols) object array of Python ints that
-    fraction-free (Bareiss) elimination leaves from the integer matrix
-    A = scale * M, so the k-th pivot is a k x k minor of A; `sign` is the
-    sign of the row swaps and `pivots` the pivot column of each row, in
-    order.
+    fraction-free (Bareiss) elimination leaves from A, so the k-th pivot is
+    a k x k minor of A; `sign` is the sign of the row swaps and `pivots` the
+    pivot column of each row, in order.
     """
 
     rows: np.ndarray
     pivots: tuple
     sign: int
-    scale: int
 
     def kernel_vector(self, free: Sequence) -> list:
         """Solution v of rows @ v = 0 that agrees with `free` off the pivots."""
@@ -113,11 +111,11 @@ def _integer_matrix(rows: list) -> tuple:
     return array.reshape(len(rows), len(rows[0]) if rows else 0), scale
 
 
-def _eliminate(work: np.ndarray, scale: int) -> _Echelon:
+def _eliminate(work: np.ndarray) -> _Echelon:
     """Fraction-free forward elimination, in place, of an object array of Python
-    ints standing for work / scale.  Each pivot clears its column below it and
-    updates the rows below in one array expression (its division by the
-    previous pivot is exact); stops once every row has a pivot."""
+    ints.  Each pivot clears its column below it and updates the rows below in
+    one array expression (its division by the previous pivot is exact); stops
+    once every row has a pivot."""
     n_rows, n_cols = work.shape
     pivots, sign, prev = [], 1, 1
     for col in range(n_cols):
@@ -135,7 +133,7 @@ def _eliminate(work: np.ndarray, scale: int) -> _Echelon:
         below[:, col:] = (p * below[:, col:] - np.multiply.outer(below[:, col], work[top, col:])) // prev
         prev = p
         pivots.append(col)
-    return _Echelon(work, tuple(pivots), sign, scale)
+    return _Echelon(work, tuple(pivots), sign)
 
 
 #: The one word-size prime of residue arithmetic (`_residues`, `_rank_mod_p`
@@ -145,10 +143,7 @@ _PRIME = 2**28 - 57
 
 
 def _residues(array: np.ndarray) -> np.ndarray:
-    """The int64 residues mod _PRIME, in [0, _PRIME), of an integer array: any
-    integer dtype, or an object array of Python ints."""
-    if array.dtype.kind in "iu":
-        array = array.astype(array.dtype.kind + "8", copy=False)  # _PRIME fits int64 and uint64 only
+    """The int64 residues mod _PRIME, in [0, _PRIME), of an object array of Python ints."""
     return (array % _PRIME).astype(np.int64)
 
 
@@ -190,21 +185,17 @@ def _certified_rank(residues: np.ndarray, exact) -> int:
     full = min(residues.shape)
     if _rank_mod_p(residues) == full:
         return full
-    return len(_eliminate(exact(), 1).pivots)
+    return len(_eliminate(exact()).pivots)
 
 
 def exact_rank(matrix) -> int:
     """Rank of a matrix, certified mod a prime or by fraction-free elimination.
 
-    An exact matrix M = A / L has the rank of the integer matrix A, which
-    `_certified_rank` takes.  A 2-d ndarray of an integer dtype, or of Python
-    ints, is A itself and skips the conversion to A / L.  Matrices whose
+    An exact matrix M = A / L (numpy integers read as ints) has the rank of
+    the integer matrix A, which `_certified_rank` takes.  Matrices whose
     scalar mode is not exact fall back to counting singular values above
     1e-9 * sigma_max.
     """
-    if isinstance(matrix, np.ndarray) and matrix.ndim == 2:
-        if matrix.dtype.kind in "iu" or (matrix.dtype.kind == "O" and set(map(type, matrix.flat)) <= {int}):
-            return _certified_rank(_residues(matrix), lambda: matrix.astype(object))
     rows = _as_rows(matrix)
     mode, values = scalar_mode(v for row in rows for v in row)
     shape = (len(rows), len(rows[0]) if rows else 0)
@@ -224,10 +215,11 @@ def exact_det(matrix):
     rows = _square_rows(matrix)
     if not rows:
         return Fraction(1)
-    echelon = _eliminate(*_integer_matrix(rows))
+    array, scale = _integer_matrix(rows)
+    echelon = _eliminate(array)
     if len(echelon.pivots) < len(rows):
         return Fraction(0)
-    return Fraction(echelon.sign * echelon.rows[-1, -1], echelon.scale ** len(rows))
+    return Fraction(echelon.sign * echelon.rows[-1, -1], scale ** len(rows))
 
 
 def matrix_inverse(matrix) -> list:
@@ -235,7 +227,7 @@ def matrix_inverse(matrix) -> list:
     rows = _square_rows(matrix)
     n = len(rows)
     array, scale = _integer_matrix(rows)
-    echelon = _eliminate(np.hstack([array, scale * np.eye(n, dtype=object)]), scale)
+    echelon = _eliminate(np.hstack([array, scale * np.eye(n, dtype=object)]))
     if echelon.pivots != tuple(range(n)):
         raise ValueError("matrix is singular")
     columns = [echelon.kernel_vector([0] * n + [-int(i == j) for i in range(n)]) for j in range(n)]

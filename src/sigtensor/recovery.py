@@ -52,8 +52,6 @@ from .matrices import (
     _float_rank,
     _integer_matrix,
     _residues,
-    exact_det,
-    matrix_inverse,
 )
 from .paths import _contract, _core_level, tensor_congruence
 from .scalars import fraction_nth_root, integer_multiple, real_nth_root, scalar_mode
@@ -108,23 +106,17 @@ class JacobianReport:
 # --- universal n-to-1 recovery ---------------------------------------------
 
 
-def _random_change(d: int, rng: random.Random) -> list:
-    """Small invertible integer matrix."""
-    while True:
-        a = [[Fraction(rng.randint(-3, 3)) for _ in range(d)] for _ in range(d)]
-        if exact_det(a) != 0:
-            return a
-
-
-def recover_group_element(tensor: LevelTensor, mode: str = "rational", seed: int = 0) -> RecoveryResult:
+def recover_group_element(tensor: LevelTensor, mode: str = "rational") -> RecoveryResult:
     """Reconstruct the group-like series from its top-level tensor.
 
-    The leading coordinate is an n-th root of n! times the 1...1 entry
-    (exact in rational mode, the positive real root for even order in real
-    mode); lower levels follow by dividing shuffle forms by that
-    coordinate.  When the 1...1 entry vanishes, or an even-order root has
-    a negative radicand, four seeded random linear changes of coordinates
-    are tried before giving up.
+    On a group-like series the diagonal entry T_i...i is x_i^n / n!, so the
+    level-1 coordinate x_i is an n-th root of n! T_i...i.  The descent reads
+    along the first letter i whose n! T_i...i has a nonzero real n-th root
+    (nonzero for odd n, positive for even n), and takes that root: exact in
+    rational mode, the real root (positive for even n) in real mode.  Lower
+    levels follow by dividing shuffle forms by it (`_descend`).  When every
+    diagonal entry vanishes, level 1 of a group-like input is 0, and no
+    change of coordinates helps: <c^(x)n, T> = (c.x)^n / n! = 0 for every c.
     """
     if mode not in ("rational", "real"):
         raise ValueError("mode must be 'rational' or 'real'")
@@ -135,59 +127,43 @@ def recover_group_element(tensor: LevelTensor, mode: str = "rational", seed: int
         raise TypeError("rational mode needs exact entries")
     if mode == "real":
         tensor = tensor.to_float()
-
-    rng = random.Random(seed)
-    saw_negative = False
-    for attempt in range(5):  # the identity, then four random changes
-        change = None if attempt == 0 else _random_change(tensor.d, rng)
-        working = tensor if change is None else tensor_congruence(tensor, change)
-        leading = working[(1,) * n]
-        if leading == 0:
-            continue
-        base = math.factorial(n) * leading
-        if n % 2 == 0 and base < 0:
-            saw_negative = True
-            continue
-        root = fraction_nth_root(base, n) if mode == "rational" else real_nth_root(float(base), n)
-        if root is None:
-            raise RootUnavailable("root unavailable in this scalar mode")
-        series = _descend(working, root)
-        if change is not None:
-            inverse = matrix_inverse(change)
-            series = TensorSeries(
-                series.d,
-                series.n,
-                [tensor_congruence(level, inverse) if level.k else level for level in series.levels],
-            )
-        if n % 2 == 1:
-            real_count, choice = 1, "unique real root"
-        else:
-            real_count, choice = 2, "positive real root (sibling: negate odd levels)"
-        if mode == "rational":
-            choice = "exact rational root; " + choice
-        return RecoveryResult(series, n, real_count, choice)
-    if saw_negative:
+    step = sum(tensor.d**j for j in range(n))  # the flat index of the word i...i is (i - 1) * step
+    radicands = [math.factorial(n) * t for t in tensor.entries[::step]]
+    letter = next((i for i, r in enumerate(radicands, 1) if r > 0 or (n % 2 == 1 and r != 0)), None)
+    if letter is None:
+        if any(radicands):
+            raise RootUnavailable("root unavailable: no diagonal entry of the even-order tensor is positive")
+        raise NonGenericInput("non-generic input: every diagonal entry vanishes, so level 1 is 0")
+    radicand = radicands[letter - 1]
+    root = fraction_nth_root(radicand, n) if mode == "rational" else real_nth_root(radicand, n)
+    if root is None:
         raise RootUnavailable("root unavailable in this scalar mode")
-    raise NonGenericInput("non-generic input: the leading shuffle denominators vanish")
+    if n % 2 == 1:
+        real_count, choice = 1, "unique real root"
+    else:
+        real_count, choice = 2, "positive real root (sibling: negate odd levels)"
+    if mode == "rational":
+        choice = "exact rational root; " + choice
+    return RecoveryResult(_descend(tensor, letter, root), n, real_count, choice)
 
 
-def _descend(tensor: LevelTensor, sigma1) -> TensorSeries:
-    """Fill levels n-1 .. 1 downward from the top level, dividing by sigma1.
+def _descend(tensor: LevelTensor, letter: int, sigma) -> TensorSeries:
+    """Fill levels n-1 .. 1 downward from the top level, dividing by sigma.
 
-    Level k at a word w is the shuffle form of (w, 1) on level k+1, over
-    sigma1; on the level-(k+1) cube that form is the sum over the k+1 places
-    p of the slice with letter 1 at place p.  The slices act on the level's
-    values and keep its denominator, so one rule serves every scalar mode.
-    Level 1 so starts with n! T_1...1 / sigma1^(n-1), which is sigma1 when
-    sigma1^n = n! T_1...1 (in floats, up to rounding).
+    Level k at a word w is the shuffle form of (w, i) on level k+1, over
+    sigma, for the letter i; on the level-(k+1) cube that form is the sum
+    over the k+1 places p of the slice with letter i at place p.  The slices
+    act on the level's values and keep its denominator, so one rule serves
+    every scalar mode.  Level 1 so reads n! T_i...i / sigma^(n-1) at i, which
+    is sigma when sigma^n = n! T_i...i (in floats, up to rounding).
     """
     d, n = tensor.d, tensor.k
     levels: list = [None] * (n + 1)
-    levels[0] = LevelTensor(d, 0, [sigma1 / sigma1])
+    levels[0] = LevelTensor(d, 0, [sigma / sigma])
     levels[n] = tensor
+    slices = lambda upper: sum(np.take(upper, letter - 1, axis=p) for p in range(upper.ndim))
     for k in range(n - 1, 0, -1):
-        forms = levels[k + 1]._linear_map(k, lambda upper: sum(np.take(upper, 0, axis=p) for p in range(upper.ndim)))
-        levels[k] = forms.scale(1 / sigma1)
+        levels[k] = levels[k + 1]._linear_map(k, slices).scale(1 / sigma)
     return TensorSeries(d, n, levels)
 
 
@@ -217,7 +193,7 @@ def _kernel_point(rows: list) -> tuple:
     mode, values = scalar_mode(v for row in rows for v in row)
     exact = mode in (int, Fraction)
     if exact:
-        echelon = _eliminate(*_integer_matrix(rows))
+        echelon = _eliminate(_integer_matrix(rows)[0])
         rank = len(echelon.pivots)
     else:
         _, sigma, vt = np.linalg.svd(np.array(values, dtype=np.float64).reshape(len(rows), cols))

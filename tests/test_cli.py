@@ -489,6 +489,50 @@ def test_inputs_beyond_the_entry_cap_are_refused_before_they_are_built(tmp_path,
         assert code == 2 and out == "" and "entry cap" in err, argv
 
 
+def test_mdm_checks_beyond_the_entry_cap_are_refused_before_any_pfaffian(tmp_path, capsys, monkeypatch):
+    import sigtensor.cli as cli
+
+    # 17!! = 34,459,425 expansion terms of the one 18 x 18 pfaffian
+    big = write_json(tmp_path, "big.json", {"dim": 18, "order": 2, "entries": {}})
+    code, out, err = run_cli(capsys, "check", big, "--what", "Mdm", "--m", "17")
+    assert code == 2 and out == "" and "entry cap" in err
+    # d = 4, m = 2: 21 minors, 1 + 3 for the 4-pfaffian, 4 columns of 4 + 3 + 16
+    tensor = write_json(tmp_path, "t.json", {"dim": 4, "order": 2, "entries": {"11": "1"}})
+    monkeypatch.setattr(cli, "ENTRY_CAP", 116)
+    code, out, err = run_cli(capsys, "check", tensor, "--what", "Mdm", "--m", "2")
+    assert code == 2 and out == "" and "entry cap" in err
+    monkeypatch.setattr(cli, "ENTRY_CAP", 117)
+    code, out, _ = run_cli(capsys, "check", tensor, "--what", "Mdm", "--m", "2")
+    assert code == 0 and len(json.loads(out)["generators"]) == 21 + 1 + 16
+    code, out, err = run_cli(capsys, "check", tensor, "--what", "Mdm", "--m", "0")
+    assert code == 2 and out == "" and "--m >= 1" in err
+
+
+def test_input_checks_name_what_is_wrong(tmp_path, capsys):
+    no_dim = write_json(tmp_path, "z.json", {"dim": 0, "order": 2, "entries": {}})
+    short = write_json(tmp_path, "s.json", pl_signature([(1, 2)], 1).to_json())
+    cubic = write_json(tmp_path, "c.json", {"dim": 2, "order": 3, "entries": {"111": "1"}})
+    square = write_json(tmp_path, "q.json", {"dim": 3, "order": 2, "entries": {"12": "1"}})
+    halves = write_json(tmp_path, "h.json", {"type": "piecewise_linear", "dim": 2, "steps": [[1.5, 2]]})
+    for argv, message in (
+        (("check", no_dim, "--what", "Mdm", "--m", "2"), "dim 0: need dim >= 1"),
+        (("check", short, "--what", "Mdm", "--m", "2"), "series has no level 2"),
+        (("check", cubic, "--what", "Mdm", "--m", "2"), "Mdm check needs an order-2 tensor"),
+        (("invariants", square), "no invariant applies to shape d=3, k=2"),
+        (("compute", halves, "--level", "1"), "non-integral float 1.5 in exact mode"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and message in err, argv
+    # an integral float is an exact integer; a series reaches Mdm through its level 2
+    whole = write_json(tmp_path, "w.json", {"type": "piecewise_linear", "dim": 2, "steps": [[1.0, 2]]})
+    code, out, _ = run_cli(capsys, "compute", whole, "--level", "1")
+    assert code == 0 and json.loads(out)["entries"] == {"1": "1", "2": "2"}
+    code, out, _ = run_cli(capsys, "compute", whole, "--trunc", "2")
+    series = write_json(tmp_path, "g.json", json.loads(out))
+    code, out, _ = run_cli(capsys, "check", series, "--what", "Mdm", "--m", "1")
+    assert code == 0 and json.loads(out)["ok"] is True
+
+
 def test_recover_newton_refuses_a_core_beyond_the_entry_cap_before_reading_the_input(tmp_path, capsys):
     # the 11^7-entry core exceeds the 10^7 cap; the input file does not exist
     code, out, err = run_cli(

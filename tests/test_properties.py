@@ -443,7 +443,7 @@ def integer_matrices_near_the_prime(draw):
 @settings(PROPERTY, max_examples=150)
 @given(integer_matrices_near_the_prime())
 def test_rank_certified_mod_p_equals_the_bareiss_rank(a):
-    assert exact_rank(a) == len(_eliminate(*_integer_matrix(a)).pivots)
+    assert exact_rank(a) == len(_eliminate(_integer_matrix(a)[0]).pivots)
 
 
 @PROPERTY
@@ -605,17 +605,19 @@ def test_exact_series_with_a_tol_are_scanned_as_their_floats_with_exact_witnesse
 @PROPERTY
 @given(st.integers(1, 3), st.integers(2, 5), st.data())
 def test_descent_reads_level_one_as_the_direct_form_of_the_top_level(d, n, data):
-    """Level 1 read down through every level equals (n-1)!/sigma^(n-1) times the
-    form ((i) ⧢ 1^(n-1)) of the top level: its n one-axis slices, summed."""
+    """Level 1 read down through every level along the letter a equals
+    (n-1)!/sigma^(n-1) times the form ((i) ⧢ a^(n-1)) of the top level: its
+    n one-axis slices, summed."""
     scalars = rationals | st.integers(-5, 5)
     top = LevelTensor(d, n, data.draw(st.lists(scalars, min_size=d**n, max_size=d**n)))
     sigma = data.draw(rationals.filter(bool))
-    ones = (1,) * (n - 1)
+    letter = data.draw(st.integers(1, d))
+    rest = (letter,) * (n - 1)
     direct = [
-        sum(top[ones[:p] + (i,) + ones[p:]] for p in range(n)) * math.factorial(n - 1) / sigma ** (n - 1)
+        sum(top[rest[:p] + (i,) + rest[p:]] for p in range(n)) * math.factorial(n - 1) / sigma ** (n - 1)
         for i in range(1, d + 1)
     ]
-    level = _descend(top, sigma).levels[1]
+    level = _descend(top, letter, sigma).levels[1]
     assert level.entries == tuple(direct)
     assert all(type(v) is Fraction for v in level.entries)
 
@@ -760,7 +762,7 @@ def test_jacobian_rank_is_the_best_bareiss_rank_over_its_seeds(family, d, k, m, 
     with mock.patch.object(recovery, "_jacobian_residues", recorded):
         report = jacobian_rank(family, d, k, m, seed_count=seed_count, seed=seed)
     core = _integer_core(family, m, k)
-    ranks = [len(_eliminate(_image_and_jacobian(core, point)[1], 1).pivots) for point in points]
+    ranks = [len(_eliminate(_image_and_jacobian(core, point)[1]).pivots) for point in points]
     assert report.rank == max(ranks)
     # a seed is skipped only after one reached the full rank, which none can exceed
     assert len(points) == seed_count or report.rank == min(d * m, d**k)

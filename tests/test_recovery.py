@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import numpy as np
@@ -83,7 +82,7 @@ def test_recovery_uses_linear_change_when_axis_degenerates(rng, mode):
     from sigtensor import expand_from_lyndon
 
     g = expand_from_lyndon(values, 2, 3)
-    result = recover_group_element(project_level(g, 3), mode, seed=1)
+    result = recover_group_element(project_level(g, 3), mode)
     if mode == "rational":
         assert result.series == g
     else:
@@ -117,31 +116,59 @@ def test_recovery_real_mode(rng):
 def test_real_mode_recovery_after_a_coordinate_change_holds_only_floats():
     steps = [[Fraction(1), Fraction(0)], [Fraction(-1), Fraction(1)], [Fraction(0), Fraction(2)]]
     top = pl_signature(steps, 3).levels[3]
-    assert top[(1, 1, 1)] == 0  # forces a coordinate change
+    assert top[(1, 1, 1)] == 0  # the descent reads letter 2
     result = recover_group_element(top, "real")
     assert all(type(v) is float for level in result.series.levels for v in level.entries)
     assert result.series.levels[3].equals(top.to_float(), tol=1e-9)
 
 
 @pytest.mark.parametrize("mode", ["rational", "real"])
-def test_coordinate_changes_are_drawn_only_after_the_identity_fails(monkeypatch, rng, mode):
-    draw, drawn = recovery._random_change, []
+def test_descent_takes_the_first_letter_whose_diagonal_has_a_real_root(monkeypatch, rng, mode):
+    descend, letters = recovery._descend, []
 
-    def spy(d, generator):
-        drawn.append(draw(d, generator))
-        return drawn[-1]
+    def spy(tensor, letter, sigma):
+        letters.append(letter)
+        return descend(tensor, letter, sigma)
 
-    monkeypatch.setattr(recovery, "_random_change", spy)
+    def refuse(*args):
+        raise AssertionError("the letter rule needs no change of coordinates and no elimination")
+
+    monkeypatch.setattr(recovery, "_descend", spy)
+    monkeypatch.setattr(recovery, "tensor_congruence", refuse)
+    monkeypatch.setattr(matrices, "_eliminate", refuse)
     g = random_grouplike(rng, 3, 3, nonzero_level1=True)
     assert recover_group_element(project_level(g, 3), mode).series.equals(g, tol=1e-9)
-    assert drawn == []
     steps = [[Fraction(1), Fraction(0)], [Fraction(-1), Fraction(1)], [Fraction(0), Fraction(2)]]
     g = pl_signature(steps, 3)
-    assert g.levels[3][(1, 1, 1)] == 0  # forces a coordinate change
-    result = recover_group_element(g.levels[3], mode, seed=5)
+    assert g.levels[3][(1, 1, 1)] == 0  # level 1 is (0, 3): the descent reads letter 2
+    result = recover_group_element(g.levels[3], mode)
     assert result.series.equals(g, tol=1e-9) and (mode == "real" or result.series == g)
-    eager = random.Random(5)
-    assert len(drawn) == 1 and drawn == [draw(2, eager)]
+    # even order: the first positive diagonal entry, past a negative one and a zero
+    result = recover_group_element(LevelTensor(3, 2, [-1, 5, 0, 0, 0, 0, 0, 0, 2]), mode)
+    assert result.series.levels[1].equals(LevelTensor(3, 1, [0, 0, 2]), tol=1e-12)
+    assert letters == [1, 2, 3]
+
+
+@pytest.mark.parametrize("mode", ["rational", "real"])
+def test_a_level_one_on_the_second_axis_recovers_in_both_modes(mode):
+    steps = [[1, 0, -4], [Fraction(4, 3), Fraction(-1, 3), 3], [Fraction(-7, 3), Fraction(2, 3), 1]]
+    g = pl_signature(steps, 3)
+    assert g.levels[1].entries == (0, Fraction(1, 3), 0)
+    result = recover_group_element(g.levels[3], mode)
+    if mode == "rational":
+        assert result.series == g
+    else:
+        assert result.series.equals(g.to_float(), tol=1e-9)
+
+
+def test_even_order_with_no_positive_diagonal_entry_has_no_real_root():
+    for mode in ("rational", "real"):
+        with pytest.raises(RootUnavailable):
+            recover_group_element(LevelTensor(2, 2, [-1, 3, 1, 0]), mode)
+        with pytest.raises(RootUnavailable):
+            recover_group_element(LevelTensor(2, 4, [-1] + [0] * 15), mode)
+        with pytest.raises(NonGenericInput):
+            recover_group_element(LevelTensor(2, 2, [0, 3, 1, 0]), mode)
 
 
 def test_two_step_recovery_round_trips(rng):
@@ -251,9 +278,9 @@ def test_jacobian_rank_stops_at_full_rank(monkeypatch):
         residue_ranks.append(residues.shape)
         return rank_mod_p(residues)
 
-    def counted_elimination(work, scale):
+    def counted_elimination(work):
         fallbacks.append(work.shape)
-        return eliminate(work, scale)
+        return eliminate(work)
 
     rank_mod_p, eliminate = matrices._rank_mod_p, matrices._eliminate
     monkeypatch.setattr(matrices, "_rank_mod_p", counted_rank)
