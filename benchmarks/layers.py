@@ -4,17 +4,18 @@
     python benchmarks/layers.py --compare OLD/src NEW/src > BENCH_N.json
 
 With --src, every layer is timed in this process on that tree and the
-per-layer medians (ms) are printed as JSON.  After each layer the process
-also runs `bench/worker.py`'s `ref_loop`, a fixed mix of integer, float,
-Fraction and Chen work, and its median over the process is the last row,
-REFERENCE: it tracks the host's speed while the layers ran.  With --compare,
-each of ROUNDS rounds runs one fresh `--src` process per tree, alternating
-which tree goes first; the output holds, per layer, shape and scalar mode,
-the median and the interquartile range over the rounds for each tree (null
-for a row that one tree does not time), and the same for each round's time
-divided by that round's REFERENCE ("parent_scaled", "change_scaled"), whose
-ratio ("scaled_speedup") discounts a host that ran faster or slower in one
-round.  Both trees must share the private calling convention
+per-layer medians (ms) are printed as JSON.  Right after each layer the
+process runs `bench/worker.py`'s `ref_loop`, a fixed mix of integer, float,
+Fraction and Chen work, once, and records its time with the layer
+("reference_ms"); the median of those runs is the last row, REFERENCE: it
+tracks the host's speed while the layers ran.  With --compare, each of
+ROUNDS rounds runs one fresh `--src` process per tree, alternating which
+tree goes first; the output holds, per layer, shape and scalar mode, the
+median and the interquartile range over the rounds for each tree (null for
+a row that one tree does not time), and the same for each round's time
+divided by the reference loop run right after it ("parent_scaled",
+"change_scaled"), whose ratio ("scaled_speedup") discounts a host whose
+speed changed while the layers ran.  Both trees must share the private calling convention
 used below (`_core_level(...).to_float()`, `_core_level(...).as_integers()`,
 `_image_and_jacobian(core, x)` and `matrices._rank_mod_p`); the residue row
 runs only on a tree with `_jacobian_residues`.
@@ -56,7 +57,10 @@ its row pays for the fallback from the mod-p certificate to Bareiss
 elimination.  At the same points, `recovery.jacobian_residues_rank` times
 what `jacobian_rank` runs for each seed first: the residue Jacobian mod p
 (`_jacobian_residues`) and its rank (`_rank_mod_p`).  `exact_det`
-eliminates the order-2 monomial matrix of size DET_SIZE.  `LevelTensor.to_json`
+eliminates the order-2 monomial matrix of size DET_SIZE.  `pfaffian` takes a
+seeded Fraction skew matrix A - A^T of each size in PFAFFIAN_SIZES, and
+`signature_matrix_generators` a seeded Fraction d x d matrix at each
+(d, m) of GENERATOR_SHAPES.  `LevelTensor.to_json`
 writes the top level of a seeded PL path at JSON_SHAPE, exact and as its
 `to_float()`.
 
@@ -83,6 +87,8 @@ SOLVE_SHAPES = [("pl", 2, 4), ("poly", 2, 3), ("poly", 2, 4), ("pl", 3, 4)]  # (
 JACOBIAN_SHAPES = [("pl", 3, 3, 3), ("pl", 4, 3, 4), ("poly", 3, 4, 3), ("pl", 6, 3, 6)]  # (family, d, k, m)
 RANK_SHAPES = [("pl", 6, 3, 6), ("pl", 4, 4, 5), ("poly", 5, 4, 5), ("pl", 5, 2, 5)]  # (family, d, k, m) of exact_rank
 DET_SIZE = 8  # exact_det of mono_matrix(DET_SIZE)
+PFAFFIAN_SIZES = (8, 14)  # sizes of the skew matrices of pfaffian
+GENERATOR_SHAPES = [(12, 6), (14, 13)]  # (d, m) of signature_matrix_generators: many pfaffians, and one large one
 POLY_SHAPES = [(2, 3, 6), (3, 3, 5)]  # (d, m, n), as in the forward workload
 GROUP_SHAPES = [(2, 3), (2, 4), (3, 3), (3, 4)]  # (d, n), as in the inverse workload
 SHUFFLE_SHAPES = [(2, 8), (3, 6), (4, 5)]  # (d, n)
@@ -195,6 +201,7 @@ def layers():
         matrices,
         mono_matrix,
         normal_form_table,
+        pfaffian,
         pl_signature,
         pl_signature_congruence,
         poly_signature_integrate,
@@ -202,6 +209,7 @@ def layers():
         recovery,
         shuffle,
         signature_map,
+        signature_matrix_generators,
         tensor_congruence,
     )
 
@@ -249,6 +257,15 @@ def layers():
             out.append(("recovery.jacobian_residues_rank", shape, "exact", call))
     mono = mono_matrix(DET_SIZE)
     out.append(("matrices.exact_det", {"matrix": "mono_matrix", "d": DET_SIZE}, "exact", lambda: exact_det(mono)))
+    for s in PFAFFIAN_SIZES:
+        values = _rationals(s * 10 + 7, s * s)
+        skew = [[values[i * s + j] - values[j * s + i] for j in range(s)] for i in range(s)]
+        out.append(("matrices.pfaffian", {"s": s}, "exact", lambda q=skew: pfaffian(q)))
+    for d, m in GENERATOR_SHAPES:
+        values = _rationals(d * 100 + m, d * d)
+        matrix = [values[i * d : (i + 1) * d] for i in range(d)]
+        call = lambda a=matrix, m=m: signature_matrix_generators(a, m)
+        out.append(("matrices.signature_matrix_generators", {"d": d, "m": m}, "exact", call))
     for d, m, n in POLY_SHAPES:
         values = _rationals(d * 100 + m * 10 + n, d * m)
         coeffs = [values[i * m : (i + 1) * m] for i in range(d)]
@@ -332,8 +349,9 @@ def measure(src: str) -> list:
 
     rows, reference = [], []
     for name, shape, scalar, call in layers():
-        rows.append({"layer": name, "shape": shape, "scalar": scalar, "ms": _time_call(call)})
+        ms = _time_call(call)
         reference.append(ref_loop() * 1e3)
+        rows.append({"layer": name, "shape": shape, "scalar": scalar, "ms": ms, "reference_ms": reference[-1]})
     return rows + [{"layer": REFERENCE, "shape": {}, "scalar": "mixed", "ms": statistics.median(reference)}]
 
 
@@ -356,14 +374,14 @@ def compare(old: str, new: str) -> dict:
     def key(row):
         return json.dumps([row["layer"], row["shape"], row["scalar"]])
 
-    timed = {label: [{key(row): row["ms"] for row in run} for run in tree_runs] for label, tree_runs in runs.items()}
-    reference = key({"layer": REFERENCE, "shape": {}, "scalar": "mixed"})
+    timed = {label: [{key(row): row for row in run} for run in tree_runs] for label, tree_runs in runs.items()}
     rows = []
     for row in {key(row): row for tree_runs in runs.values() for row in tree_runs[0]}.values():
         entry = {"layer": row["layer"], "shape": row["shape"], "scalar": row["scalar"], "unit": "ms"}
         for label in ("parent", "change"):
-            times = [run[key(row)] for run in timed[label] if key(row) in run]
-            scaled = [run[key(row)] / run[reference] for run in timed[label] if key(row) in run and reference in run]
+            found = [run[key(row)] for run in timed[label] if key(row) in run]
+            times = [r["ms"] for r in found]
+            scaled = [r["ms"] / r["reference_ms"] for r in found if "reference_ms" in r]
             entry[label] = _quartiles(times) if times else None
             entry[f"{label}_scaled"] = _quartiles(scaled) if scaled else None
         for ratio, label in (("speedup", ""), ("scaled_speedup", "_scaled")):
@@ -374,8 +392,8 @@ def compare(old: str, new: str) -> dict:
 
     return {
         "method": f"{ROUNDS} alternating rounds, one fresh process per tree and round; "
-        "median and IQR over rounds of each round's median call, and of that call over the round's "
-        f"{REFERENCE} median (benchmarks/layers.py)",
+        "median and IQR over rounds of each round's median call, and of that call over the "
+        f"{REFERENCE} run right after it (benchmarks/layers.py)",
         "machine": {"python": platform.python_version(), "numpy": numpy.__version__, "nproc": os.cpu_count()},
         "layers": rows,
     }

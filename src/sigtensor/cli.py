@@ -29,7 +29,7 @@ from .recovery import (
     recover_two_step_planar,
     signature_map,
 )
-from .scalars import format_scalar, parse_int
+from .scalars import format_scalar, parse_int, parse_list, parse_object
 from .shuffle import find_grouplike_violation, find_lie_violation
 from .stochastic import BrownianModel, MixtureModel, expected_signature, mixture_expected_signature
 from .tensor import LevelTensor, TensorSeries, project_level
@@ -123,12 +123,11 @@ def cmd_expected(args) -> int:
 
 def _check_order_from_model(data: dict, n: int) -> None:
     if "components" in data:
-        if not data["components"]:
+        components = parse_list(data["components"], "components")
+        if not components:
             raise UsageError("'components' is empty: a mixture needs at least one component")
-        d = len(data["components"][0]["model"]["mu"])
-    else:
-        d = len(data["mu"])
-    _check_order(d, n, "--trunc")
+        data = parse_object(parse_object(components[0], "components[0]")["model"], "components[0].model")
+    _check_order(len(parse_list(data["mu"], "mu")), n, "--trunc")
 
 
 def _word_count(command: str, d: int, n: int, level_count) -> int:
@@ -230,22 +229,19 @@ def cmd_check(args) -> int:
 
 
 def _check_mdm_size(d: int, m: int) -> None:
-    """Refuse an Mdm check whose generators plus pfaffian expansion terms exceed
-    the cap, from d and m alone.  The 2-minors of P number C(C(d,2)+1, 2).  Odd
-    m adds the C(d,m+1) pfaffians of size m+1, each expanded into m!! products.
-    Even m adds the C(d,m+2) pfaffians of size m+2, (m+1)!! products each, and
-    the d C(d,m+1) entries of P C_m(Q): each circuit column expands m+1
-    pfaffians of size m, (m-1)!! products each, and each entry sums d products."""
+    """Refuse an Mdm check whose generators and pfaffian work exceed the cap, from d
+    and m alone.  A pfaffian of size s counts s^3, which bounds the entries its
+    elimination updates.  The 2-minors of P number C(C(d,2)+1, 2).  Odd m adds the
+    C(d,m+1) pfaffians of size m+1.  Even m adds the C(d,m+2) pfaffians of size m+2
+    and the d C(d,m+1) entries of P C_m(Q): each circuit column takes m+1 pfaffians
+    of size m, and each entry sums d products."""
     if m < 1:
         raise UsageError(f"--m {m}: need --m >= 1")
     count = math.comb(math.comb(d, 2) + 1, 2)
-    if m < d:  # else no pfaffian or circuit column has a large enough subset
-        double = lambda k: math.prod(range(k, 0, -2))
-        if m % 2:
-            count += math.comb(d, m + 1) * (1 + double(m))
-        else:
-            top, columns = math.comb(d, m + 2), math.comb(d, m + 1)
-            count += top * (1 + double(m + 1)) + columns * (d + (m + 1) * double(m - 1) + d * d)
+    if m % 2:
+        count += math.comb(d, m + 1) * (m + 1) ** 3
+    else:
+        count += math.comb(d, m + 2) * (m + 2) ** 3 + math.comb(d, m + 1) * (d + (m + 1) * m**3 + d * d)
     if count > ENTRY_CAP:
         raise UsageError(f"--what Mdm --m {m} in dimension {d} builds more than {ENTRY_CAP} terms (the entry cap)")
 
@@ -345,8 +341,6 @@ def _check_newton_size(d: int, m: int, k: int) -> None:
 
 
 def _projective_residual(family: str, matrix, k: int, tensor: LevelTensor) -> float:
-    import numpy as np
-
     image = signature_map(family, [[float(v) for v in row] for row in matrix], k)
     a = image.to_float().array
     b = tensor.to_float().array

@@ -237,43 +237,54 @@ def matrix_inverse(matrix) -> list:
 # --- pfaffians and circuit matrices ----------------------------------------
 
 
-def _check_skew(rows: list) -> None:
-    d = len(rows)
-    for i in range(d):
-        for j in range(d):
-            if rows[i][j] != -rows[j][i]:
-                raise ValueError("matrix is not skew-symmetric")
-
-
 def pfaffian(matrix, subset: Sequence[int] | None = None):
-    """Pfaffian of a skew matrix (or of its principal submatrix on subset).
-
-    Computed by expansion along the first row; the square of the result is
-    the corresponding principal minor.  Odd sizes are rejected.
-    """
-    rows = _as_rows(matrix)
-    _check_skew(rows)
+    """Pfaffian of a skew matrix (or of its principal submatrix on subset), by
+    fraction-free skew elimination; its square is that principal minor."""
+    rows = _square_rows(matrix)
     idx = tuple(range(len(rows))) if subset is None else tuple(subset)
     if len(idx) % 2 != 0:
         raise ValueError("pfaffian needs an even index set")
-    return _pfaffian_rec(rows, idx)
+    return _sub_pfaffians(rows)(idx)
 
 
-def _pfaffian_rec(rows: list, idx: tuple):
-    if not idx:
-        return Fraction(1)
-    if len(idx) == 2:
-        return rows[idx[0]][idx[1]]
-    first, rest = idx[0], idx[1:]
-    total = 0
-    for pos, j in enumerate(rest):
-        value = rows[first][j]
-        if value == 0:
-            continue
-        sub = rest[:pos] + rest[pos + 1 :]
-        term = value * _pfaffian_rec(rows, sub)
-        total = total + term if pos % 2 == 0 else total - term
-    return total
+def _sub_pfaffians(rows: list):
+    """Pfaffian of each principal submatrix of a skew matrix, by its index tuple: exact
+    rows are read once as A / L (`_integer_matrix`), so size s gives Pf(A_sub) / L^(s/2),
+    an int for int rows, else a `Fraction`; float rows give floats; () gives Fraction(1)."""
+    mode = scalar_mode(v for row in rows for v in row)[0]
+    array, scale = (np.array(rows, dtype=float), 1) if mode is float else _integer_matrix(rows)
+    if (array != -array.T).any():
+        raise ValueError("matrix is not skew-symmetric")
+
+    def pf(idx: tuple):
+        if not idx:
+            return Fraction(1)
+        value = _pfaffian(array[np.ix_(idx, idx)])
+        return mode(value) if mode in (int, float) else Fraction(value, scale ** (len(idx) // 2))
+
+    return pf
+
+
+def _pfaffian(work: np.ndarray):
+    """Pfaffian of an even-size skew array of Python ints (or floats), in place: each
+    step swaps the largest entry of row 0 into (0, 1), in rows and columns (the sign
+    flips), and sets a_ij <- (p a_ij - a_0i a_1j + a_0j a_1i) / prev, the pfaffian of a
+    bordered principal submatrix, so on ints the division is exact; Pf = sign * last p."""
+    divide = np.floor_divide if work.dtype == object else np.true_divide
+    sign, prev = 1, 1
+    while len(work):
+        j = 1 + int(np.argmax(abs(work[0, 1:])))
+        if not work[0, j]:
+            return 0
+        if j != 1:
+            work[[1, j]] = work[[j, 1]]
+            work[:, [1, j]] = work[:, [j, 1]]
+            sign = -sign
+        p, r, s = work[0, 1], work[0, 2:], work[1, 2:]
+        work = work[2:, 2:]
+        work[...] = divide(p * work - np.multiply.outer(r, s) + np.multiply.outer(s, r), prev)
+        prev = p
+    return sign * prev
 
 
 def circuit_matrix(matrix, m: int) -> list:
@@ -284,22 +295,21 @@ def circuit_matrix(matrix, m: int) -> list:
     is the 0-based position of i inside I.  Each column lies in ker(Q)
     whenever rank(Q) = m.
     """
-    rows = _as_rows(matrix)
-    _check_skew(rows)
-    d = len(rows)
+    rows = _square_rows(matrix)
     if m % 2 != 0 or m < 0:
         raise ValueError("circuit matrix needs even m >= 0")
-    if m + 1 > d:
-        raise ValueError(f"no (m+1)-subsets of 1..{d} for m={m}")
-    columns = []
+    if m + 1 > len(rows):
+        raise ValueError(f"no (m+1)-subsets of 1..{len(rows)} for m={m}")
+    return [list(row) for row in zip(*_circuit_columns(_sub_pfaffians(rows), len(rows), m))]
+
+
+def _circuit_columns(pf, d: int, m: int):
+    """The columns of `circuit_matrix`, one by one, from the sub-pfaffians `pf` of Q."""
     for subset in itertools.combinations(range(d), m + 1):
         col = [Fraction(0)] * d
         for pos, i in enumerate(subset):
-            rest = subset[:pos] + subset[pos + 1 :]
-            value = _pfaffian_rec(rows, rest)
-            col[i] = value if pos % 2 == 0 else -value
-        columns.append(col)
-    return [[columns[c][r] for c in range(len(columns))] for r in range(d)]
+            col[i] = (-1) ** pos * pf(subset[:pos] + subset[pos + 1 :])
+        yield col
 
 
 # --- membership and generators ---------------------------------------------
@@ -342,18 +352,11 @@ def signature_matrix_generators(matrix, m: int) -> list:
     for a, (i, j) in enumerate(pairs):
         for k, l in pairs[a:]:
             values.append(P[i][k] * P[j][l] - P[i][l] * P[j][k])
-    if m % 2 == 1:
-        for subset in itertools.combinations(range(d), m + 1):
-            values.append(_pfaffian_rec(Q, subset))
-    else:
-        if m + 2 <= d:
-            for subset in itertools.combinations(range(d), m + 2):
-                values.append(_pfaffian_rec(Q, subset))
-        if m + 1 <= d:
-            circuit = circuit_matrix(Q, m)
-            for i in range(d):
-                for c in range(len(circuit[0])):
-                    values.append(sum((P[i][j] * circuit[j][c] for j in range(d)), Fraction(0)))
+    pf = _sub_pfaffians(Q)
+    values += [pf(subset) for subset in itertools.combinations(range(d), m + 1 if m % 2 else m + 2)]
+    if m % 2 == 0:
+        columns = list(_circuit_columns(pf, d, m))
+        values += [sum((P[i][j] * col[j] for j in range(d)), Fraction(0)) for i in range(d) for col in columns]
     return values
 
 

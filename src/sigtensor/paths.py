@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .scalars import integer_multiple, parse_int, parse_scalar, scalar_mode
+from .scalars import integer_multiple, parse_int, parse_list, parse_object, parse_rows, parse_scalar, scalar_mode
 from .shuffle import is_lie
 from .tensor import (
     LevelTensor,
@@ -441,7 +441,7 @@ def path_from_json(data: dict, exact: bool = True):
     kind = data.get("type")
     d = parse_int(data["dim"], "dim")
     if kind == "piecewise_linear":
-        steps = [[parse_scalar(c, exact) for c in s] for s in data["steps"]]
+        steps = parse_rows(data["steps"], "steps", exact)
         if any(len(s) != d for s in steps):
             raise ValueError("step dimension does not match dim")
         return PiecewiseLinear(tuple(tuple(s) for s in steps), dim=d)
@@ -451,15 +451,16 @@ def path_from_json(data: dict, exact: bool = True):
                 f"a polynomial path needs dim >= 1, got dim {d}, "
                 "with one non-empty coefficient row per coordinate"
             )
-        rows = [[parse_scalar(c, exact) for c in r] for r in data["coeffs"]]
+        rows = parse_rows(data["coeffs"], "coeffs", exact)
         if len(rows) != d:
             raise ValueError("coefficient rows do not match dim")
         return Polynomial(tuple(tuple(r) for r in rows))
     if kind == "axis_parallel":
-        lengths = [parse_scalar(c, exact) for c in data["lengths"]]
-        return AxisParallel(d, tuple(parse_int(v, "a direction") for v in data["dirs"]), tuple(lengths))
+        lengths = [parse_scalar(c, exact) for c in parse_list(data["lengths"], "lengths")]
+        dirs = tuple(parse_int(v, "a direction") for v in parse_list(data["dirs"], "dirs"))
+        return AxisParallel(d, dirs, tuple(lengths))
     if kind == "log_linear":
-        lie = TensorSeries.from_json(data["lie"])
+        lie = TensorSeries.from_json(parse_object(data["lie"], "lie"))
         if not exact:
             lie = lie.to_float()
         return LogLinear(lie)

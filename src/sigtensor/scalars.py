@@ -99,11 +99,33 @@ def parse_scalar(text, exact: bool = True):
 
 
 def parse_int(value, name: str) -> int:
-    """A JSON integer field (int() of the value), or a ValueError naming the field."""
-    try:
+    """A JSON integer field: an int (not a bool) or an integral float, as
+    `parse_scalar` reads them in exact mode; else a ValueError naming the field."""
+    if isinstance(value, float) and value.is_integer():
         return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def parse_list(value, name: str) -> list:
+    """A JSON list field, or a ValueError naming the field."""
+    if not isinstance(value, list):
+        raise ValueError(f"'{name}' must be a JSON list, got a JSON {type(value).__name__}")
+    return value
+
+
+def parse_object(value, name: str) -> dict:
+    """A JSON object field, or a ValueError naming the field."""
+    if not isinstance(value, dict):
+        raise ValueError(f"'{name}' must be a JSON object, got a JSON {type(value).__name__}")
+    return value
+
+
+def parse_rows(value, name: str, exact: bool = True) -> list:
+    """A JSON list of lists of scalars (`parse_scalar`), or a ValueError naming the field."""
+    rows = enumerate(parse_list(value, name))
+    return [[parse_scalar(v, exact) for v in parse_list(row, f"{name}[{i}]")] for i, row in rows]
 
 
 def format_scalar(x):

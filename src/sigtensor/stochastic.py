@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .scalars import format_scalar, parse_scalar, scalar_mode
+from .scalars import format_scalar, parse_list, parse_object, parse_rows, parse_scalar, scalar_mode
 from .shuffle import WordCombination, shuffle_word_list
 from .tensor import LevelTensor, TensorSeries, exp_series
 
@@ -79,11 +79,11 @@ class BrownianModel:
 
     @classmethod
     def from_json(cls, data: dict, exact: bool = True) -> "BrownianModel":
-        mu = tuple(parse_scalar(v, exact) for v in data["mu"])
-        sigma = tuple(tuple(parse_scalar(v, exact) for v in r) for r in data["sigma"])
+        mu = tuple(parse_scalar(v, exact) for v in parse_list(data["mu"], "mu"))
+        sigma = tuple(map(tuple, parse_rows(data["sigma"], "sigma", exact)))
         q = data.get("q")
         if q is not None:
-            q = tuple(tuple(parse_scalar(v, exact) for v in r) for r in q)
+            q = tuple(map(tuple, parse_rows(q, "q", exact)))
         return cls(mu, sigma, q)
 
 
@@ -122,10 +122,11 @@ class MixtureModel:
 
     @classmethod
     def from_json(cls, data: dict, exact: bool = True) -> "MixtureModel":
-        comps = tuple(
-            (parse_scalar(c["weight"], exact), BrownianModel.from_json(c["model"], exact))
-            for c in data["components"]
-        )
+        comps = []
+        for i, raw in enumerate(parse_list(data["components"], "components")):
+            c = parse_object(raw, f"components[{i}]")
+            weight = parse_scalar(c["weight"], exact)
+            comps.append((weight, BrownianModel.from_json(parse_object(c["model"], f"components[{i}].model"), exact)))
         return cls(comps, signed=bool(data.get("signed", False)))
 
 

@@ -285,7 +285,7 @@ class LevelTensor:
     def from_json(cls, data: dict) -> "LevelTensor":
         d, k = parse_int(data["dim"], "dim"), parse_int(data["order"], "order")
         _check_shape(d, k)
-        exact = data.get("scalar", "rational") == "rational"
+        exact = _is_rational(data)
         zero = Fraction(0) if exact else 0.0
         entries = [zero] * d**k
         raw_entries = data.get("entries", {})
@@ -382,7 +382,7 @@ class TensorSeries:
             raise ValueError("level count does not match trunc")
         tensors = [lvl for lvl in raw_levels[1:] if isinstance(lvl, dict)]
         if tensors:
-            exact = all(t.get("scalar", "rational") == "rational" for t in tensors)
+            exact = all(map(_is_rational, tensors))
         else:  # no level tensors: the constant's JSON type carries the mode
             exact = not isinstance(raw_levels[0], float)
         levels = [LevelTensor(d, 0, [parse_scalar(raw_levels[0], exact)])]
@@ -395,6 +395,14 @@ class TensorSeries:
                 raise ValueError(f"level {k} has dim {shape[0]} and order {shape[1]}, expected dim {d} and order {k}")
             levels.append(LevelTensor.from_json(raw))
         return cls(d, n, levels)
+
+
+def _is_rational(data: dict) -> bool:
+    """Whether a tensor JSON's "scalar" field, "rational" (the default) or "float", is "rational"."""
+    scalar = data.get("scalar", "rational")
+    if scalar not in ("rational", "float"):
+        raise ValueError(f"'scalar' must be \"rational\" or \"float\", got {scalar!r}")
+    return scalar == "rational"
 
 
 def _scalar_zero(levels: Sequence[LevelTensor]):

@@ -10,6 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -410,6 +411,29 @@ def test_malformed_inputs_are_usage_errors_that_name_the_fault(tmp_path, capsys)
         assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, payload, field",
+    [
+        ("expected", {"mu": 5, "sigma": [[1]]}, "mu"),
+        ("expected", {"mu": [1], "sigma": [1]}, "sigma[0]"),
+        ("expected", {"mu": [1], "sigma": [[1]], "q": 0}, "q"),
+        ("expected", {"components": ["x"]}, "components[0]"),
+        ("expected", {"components": {"weight": 1}}, "components"),
+        ("expected", {"components": [{"weight": 1, "model": [1]}]}, "components[0].model"),
+        ("compute", {"type": "piecewise_linear", "dim": 2, "steps": 3}, "steps"),
+        ("compute", {"type": "piecewise_linear", "dim": 2, "steps": [3]}, "steps[0]"),
+        ("compute", {"type": "polynomial", "dim": 1, "coeffs": 3}, "coeffs"),
+        ("compute", {"type": "axis_parallel", "dim": 2, "dirs": 1, "lengths": [1]}, "dirs"),
+        ("compute", {"type": "axis_parallel", "dim": 2, "dirs": [1], "lengths": 1}, "lengths"),
+        ("compute", {"type": "log_linear", "dim": 2, "lie": [1]}, "lie"),
+    ],
+)
+def test_model_and_path_fields_of_the_wrong_json_type_are_named(tmp_path, capsys, command, payload, field):
+    code, out, err = run_cli(capsys, command, write_json(tmp_path, "in.json", payload), "--trunc", "2")
+    assert code == 2 and out == ""
+    assert f"'{field}' must be a JSON" in err
+
+
 def test_fuzz_found_inputs_are_usage_errors_that_name_the_field(tmp_path, capsys):
     listed_entries = write_json(tmp_path, "t.json", {"dim": 2, "order": 2, "entries": [{"12": "1"}]})
     infinite_dim = tmp_path / "inf.json"
@@ -491,17 +515,26 @@ def test_inputs_beyond_the_entry_cap_are_refused_before_they_are_built(tmp_path,
 
 def test_mdm_checks_beyond_the_entry_cap_are_refused_before_any_pfaffian(tmp_path, capsys, monkeypatch):
     import sigtensor.cli as cli
+    from sigtensor.matrices import signature_matrix_witness
 
-    # 17!! = 34,459,425 expansion terms of the one 18 x 18 pfaffian
-    big = write_json(tmp_path, "big.json", {"dim": 18, "order": 2, "entries": {}})
-    code, out, err = run_cli(capsys, "check", big, "--what", "Mdm", "--m", "17")
+    # C(30,16) pfaffians of size 16, charged 16^3 entries each
+    big = write_json(tmp_path, "big.json", {"dim": 30, "order": 2, "entries": {}})
+    code, out, err = run_cli(capsys, "check", big, "--what", "Mdm", "--m", "15")
     assert code == 2 and out == "" and "entry cap" in err
-    # d = 4, m = 2: 21 minors, 1 + 3 for the 4-pfaffian, 4 columns of 4 + 3 + 16
+    # 18 x 18 with --m 17: 11,781 minors and one pfaffian of size 18 (18^3 = 5,832 entries)
+    rng = np.random.default_rng(18)
+    wide = LevelTensor(18, 2, [int(v) for v in rng.integers(-3, 4, 18 * 18)])
+    wide_json = write_json(tmp_path, "wide.json", wide.to_json())
+    code, out, _ = run_cli(capsys, "check", wide_json, "--what", "Mdm", "--m", "17")
+    result = json.loads(out)
+    assert len(result["generators"]) == 11_782
+    assert result["ok"] is signature_matrix_witness(wide, 17)[0] and code == (0 if result["ok"] else 1)
+    # d = 4, m = 2: 21 minors, 4^3 for the 4-pfaffian, 4 columns of 4 + 3 * 2^3 + 16
     tensor = write_json(tmp_path, "t.json", {"dim": 4, "order": 2, "entries": {"11": "1"}})
-    monkeypatch.setattr(cli, "ENTRY_CAP", 116)
+    monkeypatch.setattr(cli, "ENTRY_CAP", 260)
     code, out, err = run_cli(capsys, "check", tensor, "--what", "Mdm", "--m", "2")
     assert code == 2 and out == "" and "entry cap" in err
-    monkeypatch.setattr(cli, "ENTRY_CAP", 117)
+    monkeypatch.setattr(cli, "ENTRY_CAP", 261)
     code, out, _ = run_cli(capsys, "check", tensor, "--what", "Mdm", "--m", "2")
     assert code == 0 and len(json.loads(out)["generators"]) == 21 + 1 + 16
     code, out, err = run_cli(capsys, "check", tensor, "--what", "Mdm", "--m", "0")
@@ -514,12 +547,25 @@ def test_input_checks_name_what_is_wrong(tmp_path, capsys):
     cubic = write_json(tmp_path, "c.json", {"dim": 2, "order": 3, "entries": {"111": "1"}})
     square = write_json(tmp_path, "q.json", {"dim": 3, "order": 2, "entries": {"12": "1"}})
     halves = write_json(tmp_path, "h.json", {"type": "piecewise_linear", "dim": 2, "steps": [[1.5, 2]]})
+    # integer fields take ints and integral floats only; "scalar" is "rational" or "float"
+    half_dim = write_json(tmp_path, "d.json", {"dim": 2.5, "order": 2, "entries": {}})
+    true_order = write_json(tmp_path, "o.json", {"dim": 2, "order": True, "entries": {}})
+    text_dim = write_json(tmp_path, "x.json", {"dim": "2", "order": 2, "entries": {}})
+    complex_level = write_json(tmp_path, "k.json", {"dim": 2, "order": 2, "scalar": "complex", "entries": {}})
+    complex_series = write_json(
+        tmp_path, "ks.json", {"dim": 1, "trunc": 1, "levels": ["1", {"dim": 1, "order": 1, "scalar": "complex"}]}
+    )
     for argv, message in (
         (("check", no_dim, "--what", "Mdm", "--m", "2"), "dim 0: need dim >= 1"),
         (("check", short, "--what", "Mdm", "--m", "2"), "series has no level 2"),
         (("check", cubic, "--what", "Mdm", "--m", "2"), "Mdm check needs an order-2 tensor"),
         (("invariants", square), "no invariant applies to shape d=3, k=2"),
         (("compute", halves, "--level", "1"), "non-integral float 1.5 in exact mode"),
+        (("check", half_dim, "--what", "Mdm", "--m", "1"), "dim must be an integer, got 2.5"),
+        (("check", true_order, "--what", "Mdm", "--m", "1"), "order must be an integer, got True"),
+        (("check", text_dim, "--what", "Mdm", "--m", "1"), "dim must be an integer, got '2'"),
+        (("check", complex_level, "--what", "Mdm", "--m", "1"), "'scalar' must be \"rational\" or \"float\""),
+        (("check", complex_series, "--what", "grouplike"), "got 'complex'"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and message in err, argv

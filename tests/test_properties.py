@@ -1,6 +1,8 @@
 """Property tests over random exact inputs: the level-product kernel, the
 polynomial integration engine, the fraction-free elimination (also
-against a plain-`Fraction` Gauss-Jordan oracle), JSON round
+against a plain-`Fraction` Gauss-Jordan oracle), the pfaffians, circuit
+matrices and signature-matrix generators (against a first-row expansion
+oracle, the determinant and congruence), JSON round
 trips, group-element recovery, the group-like/Lie correspondence, the
 shuffle-law witnesses against a pair scan, the Chen product and its
 callers in every scalar mode against the product and sum rules applied to
@@ -12,6 +14,7 @@ the multilinear action
 `tensor_congruence` against a word-by-word sum, and the closed-form
 canonical cores against their word-by-word definitions."""
 
+import itertools
 import json
 import math
 import random
@@ -34,6 +37,7 @@ from sigtensor import (
     bracketing,
     canonical_axis,
     canonical_mono,
+    circuit_matrix,
     concat_product,
     exact_det,
     exact_rank,
@@ -49,6 +53,7 @@ from sigtensor import (
     log_series,
     lyndon_words,
     negate_odd_levels,
+    pfaffian,
     pl_level_direct,
     pl_signature,
     pl_signature_congruence,
@@ -59,6 +64,7 @@ from sigtensor import (
     series_from_level,
     shuffle_form_eval,
     signature_map,
+    signature_matrix_generators,
     tensor_congruence,
     zero_series,
 )
@@ -444,6 +450,109 @@ def integer_matrices_near_the_prime(draw):
 @given(integer_matrices_near_the_prime())
 def test_rank_certified_mod_p_equals_the_bareiss_rank(a):
     assert exact_rank(a) == len(_eliminate(_integer_matrix(a)[0]).pivots)
+
+
+def _pfaffian_by_expansion(rows, idx):
+    """Pfaffian of the principal submatrix on idx by expansion along its first row."""
+    if not idx:
+        return Fraction(1)
+    first, rest = idx[0], idx[1:]
+    total = 0
+    for pos, j in enumerate(rest):
+        if rows[first][j]:
+            term = rows[first][j] * _pfaffian_by_expansion(rows, rest[:pos] + rest[pos + 1 :])
+            total = total + term if pos % 2 == 0 else total - term
+    return total
+
+
+def _circuit_by_expansion(q, m):
+    """circuit_matrix(q, m) from expanded sub-pfaffians."""
+    columns = []
+    for subset in itertools.combinations(range(len(q)), m + 1):
+        col = [0] * len(q)
+        for pos, i in enumerate(subset):
+            col[i] = (-1) ** pos * _pfaffian_by_expansion(q, subset[:pos] + subset[pos + 1 :])
+        columns.append(col)
+    return [list(row) for row in zip(*columns)]
+
+
+def _generators_by_expansion(s, m):
+    """signature_matrix_generators(s, m) from expanded pfaffians: the 2-minors of P,
+    the (m+1)-pfaffians (odd m) or (m+2)-pfaffians (even m) of Q, and for even m
+    the entries of P C_m(Q)."""
+    d = len(s)
+    p = [[Fraction(s[i][j] + s[j][i], 2) for j in range(d)] for i in range(d)]
+    q = [[Fraction(s[i][j] - s[j][i], 2) for j in range(d)] for i in range(d)]
+    pairs = list(itertools.combinations(range(d), 2))
+    values = [p[i][k] * p[j][l] - p[i][l] * p[j][k] for a, (i, j) in enumerate(pairs) for k, l in pairs[a:]]
+    size = m + 1 if m % 2 else m + 2
+    values += [_pfaffian_by_expansion(q, subset) for subset in itertools.combinations(range(d), size)]
+    if m % 2 == 0 and m < d:
+        circuit = _circuit_by_expansion(q, m)
+        values += [sum(p[i][j] * circuit[j][c] for j in range(d)) for i in range(d) for c in range(len(circuit[0]))]
+    return values
+
+
+@st.composite
+def skew_matrices(draw, sizes=(0, 2, 4, 6, 8), kinds=("int", "Fraction")):
+    """Skew matrix of ints or Fractions with zeros drawn often (so that first
+    pivots vanish); in about a third, one row and column are zero."""
+    kind, s = draw(st.sampled_from(kinds)), draw(st.sampled_from(sizes))
+    zero = Fraction(0) if kind == "Fraction" else 0
+    q = [[zero] * s for _ in range(s)]
+    for i, j in itertools.combinations(range(s), 2):
+        q[i][j] = draw(_ENTRIES[kind])
+        q[j][i] = -q[i][j]
+    if s and draw(st.integers(0, 2)) == 0:
+        i = draw(st.integers(0, s - 1))
+        for j in range(s):
+            q[i][j] = q[j][i] = zero
+    return q
+
+
+@settings(PROPERTY, max_examples=200)
+@given(skew_matrices())
+@example([[0, 0, 1, 2], [0, 0, 3, 4], [-1, -3, 0, 0], [-2, -4, 0, 0]])  # a zero first pivot
+@example([[0, 0, 0, 0], [0, 0, 5, 1], [0, -5, 0, 2], [0, -1, -2, 0]])  # a zero first row
+def test_pfaffian_equals_the_first_row_expansion(q):
+    value = pfaffian(q)
+    assert value == _pfaffian_by_expansion(q, tuple(range(len(q))))
+    assert type(value) is (scalar_mode(v for row in q for v in row)[0] if q else Fraction)
+
+
+@settings(PROPERTY, max_examples=30)
+@given(skew_matrices(sizes=(2, 6, 10, 12, 14)))
+def test_pfaffian_squares_to_the_determinant(q):
+    assert pfaffian(q) ** 2 == exact_det(q)
+
+
+@PROPERTY
+@given(skew_matrices(sizes=(2, 4, 6)), st.data())
+def test_pfaffian_of_a_congruence_scales_by_the_determinant(q, data):
+    b = data.draw(matrices(len(q), len(q)))
+    assert pfaffian(_product(_product(b, q), [list(col) for col in zip(*b)])) == exact_det(b) * pfaffian(q)
+
+
+@PROPERTY
+@given(skew_matrices(sizes=(2, 4, 6, 8), kinds=("Fraction",)))
+def test_float_pfaffian_is_close_to_the_exact_one(q):
+    exact = pfaffian(q)
+    approx = pfaffian([[float(v) for v in row] for row in q])
+    # |Pf|^2 = |det| <= the product of the row norms, the scale of an exact zero
+    bound = math.sqrt(math.prod(math.hypot(*map(float, row)) for row in q))
+    assert type(approx) is float and abs(approx - exact) <= 1e-9 * max(abs(exact), bound)
+
+
+@PROPERTY
+@given(st.integers(1, 7), st.sampled_from(("int", "Fraction")), st.data())
+def test_circuit_matrix_and_generators_equal_their_expansion(d, kind, data):
+    s = data.draw(st.lists(st.lists(_ENTRIES[kind], min_size=d, max_size=d), min_size=d, max_size=d))
+    m = data.draw(st.integers(1, d))
+    assert signature_matrix_generators(s, m) == _generators_by_expansion(s, m)
+    q = [[s[i][j] - s[j][i] for j in range(d)] for i in range(d)]
+    even = m - m % 2
+    if even < d:
+        assert circuit_matrix(q, even) == _circuit_by_expansion(q, even)
 
 
 @PROPERTY
