@@ -34,7 +34,10 @@ calls run without a tol and with tol=1e-9 (shape key "tol").  Chen
 (`pl_signature`), `exp_series`/`log_series` (on the logarithm of a (d+1)-step
 path, and on that path's series), `concat_product` (of that path's series and
 the series of a seeded d-step path) and `expected_signature` run at fixed
-shapes on seeded rationals, exact and float.  A call that returns a series or a
+shapes on seeded rationals, exact and float; `log_series` also at LOG_SHAPE,
+and `exp_series` also on the exponent of the `expected_signature` model
+(`drift_covariance_exponent`: only levels 1 and 2 nonzero, shape key
+"exponent").  A call that returns a series or a
 level also reads every entry of every level inside the timed region, so that
 entries built lazily on first read are paid for.
 
@@ -96,7 +99,8 @@ EXPAND_SHAPES = [(3, 5), (3, 6)]  # (d, n), as in the algebra workload
 CORE_SHAPES = [("pl", 4, 5), ("poly", 4, 5), ("pl", 6, 6), ("poly", 6, 6), ("pl", 10, 6)]  # (family, m, k)
 CHEN_SHAPES = [(3, 3, 4), (2, 5, 6), (3, 5, 5), (3, 10, 6), (4, 4, 5)]  # (d, m, n), as in the forward workload
 SERIES_SHAPE = (3, 6)  # (d, n) of exp_series, log_series and concat_product
-EXPECTED_SHAPE = (3, 5)  # (d, n) of expected_signature
+LOG_SHAPE = (3, 5)  # (d, n) of log_series, as in the algebra workload
+EXPECTED_SHAPE = (3, 5)  # (d, n) of expected_signature, and of exp_series on its exponent
 CHANGE_SHAPE = (3, 4)  # (d, n) of a group element whose 1...1 entry is 0
 JSON_SHAPE = (4, 3, 7)  # (d, m, k) of the PL level that to_json writes: 4^7 = 16,384 entries
 ROUNDS = 7
@@ -212,6 +216,7 @@ def layers():
         signature_matrix_generators,
         tensor_congruence,
     )
+    from sigtensor.stochastic import drift_covariance_exponent
 
     out = []
     for d, m, n in CHEN_SHAPES:
@@ -233,11 +238,19 @@ def layers():
         out.append(("tensor.log_series", {"d": d, "n": n}, scalar, _reading(lambda g=g: log_series(g))))
         call = _reading(lambda g=g, h=h: concat_product(g, h))
         out.append(("tensor.concat_product", {"d": d, "n": n}, scalar, call))
+    d, n = LOG_SHAPE
+    values = _rationals(d * 10 + n + 1, d * (d + 1))
+    group = pl_signature([values[j * d : (j + 1) * d] for j in range(d + 1)], n)
+    for scalar, g in (("exact", group), ("float", group.to_float())):
+        out.append(("tensor.log_series", {"d": d, "n": n}, scalar, _reading(lambda g=g: log_series(g))))
     d, n = EXPECTED_SHAPE
     for scalar, convert in (("exact", Fraction), ("float", float)):
         model = _brownian(d, 7, convert)
         call = _reading(lambda mo=model: expected_signature(mo, n))
         out.append(("stochastic.expected_signature", {"d": d, "n": n}, scalar, call))
+        exponent = drift_covariance_exponent(model, n)
+        shape = {"d": d, "n": n, "exponent": "drift_covariance"}
+        out.append(("tensor.exp_series", shape, scalar, _reading(lambda p=exponent: exp_series(p))))
     for d, k in GN_SHAPES:
         out.append(("recovery.gn_eval", {"family": "pl", "d": d, "m": d, "k": k}, "float", _gn_eval(recovery, d, k)))
     for family, d, k in SOLVE_SHAPES:

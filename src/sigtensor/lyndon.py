@@ -207,8 +207,8 @@ def _form_json(word: tuple, items: list, d: int) -> dict:
 def poly_from_json(data: dict, d: int) -> tuple:
     word = word_from_string(data["word"], d)
     poly = {
-        tuple(word_from_string(v, d) for v in item["vars"]): parse_scalar(item["coeff"])
-        for item in data["poly"]
+        tuple(word_from_string(v, d) for v in item["vars"]): parse_scalar(item["coeff"], f"poly[{i}].coeff")
+        for i, item in enumerate(data["poly"])
     }
     return word, poly
 

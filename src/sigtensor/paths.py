@@ -456,7 +456,8 @@ def path_from_json(data: dict, exact: bool = True):
             raise ValueError("coefficient rows do not match dim")
         return Polynomial(tuple(tuple(r) for r in rows))
     if kind == "axis_parallel":
-        lengths = [parse_scalar(c, exact) for c in parse_list(data["lengths"], "lengths")]
+        lengths = parse_list(data["lengths"], "lengths")
+        lengths = [parse_scalar(c, f"lengths[{i}]", exact) for i, c in enumerate(lengths)]
         dirs = tuple(parse_int(v, "a direction") for v in parse_list(data["dirs"], "dirs"))
         return AxisParallel(d, dirs, tuple(lengths))
     if kind == "log_linear":

@@ -73,29 +73,34 @@ def values_close(a, b, tol: float | None = None) -> bool:
     return diff <= tol * scale
 
 
-def parse_scalar(text, exact: bool = True):
-    """Parse a JSON scalar: "p/q" or "p" strings in exact mode, numbers otherwise.
+def parse_scalar(text, name: str, exact: bool = True):
+    """Parse the JSON scalar field `name`: "p/q" or "p" strings, or numbers.
 
     Numbers are accepted in exact mode only when they are integral.  NaN, the
-    infinities and (in float mode) values beyond the float range are refused.
+    infinities, a zero denominator and (in float mode) values beyond the float
+    range are refused by a ValueError that starts with the field's name.
     """
     if isinstance(text, bool):
-        raise ValueError("booleans are not scalars")
+        raise ValueError(f"{name}: booleans are not scalars")
     if isinstance(text, float):
         if not math.isfinite(text):
-            raise ValueError(f"non-finite float {text!r} is not a scalar")
+            raise ValueError(f"{name}: non-finite float {text!r} is not a scalar")
         if not exact:
             return text
         if not text.is_integer():
-            raise ValueError(f"non-integral float {text!r} in exact mode")
+            raise ValueError(f"{name}: non-integral float {text!r} in exact mode")
         text = int(text)
     if not isinstance(text, (str, int)):
-        raise ValueError(f"cannot parse scalar from {text!r}")
-    value = Fraction(text)
+        raise ValueError(f"{name}: cannot parse scalar from {text!r}")
     try:
+        value = Fraction(text)
         return value if exact else float(value)
+    except ZeroDivisionError:
+        raise ValueError(f"{name}: zero denominator in {text!r}") from None
     except OverflowError:
-        raise ValueError(f"{text!r} is beyond the float range") from None
+        raise ValueError(f"{name}: {text!r} is beyond the float range") from None
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def parse_int(value, name: str) -> int:
@@ -125,7 +130,10 @@ def parse_object(value, name: str) -> dict:
 def parse_rows(value, name: str, exact: bool = True) -> list:
     """A JSON list of lists of scalars (`parse_scalar`), or a ValueError naming the field."""
     rows = enumerate(parse_list(value, name))
-    return [[parse_scalar(v, exact) for v in parse_list(row, f"{name}[{i}]")] for i, row in rows]
+    return [
+        [parse_scalar(v, f"{name}[{i}][{j}]", exact) for j, v in enumerate(parse_list(row, f"{name}[{i}]"))]
+        for i, row in rows
+    ]
 
 
 def format_scalar(x):

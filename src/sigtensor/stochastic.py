@@ -79,7 +79,7 @@ class BrownianModel:
 
     @classmethod
     def from_json(cls, data: dict, exact: bool = True) -> "BrownianModel":
-        mu = tuple(parse_scalar(v, exact) for v in parse_list(data["mu"], "mu"))
+        mu = tuple(parse_scalar(v, f"mu[{i}]", exact) for i, v in enumerate(parse_list(data["mu"], "mu")))
         sigma = tuple(map(tuple, parse_rows(data["sigma"], "sigma", exact)))
         q = data.get("q")
         if q is not None:
@@ -125,9 +125,12 @@ class MixtureModel:
         comps = []
         for i, raw in enumerate(parse_list(data["components"], "components")):
             c = parse_object(raw, f"components[{i}]")
-            weight = parse_scalar(c["weight"], exact)
+            weight = parse_scalar(c["weight"], f"components[{i}].weight", exact)
             comps.append((weight, BrownianModel.from_json(parse_object(c["model"], f"components[{i}].model"), exact)))
-        return cls(comps, signed=bool(data.get("signed", False)))
+        signed = data.get("signed", False)
+        if not isinstance(signed, bool):
+            raise ValueError(f"'signed' must be a JSON boolean (true or false), got {signed!r}")
+        return cls(comps, signed=signed)
 
 
 def drift_covariance_exponent(model: BrownianModel, n: int) -> TensorSeries:

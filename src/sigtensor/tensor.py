@@ -18,6 +18,8 @@ by one rule (`_common`): where some level holds floats, an exact level
 enters as its `to_float()`, also in a sum whose first terms are exact.
 `_product` (one `np.multiply.outer`) and `_level_sum` are the only level
 product and sum; `concat_product` builds and reduces each result level once.
+`exp_series` and `log_series` are one power sum (`_power_sum`) that builds
+p^r only at its live levels k >= r and each result level by one sum.
 """
 
 from __future__ import annotations
@@ -295,7 +297,7 @@ class LevelTensor:
             word = word_from_string(key, d)
             if len(word) != k:
                 raise ValueError(f"word {key!r} has wrong length for order {k}")
-            entries[word_index(word, d)] = parse_scalar(raw, exact)
+            entries[word_index(word, d)] = parse_scalar(raw, f"entries[{key!r}]", exact)
         return cls(d, k, entries)
 
 
@@ -385,12 +387,12 @@ class TensorSeries:
             exact = all(map(_is_rational, tensors))
         else:  # no level tensors: the constant's JSON type carries the mode
             exact = not isinstance(raw_levels[0], float)
-        levels = [LevelTensor(d, 0, [parse_scalar(raw_levels[0], exact)])]
+        levels = [LevelTensor(d, 0, [parse_scalar(raw_levels[0], "levels[0]", exact)])]
         for k in range(1, n + 1):
             raw = raw_levels[k]
             if not isinstance(raw, dict):
                 raise ValueError(f"level {k} must be a tensor JSON object")
-            shape = (parse_int(raw["dim"], "dim"), parse_int(raw["order"], "order"))
+            shape = (parse_int(raw["dim"], f"levels[{k}].dim"), parse_int(raw["order"], f"levels[{k}].order"))
             if shape != (d, k):
                 raise ValueError(f"level {k} has dim {shape[0]} and order {shape[1]}, expected dim {d} and order {k}")
             levels.append(LevelTensor.from_json(raw))
@@ -506,16 +508,44 @@ def commutator(a: TensorSeries, b: TensorSeries) -> TensorSeries:
     return concat_product(a, b).add(concat_product(b, a).negate())
 
 
+def _power_sum(d: int, p: Sequence, zero, constant: int, coefficients: Sequence[Fraction], carry: bool) -> TensorSeries:
+    """zero + constant + sum of c_r p^r over r = 1..n, for the levels p[0..n]
+    of a series with constant term 0 (None for a level known to be zero) and
+    its scalar zero (`_scalar_zero`).
+
+    p^r is kept only at its live levels k >= r: level k is one `_level_sum` of
+    the live pairs (p^(r-1) at j, p at k - j) in `concat_product`'s order,
+    scaled by c_r; with `carry` the scaled level is p^r for the next power.
+    Each result level is one `_level_sum` of the graded constant and its
+    summands in order of r.  This gives the values, float bits, zero signs and
+    types of a fold of `concat_product`, `scale` and `add`: exact and float
+    summands never meet (a float level makes every power float from p^0 = 1.0
+    on), and the zero levels the fold adds change nothing, as a float sum
+    from +0.0 never becomes -0.0.
+    """
+    n = len(p) - 1
+    factors = [lvl if lvl is not None and np.count_nonzero(lvl._values) else None for lvl in p]
+    sums = [[(lvl,)] for lvl in _graded(d, n, zero + constant, zero).levels]
+    power = [LevelTensor(d, 0, [zero + 1])] + [None] * n
+    for r, c in enumerate(coefficients, 1):
+        previous, power = power, [None] * (n + 1)
+        for k in range(r, n + 1):
+            live = [j for j in range(r - 1, k) if previous[j] is not None and factors[k - j] is not None]
+            if live:
+                level = _level_sum(d, k, [(previous[j], factors[k - j]) for j in live])
+                summand = level.scale(c)
+                sums[k].append((summand,))
+                level = summand if carry else level
+                power[k] = level if np.count_nonzero(level._values) else None
+    return TensorSeries(d, n, [_level_sum(d, k, terms) for k, terms in enumerate(sums)])
+
+
 def exp_series(p: TensorSeries) -> TensorSeries:
     """exp(p) = sum p^r / r!, which terminates at r = n for constant term 0."""
     if p.constant_term != 0:
         raise ValueError("exponential requires constant term 0")
-    zero = _scalar_zero(p.levels)
-    result = term = _graded(p.d, p.n, zero + 1, zero)
-    for r in range(1, p.n + 1):
-        term = concat_product(term, p).scale(Fraction(1, r))
-        result = result.add(term)
-    return result
+    coefficients = [Fraction(1, r) for r in range(1, p.n + 1)]
+    return _power_sum(p.d, p.levels, _scalar_zero(p.levels), 1, coefficients, carry=True)
 
 
 def log_series(q: TensorSeries) -> TensorSeries:
@@ -523,13 +553,8 @@ def log_series(q: TensorSeries) -> TensorSeries:
     if q.constant_term != 1:
         raise ValueError("logarithm requires constant term 1")
     zero = _scalar_zero(q.levels)
-    power = _graded(q.d, q.n, zero + 1, zero)
-    p = q.add(power.negate())
-    result = _graded(q.d, q.n, zero, zero)
-    for r in range(1, q.n + 1):
-        power = concat_product(power, p)
-        result = result.add(power.scale(Fraction((-1) ** (r - 1), r)))
-    return result
+    p = [None] + [lvl.add(LevelTensor.zeros(q.d, k, -zero)) for k, lvl in enumerate(q.levels[1:], 1)]
+    return _power_sum(q.d, p, zero, 0, [Fraction((-1) ** (r - 1), r) for r in range(1, q.n + 1)], carry=False)
 
 
 def project_level(series: TensorSeries, k: int) -> LevelTensor:

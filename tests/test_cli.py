@@ -434,6 +434,71 @@ def test_model_and_path_fields_of_the_wrong_json_type_are_named(tmp_path, capsys
     assert f"'{field}' must be a JSON" in err
 
 
+_SIGNED_COMPONENTS = [
+    {"weight": 2, "model": {"mu": [0], "sigma": [[1]]}},
+    {"weight": -1, "model": {"mu": [1], "sigma": [[1]]}},
+]
+
+
+@pytest.mark.parametrize(
+    "signed, code, message",
+    [
+        ("false", 2, "'signed' must be a JSON boolean"),
+        (0, 2, "'signed' must be a JSON boolean"),
+        (None, 2, "'signed' must be a JSON boolean"),
+        (True, 0, ""),
+        (False, 2, "negative weight in an unsigned mixture"),
+        ("absent", 2, "negative weight in an unsigned mixture"),
+    ],
+)
+def test_mixture_signed_is_a_json_boolean_defaulting_to_false(tmp_path, capsys, signed, code, message):
+    mixture = {"components": _SIGNED_COMPONENTS}
+    if signed != "absent":
+        mixture["signed"] = signed
+    got, out, err = run_cli(capsys, "expected", write_json(tmp_path, "mix.json", mixture), "--trunc", "1")
+    assert got == code and message in err and "Traceback" not in err
+    if code == 0:  # 2 * mu_1 - 1 * mu_2 on level 1
+        assert json.loads(out)["levels"][1]["entries"] == {"1": "-1"}
+    else:
+        assert out == ""
+
+
+_MODEL_1D = {"mu": ["1"], "sigma": [["1"]]}
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        ("expected", {"mu": ["x"], "sigma": [["1"]]}, "mu[0]: Invalid literal for Fraction: 'x'"),
+        ("expected", {"mu": ["1/0"], "sigma": [["1"]]}, "mu[0]: zero denominator in '1/0'"),
+        ("expected", {"mu": ["1", "2"], "sigma": [["1", "0"], ["0", True]]}, "sigma[1][1]: booleans are not scalars"),
+        ("expected", {"mu": ["1"], "sigma": [["1"]], "q": [["y"]]}, "q[0][0]: Invalid literal"),
+        (
+            "expected",
+            {"components": [{"weight": "1", "model": _MODEL_1D}, {"weight": [1], "model": _MODEL_1D}]},
+            "components[1].weight: cannot parse scalar from [1]",
+        ),
+        ("compute", {"type": "piecewise_linear", "dim": 2, "steps": [[1, [2]]]}, "steps[0][1]: cannot parse scalar"),
+        ("compute", {"type": "polynomial", "dim": 1, "coeffs": [["1", "z"]]}, "coeffs[0][1]: Invalid literal"),
+        ("compute", {"type": "axis_parallel", "dim": 2, "dirs": [1], "lengths": [1.5]}, "lengths[0]: non-integral"),
+        ("invariants", {"dim": 3, "order": 3, "entries": {"123": "1/x"}}, "entries['123']: Invalid literal"),
+        ("check", {"dim": 2, "trunc": 0, "levels": ["one"]}, "levels[0]: Invalid literal"),
+    ],
+)
+def test_bad_scalars_are_usage_errors_that_name_the_field(tmp_path, capsys, command, payload, message):
+    argv = {"compute": ["--trunc", "2"], "expected": ["--trunc", "2"], "check": ["--what", "grouplike"]}
+    code, out, err = run_cli(capsys, command, write_json(tmp_path, "in.json", payload), *argv.get(command, []))
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
+
+
+def test_rewriting_polynomial_coefficients_name_their_item():
+    from sigtensor.lyndon import poly_from_json
+
+    with pytest.raises(ValueError, match=r"poly\[1\]\.coeff: Invalid literal"):
+        poly_from_json({"word": "12", "poly": [{"vars": ["1"], "coeff": "1"}, {"vars": ["2"], "coeff": "a"}]}, 2)
+
+
 def test_fuzz_found_inputs_are_usage_errors_that_name_the_field(tmp_path, capsys):
     listed_entries = write_json(tmp_path, "t.json", {"dim": 2, "order": 2, "entries": [{"12": "1"}]})
     infinite_dim = tmp_path / "inf.json"
@@ -555,6 +620,7 @@ def test_input_checks_name_what_is_wrong(tmp_path, capsys):
     complex_series = write_json(
         tmp_path, "ks.json", {"dim": 1, "trunc": 1, "levels": ["1", {"dim": 1, "order": 1, "scalar": "complex"}]}
     )
+    text_level_dim = write_json(tmp_path, "ts.json", {"dim": 1, "trunc": 1, "levels": ["1", {"dim": "1", "order": 1}]})
     for argv, message in (
         (("check", no_dim, "--what", "Mdm", "--m", "2"), "dim 0: need dim >= 1"),
         (("check", short, "--what", "Mdm", "--m", "2"), "series has no level 2"),
@@ -566,6 +632,7 @@ def test_input_checks_name_what_is_wrong(tmp_path, capsys):
         (("check", text_dim, "--what", "Mdm", "--m", "1"), "dim must be an integer, got '2'"),
         (("check", complex_level, "--what", "Mdm", "--m", "1"), "'scalar' must be \"rational\" or \"float\""),
         (("check", complex_series, "--what", "grouplike"), "got 'complex'"),
+        (("check", text_level_dim, "--what", "grouplike"), "levels[1].dim must be an integer, got '1'"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and message in err, argv

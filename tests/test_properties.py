@@ -236,13 +236,14 @@ _TYPED = {
 
 
 @st.composite
-def typed_series(draw, d, n, kinds, constants=None):
+def typed_series(draw, d, n, kinds, constants=None, live=None):
     """Levels 0..n in dimension d, each of one kind drawn from kinds, and about
-    one in four all zero; the constant term is drawn from constants if given."""
+    one in four all zero (every level outside `live`, if given); the constant
+    term is drawn from constants if given."""
     levels = []
     for k in range(n + 1):
         kind = draw(st.sampled_from(kinds))
-        zeros = draw(st.integers(0, 3)) == 0
+        zeros = draw(st.integers(0, 3)) == 0 or live is not None and k not in live
         scalars = st.just(kind(0)) if zeros else _TYPED[kind]
         levels.append(LevelTensor(d, k, draw(st.lists(scalars, min_size=d**k, max_size=d**k))))
     if constants is not None:
@@ -264,6 +265,21 @@ def test_chen_product_and_its_callers_follow_the_pair_and_sum_rules(d, n, kinds,
     step = st.lists(st.one_of(*(_TYPED[kind] for kind in kinds)), min_size=d, max_size=d)
     steps = data.draw(st.lists(st.one_of(step, st.just([0] * d)), max_size=3))
     assert _reprs(_plain(pl_signature(steps, n, d))) == _reprs(_plain_pl(steps, n, d))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(
+    st.integers(1, 3), st.integers(0, 6), st.sampled_from([(int, Fraction), (float,), (int, Fraction, float)]), st.data()
+)
+def test_exp_and_log_of_sparse_series_follow_the_pair_and_sum_rules(d, n, kinds, data):
+    # only levels 1 and 2 live, as in `drift_covariance_exponent`; with level 1
+    # zero, p^r vanishes below level 2r
+    p = data.draw(typed_series(d, n, kinds, constants=(0, Fraction(0), 0.0, -0.0), live=(1, 2)))
+    g = exp_series(p)
+    assert _reprs(_plain(g)) == _reprs(_plain_exp(_plain(p), d))
+    q = data.draw(typed_series(d, n, kinds, constants=(1, Fraction(1), 1.0), live=(1, 2)))
+    for series in (q, g):
+        assert _reprs(_plain(log_series(series))) == _reprs(_plain_log(_plain(series), d))
 
 
 @st.composite

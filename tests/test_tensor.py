@@ -236,7 +236,7 @@ def test_format_scalar_writes_integers_past_the_digit_limit():
     text, negative = format_scalar(Fraction(1, big)), format_scalar(-big)
     assert (format_scalar(0), format_scalar(-7), format_scalar(Fraction(-3, 4))) == ("0", "-7", "-3/4")
     with pytest.raises(ValueError):  # parsing outside input keeps Python's limit
-        parse_scalar(text)
+        parse_scalar(text, "x")
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
