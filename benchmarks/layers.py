@@ -63,9 +63,12 @@ what `jacobian_rank` runs for each seed first: the residue Jacobian mod p
 eliminates the order-2 monomial matrix of size DET_SIZE.  `pfaffian` takes a
 seeded Fraction skew matrix A - A^T of each size in PFAFFIAN_SIZES, and
 `signature_matrix_generators` a seeded Fraction d x d matrix at each
-(d, m) of GENERATOR_SHAPES.  `LevelTensor.to_json`
-writes the top level of a seeded PL path at JSON_SHAPE, exact and as its
-`to_float()`.
+(d, m) of GENERATOR_SHAPES, and the same matrix in floats at MDM_SHAPE.
+`signature_matrix_witness` takes, at MDM_SHAPE, the exact order-2 level of a
+seeded m-step PL path in dimension d: a member, so both rank conditions are
+checked, the second (rank m < d) by Bareiss after the mod-p certificate.
+`LevelTensor.to_json` writes the top level of a seeded PL path at
+JSON_SHAPE, exact and as its `to_float()`.
 
 A layer is timed by one warm-up call, then calls until 0.2 s have passed (at
 least 3); its time in a round is the median call.  Caches that persist across
@@ -92,6 +95,7 @@ RANK_SHAPES = [("pl", 6, 3, 6), ("pl", 4, 4, 5), ("poly", 5, 4, 5), ("pl", 5, 2,
 DET_SIZE = 8  # exact_det of mono_matrix(DET_SIZE)
 PFAFFIAN_SIZES = (8, 14)  # sizes of the skew matrices of pfaffian
 GENERATOR_SHAPES = [(12, 6), (14, 13)]  # (d, m) of signature_matrix_generators: many pfaffians, and one large one
+MDM_SHAPE = (12, 6)  # (d, m) of the float signature_matrix_generators and of signature_matrix_witness
 POLY_SHAPES = [(2, 3, 6), (3, 3, 5)]  # (d, m, n), as in the forward workload
 GROUP_SHAPES = [(2, 3), (2, 4), (3, 3), (3, 4)]  # (d, n), as in the inverse workload
 SHUFFLE_SHAPES = [(2, 8), (3, 6), (4, 5)]  # (d, n)
@@ -209,11 +213,13 @@ def layers():
         pl_signature,
         pl_signature_congruence,
         poly_signature_integrate,
+        project_level,
         recover_group_element,
         recovery,
         shuffle,
         signature_map,
         signature_matrix_generators,
+        signature_matrix_witness,
         tensor_congruence,
     )
     from sigtensor.stochastic import drift_covariance_exponent
@@ -279,6 +285,15 @@ def layers():
         matrix = [values[i * d : (i + 1) * d] for i in range(d)]
         call = lambda a=matrix, m=m: signature_matrix_generators(a, m)
         out.append(("matrices.signature_matrix_generators", {"d": d, "m": m}, "exact", call))
+        if (d, m) == MDM_SHAPE:
+            floats = [[float(v) for v in row] for row in matrix]
+            call = lambda a=floats, m=m: signature_matrix_generators(a, m)
+            out.append(("matrices.signature_matrix_generators", {"d": d, "m": m}, "float", call))
+    d, m = MDM_SHAPE
+    values = _rationals(d * 100 + m + 1, d * m)
+    member = project_level(pl_signature([values[j * d : (j + 1) * d] for j in range(m)], 2), 2)
+    call = lambda t=member, m=m: signature_matrix_witness(t, m)
+    out.append(("matrices.signature_matrix_witness", {"d": d, "m": m, "input": "member"}, "exact", call))
     for d, m, n in POLY_SHAPES:
         values = _rationals(d * 100 + m * 10 + n, d * m)
         coeffs = [values[i * m : (i + 1) * m] for i in range(d)]

@@ -6,6 +6,11 @@ degree-m polynomial path) exactly when rank(P) <= 1 and the concatenated
 d x 2d matrix [P Q] has rank <= m; the generating equations are 2-minors
 of P together with pfaffian data of Q.  A float congruence transports the
 monomial matrix onto the axis matrix constructively.
+
+Each function reads its matrix once (`_read_matrix`): exact as A / L, Python
+ints over one denominator, float as float64.  An exact S = A / L has the pencil
+B = A + A^T and C = A - A^T over 2L (`_pencil`); ranks, minors, sub-pfaffians
+and P C_m(Q) are taken on B and C, and become `Fraction`s once, at the end.
 """
 
 from __future__ import annotations
@@ -27,29 +32,45 @@ class NumericalFailure(RuntimeError):
     """A float construction failed to meet its tolerance."""
 
 
-def _as_rows(matrix) -> list:
+def _read_matrix(matrix, square: bool = False, exact: bool = False) -> tuple:
+    """(mode, A, L): rows, a numpy array or an order-2 `LevelTensor` (its cube) as a new
+    2-d array over L.  Exact entries (`scalar_mode`) give mode `int` or `Fraction` and
+    Python ints, matrix == A / L; floats, also beside exact entries, give float64 over 1,
+    or with `exact` their rationals; other entries (bools) are read as `Fraction`s.
+    Ragged, non-square (with `square`) and non-finite matrices are refused."""
     if isinstance(matrix, LevelTensor):
         if matrix.k != 2:
             raise ValueError("expected an order-2 tensor")
-        d = matrix.d
-        return [[matrix.entries[i * d + j] for j in range(d)] for i in range(d)]
+        matrix = matrix.cube
+    if isinstance(matrix, np.ndarray):
+        matrix = matrix.tolist()
     rows = [list(r) for r in matrix]
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("ragged matrix")
-    return rows
-
-
-def _square_rows(matrix) -> list:
-    rows = _as_rows(matrix)
-    if any(len(r) != len(rows) for r in rows):
+    if square and any(len(r) != len(rows) for r in rows):
         raise ValueError("matrix must be square")
-    return rows
+    shape = (len(rows), len(rows[0]) if rows else 0)
+    mode, values = scalar_mode(v for row in rows for v in row)
+    if mode not in (int, Fraction):
+        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+            raise ValueError("matrix entries must be finite")
+        if mode is float and not exact:
+            return float, np.array(values, dtype=np.float64).reshape(shape), 1
+        mode, values = Fraction, [Fraction(v) for v in values]
+    array, scale = integer_multiple(values)
+    return mode, array.reshape(shape), scale
+
+
+def _scalars(mode, values: np.ndarray, den: int) -> list:
+    """values / den as nested lists of floats (float mode), ints (int mode over 1) or `Fraction`s."""
+    if mode is float or mode is int and den == 1:
+        return values.tolist()
+    return np.frompyfunc(lambda v: Fraction(v, den), 1, 1)(values).tolist()
 
 
 def matrix_to_tensor(rows: Sequence[Sequence]) -> LevelTensor:
-    rows = _square_rows(rows)
-    d = len(rows)
-    return LevelTensor(d, 2, [rows[i][j] for i in range(d) for j in range(d)])
+    mode, array, scale = _read_matrix(rows, square=True)
+    return LevelTensor(len(array), 2, _scalars(mode, array.reshape(-1), scale))
 
 
 @dataclass(frozen=True)
@@ -67,14 +88,18 @@ class MatrixPencil:
         return [[p + q for p, q in zip(prow, qrow)] for prow, qrow in zip(self.P, self.Q)]
 
 
+def _pencil(matrix) -> tuple:
+    """(mode, B, C, D) with P = B / D, Q = C / D: exact, the integer arrays B = A + A^T
+    and C = A - A^T over D = 2L of a matrix A / L; float, P and Q over D = 1."""
+    mode, a, scale = _read_matrix(matrix, square=True)
+    b, c = a + a.T, a - a.T
+    return (mode, b / 2, c / 2, 1) if mode is float else (mode, b, c, 2 * scale)
+
+
 def split_pencil(matrix) -> MatrixPencil:
     """Exact halves S = P + Q with P symmetric and Q skew."""
-    rows = _square_rows(matrix)
-    d = len(rows)
-    half = Fraction(1, 2)
-    P = tuple(tuple(half * (rows[i][j] + rows[j][i]) for j in range(d)) for i in range(d))
-    Q = tuple(tuple(half * (rows[i][j] - rows[j][i]) for j in range(d)) for i in range(d))
-    return MatrixPencil(P, Q)
+    mode, b, c, den = _pencil(matrix)
+    return MatrixPencil(*(tuple(map(tuple, _scalars(mode, x, den))) for x in (b, c)))
 
 
 # --- exact linear algebra -------------------------------------------------
@@ -101,14 +126,6 @@ class _Echelon:
             total = sum(row[c] * v[c] for c in range(col + 1, len(v)) if row[c])
             v[col] = -Fraction(total) / row[col]
         return v
-
-
-def _integer_matrix(rows: list) -> tuple:
-    """(A, L): the matrix as A / L over the lcm L of its denominators
-    (`scalars.integer_multiple`); entries that are not exact enter as `Fraction`s."""
-    mode, values = scalar_mode(v for row in rows for v in row)
-    array, scale = integer_multiple(values if mode in (int, Fraction) else [Fraction(v) for v in values])
-    return array.reshape(len(rows), len(rows[0]) if rows else 0), scale
 
 
 def _eliminate(work: np.ndarray) -> _Echelon:
@@ -188,21 +205,20 @@ def _certified_rank(residues: np.ndarray, exact) -> int:
     return len(_eliminate(exact()).pivots)
 
 
+def _rank(mode, array: np.ndarray) -> int:
+    """Rank of an array read by `_read_matrix`: `_certified_rank` or `_float_rank`."""
+    if mode is float:
+        return _float_rank(np.linalg.svd(array, compute_uv=False))
+    return _certified_rank(_residues(array), array.copy)
+
+
 def exact_rank(matrix) -> int:
     """Rank of a matrix, certified mod a prime or by fraction-free elimination.
 
-    An exact matrix M = A / L (numpy integers read as ints) has the rank of
-    the integer matrix A, which `_certified_rank` takes.  Matrices whose
-    scalar mode is not exact fall back to counting singular values above
-    1e-9 * sigma_max.
+    An exact matrix A / L has the rank of A (`_certified_rank`); a float one
+    counts its singular values above 1e-9 * sigma_max.
     """
-    rows = _as_rows(matrix)
-    mode, values = scalar_mode(v for row in rows for v in row)
-    shape = (len(rows), len(rows[0]) if rows else 0)
-    if mode in (int, Fraction):
-        array = integer_multiple(values)[0].reshape(shape)
-        return _certified_rank(_residues(array), lambda: array)
-    return _float_rank(np.linalg.svd(np.array(values, dtype=float).reshape(shape), compute_uv=False))
+    return _rank(*_read_matrix(matrix)[:2])
 
 
 def _float_rank(singular_values: np.ndarray) -> int:
@@ -212,21 +228,19 @@ def _float_rank(singular_values: np.ndarray) -> int:
 
 def exact_det(matrix):
     """Determinant of M = A / L: sign times the last fraction-free pivot, over L^n."""
-    rows = _square_rows(matrix)
-    if not rows:
+    _, array, scale = _read_matrix(matrix, square=True, exact=True)
+    if not len(array):
         return Fraction(1)
-    array, scale = _integer_matrix(rows)
     echelon = _eliminate(array)
-    if len(echelon.pivots) < len(rows):
+    if len(echelon.pivots) < len(array):
         return Fraction(0)
-    return Fraction(echelon.sign * echelon.rows[-1, -1], scale ** len(rows))
+    return Fraction(echelon.sign * echelon.rows[-1, -1], scale ** len(array))
 
 
 def matrix_inverse(matrix) -> list:
     """Exact inverse, read off the kernel of [A | L*I]: column j solves M x = e_j."""
-    rows = _square_rows(matrix)
-    n = len(rows)
-    array, scale = _integer_matrix(rows)
+    _, array, scale = _read_matrix(matrix, square=True, exact=True)
+    n = len(array)
     echelon = _eliminate(np.hstack([array, scale * np.eye(n, dtype=object)]))
     if echelon.pivots != tuple(range(n)):
         raise ValueError("matrix is singular")
@@ -239,30 +253,19 @@ def matrix_inverse(matrix) -> list:
 
 def pfaffian(matrix, subset: Sequence[int] | None = None):
     """Pfaffian of a skew matrix (or of its principal submatrix on subset), by
-    fraction-free skew elimination; its square is that principal minor."""
-    rows = _square_rows(matrix)
-    idx = tuple(range(len(rows))) if subset is None else tuple(subset)
-    if len(idx) % 2 != 0:
-        raise ValueError("pfaffian needs an even index set")
-    return _sub_pfaffians(rows)(idx)
-
-
-def _sub_pfaffians(rows: list):
-    """Pfaffian of each principal submatrix of a skew matrix, by its index tuple: exact
-    rows are read once as A / L (`_integer_matrix`), so size s gives Pf(A_sub) / L^(s/2),
-    an int for int rows, else a `Fraction`; float rows give floats; () gives Fraction(1)."""
-    mode = scalar_mode(v for row in rows for v in row)[0]
-    array, scale = (np.array(rows, dtype=float), 1) if mode is float else _integer_matrix(rows)
+    fraction-free skew elimination; its square is that principal minor.  Size s
+    of M = A / L is Pf(A_sub) / L^(s/2): an int for int M, else a `Fraction`, a
+    float for float M; the empty one is Fraction(1)."""
+    mode, array, scale = _read_matrix(matrix, square=True)
     if (array != -array.T).any():
         raise ValueError("matrix is not skew-symmetric")
-
-    def pf(idx: tuple):
-        if not idx:
-            return Fraction(1)
-        value = _pfaffian(array[np.ix_(idx, idx)])
-        return mode(value) if mode in (int, float) else Fraction(value, scale ** (len(idx) // 2))
-
-    return pf
+    idx = tuple(range(len(array))) if subset is None else tuple(subset)
+    if len(idx) % 2 != 0:
+        raise ValueError("pfaffian needs an even index set")
+    if not idx:
+        return Fraction(1)
+    value = np.array([_pfaffian(array[np.ix_(idx, idx)])], dtype=array.dtype)
+    return _scalars(mode, value, scale ** (len(idx) // 2))[0]
 
 
 def _pfaffian(work: np.ndarray):
@@ -275,7 +278,7 @@ def _pfaffian(work: np.ndarray):
     while len(work):
         j = 1 + int(np.argmax(abs(work[0, 1:])))
         if not work[0, j]:
-            return 0
+            return work.dtype.type(0)
         if j != 1:
             work[[1, j]] = work[[j, 1]]
             work[:, [1, j]] = work[:, [j, 1]]
@@ -287,29 +290,35 @@ def _pfaffian(work: np.ndarray):
     return sign * prev
 
 
+def _circuit(c: np.ndarray, m: int) -> np.ndarray:
+    """`circuit_matrix` of the skew array c in its dtype, over c's denominator^(m/2), and
+    zero off each column's subset; each size-m sub-pfaffian is taken once."""
+    pf = {s: _pfaffian(c[np.ix_(s, s)]) if s else Fraction(1) for s in itertools.combinations(range(len(c)), m)}
+    subsets = list(itertools.combinations(range(len(c)), m + 1))
+    circuit = np.zeros((len(c), len(subsets)), dtype=c.dtype)
+    for col, s in enumerate(subsets):
+        circuit[s, col] = [(-1) ** pos * pf[s[:pos] + s[pos + 1 :]] for pos in range(m + 1)]
+    return circuit
+
+
 def circuit_matrix(matrix, m: int) -> list:
     """d x C(d, m+1) matrix of signed sub-pfaffians (m even).
 
-    Column I (an (m+1)-subset, in lexicographic order) has entry 0 at rows
-    outside I and (-1)^pos * pfaffian(Q on I minus {i}) at row i, where pos
+    Column I (an (m+1)-subset, in lexicographic order) has entry Fraction(0) at
+    rows outside I and (-1)^pos * pfaffian(Q on I minus {i}) at row i, where pos
     is the 0-based position of i inside I.  Each column lies in ker(Q)
     whenever rank(Q) = m.
     """
-    rows = _square_rows(matrix)
+    mode, array, scale = _read_matrix(matrix, square=True)
     if m % 2 != 0 or m < 0:
         raise ValueError("circuit matrix needs even m >= 0")
-    if m + 1 > len(rows):
-        raise ValueError(f"no (m+1)-subsets of 1..{len(rows)} for m={m}")
-    return [list(row) for row in zip(*_circuit_columns(_sub_pfaffians(rows), len(rows), m))]
-
-
-def _circuit_columns(pf, d: int, m: int):
-    """The columns of `circuit_matrix`, one by one, from the sub-pfaffians `pf` of Q."""
-    for subset in itertools.combinations(range(d), m + 1):
-        col = [Fraction(0)] * d
-        for pos, i in enumerate(subset):
-            col[i] = (-1) ** pos * pf(subset[:pos] + subset[pos + 1 :])
-        yield col
+    if m + 1 > len(array):
+        raise ValueError(f"no (m+1)-subsets of 1..{len(array)} for m={m}")
+    if (array != -array.T).any():
+        raise ValueError("matrix is not skew-symmetric")
+    inside = [[i in s for s in itertools.combinations(range(len(array)), m + 1)] for i in range(len(array))]
+    values = np.array(_scalars(mode, _circuit(array, m), scale ** (m // 2)), dtype=object)
+    return np.where(inside, values, Fraction(0)).tolist()
 
 
 # --- membership and generators ---------------------------------------------
@@ -317,18 +326,16 @@ def _circuit_columns(pf, d: int, m: int):
 
 def is_signature_matrix(matrix, m: int) -> bool:
     """Whether S = P + Q satisfies rank(P) <= 1 and rank([P Q]) <= m."""
-    ok, _ = signature_matrix_witness(matrix, m)
-    return ok
+    return signature_matrix_witness(matrix, m)[0]
 
 
 def signature_matrix_witness(matrix, m: int):
     """Membership boolean plus a description of the violated rank condition."""
-    pencil = split_pencil(matrix)
-    rank_p = exact_rank(pencil.P)
+    mode, b, c, _ = _pencil(matrix)
+    rank_p = _rank(mode, b)
     if rank_p > 1:
         return False, f"rank(P) = {rank_p} > 1"
-    stacked = [list(prow) + list(qrow) for prow, qrow in zip(pencil.P, pencil.Q)]
-    rank_pq = exact_rank(stacked)
+    rank_pq = _rank(mode, np.hstack([b, c]))
     if rank_pq > m:
         return False, f"rank([P Q]) = {rank_pq} > {m}"
     return True, None
@@ -343,21 +350,17 @@ def signature_matrix_generators(matrix, m: int) -> list:
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    pencil = split_pencil(matrix)
-    d = pencil.d
-    P = [list(r) for r in pencil.P]
-    Q = [list(r) for r in pencil.Q]
-    values = []
-    pairs = list(itertools.combinations(range(d), 2))
-    for a, (i, j) in enumerate(pairs):
-        for k, l in pairs[a:]:
-            values.append(P[i][k] * P[j][l] - P[i][l] * P[j][k])
-    pf = _sub_pfaffians(Q)
-    values += [pf(subset) for subset in itertools.combinations(range(d), m + 1 if m % 2 else m + 2)]
+    mode, b, c, den = _pencil(matrix)
+    d = len(b)
+    pairs = np.array(list(itertools.combinations(range(d), 2)), dtype=int).reshape(-1, 2)
+    first, second = np.triu_indices(len(pairs))
+    (i, j), (k, l) = pairs[first].T, pairs[second].T
+    size = m + 1 if m % 2 else m + 2
+    top = [_pfaffian(c[np.ix_(s, s)]) for s in itertools.combinations(range(d), size)]
+    parts = [(b[i, k] * b[j, l] - b[i, l] * b[j, k], 2), (np.array(top, dtype=c.dtype), size // 2)]
     if m % 2 == 0:
-        columns = list(_circuit_columns(pf, d, m))
-        values += [sum((P[i][j] * col[j] for j in range(d)), Fraction(0)) for i in range(d) for col in columns]
-    return values
+        parts.append(((b @ _circuit(c, m)).reshape(-1), m // 2 + 1))
+    return [v for values, power in parts for v in _scalars(mode, values, den**power)]
 
 
 # --- canonical matrices and the constructive congruence ---------------------
@@ -368,9 +371,10 @@ def _core_matrix(family: str, d: int, m: int | None) -> list:
     m = d if m is None else m
     if not 1 <= m <= d:
         raise ValueError("need 1 <= m <= d")
+    values, den = _core_level(family, m, 2).as_integers()
     out = [[Fraction(0)] * d for _ in range(d)]
-    for row, values in zip(out, _core_level(family, m, 2).cube.tolist()):
-        row[:m] = values
+    for row, block in zip(out, _scalars(Fraction, values.reshape(m, m), den)):
+        row[:m] = block
     return out
 
 
@@ -400,7 +404,8 @@ def mono_matrix_det(d: int):
 
 def mono_slice_matrix(d: int) -> list:
     """First slice of the order-3 monomial core: entry (j,k) = jk/((j+1)(j+k+1))."""
-    return _core_level("poly", d, 3).cube[0].tolist()
+    values, den = _core_level("poly", d, 3).as_integers()
+    return _scalars(Fraction, values[: d * d].reshape(d, d), den)
 
 
 def mono_slice_det(d: int):
@@ -421,19 +426,15 @@ def mono_to_axis_congruence(d: int, tol: float = 1e-8) -> np.ndarray:
         raise ValueError("need d >= 1")
     h = np.array([[1.0]])
     for size in range(1, d):
-        m_small = np.array(mono_matrix(size), dtype=float)
-        m_big = np.array(mono_matrix(size + 1), dtype=float)
-        col = m_big[:size, size]
+        m_big, target = (_core_level(family, size + 1, 2).to_float().cube for family in ("poly", "pl"))
         row = m_big[size, :size]
-        a_mat = m_small @ h.T
-        ones = np.ones(size)
-        x0 = np.linalg.solve(a_mat.T, ones)
+        a_mat = m_big[:size, :size] @ h.T
+        x0 = np.linalg.solve(a_mat.T, np.ones(size))
         x1 = np.linalg.solve(a_mat.T, -(row @ h.T))
         # y * (row . x(y) + y/2) = 1/2 with x(y) = x0 + y*x1
         qa = float(row @ x1) + 0.5
         qb = float(row @ x0)
         roots = np.roots([qa, qb, -0.5]) if abs(qa) > 1e-14 else np.array([0.5 / qb])
-        target = np.array(axis_matrix(size + 1), dtype=float)
         best = None
         for y in roots:
             if abs(y.imag) > 1e-9:
@@ -450,9 +451,8 @@ def mono_to_axis_congruence(d: int, tol: float = 1e-8) -> np.ndarray:
         if best is None:
             raise NumericalFailure(f"no real root at dimension {size + 1}")
         h = best[1]
-    final = np.max(
-        np.abs(h @ np.array(mono_matrix(d), dtype=float) @ h.T - np.array(axis_matrix(d), dtype=float))
-    )
+    mono, axis = (_core_level(family, d, 2).to_float().cube for family in ("poly", "pl"))
+    final = np.max(np.abs(h @ mono @ h.T - axis))
     if final > tol:
         raise NumericalFailure(f"congruence residual {final:.3e} exceeds {tol:.1e}")
     return h

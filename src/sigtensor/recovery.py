@@ -50,7 +50,7 @@ from .matrices import (
     _certified_rank,
     _eliminate,
     _float_rank,
-    _integer_matrix,
+    _read_matrix,
     _residues,
 )
 from .paths import _contract, _core_level, tensor_congruence
@@ -190,17 +190,16 @@ def _kernel_point(rows: list) -> tuple:
     first above 1e-9) is positive.
     """
     cols = len(rows[0])
-    mode, values = scalar_mode(v for row in rows for v in row)
-    exact = mode in (int, Fraction)
-    if exact:
-        echelon = _eliminate(_integer_matrix(rows)[0])
-        rank = len(echelon.pivots)
-    else:
-        _, sigma, vt = np.linalg.svd(np.array(values, dtype=np.float64).reshape(len(rows), cols))
+    mode, array, _ = _read_matrix(rows)
+    if mode is float:
+        _, sigma, vt = np.linalg.svd(array)
         rank = _float_rank(sigma)
+    else:
+        echelon = _eliminate(array)
+        rank = len(echelon.pivots)
     if cols - rank != 1:
         raise DegenerateRecovery(f"relations determine a {cols - rank}-dimensional solution space")
-    if not exact:
+    if mode is float:
         sol = vt[-1] / np.linalg.norm(vt[-1])
         sign = 1.0 if next(v for v in sol if abs(v) > 1e-9) > 0 else -1.0
         return tuple((sign * sol).tolist())
@@ -439,7 +438,7 @@ def jacobian_rank(
             [Fraction(rng.randint(1, 12), rng.randint(1, 4)) * (-1) ** rng.randint(0, 1) for _ in range(m)]
             for _ in range(d)
         ]
-        point = integer_multiple(point)[0]
+        point = _read_matrix(point)[1]
         rank = _certified_rank(_jacobian_residues(core, point), lambda: _image_and_jacobian(core, point)[1])
         best = max(best, rank)
         if best == full:

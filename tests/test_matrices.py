@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from sigtensor import (
+    LevelTensor,
     NumericalFailure,
     axis_matrix,
     circuit_matrix,
@@ -20,6 +22,7 @@ from sigtensor import (
     pl_signature,
     poly_signature_integrate,
     project_level,
+    recover_two_step_planar,
     signature_matrix_generators,
     signature_matrix_witness,
     split_pencil,
@@ -279,3 +282,30 @@ def test_matrix_inverse_is_exact_and_rejects_non_square_or_singular():
         matrix_inverse([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(ValueError, match="singular"):
         matrix_inverse([[1, 2], [2, 4]])
+
+
+@pytest.mark.parametrize(
+    "call, matrix",
+    [
+        (exact_rank, [[1.0, 2.0], [-math.inf, 0.0]]),
+        (exact_rank, np.array([[math.nan, 1.0], [0.0, 1.0]])),
+        (lambda a: signature_matrix_witness(a, 1), [[math.inf, 1.0], [0.0, 1.0]]),
+        (pfaffian, [[0.0, math.inf], [-math.inf, 0.0]]),
+        (lambda a: signature_matrix_generators(a, 1), [[0.0, math.inf], [-math.inf, 0.0]]),
+        (split_pencil, LevelTensor(2, 2, [1.0, math.nan, 0.0, 1.0])),
+        (exact_det, [[1, math.inf], [0, 1]]),
+        (recover_two_step_planar, LevelTensor(2, 3, [math.inf] + [1.0] * 7)),
+    ],
+)
+def test_non_finite_float_matrices_are_refused(call, matrix):
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        call(matrix)
+
+
+def test_mixed_exact_and_float_entries_are_read_as_floats():
+    mixed = [[1, 0.5], [Fraction(1, 3), 2]]
+    pencil = split_pencil(mixed)
+    assert all(type(v) is float for row in pencil.P + pencil.Q for v in row)
+    assert pencil.Q[0][1] == (0.5 - 1 / 3) / 2
+    assert all(type(v) is float for v in signature_matrix_generators(mixed, 1))
+    assert exact_det(mixed) == Fraction(11, 6)  # the determinant reads each float as its rational

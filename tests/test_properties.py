@@ -72,7 +72,7 @@ from sigtensor import recovery
 from sigtensor.dual import Dual, seed_matrix
 from sigtensor.lyndon import poly_from_json, poly_to_json
 from sigtensor.paths import _contract
-from sigtensor.matrices import _PRIME, _eliminate, _integer_matrix, _residues, matrix_inverse, mono_slice_matrix
+from sigtensor.matrices import _PRIME, _eliminate, _read_matrix, _residues, matrix_inverse, mono_slice_matrix
 from sigtensor.recovery import _core_level, _descend, _image_and_jacobian, _jacobian_residues, _kernel_point
 from sigtensor.scalars import scalar_mode, values_close
 from sigtensor.stochastic import drift_covariance_exponent
@@ -465,7 +465,7 @@ def integer_matrices_near_the_prime(draw):
 @settings(PROPERTY, max_examples=150)
 @given(integer_matrices_near_the_prime())
 def test_rank_certified_mod_p_equals_the_bareiss_rank(a):
-    assert exact_rank(a) == len(_eliminate(_integer_matrix(a)[0]).pivots)
+    assert exact_rank(a) == len(_eliminate(_read_matrix(a)[1]).pivots)
 
 
 def _pfaffian_by_expansion(rows, idx):
@@ -559,16 +559,44 @@ def test_float_pfaffian_is_close_to_the_exact_one(q):
     assert type(approx) is float and abs(approx - exact) <= 1e-9 * max(abs(exact), bound)
 
 
-@PROPERTY
-@given(st.integers(1, 7), st.sampled_from(("int", "Fraction")), st.data())
-def test_circuit_matrix_and_generators_equal_their_expansion(d, kind, data):
+def _matrix_in_form(s, kind, form):
+    """The matrix s as rows ("list"), a numpy array (int64 for ints), an order-2
+    LevelTensor, or rows of floats ("float")."""
+    if form == "numpy":
+        return np.array(s, dtype=np.int64 if kind == "int" else object)
+    if form == "level":
+        return LevelTensor(len(s), 2, [v for row in s for v in row])
+    return [[float(v) for v in row] for row in s] if form == "float" else s
+
+
+@settings(PROPERTY, max_examples=80)
+@given(
+    st.integers(1, 7), st.sampled_from(("int", "Fraction")), st.sampled_from(("list", "numpy", "level", "float")), st.data()
+)
+def test_circuit_matrix_and_generators_equal_their_expansion(d, kind, form, data):
     s = data.draw(st.lists(st.lists(_ENTRIES[kind], min_size=d, max_size=d), min_size=d, max_size=d))
     m = data.draw(st.integers(1, d))
-    assert signature_matrix_generators(s, m) == _generators_by_expansion(s, m)
+    values, expected = signature_matrix_generators(_matrix_in_form(s, kind, form), m), _generators_by_expansion(s, m)
     q = [[s[i][j] - s[j][i] for j in range(d)] for i in range(d)]
     even = m - m % 2
+    circuit = circuit_matrix(_matrix_in_form(q, kind, form), even) if even < d else []
+    inside = [[i in c for c in itertools.combinations(range(d), even + 1)] for i in range(d)] if even < d else []
+    if form == "float":
+        # floats of the same rationals: errors of a few ulps of the largest value
+        exact = _circuit_by_expansion(q, even) if even < d else []
+        scale = 1 + max(map(abs, expected + [v for row in exact for v in row]), default=0)
+        assert len(values) == len(expected) and [len(row) for row in circuit] == [len(row) for row in exact]
+        assert all(type(v) is float and abs(v - e) <= 1e-12 * scale for v, e in zip(values, expected))
+        for row, exact_row, inside_row in zip(circuit, exact, inside):
+            for v, e, at in zip(row, exact_row, inside_row):
+                assert type(v) is (float if at else Fraction) and abs(v - e) <= 1e-12 * scale
+        return
+    assert values == expected and all(type(v) is Fraction for v in values)
     if even < d:
-        assert circuit_matrix(q, even) == _circuit_by_expansion(q, even)
+        assert circuit == _circuit_by_expansion(q, even)
+        # int sub-pfaffians beside Fraction(0) off each column's subset; the empty pfaffian is Fraction(1)
+        sub = int if kind == "int" and even else Fraction
+        assert [[type(v) for v in row] for row in circuit] == [[sub if at else Fraction for at in r] for r in inside]
 
 
 @PROPERTY
