@@ -45,10 +45,16 @@ The canonical cores `canonical_axis`/`canonical_mono` are timed cold at
 CORE_SHAPES (each call builds a fresh core; the `_core_level` cache is
 emptied first too, through `getattr(..., "cache_clear", None)`), and
 `pl_signature_congruence` warm on seeded float steps at the Chen shapes.
-`normal_form_table` is timed cold at the shuffle shapes: the table cache and
+`normal_form_table` is timed cold at the shuffle shapes: `lyndon._tables` and
 the shuffle memo are emptied before every call.  `expand_from_lyndon` is
 timed warm (its table built by the warm-up call) at EXPAND_SHAPES on the
-Lyndon coordinates of a seeded (d+1)-step path, exact and as floats.
+Lyndon coordinates of a seeded (d+1)-step path, exact and as floats.  Two
+rows time a call right after a larger or equal build in the same process
+(shape key "after"): `normal_form_table` at the smaller EXPAND_SHAPES shape
+after `normal_form_table` at the larger, and exact `expand_from_lyndon` at
+the larger after `NormalFormTable` there.  Before each of their runs
+`lyndon._tables` and the shuffle memo are emptied and the earlier build is
+run, untimed (the call's `setup`).
 `gauss_newton_recover` solves, at each of SOLVE_SHAPES, for the signature
 of a seeded near-identity matrix (identity plus entries in [-0.3, 0.3]), as
 the inverse workload's solves do; the target is built before timing.
@@ -162,6 +168,16 @@ def _cold(call, *clears):
     return timed
 
 
+def _after(call, *setups):
+    """The call, with setup calls that `_time_call` runs untimed before each run of it."""
+
+    def timed():
+        return call()
+
+    timed.setup = lambda: [setup() for setup in setups]
+    return timed
+
+
 def _reading(call):
     """The call, followed by a read of every entry of the series or level it returns."""
 
@@ -208,6 +224,7 @@ def layers():
         lyndon,
         matrices,
         mono_matrix,
+        NormalFormTable,
         normal_form_table,
         pfaffian,
         pl_signature,
@@ -343,6 +360,14 @@ def layers():
         for scalar, c in (("exact", coords), ("float", {w: float(v) for w, v in coords.items()})):
             call = _reading(lambda c=c, d=d, n=n: lyndon.expand_from_lyndon(c, d, n))
             out.append(("lyndon.expand_from_lyndon", {"d": d, "n": n}, scalar, call))
+    (d, small), (_, n) = EXPAND_SHAPES  # coords: the exact coordinates at (d, n), from the loop above
+    clears = (lyndon._tables.clear, shuffle._shuffle.cache_clear)
+    call = _after(lambda d=d, k=small: normal_form_table(d, k), *clears, lambda d=d, n=n: normal_form_table(d, n))
+    out.append(("lyndon.normal_form_table", {"d": d, "n": small, "after": f"normal_form_table({d}, {n})"}, "exact", call))
+    call = _after(
+        _reading(lambda c=coords, d=d, n=n: lyndon.expand_from_lyndon(c, d, n)), *clears, lambda d=d, n=n: NormalFormTable(d, n)
+    )
+    out.append(("lyndon.expand_from_lyndon", {"d": d, "n": n, "after": f"NormalFormTable({d}, {n})"}, "exact", call))
     for d, n in SHUFFLE_SHAPES:
         values = _rationals(d * 10 + n, d * (d + 1))
         group = pl_signature([values[j * d : (j + 1) * d] for j in range(d + 1)], n)
@@ -360,10 +385,13 @@ def layers():
 
 
 def _time_call(call) -> float:
+    setup = getattr(call, "setup", None) or (lambda: None)
+    setup()
     call()
     times = []
     start = time.perf_counter()
     while len(times) < 3 or time.perf_counter() - start < 0.2:
+        setup()
         t0 = time.perf_counter()
         call()
         times.append(time.perf_counter() - t0)

@@ -232,16 +232,16 @@ def _check_mdm_size(d: int, m: int) -> None:
     """Refuse an Mdm check whose generators and pfaffian work exceed the cap, from d
     and m alone.  A pfaffian of size s counts s^3, which bounds the entries its
     elimination updates.  The 2-minors of P number C(C(d,2)+1, 2).  Odd m adds the
-    C(d,m+1) pfaffians of size m+1.  Even m adds the C(d,m+2) pfaffians of size m+2
-    and the d C(d,m+1) entries of P C_m(Q): each circuit column takes m+1 pfaffians
-    of size m, and each entry sums d products."""
+    C(d,m+1) pfaffians of size m+1.  Even m adds the C(d,m+2) pfaffians of size m+2,
+    the C(d,m) of size m shared by the circuit columns, and per column its d entries
+    and the d entries of P C_m(Q) it gives, each a sum of d products."""
     if m < 1:
         raise UsageError(f"--m {m}: need --m >= 1")
     count = math.comb(math.comb(d, 2) + 1, 2)
     if m % 2:
         count += math.comb(d, m + 1) * (m + 1) ** 3
     else:
-        count += math.comb(d, m + 2) * (m + 2) ** 3 + math.comb(d, m + 1) * (d + (m + 1) * m**3 + d * d)
+        count += math.comb(d, m + 2) * (m + 2) ** 3 + math.comb(d, m) * m**3 + math.comb(d, m + 1) * (d + d * d)
     if count > ENTRY_CAP:
         raise UsageError(f"--what Mdm --m {m} in dimension {d} builds more than {ENTRY_CAP} terms (the entry cap)")
 

@@ -7,16 +7,17 @@ Lyndon coefficients.  This module enumerates the words (Duval), counts
 them (Moebius), builds the bracketed basis, and computes the rewriting
 polynomials by Radford-style elimination against shuffle expansions.
 
-The elimination runs on integers: the polynomial of a word of length k is
-held as an integer row, itself times one level scale S_k (k! at every
-shape tried), and `expand_from_lyndon` sums its levels from these rows.
-`Fraction` coefficients are formed only where they are read.
+The elimination runs on integers: a word of length k has the integer row
+S_k * phi_I over one level scale S_k (k! at every shape tried).  Each level
+(d, k) is built once per process into `_tables`, which every table and
+`expand_from_lyndon` read; `Fraction` coefficients are formed where read.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Sequence
@@ -218,18 +219,10 @@ class NormalFormTable:
 
     Lyndon words map to themselves; every other word maps to the polynomial
     in Lyndon variables that reproduces its coefficient on group-like series.
-
-    The table is built eagerly and held on integers: a word of length k has
-    the row S_k * phi_I, a dict {monomial: int}, over one level scale S_k.
-    S_k starts at 1 and, whenever an elimination step divides by its leading
-    coefficient, grows by the least factor that keeps the division exact,
-    together with every row already built at level k; the first word 1^k of
-    each level sets it to k!, and it stays k! at every shape tried.
-    `table`, the {word: {monomial: Fraction}} view, is built from the rows on
-    its first read and cached as a plain dict; `phi` converts one word and
-    `to_json` formats straight from the rows.  The rows are built in the
-    constructor, so instances are safe to share between threads; racing
-    first reads of `table` may each build it, as equal dicts.
+    A word of length k has the integer row S_k * phi_I, {monomial: int}, of the
+    stored level (d, k).  `table`, the {word: {monomial: Fraction}} view, is built
+    on its first read; `phi` converts one word and `to_json` formats straight
+    from the rows.  Stored levels never change, so tables share them freely.
     """
 
     def __init__(self, d: int, n: int):
@@ -237,46 +230,13 @@ class NormalFormTable:
         self.n = n
         self.basis = lyndon_words(d, n)
         self._lyndon = set(self.basis.words)
-        self._rows: Dict[tuple, dict] = {}
-        self._scales = [1] * (n + 1)
+        levels = [_tables.level(d, k) for k in range(1, n + 1)]
+        self._rows: Dict[tuple, dict] = {word: row for rows, _ in levels for word, row in rows.items()}
+        self._scales = [1] + [scale for _, scale in levels]
         self._table = None
-        for k in range(1, n + 1):
-            level: dict = {}
-            for word in all_words(d, k):
-                level[word] = self._rewrite(word, level)
-            self._rows.update(level)
 
     def is_lyndon_word(self, word: tuple) -> bool:
         return word in self._lyndon
-
-    def _rewrite(self, word: tuple, level: dict) -> dict:
-        """The row of a word, from the rows of the words before it at its level."""
-        k = len(word)
-        if word in self._lyndon:
-            return {(word,): self._scales[k]}
-        if len(set(word)) == 1:
-            # a^k is the shuffle power (a)^k / k!: its expansion is k! a^k alone
-            return self._divide(level, k, {((word[0],),) * k: self._scales[k]}, math.factorial(k))
-        factors = cfl_factorization(word)
-        expansion = shuffle_word_list(factors).terms
-        row = {tuple(sorted(factors)): self._scales[k]}
-        for other, coeff in expansion.items():
-            if other != word:
-                # Radford: every other word of the expansion is lex-smaller,
-                # hence already rewritten by the construction order.
-                poly_add_scaled(row, level[other], -coeff)
-        return self._divide(level, k, row, expansion[word])
-
-    def _divide(self, level: dict, k: int, row: dict, leading: int) -> dict:
-        """row / leading, after growing S_k (and the level's rows) so that it divides exactly."""
-        grow = leading // math.gcd(leading, *row.values())
-        if grow > 1:
-            self._scales[k] *= grow
-            for built in level.values():
-                for mono in built:
-                    built[mono] *= grow
-            row = {mono: c * grow for mono, c in row.items()}
-        return {mono: c // leading for mono, c in row.items()}
 
     @property
     def table(self) -> Dict[tuple, LyndonPolynomial]:
@@ -300,17 +260,68 @@ class NormalFormTable:
         return {"dim": self.d, "trunc": self.n, "forms": forms}
 
 
-_tables: dict = {}
+def _build_level(d: int, k: int) -> tuple:
+    """(rows, S_k) of the words of length k, by Radford elimination in word order; S_k starts at 1."""
+    rows, scale = {}, [1]
+    for word in all_words(d, k):
+        factors = cfl_factorization(word)
+        if len(factors) == 1:
+            rows[word] = {factors: scale[0]}
+            continue
+        # a^k is the shuffle power (a)^k / k!: its expansion is k! a^k alone
+        expansion = {word: math.factorial(k)} if len(set(word)) == 1 else shuffle_word_list(factors).terms
+        row = {tuple(sorted(factors)): scale[0]}
+        for other, coeff in expansion.items():
+            if other != word:
+                # Radford: every other word of the expansion is lex-smaller, so already rewritten
+                poly_add_scaled(row, rows[other], -coeff)
+        rows[word] = _divide(rows, scale, row, expansion[word])
+    return rows, scale[0]
+
+
+def _divide(level: dict, scale: list, row: dict, leading: int) -> dict:
+    """row / leading, after growing S_k = scale[0] and the level's rows by the least factor making it exact."""
+    grow = leading // math.gcd(leading, *row.values())
+    if grow > 1:
+        scale[0] *= grow
+        for built in level.values():
+            for mono in built:
+                built[mono] *= grow
+        row = {mono: c * grow for mono, c in row.items()}
+    return {mono: c // leading for mono, c in row.items()}
+
+
+class _LevelStore(dict):
+    """(d, k) -> (rows, S_k), each level stored once complete; `cache_info`, `clear` as on an lru_cache."""
+
+    hits = misses = 0
+
+    def level(self, d: int, k: int) -> tuple:
+        """The stored (rows, S_k) of level k over d letters, built on its first request."""
+        with _tables_lock:
+            self.hits += (d, k) in self
+            if (d, k) not in self:
+                self.misses += 1
+                self[d, k] = _build_level(d, k)
+            return self[d, k]
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self.hits, self.misses, len(self))
+
+    def clear(self) -> None:
+        with _tables_lock:
+            super().clear()
+            self.hits = self.misses = 0
+
+
+_CacheInfo = namedtuple("CacheInfo", "hits misses currsize")
+_tables = _LevelStore()
 _tables_lock = threading.Lock()
 
 
 def normal_form_table(d: int, n: int) -> NormalFormTable:
-    """Shared per-(d, n) table; building is idempotent and synchronized."""
-    key = (d, n)
-    with _tables_lock:
-        if key not in _tables:
-            _tables[key] = NormalFormTable(d, n)
-        return _tables[key]
+    """The table of (d, n), over the stored levels."""
+    return NormalFormTable(d, n)
 
 
 def normal_form(word: Sequence[int], d: int, n: int) -> LyndonPolynomial:
@@ -345,7 +356,6 @@ def expand_from_lyndon(values: dict, d: int, n: int) -> TensorSeries:
     missing = [w for w in basis.words if w not in values]
     if missing:
         raise ValueError(f"missing Lyndon coordinates: {missing[:3]}...")
-    table = normal_form_table(d, n)
     mode, coords = scalar_mode(values[w] for w in basis.words)
     exact = mode in (int, Fraction)
     if exact:
@@ -356,11 +366,11 @@ def expand_from_lyndon(values: dict, d: int, n: int) -> TensorSeries:
     coords = dict(zip(basis.words, coords))
     levels = [LevelTensor(d, 0, [1.0 if mode is float else Fraction(1)])]
     for k in range(1, n + 1):
-        scale = table._scales[k]
+        rows, scale = _tables.level(d, k)
         entries = []
         for word in all_words(d, k):
             total = 0
-            for mono, c in table._rows[word].items():
+            for mono, c in rows[word].items():
                 term = c if exact else c / scale if mode is float else Fraction(c, scale)
                 for w in mono:
                     term = term * coords[w]

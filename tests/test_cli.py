@@ -594,16 +594,27 @@ def test_mdm_checks_beyond_the_entry_cap_are_refused_before_any_pfaffian(tmp_pat
     result = json.loads(out)
     assert len(result["generators"]) == 11_782
     assert result["ok"] is signature_matrix_witness(wide, 17)[0] and code == (0 if result["ok"] else 1)
-    # d = 4, m = 2: 21 minors, 4^3 for the 4-pfaffian, 4 columns of 4 + 3 * 2^3 + 16
+    # d = 4, m = 2: 21 minors, 4^3 for the 4-pfaffian, C(4,2) = 6 shared 2-pfaffians at 2^3,
+    # and C(4,3) = 4 circuit columns, each 4 entries plus 4 entries of P C_2(Q) of 4 products:
+    # 21 + 64 + 6 * 8 + 4 * (4 + 16) = 213
     tensor = write_json(tmp_path, "t.json", {"dim": 4, "order": 2, "entries": {"11": "1"}})
-    monkeypatch.setattr(cli, "ENTRY_CAP", 260)
+    monkeypatch.setattr(cli, "ENTRY_CAP", 212)
     code, out, err = run_cli(capsys, "check", tensor, "--what", "Mdm", "--m", "2")
     assert code == 2 and out == "" and "entry cap" in err
-    monkeypatch.setattr(cli, "ENTRY_CAP", 261)
+    monkeypatch.setattr(cli, "ENTRY_CAP", 213)
     code, out, _ = run_cli(capsys, "check", tensor, "--what", "Mdm", "--m", "2")
     assert code == 0 and len(json.loads(out)["generators"]) == 21 + 1 + 16
     code, out, err = run_cli(capsys, "check", tensor, "--what", "Mdm", "--m", "0")
     assert code == 2 and out == "" and "--m >= 1" in err
+    # --m 6 counts 5,925,765 on 15 x 15, under the cap of 10^7, and 11,438,108 on 16 x 16
+    monkeypatch.undo()
+    assert cli.ENTRY_CAP == 10**7
+    rng = np.random.default_rng(15)
+    for d, codes in ((15, (0, 1)), (16, (2,))):
+        square = write_json(tmp_path, f"{d}.json", LevelTensor(d, 2, [int(v) for v in rng.integers(-3, 4, d * d)]).to_json())
+        code, out, err = run_cli(capsys, "check", square, "--what", "Mdm", "--m", "6")
+        assert code in codes, d
+        assert out == "" and "entry cap" in err if code == 2 else json.loads(out)["ok"] is False
 
 
 def test_input_checks_name_what_is_wrong(tmp_path, capsys):

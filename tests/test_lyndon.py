@@ -1,6 +1,8 @@
 import json
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,6 +25,7 @@ from sigtensor import (
     pl_signature,
     standard_factorization,
 )
+from sigtensor import lyndon
 from sigtensor.lyndon import NormalFormTable, lyndon_count_level, mobius, poly_eval, poly_from_json, poly_to_json
 from sigtensor.shuffle import shuffle_word_list
 from sigtensor.words import all_words
@@ -176,15 +179,112 @@ def test_integer_rows_equal_the_shuffle_rewrite_and_write_its_json(shape):
 
 
 def test_growing_a_level_scale_rescales_the_rows_built_at_that_level():
-    table = NormalFormTable(2, 3)
-    before = {w: table.phi(w) for w in all_words(2, 3)}
-    level = {w: table._rows[w] for w in all_words(2, 3)}
-    scale = table._scales[3]
-    row = table._divide(level, 3, {((1,), (1,), (2,)): 1}, 7)
-    assert table._scales[3] == 7 * scale and row == {((1,), (1,), (2,)): 1}
-    assert {w: table.phi(w) for w in all_words(2, 3)} == before
-    assert table._divide(level, 3, {((1,), (1,), (2,)): 14}, 7) == {((1,), (1,), (2,)): 2}
-    assert table._scales[3] == 7 * scale
+    # a private level from the level builder: rescaling a stored level would reach every table
+    level, scale = lyndon._build_level(2, 3)
+    before = {w: {m: Fraction(c, scale) for m, c in row.items()} for w, row in level.items()}
+    box = [scale]
+    row = lyndon._divide(level, box, {((1,), (1,), (2,)): 1}, 7)
+    assert box[0] == 7 * scale and row == {((1,), (1,), (2,)): 1}
+    assert {w: {m: Fraction(c, box[0]) for m, c in row.items()} for w, row in level.items()} == before
+    assert lyndon._divide(level, box, {((1,), (1,), (2,)): 14}, 7) == {((1,), (1,), (2,)): 2}
+    assert box[0] == 7 * scale
+
+
+def _snapshot(table):
+    """Rows, scales, Fraction view, JSON and an exact and a float expansion of one table."""
+    rng = random.Random(table.d * 100 + table.n)
+    coords = {w: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for w in table.basis.words}
+    expansions = [
+        [[(repr(v), type(v)) for v in level.entries] for level in expand_from_lyndon(c, table.d, table.n).levels]
+        for c in (coords, {w: float(v) for w, v in coords.items()})
+    ]
+    return table._rows, table._scales, table.table, table.to_json(), expansions
+
+
+@PROPERTY
+@given(st.sampled_from(TABLE_SHAPES), st.data())
+def test_tables_over_the_level_store_do_not_depend_on_build_order(shape, data):
+    d, n = shape
+    small = data.draw(st.integers(1, n))
+    runs = []
+    for order in ((small, n), (n, small)):
+        lyndon._tables.clear()
+        tables = [NormalFormTable(d, size) for size in order]
+        runs.append({table.n: _snapshot(table) for table in tables})
+    cold = {}
+    for size in (small, n):
+        lyndon._tables.clear()
+        cold[size] = _snapshot(NormalFormTable(d, size))
+    assert runs[0] == runs[1] == cold
+    assert sorted(lyndon._tables) == [(d, k) for k in range(1, n + 1)]
+
+
+def test_threads_building_one_cold_table_store_each_level_once():
+    lyndon._tables.clear()
+    start = threading.Barrier(4, timeout=60)
+    tables = [None] * 4
+
+    def build(i):
+        start.wait()
+        tables[i] = NormalFormTable(3, 5)
+
+    threads = [threading.Thread(target=build, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    # a lost update of the counts, or a level built twice, breaks the exact counts
+    assert sorted(lyndon._tables) == [(3, k) for k in range(1, 6)]
+    assert lyndon._tables.cache_info() == (4 * 5 - 5, 5, 5)
+    # the four tables hold the same stored row objects
+    assert all(row is tables[0]._rows[w] for table in tables[1:] for w, row in table._rows.items())
+    assert all(_snapshot(table) == _snapshot(tables[0]) for table in tables[1:])
+
+
+def test_a_level_whose_build_fails_is_never_stored(monkeypatch):
+    lyndon._tables.clear()
+    reference = _snapshot(NormalFormTable(2, 5))
+    lyndon._tables.clear()
+    calls = []
+
+    def interrupted(words):
+        calls.append(words)
+        if len(calls) == 20:
+            raise KeyboardInterrupt
+        return shuffle_word_list(words)
+
+    monkeypatch.setattr(lyndon, "shuffle_word_list", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        NormalFormTable(2, 5)
+    built = sorted(lyndon._tables)
+    assert built and built == [(2, k) for k in range(1, len(built) + 1)] and len(built) < 5
+    monkeypatch.undo()
+    assert _snapshot(NormalFormTable(2, 5)) == reference
+
+
+def test_the_level_store_counts_hits_and_misses_until_cleared():
+    lyndon._tables.clear()
+    assert lyndon._tables.cache_info() == (0, 0, 0)
+    NormalFormTable(2, 4)
+    assert lyndon._tables.cache_info() == (0, 4, 4)
+    NormalFormTable(2, 3)
+    expand_from_lyndon({w: 1 for w in lyndon_words(2, 5).words}, 2, 5)
+    normal_form((2, 1), 3, 2)
+    info = lyndon._tables.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (3 + 4, 4 + 1 + 2, 7)
+    with pytest.raises(AttributeError):
+        info.hits = 0
+    lyndon._tables.clear()
+    assert lyndon._tables.cache_info() == (0, 0, 0)
+    NormalFormTable(2, 2)
+    NormalFormTable(2, 2)
+    assert lyndon._tables.cache_info() == (2, 2, 2)
 
 
 def test_normal_forms_homogeneous():
