@@ -8,13 +8,19 @@ them (Moebius), builds the bracketed basis, and computes the rewriting
 polynomials by Radford-style elimination against shuffle expansions.
 
 The elimination runs on integers: a word of length k has the integer row
-S_k * phi_I over one level scale S_k (k! at every shape tried).  Each level
-(d, k) is built once per process into `_tables`, which every table and
-`expand_from_lyndon` read; `Fraction` coefficients are formed where read.
+S_k * phi_I over one level scale S_k (k! at every shape tried).  A
+non-Lyndon word l * u, l its first CFL factor, is eliminated against
+l ⧢ u, not the shuffle of all its factors, and without the shuffle memo,
+whose long-lived dicts would slow every full garbage collection.  Each
+level (d, k) is built once per process, bottom-up, into `_tables`, which
+every table and `expand_from_lyndon` read; `Fraction` coefficients are
+formed where read.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import threading
 from collections import namedtuple
@@ -25,7 +31,6 @@ from typing import Dict, Sequence
 import numpy as np
 
 from .scalars import format_ratio, format_scalar, integer_multiple, parse_scalar, scalar_mode
-from .shuffle import shuffle_word_list
 from .tensor import LevelTensor, TensorSeries, series_from_level
 from .words import all_words, word_from_string, word_to_string
 
@@ -261,22 +266,50 @@ class NormalFormTable:
 
 
 def _build_level(d: int, k: int) -> tuple:
-    """(rows, S_k) of the words of length k, by Radford elimination in word order; S_k starts at 1."""
+    """(rows, S_k) of the words of length k, by Radford elimination in word order; S_k starts at 1.
+
+    Row(w) = [x_l * row(u) * S_k / S_|u| - sum of c_o * row(o)] / c_w for w = l * u, l its first CFL factor,
+    where l ⧢ u = c_w * w + sum of c_o * o with every o lex-smaller (Radford), so already built.
+    """
+    with _tables_lock:
+        _tables._fill(d, k - 1)
     rows, scale = {}, [1]
     for word in all_words(d, k):
         factors = cfl_factorization(word)
         if len(factors) == 1:
             rows[word] = {factors: scale[0]}
             continue
-        # a^k is the shuffle power (a)^k / k!: its expansion is k! a^k alone
-        expansion = {word: math.factorial(k)} if len(set(word)) == 1 else shuffle_word_list(factors).terms
-        row = {tuple(sorted(factors)): scale[0]}
+        first, rest = factors[0], word[len(factors[0]) :]
+        # a ⧢ a^(k-1) = k a^k, one term and no interleavings to enumerate
+        expansion = {word: k} if len(set(word)) == 1 else _first_factor_shuffle(first, rest)
+        below, below_scale = _tables[d, len(rest)]
+        lift = _divide(rows, scale, {(): scale[0]}, below_scale)[()]  # S_k / S_|u|, S_k grown to a multiple
+        row = {tuple(sorted(mono + (first,))): c * lift for mono, c in below[rest].items()}
         for other, coeff in expansion.items():
             if other != word:
-                # Radford: every other word of the expansion is lex-smaller, so already rewritten
                 poly_add_scaled(row, rows[other], -coeff)
         rows[word] = _divide(rows, scale, row, expansion[word])
     return rows, scale[0]
+
+
+def _first_factor_shuffle(first: tuple, rest: tuple) -> dict:
+    """first ⧢ rest as {word: multiplicity}, over its C(|first| + |rest|, |first|) interleavings (no memo)."""
+    letters = first + rest
+    out: dict = {}
+    for order in _interleavings(len(first), len(rest)):
+        word = tuple([letters[i] for i in order])
+        out[word] = out.get(word, 0) + 1
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _interleavings(a: int, b: int) -> tuple:
+    """Each interleaving of letters 0..a-1 with a..a+b-1 as its tuple of indices (ints only, so untracked by gc)."""
+    spots = range(a + b)
+    return tuple(
+        tuple(sorted(spots, key=(*places, *(p for p in spots if p not in places)).__getitem__))
+        for places in itertools.combinations(spots, a)
+    )
 
 
 def _divide(level: dict, scale: list, row: dict, leading: int) -> dict:
@@ -297,13 +330,18 @@ class _LevelStore(dict):
     hits = misses = 0
 
     def level(self, d: int, k: int) -> tuple:
-        """The stored (rows, S_k) of level k over d letters, built on its first request."""
+        """The stored (rows, S_k) of level k over d letters, built with the missing levels below on first request."""
         with _tables_lock:
             self.hits += (d, k) in self
-            if (d, k) not in self:
-                self.misses += 1
-                self[d, k] = _build_level(d, k)
+            self._fill(d, k)
             return self[d, k]
+
+    def _fill(self, d: int, k: int) -> None:
+        """Build the missing levels up to k bottom-up, one miss each; the store holds levels 1..j of d letters."""
+        low = next((j for j in range(k, 0, -1) if (d, j) in self), 0)
+        for j in range(low + 1, k + 1):
+            self.misses += 1
+            self[d, j] = _build_level(d, j)
 
     def cache_info(self) -> _CacheInfo:
         return _CacheInfo(self.hits, self.misses, len(self))
@@ -316,7 +354,7 @@ class _LevelStore(dict):
 
 _CacheInfo = namedtuple("CacheInfo", "hits misses currsize")
 _tables = _LevelStore()
-_tables_lock = threading.Lock()
+_tables_lock = threading.RLock()
 
 
 def normal_form_table(d: int, n: int) -> NormalFormTable:

@@ -25,7 +25,7 @@ from sigtensor import (
     pl_signature,
     standard_factorization,
 )
-from sigtensor import lyndon
+from sigtensor import lyndon, shuffle
 from sigtensor.lyndon import NormalFormTable, lyndon_count_level, mobius, poly_eval, poly_from_json, poly_to_json
 from sigtensor.shuffle import shuffle_word_list
 from sigtensor.words import all_words
@@ -252,20 +252,45 @@ def test_a_level_whose_build_fails_is_never_stored(monkeypatch):
     reference = _snapshot(NormalFormTable(2, 5))
     lyndon._tables.clear()
     calls = []
+    expand = lyndon._first_factor_shuffle
 
-    def interrupted(words):
-        calls.append(words)
+    def interrupted(first, rest):
+        calls.append((first, rest))
         if len(calls) == 20:
             raise KeyboardInterrupt
-        return shuffle_word_list(words)
+        return expand(first, rest)
 
-    monkeypatch.setattr(lyndon, "shuffle_word_list", interrupted)
+    monkeypatch.setattr(lyndon, "_first_factor_shuffle", interrupted)
     with pytest.raises(KeyboardInterrupt):
         NormalFormTable(2, 5)
     built = sorted(lyndon._tables)
     assert built and built == [(2, k) for k in range(1, len(built) + 1)] and len(built) < 5
     monkeypatch.undo()
     assert _snapshot(NormalFormTable(2, 5)) == reference
+
+
+def test_levels_reached_cold_out_of_order_equal_the_levels_built_in_order():
+    lyndon._tables.clear()
+    in_order = {k: lyndon._tables.level(3, k) for k in range(1, 6)}
+    lyndon._tables.clear()
+    assert lyndon._tables.level(3, 5) == in_order[5]
+    assert lyndon._tables.cache_info() == (0, 5, 5)
+    assert {k: lyndon._tables.level(3, k) for k in (2, 4, 1, 3)} == {k: in_order[k] for k in (2, 4, 1, 3)}
+    assert lyndon._tables.cache_info() == (4, 5, 5)
+    # a cold deep level is built bottom-up in a loop, not one recursion per level
+    lyndon._tables.clear()
+    rows, scale = lyndon._tables.level(1, 1500)
+    assert rows == {(1,) * 1500: {((1,),) * 1500: 1}} and scale == math.factorial(1500)
+    assert lyndon._tables.cache_info() == (0, 1500, 1500)
+    lyndon._tables.clear()
+
+
+def test_a_cold_table_build_leaves_the_shuffle_memo_alone():
+    # the memo's long-lived dicts would lengthen every full garbage collection
+    lyndon._tables.clear()
+    before = shuffle._shuffle.cache_info().currsize
+    NormalFormTable(3, 6)
+    assert shuffle._shuffle.cache_info().currsize == before
 
 
 def test_the_level_store_counts_hits_and_misses_until_cleared():
