@@ -17,7 +17,8 @@ divided by the reference loop run right after it ("parent_scaled",
 "change_scaled"), whose ratio ("scaled_speedup") discounts a host whose
 speed changed while the layers ran.  Both trees must share the private calling convention
 used below (`_core_level(...).to_float()`, `_core_level(...).as_integers()`,
-`_image_and_jacobian(core, x)` and `matrices._rank_mod_p`); the residue row
+`_image_and_jacobian(core, x)`, `matrices._rank_mod_p`, `lyndon._tables.clear`
+and `lyndon._interleavings.cache_clear`); the residue row
 runs only on a tree with `_jacobian_residues`.
 Polynomial signatures and group-element recovery are timed through their
 public functions on seeded rational inputs (group elements: the top level
@@ -45,16 +46,17 @@ The canonical cores `canonical_axis`/`canonical_mono` are timed cold at
 CORE_SHAPES (each call builds a fresh core; the `_core_level` cache is
 emptied first too, through `getattr(..., "cache_clear", None)`), and
 `pl_signature_congruence` warm on seeded float steps at the Chen shapes.
-`normal_form_table` is timed cold at the shuffle shapes: `lyndon._tables` and
-the shuffle memo are emptied before every call.  `expand_from_lyndon` is
+`normal_form_table` is timed cold at the shuffle shapes: `lyndon._tables`, the
+interleavings cache `lyndon._interleavings` and the shuffle memo are emptied
+before every call, as in a fresh process.  `expand_from_lyndon` is
 timed warm (its table built by the warm-up call) at EXPAND_SHAPES on the
 Lyndon coordinates of a seeded (d+1)-step path, exact and as floats.  Two
 rows time a call right after a larger or equal build in the same process
 (shape key "after"): `normal_form_table` at the smaller EXPAND_SHAPES shape
 after `normal_form_table` at the larger, and exact `expand_from_lyndon` at
 the larger after `NormalFormTable` there.  Before each of their runs
-`lyndon._tables` and the shuffle memo are emptied and the earlier build is
-run, untimed (the call's `setup`).
+the same caches are emptied and the earlier build is run, untimed (the
+call's `setup`).
 `gauss_newton_recover` solves, at each of SOLVE_SHAPES, for the signature
 of a seeded near-identity matrix (identity plus entries in [-0.3, 0.3]), as
 the inverse workload's solves do; the target is built before timing.
@@ -351,8 +353,9 @@ def layers():
         steps = [[float(v) for v in values[j * d : (j + 1) * d]] for j in range(m)]
         call = _reading(lambda s=steps, n=n: pl_signature_congruence(s, n))
         out.append(("paths.pl_signature_congruence", {"d": d, "m": m, "k": n}, "float", call))
+    clears = (lyndon._tables.clear, lyndon._interleavings.cache_clear, shuffle._shuffle.cache_clear)
     for d, n in SHUFFLE_SHAPES:
-        call = _cold(lambda d=d, n=n: normal_form_table(d, n), lyndon._tables.clear, shuffle._shuffle.cache_clear)
+        call = _cold(lambda d=d, n=n: normal_form_table(d, n), *clears)
         out.append(("lyndon.normal_form_table", {"d": d, "n": n}, "exact", call))
     for d, n in EXPAND_SHAPES:
         values = _rationals(d * 10 + n + 5, d * (d + 1))
@@ -361,7 +364,6 @@ def layers():
             call = _reading(lambda c=c, d=d, n=n: lyndon.expand_from_lyndon(c, d, n))
             out.append(("lyndon.expand_from_lyndon", {"d": d, "n": n}, scalar, call))
     (d, small), (_, n) = EXPAND_SHAPES  # coords: the exact coordinates at (d, n), from the loop above
-    clears = (lyndon._tables.clear, shuffle._shuffle.cache_clear)
     call = _after(lambda d=d, k=small: normal_form_table(d, k), *clears, lambda d=d, n=n: normal_form_table(d, n))
     out.append(("lyndon.normal_form_table", {"d": d, "n": small, "after": f"normal_form_table({d}, {n})"}, "exact", call))
     call = _after(

@@ -154,14 +154,18 @@ def cmd_lyndon(args) -> int:
 
 
 def cmd_normal_form(args) -> int:
-    if args.word:
+    if args.word is not None:
+        if not args.word:
+            raise UsageError(
+                f"--word '' is empty: give a word of 1 to {args.n} letters, or leave out --word for the whole table"
+            )
         word = word_from_string(args.word, args.d)
         if len(word) > args.n:
             raise UsageError(f"word {args.word!r} longer than truncation {args.n}")
     # the table keys every word of length <= n: count their letters
     _word_count("normal-form", args.d, args.n, lambda d, k: k * d**k)
     table = normal_form_table(args.d, args.n)
-    if args.word:
+    if args.word is not None:
         _emit(poly_to_json(word, table.phi(word), args.d))
     else:
         _emit(table.to_json())

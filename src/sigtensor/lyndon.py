@@ -7,14 +7,13 @@ Lyndon coefficients.  This module enumerates the words (Duval), counts
 them (Moebius), builds the bracketed basis, and computes the rewriting
 polynomials by Radford-style elimination against shuffle expansions.
 
-The elimination runs on integers: a word of length k has the integer row
-S_k * phi_I over one level scale S_k (k! at every shape tried).  A
-non-Lyndon word l * u, l its first CFL factor, is eliminated against
-l ⧢ u, not the shuffle of all its factors, and without the shuffle memo,
-whose long-lived dicts would slow every full garbage collection.  Each
-level (d, k) is built once per process, bottom-up, into `_tables`, which
-every table and `expand_from_lyndon` read; `Fraction` coefficients are
-formed where read.
+Each level (d, k) is built once per process, bottom-up, into `_tables`:
+CSR rows of the integers S_k * phi_w, whose columns are the indices of
+the CFL words of monomials (`_Level`).  A non-Lyndon word l * u, l its
+first CFL factor, is eliminated against l ⧢ u = x_l * phi_u, a lift that
+is a column offset, in waves of independent rows (`_build_level`).  Exact
+expansions sum a row by one `reduceat`; float ones term by term in column
+order, as `poly_eval` sums `NormalFormTable.table`.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import numpy as np
 
 from .scalars import format_ratio, format_scalar, integer_multiple, parse_scalar, scalar_mode
 from .tensor import LevelTensor, TensorSeries, series_from_level
-from .words import all_words, word_from_string, word_to_string
+from .words import all_words, check_word, word_from_string, word_index, word_to_string
 
 
 def mobius(n: int) -> int:
@@ -171,15 +170,6 @@ def bracketing(word: Sequence[int], d: int | None = None) -> TensorSeries:
 LyndonPolynomial = Dict[tuple, Fraction]
 
 
-def poly_add_scaled(target: dict, poly: LyndonPolynomial, c) -> None:
-    for m, v in poly.items():
-        new = target.get(m, 0) + c * v
-        if new == 0:
-            target.pop(m, None)
-        else:
-            target[m] = new
-
-
 def poly_eval(poly: LyndonPolynomial, values: dict):
     total = 0
     for monomial, coeff in poly.items():
@@ -199,15 +189,14 @@ def poly_to_json(word: tuple, poly: LyndonPolynomial, d: int | None = None) -> d
     if d is None:
         words = [word] + [w for mono in poly for w in mono]
         d = max((max(w) for w in words if w), default=1)
-    return _form_json(word, [(mono, format_scalar(coeff)) for mono, coeff in sorted(poly.items())], d)
+    items = [(mono, format_scalar(coeff)) for mono, coeff in sorted(poly.items())]
+    return _form_json(word_to_string(word, d), items, {w: word_to_string(w, d) for mono in poly for w in mono})
 
 
-def _form_json(word: tuple, items: list, d: int) -> dict:
-    """JSON form of a rewriting polynomial from its sorted (monomial, formatted coefficient) items."""
-    return {
-        "word": word_to_string(word, d),
-        "poly": [{"vars": [word_to_string(w, d) for w in mono], "coeff": coeff} for mono, coeff in items],
-    }
+def _form_json(word: str, items: list, names: dict) -> dict:
+    """JSON form of a rewriting polynomial from its word's text and its sorted (monomial, formatted
+    coefficient) items, each variable written as names[variable]."""
+    return {"word": word, "poly": [{"vars": [names[w] for w in mono], "coeff": coeff} for mono, coeff in items]}
 
 
 def poly_from_json(data: dict, d: int) -> tuple:
@@ -224,10 +213,10 @@ class NormalFormTable:
 
     Lyndon words map to themselves; every other word maps to the polynomial
     in Lyndon variables that reproduces its coefficient on group-like series.
-    A word of length k has the integer row S_k * phi_I, {monomial: int}, of the
-    stored level (d, k).  `table`, the {word: {monomial: Fraction}} view, is built
-    on its first read; `phi` converts one word and `to_json` formats straight
-    from the rows.  Stored levels never change, so tables share them freely.
+    A word of length k is row word_index(I) of the shared stored level
+    (d, k) (`_Level`).  `table`, the {word: {monomial: Fraction}} view in
+    column order, is built on first read; `phi` converts one row and
+    `to_json` formats straight from the rows.
     """
 
     def __init__(self, d: int, n: int):
@@ -235,9 +224,7 @@ class NormalFormTable:
         self.n = n
         self.basis = lyndon_words(d, n)
         self._lyndon = set(self.basis.words)
-        levels = [_tables.level(d, k) for k in range(1, n + 1)]
-        self._rows: Dict[tuple, dict] = {word: row for rows, _ in levels for word, row in rows.items()}
-        self._scales = [1] + [scale for _, scale in levels]
+        self._levels = [_tables.level(d, k) for k in range(1, n + 1)]
         self._table = None
 
     def is_lyndon_word(self, word: tuple) -> bool:
@@ -247,90 +234,265 @@ class NormalFormTable:
     def table(self) -> Dict[tuple, LyndonPolynomial]:
         """{word: {monomial: Fraction}} for every word, built on first read."""
         if self._table is None:
-            self._table = {word: self.phi(word) for word in self._rows}
+            _decode(self._levels)
+            self._table = {
+                word: level.poly(i) for level in self._levels for i, word in enumerate(all_words(self.d, level.k))
+            }
         return self._table
 
     def phi(self, word: Sequence[int]) -> LyndonPolynomial:
-        word = tuple(word)
-        scale = self._scales[len(word)]
-        return {mono: Fraction(c, scale) for mono, c in self._rows[word].items()}
+        word = _checked_word(word, self.d)
+        if len(word) > self.n:
+            raise ValueError(f"word {word_to_string(word, self.d)!r} longer than truncation order {self.n}")
+        level = self._levels[len(word) - 1]
+        _decode(self._levels[: level.k])
+        return level.poly(word_index(word, self.d))
 
     def to_json(self) -> dict:
-        forms = []
-        for word in sorted(self._rows):
-            if word not in self._lyndon:
-                scale = self._scales[len(word)]
-                items = sorted(self._rows[word].items())
-                forms.append(_form_json(word, [(mono, format_ratio(c, scale)) for mono, c in items], self.d))
+        _decode(self._levels)
+        rows = []
+        for level in self._levels:
+            firsts = level.first.tolist()
+            rows += [(word, level, i) for i, word in enumerate(all_words(self.d, level.k)) if firsts[i] < level.k]
+        names = {w: word_to_string(w, self.d) for w in self.basis.words}  # each variable written once
+        forms = [_form_json(word_to_string(word, self.d), level.formatted(i), names) for word, level, i in sorted(rows)]
         return {"dim": self.d, "trunc": self.n, "forms": forms}
 
 
-def _build_level(d: int, k: int) -> tuple:
-    """(rows, S_k) of the words of length k, by Radford elimination in word order; S_k starts at 1.
+def _checked_word(word: Sequence[int], d: int) -> tuple:
+    """The word as a tuple; ValueError naming it when it is empty or has a letter outside 1..d."""
+    word = tuple(word)
+    if not word:
+        raise ValueError("word () is empty: only words of length >= 1 have rewriting polynomials")
+    try:
+        return check_word(word, d)
+    except ValueError as exc:
+        raise ValueError(f"word {word}: {exc}") from None
 
-    Row(w) = [x_l * row(u) * S_k / S_|u| - sum of c_o * row(o)] / c_w for w = l * u, l its first CFL factor,
-    where l ⧢ u = c_w * w + sum of c_o * o with every o lex-smaller (Radford), so already built.
+
+class _Level:
+    """Level (d, k): row i, of the word of index i, is S_k * phi at the ascending columns cols[ptr[i]:ptr[i+1]],
+    values vals[...] (Python ints, S_k = `scale`).  Column c stands for the monomial of the CFL factors of word
+    c (they match one to one); first[c] is the length of its first factor.  `monomials` is filled by `_decode`.
+    """
+
+    __slots__ = ("d", "k", "ptr", "cols", "vals", "scale", "first", "monomials")
+
+    def __init__(self, d, k, ptr, cols, vals, scale, first):
+        self.d, self.k, self.ptr, self.cols, self.vals, self.scale, self.first = d, k, ptr, cols, vals, scale, first
+        self.monomials = None
+
+    def _row(self, i: int):
+        lo, hi = self.ptr[i], self.ptr[i + 1]
+        return zip([self.monomials[c] for c in self.cols[lo:hi].tolist()], self.vals[lo:hi].tolist())
+
+    def poly(self, i: int) -> LyndonPolynomial:
+        """Row i as {monomial: Fraction}, in column order."""
+        return {mono: Fraction(c, self.scale) for mono, c in self._row(i)}
+
+    def formatted(self, i: int) -> list:
+        """Row i as sorted (monomial, formatted coefficient) items."""
+        return [(mono, format_ratio(c, self.scale)) for mono, c in sorted(self._row(i))]
+
+
+def _decode(levels: list) -> None:
+    """Fill `monomials` of levels 1..len(levels) of one alphabet, bottom-up: column c of level k with first
+    factor l, |l| = a, is the monomial of column c mod d**(k - a) of level k - a, followed by l."""
+    for level in levels:
+        if level.monomials is None:
+            d, k = level.d, level.k
+            lower = [[()]] + [below.monomials for below in levels[: k - 1]]
+            level.monomials = [
+                lower[k - a][c % d ** (k - a)] + (word[:a],)
+                for c, (word, a) in enumerate(zip(all_words(d, k), level.first.tolist()))
+            ]
+
+
+_CHUNK = 1 << 18  # shuffled word indices (int64) held at once by the first-factor expansions
+
+
+def _build_level(d: int, k: int, start: int | None = None) -> _Level:
+    """Level (d, k) by Radford elimination, over S_k = lcm(start, S_(k-1)), start k! unless given.
+
+    Row(w) = [x_l * row(u) * S_k / S_|u| - sum of c_o * row(o)] / c_w for w = l * u, l its first CFL
+    factor, where l ⧢ u = c_w * w + sum of c_o * o with every o lex-smaller (Radford).  Every Lyndon
+    word of phi_u is <= l (checked), so the lift appends l to each monomial: columns offset by
+    idx(l) * d**|u|.  Each wave of rows whose o are all built is one gather, sort and `reduceat`.
+    An inexact division by c_w grows S_k and the level's rows by the least factor making it exact.
     """
     with _tables_lock:
         _tables._fill(d, k - 1)
-    rows, scale = {}, [1]
-    for word in all_words(d, k):
-        factors = cfl_factorization(word)
-        if len(factors) == 1:
-            rows[word] = {factors: scale[0]}
-            continue
-        first, rest = factors[0], word[len(factors[0]) :]
-        # a ⧢ a^(k-1) = k a^k, one term and no interleavings to enumerate
-        expansion = {word: k} if len(set(word)) == 1 else _first_factor_shuffle(first, rest)
-        below, below_scale = _tables[d, len(rest)]
-        lift = _divide(rows, scale, {(): scale[0]}, below_scale)[()]  # S_k / S_|u|, S_k grown to a multiple
-        row = {tuple(sorted(mono + (first,))): c * lift for mono, c in below[rest].items()}
-        for other, coeff in expansion.items():
-            if other != word:
-                poly_add_scaled(row, rows[other], -coeff)
-        rows[word] = _divide(rows, scale, row, expansion[word])
-    return rows, scale[0]
+    size = d**k
+    first = _first_factor_lengths(d, k)
+    scale = math.lcm(math.factorial(k) if start is None else start, _tables[d, k - 1].scale if k > 1 else 1)
+    lyndon, todo = np.flatnonzero(first == k), np.flatnonzero(first < k)
+    lead, owner, other, count = _expansions(d, k, todo, first)
+    depth = _waves(size, todo, owner, other)
+    # the pool of rows: handle h < size is the row of word h, size + w row(u) at the columns of the lift of
+    # word w (its factor S_k / S_|u| is lift[w]), with values vals[begin[h] : begin[h] + length[h]] at cols[...]
+    begin, length, lift = np.zeros(2 * size, np.int64), np.zeros(2 * size, np.int64), np.zeros(size, object)
+    begin[lyndon], length[lyndon] = np.arange(lyndon.size), 1
+    cols, vals = [lyndon], [np.full(lyndon.size, scale, dtype=object)]
+    filled = lyndon.size
+    for a in np.flatnonzero(np.bincount(first[todo])).tolist():  # the first-factor lengths present
+        words = todo[first[todo] == a]
+        below, cut = _tables[d, k - a], d ** (k - a)
+        tails = words % cut
+        lengths = below.ptr[tails + 1] - below.ptr[tails]
+        spots = _segments(below.ptr[tails], lengths)
+        lifted = np.repeat(words - tails, lengths) + below.cols[spots]
+        if (first[lifted] != a).any():
+            raise ArithmeticError(f"phi_u holds a Lyndon word > l at level ({d}, {k}): its lift is no column offset")
+        cols.append(lifted)
+        vals.append(below.vals[spots])
+        lift[words] = scale // below.scale
+        begin[size + words] = filled + np.cumsum(lengths) - lengths
+        length[size + words] = lengths
+        filled += spots.size
+    cols, vals = np.concatenate(cols), np.concatenate(vals)
+    # the sources of each row, its lift (coefficient S_k / S_|u|) and the rows of l ⧢ u (-c_o), in wave order;
+    # a source's key is its row's place in the wave times size, to which the columns are added
+    todo = todo[np.argsort(depth[todo], kind="stable")]
+    owner, handle = np.concatenate((todo, owner)), np.concatenate((size + todo, other))
+    coeff = np.concatenate((lift[todo], -count.astype(object)))
+    order = np.lexsort((owner, depth[owner]))
+    owner, handle, coeff = owner[order], handle[order], coeff[order]
+    waves = np.arange(1, depth.max(initial=0) + 2)
+    rows_at, sources_at = np.searchsorted(depth[todo], waves), np.searchsorted(depth[owner], waves)
+    place = np.zeros(size, np.int64)
+    place[todo] = np.arange(todo.size) - rows_at[depth[todo] - 1]
+    key = place[owner] * size
+    lead = lead.astype(object)
+    for w in range(waves.size - 1):
+        words, lo, hi = todo[rows_at[w] : rows_at[w + 1]], sources_at[w], sources_at[w + 1]
+        lengths = length[handle[lo:hi]]
+        spots = _segments(begin[handle[lo:hi]], lengths)
+        at = np.repeat(key[lo:hi], lengths) + cols[spots]
+        order = np.argsort(at, kind="stable")
+        at = at[order]
+        runs = np.flatnonzero(np.concatenate(([True], at[1:] != at[:-1])))
+        terms = vals[spots[order]]
+        terms *= np.repeat(coeff[lo:hi], lengths)[order]
+        sums = np.add.reduceat(terms, runs)
+        live = sums != 0  # drop the monomials that cancel
+        at, sums = at[runs][live], sums[live]
+        rows = at // size
+        leads = lead[words][rows]
+        inexact = np.flatnonzero(sums % leads)
+        if inexact.size:
+            grow = 1
+            for r in set(rows[inexact].tolist()):
+                c = lead[words[r]]
+                grow = math.lcm(grow, c // math.gcd(c, *sums[rows == r].tolist()))
+            scale, vals, sums = scale * grow, vals * grow, sums * grow
+        counts = np.bincount(rows, minlength=words.size)
+        begin[words] = cols.size + np.cumsum(counts) - counts
+        length[words] = counts
+        cols, vals = np.concatenate((cols, at - rows * size)), np.concatenate((vals, sums // leads))
+    spots = _segments(begin[:size], length[:size])  # the rows in word order
+    return _Level(d, k, np.concatenate(([0], np.cumsum(length[:size]))), cols[spots], vals[spots], scale, first)
 
 
-def _first_factor_shuffle(first: tuple, rest: tuple) -> dict:
-    """first ⧢ rest as {word: multiplicity}, over its C(|first| + |rest|, |first|) interleavings (no memo)."""
-    letters = first + rest
-    out: dict = {}
-    for order in _interleavings(len(first), len(rest)):
-        word = tuple([letters[i] for i in order])
-        out[word] = out.get(word, 0) + 1
-    return out
+def _segments(begins: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Positions of the segments [begin, begin + length), one after the other."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(begins - ends + lengths, lengths)
+
+
+def _first_factor_lengths(d: int, k: int) -> np.ndarray:
+    """Length of the first CFL factor of each word of length k, by index: its longest Lyndon prefix.
+
+    A word is Lyndon when each proper suffix is lex-larger, that is when its first s letters are less
+    than its last s letters for every 0 < s < k; a prefix's Lyndon test is read from the level below.
+    """
+    if d == 1:
+        return np.ones(1, np.int64)  # 1^k, whose first factor is 1
+    words = np.arange(d**k, dtype=np.int64)
+    lyndon = np.ones(words.size, bool)
+    for s in range(1, k):
+        lyndon &= words // d ** (k - s) < words % d**s
+    first = np.ones(words.size, np.int64)
+    for a in range(2, k):
+        first[_tables[d, a].first[words // d ** (k - a)] == a] = a
+    first[lyndon] = k
+    return first
+
+
+def _expansions(d: int, k: int, words: np.ndarray, first: np.ndarray) -> tuple:
+    """l ⧢ u of each non-Lyndon word w = l * u (l its first CFL factor), as (lead, owner, other, count):
+    w with multiplicity lead[w], and each other word o (lex-smaller) with multiplicity count, owner w.
+
+    The words of one first-factor length share their interleavings: the shuffled indices of a block of
+    them are one product of their letters with the interleavings' place values, at most about _CHUNK
+    indices held before they are counted, each as owner * d**k + shuffled.
+    """
+    size = d**k
+    lead = np.zeros(size, np.int64)
+    # a ⧢ a^(k-1) = k a^k, one term and no interleavings to enumerate; a^k has index (a - 1) * (1 + d + ... + d^(k-1))
+    power = words % sum(d**j for j in range(k)) == 0
+    lead[words[power]] = k
+    words = words[~power]
+    counted, held = [], []
+    for a in np.flatnonzero(np.bincount(first[words])).tolist():
+        group = words[first[words] == a]
+        places = d ** (k - 1 - _interleavings(a, k - a).T)
+        digits = group[:, None] // d ** np.arange(k - 1, -1, -1) % d
+        step = max(1, _CHUNK // places.shape[1])
+        for s in range(0, group.size, step):
+            held.append((digits[s : s + step] @ places + group[s : s + step, None] * size).ravel())
+            if sum(block.size for block in held) >= _CHUNK:
+                counted.append(_counted(held))
+                held = []
+    counted.append(_counted(held))
+    keys, counts = (np.concatenate(part) for part in zip(*counted))
+    owner, other = keys // size, keys % size
+    own = owner == other
+    lead[owner[own]] = counts[own]
+    return lead, owner[~own], other[~own], counts[~own]
+
+
+def _counted(blocks: list) -> tuple:
+    """The distinct keys of the blocks, ascending, and how often each occurs."""
+    keys = np.sort(np.concatenate(blocks)) if blocks else np.zeros(0, np.int64)
+    runs = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))[: keys.size]
+    return keys[runs], np.diff(np.append(runs, keys.size))
+
+
+def _waves(size: int, todo: np.ndarray, owner: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Wave of each word: 0 for Lyndon words, else one more than the latest wave among the words it
+    is eliminated against (owner[i] against other[i], each owner's edges together; all lex-smaller, so
+    the relaxation ends)."""
+    depth = np.zeros(size, np.int64)
+    depth[todo] = 1
+    if owner.size:
+        heads = np.flatnonzero(np.concatenate(([True], owner[1:] != owner[:-1])))
+        while True:
+            deeper = np.maximum.reduceat(depth[other], heads) + 1
+            grown = deeper > depth[owner[heads]]
+            if not grown.any():
+                break
+            depth[owner[heads][grown]] = deeper[grown]
+    return depth
 
 
 @functools.lru_cache(maxsize=None)
-def _interleavings(a: int, b: int) -> tuple:
-    """Each interleaving of letters 0..a-1 with a..a+b-1 as its tuple of indices (ints only, so untracked by gc)."""
+def _interleavings(a: int, b: int) -> np.ndarray:
+    """The C(a + b, a) interleavings of letters 0..a-1 with a..a+b-1, one row each: the output spot of
+    every input letter (read-only int64; no Python objects, so untracked by gc)."""
     spots = range(a + b)
-    return tuple(
-        tuple(sorted(spots, key=(*places, *(p for p in spots if p not in places)).__getitem__))
-        for places in itertools.combinations(spots, a)
-    )
-
-
-def _divide(level: dict, scale: list, row: dict, leading: int) -> dict:
-    """row / leading, after growing S_k = scale[0] and the level's rows by the least factor making it exact."""
-    grow = leading // math.gcd(leading, *row.values())
-    if grow > 1:
-        scale[0] *= grow
-        for built in level.values():
-            for mono in built:
-                built[mono] *= grow
-        row = {mono: c * grow for mono, c in row.items()}
-    return {mono: c // leading for mono, c in row.items()}
+    rows = [(*places, *(p for p in spots if p not in places)) for places in itertools.combinations(spots, a)]
+    out = np.array(rows, dtype=np.int64).reshape(len(rows), a + b)
+    out.flags.writeable = False
+    return out
 
 
 class _LevelStore(dict):
-    """(d, k) -> (rows, S_k), each level stored once complete; `cache_info`, `clear` as on an lru_cache."""
+    """(d, k) -> `_Level`, each level stored once complete; `cache_info`, `clear` as on an lru_cache."""
 
     hits = misses = 0
 
-    def level(self, d: int, k: int) -> tuple:
-        """The stored (rows, S_k) of level k over d letters, built with the missing levels below on first request."""
+    def level(self, d: int, k: int) -> _Level:
+        """The stored level k over d letters, built with the missing levels below on first request."""
         with _tables_lock:
             self.hits += (d, k) in self
             self._fill(d, k)
@@ -364,7 +526,7 @@ def normal_form_table(d: int, n: int) -> NormalFormTable:
 
 def normal_form(word: Sequence[int], d: int, n: int) -> LyndonPolynomial:
     """Rewriting polynomial of one word over the Lyndon variables."""
-    word = tuple(word)
+    word = _checked_word(word, d)
     if len(word) > n:
         raise ValueError(f"word longer than truncation order {n}")
     return normal_form_table(d, n).phi(word)
@@ -379,15 +541,16 @@ def lyndon_coordinates(series: TensorSeries) -> dict:
 def expand_from_lyndon(values: dict, d: int, n: int) -> TensorSeries:
     """Unique group-like series with the given Lyndon coordinates.
 
-    The scalar mode of the coordinates is decided once (`scalar_mode`), and
-    each level is summed from the integer rows of the normal-form table.
+    The scalar mode of the coordinates is decided once (`scalar_mode`).
     Exact coordinates v_w are put over one denominator D
-    (`scalars.integer_multiple`) as the integers a_w = v_w * D^|w|, so a
-    monomial of total length k lies over D^k and level k is an integer
-    level over S_k * D^k.  Float coordinates weight a monomial by the float
-    c / S_k (int true division rounds correctly, as `Fraction`-with-`float`
-    arithmetic does), multiply in its order, and give the constant term
-    1.0; coordinates of any other type are weighted by the `Fraction` c / S_k.
+    (`scalars.integer_multiple`) as the integers a_w = v_w * D^|w|, so
+    level k is an integer level over S_k * D^k: a column's monomial value
+    is the value at its first factor times that of its tail one level down
+    (one gather per level), and a row is one `reduceat`.  Float coordinates
+    weight a monomial by the float c / S_k (int true division rounds as
+    `Fraction`-with-`float` arithmetic does), multiply in its order, sum a
+    row term by term in column order, as `poly_eval` over `table` does, and
+    give the constant term 1.0; other coordinates take the `Fraction` c / S_k.
     """
     values = {tuple(w): v for w, v in values.items()}
     basis = lyndon_words(d, n)
@@ -395,27 +558,44 @@ def expand_from_lyndon(values: dict, d: int, n: int) -> TensorSeries:
     if missing:
         raise ValueError(f"missing Lyndon coordinates: {missing[:3]}...")
     mode, coords = scalar_mode(values[w] for w in basis.words)
-    exact = mode in (int, Fraction)
-    if exact:
+    stored = [_tables.level(d, k) for k in range(1, n + 1)]
+    if mode in (int, Fraction):
         coords, den = integer_multiple(coords)
-        coords = [a * den ** (len(w) - 1) for w, a in zip(basis.words, coords.tolist())]
-    elif mode is float:
+        # words of every length <= n in one array: the word of index i of length k at spot start[k] + i
+        start = np.cumsum([0] + [d**k for k in range(n + 1)])
+        known = np.zeros(start[-1], dtype=object)
+        for w, a in zip(basis.words, coords.tolist()):
+            known[start[len(w)] + word_index(w, d)] = a * den ** (len(w) - 1)
+        product = np.empty(start[-1], dtype=object)
+        product[0] = 1
+        levels = [LevelTensor(d, 0, [Fraction(1)])]
+        for level in stored:
+            k, a = level.k, level.first
+            cut = d ** (k - a)
+            col = np.arange(d**k)
+            product[start[k] : start[k + 1]] = known[start[a] + col // cut] * product[start[k - a] + col % cut]
+            entries = np.add.reduceat(level.vals * product[start[k] + level.cols], level.ptr[:-1])
+            levels.append(LevelTensor._of(d, k, entries, level.scale * den**k, Fraction))
+        return TensorSeries(d, n, levels)
+    if mode is float:
         coords = map(float, coords)
     coords = dict(zip(basis.words, coords))
+    _decode(stored)
     levels = [LevelTensor(d, 0, [1.0 if mode is float else Fraction(1)])]
-    for k in range(1, n + 1):
-        rows, scale = _tables.level(d, k)
+    for level in stored:
+        scale, ptr = level.scale, level.ptr.tolist()
+        factors = [[coords[w] for w in mono] for mono in level.monomials]
+        terms = []
+        for c, v in zip(level.cols.tolist(), level.vals.tolist()):
+            term = v / scale if mode is float else Fraction(v, scale)
+            for x in factors[c]:
+                term = term * x
+            terms.append(term)
         entries = []
-        for word in all_words(d, k):
+        for lo, hi in zip(ptr, ptr[1:]):
             total = 0
-            for mono, c in rows[word].items():
-                term = c if exact else c / scale if mode is float else Fraction(c, scale)
-                for w in mono:
-                    term = term * coords[w]
+            for term in terms[lo:hi]:
                 total = total + term
             entries.append(total)
-        if exact:
-            levels.append(LevelTensor._of(d, k, np.array(entries, dtype=object), scale * den**k, Fraction))
-        else:
-            levels.append(LevelTensor(d, k, entries))
+        levels.append(LevelTensor(d, level.k, entries))
     return TensorSeries(d, n, levels)

@@ -395,6 +395,12 @@ def test_normal_form_rejects_letters_outside_the_alphabet(capsys):
     assert code == 2 and "letter 'x'" in err
 
 
+def test_normal_form_of_the_empty_word_is_a_one_line_usage_error(capsys):
+    code, out, err = run_cli(capsys, "normal-form", "--d", "3", "--n", "4", "--word", "")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "--word '' is empty" in err
+
+
 def test_malformed_inputs_are_usage_errors_that_name_the_fault(tmp_path, capsys):
     listed = write_json(tmp_path, "list.json", [["1", "0"]])
     no_components = write_json(tmp_path, "mix.json", {"components": []})

@@ -136,6 +136,18 @@ def test_normal_form_base_cases():
         normal_form((1, 2, 1, 1), 2, 3)
 
 
+def test_empty_and_out_of_alphabet_words_have_no_normal_form():
+    table = NormalFormTable(3, 4)
+    for call in (lambda: normal_form((), 3, 4), lambda: table.phi(())):
+        with pytest.raises(ValueError, match=r"word \(\) is empty"):
+            call()
+    for call in (lambda: normal_form((4, 1), 3, 4), lambda: table.phi((4, 1)), lambda: table.phi([1, 0])):
+        with pytest.raises(ValueError, match=r"word \((4, 1|1, 0)\): letter (4|0) outside alphabet 1\.\.3"):
+            call()
+    with pytest.raises(ValueError, match="'11111' longer than truncation order 4"):
+        table.phi((1,) * 5)
+
+
 def _shuffle_rewrite(table, word):
     """Radford's rewrite of a non-Lyndon word from the shuffle of its Lyndon factors."""
     factors = cfl_factorization(word)
@@ -178,27 +190,89 @@ def test_integer_rows_equal_the_shuffle_rewrite_and_write_its_json(shape):
     assert table.to_json() == {"dim": d, "trunc": n, "forms": forms}
 
 
+def _stored(level):
+    """A stored level as plain lists: row pointers, columns, values, scale and first-factor lengths."""
+    return level.ptr.tolist(), level.cols.tolist(), level.vals.tolist(), level.scale, level.first.tolist()
+
+
+def _phi_rows(level):
+    """The rows of a level as (column, Fraction) pairs, whatever its scale."""
+    ptr, cols, vals, scale, _ = _stored(level)
+    return [[(c, Fraction(v, scale)) for c, v in zip(cols[lo:hi], vals[lo:hi])] for lo, hi in zip(ptr, ptr[1:])]
+
+
 def test_growing_a_level_scale_rescales_the_rows_built_at_that_level():
     # a private level from the level builder: rescaling a stored level would reach every table
-    level, scale = lyndon._build_level(2, 3)
-    before = {w: {m: Fraction(c, scale) for m, c in row.items()} for w, row in level.items()}
-    box = [scale]
-    row = lyndon._divide(level, box, {((1,), (1,), (2,)): 1}, 7)
-    assert box[0] == 7 * scale and row == {((1,), (1,), (2,)): 1}
-    assert {w: {m: Fraction(c, box[0]) for m, c in row.items()} for w, row in level.items()} == before
-    assert lyndon._divide(level, box, {((1,), (1,), (2,)): 14}, 7) == {((1,), (1,), (2,)): 2}
-    assert box[0] == 7 * scale
+    lyndon._tables.clear()
+    below = _stored(lyndon._tables.level(2, 2))
+    stored = lyndon._tables.level(2, 3)
+    # started at S_2 = 2, the first wave meets 1 ⧢ 11 = 3 * 111 with the lift 1: S_3 grows to 6, and the
+    # Lyndon rows and lifts built before that wave are rescaled with it
+    grown = lyndon._build_level(2, 3, start=1)
+    assert grown.scale == stored.scale == 6
+    assert _stored(grown) == _stored(stored)
+    assert _stored(lyndon._tables.level(2, 2)) == below
+
+
+@PROPERTY
+@given(st.sampled_from(TABLE_SHAPES))
+def test_levels_started_below_k_factorial_grow_their_scale_to_the_same_phi(shape):
+    d, n = shape
+    for k in range(2, n + 1):
+        stored = lyndon._tables.level(d, k)
+        grown = lyndon._build_level(d, k, start=1)  # S_k starts at S_(k-1) = (k-1)!; a^k needs a factor k
+        assert grown.scale > lyndon._tables.level(d, k - 1).scale
+        assert grown.scale % math.factorial(k) == 0
+        assert _phi_rows(grown) == _phi_rows(stored)
+
+
+@PROPERTY
+@given(st.sampled_from(TABLE_SHAPES))
+def test_a_tiny_expansion_chunk_builds_identical_levels(shape):
+    d, n = shape
+    lyndon._tables.clear()
+    reference = [_stored(lyndon._tables.level(d, k)) for k in range(1, n + 1)]
+    lyndon._tables.clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lyndon, "_CHUNK", 1)  # one word's interleavings per block, counted block by block
+        assert [_stored(lyndon._tables.level(d, k)) for k in range(1, n + 1)] == reference
+    lyndon._tables.clear()
+
+
+@PROPERTY
+@given(st.sampled_from(TABLE_SHAPES))
+def test_the_first_factor_shuffle_of_a_non_lyndon_word_tops_out_at_the_word(shape):
+    d, n = shape
+    for k in range(2, n + 1):
+        for word in all_words(d, k):
+            first = cfl_factorization(word)[0]
+            if first != word:
+                terms = shuffle_word_list([first, word[len(first) :]]).terms
+                assert max(terms) == word and terms[word] > 0
+
+
+@PROPERTY
+@given(st.sampled_from(TABLE_SHAPES))
+def test_the_lyndon_words_of_phi_u_are_at_most_the_first_factor(shape):
+    # so the lift x_l * phi_u appends l to each monomial and is a column offset
+    d, n = shape
+    table = NormalFormTable(d, n)
+    for k in range(2, n + 1):
+        for word in all_words(d, k):
+            first = cfl_factorization(word)[0]
+            if first != word:
+                assert all(w <= first for mono in table.phi(word[len(first) :]) for w in mono), word
 
 
 def _snapshot(table):
-    """Rows, scales, Fraction view, JSON and an exact and a float expansion of one table."""
+    """Stored levels, Fraction view, JSON and an exact and a float expansion of one table."""
     rng = random.Random(table.d * 100 + table.n)
     coords = {w: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for w in table.basis.words}
     expansions = [
         [[(repr(v), type(v)) for v in level.entries] for level in expand_from_lyndon(c, table.d, table.n).levels]
         for c in (coords, {w: float(v) for w, v in coords.items()})
     ]
-    return table._rows, table._scales, table.table, table.to_json(), expansions
+    return [_stored(level) for level in table._levels], table.table, table.to_json(), expansions
 
 
 @PROPERTY
@@ -242,8 +316,8 @@ def test_threads_building_one_cold_table_store_each_level_once():
     # a lost update of the counts, or a level built twice, breaks the exact counts
     assert sorted(lyndon._tables) == [(3, k) for k in range(1, 6)]
     assert lyndon._tables.cache_info() == (4 * 5 - 5, 5, 5)
-    # the four tables hold the same stored row objects
-    assert all(row is tables[0]._rows[w] for table in tables[1:] for w, row in table._rows.items())
+    # the four tables hold the same stored level objects
+    assert all(level is tables[0]._levels[k] for table in tables[1:] for k, level in enumerate(table._levels))
     assert all(_snapshot(table) == _snapshot(tables[0]) for table in tables[1:])
 
 
@@ -252,15 +326,15 @@ def test_a_level_whose_build_fails_is_never_stored(monkeypatch):
     reference = _snapshot(NormalFormTable(2, 5))
     lyndon._tables.clear()
     calls = []
-    expand = lyndon._first_factor_shuffle
+    segments = lyndon._segments
 
-    def interrupted(first, rest):
-        calls.append((first, rest))
-        if len(calls) == 20:
+    def interrupted(begins, lengths):
+        calls.append(len(begins))
+        if len(calls) == 22:  # the second wave of level 5, after its lifts and first wave
             raise KeyboardInterrupt
-        return expand(first, rest)
+        return segments(begins, lengths)
 
-    monkeypatch.setattr(lyndon, "_first_factor_shuffle", interrupted)
+    monkeypatch.setattr(lyndon, "_segments", interrupted)
     with pytest.raises(KeyboardInterrupt):
         NormalFormTable(2, 5)
     built = sorted(lyndon._tables)
@@ -271,16 +345,16 @@ def test_a_level_whose_build_fails_is_never_stored(monkeypatch):
 
 def test_levels_reached_cold_out_of_order_equal_the_levels_built_in_order():
     lyndon._tables.clear()
-    in_order = {k: lyndon._tables.level(3, k) for k in range(1, 6)}
+    in_order = {k: _stored(lyndon._tables.level(3, k)) for k in range(1, 6)}
     lyndon._tables.clear()
-    assert lyndon._tables.level(3, 5) == in_order[5]
+    assert _stored(lyndon._tables.level(3, 5)) == in_order[5]
     assert lyndon._tables.cache_info() == (0, 5, 5)
-    assert {k: lyndon._tables.level(3, k) for k in (2, 4, 1, 3)} == {k: in_order[k] for k in (2, 4, 1, 3)}
+    assert {k: _stored(lyndon._tables.level(3, k)) for k in (2, 4, 1, 3)} == {k: in_order[k] for k in (2, 4, 1, 3)}
     assert lyndon._tables.cache_info() == (4, 5, 5)
     # a cold deep level is built bottom-up in a loop, not one recursion per level
     lyndon._tables.clear()
-    rows, scale = lyndon._tables.level(1, 1500)
-    assert rows == {(1,) * 1500: {((1,),) * 1500: 1}} and scale == math.factorial(1500)
+    # one row: the monomial (1,)^1500 at the column of its CFL word 1^1500, index 0, over 1500!
+    assert _stored(lyndon._tables.level(1, 1500)) == ([0, 1], [0], [1], math.factorial(1500), [1])
     assert lyndon._tables.cache_info() == (0, 1500, 1500)
     lyndon._tables.clear()
 
