@@ -24,9 +24,9 @@ Polynomial signatures and group-element recovery are timed through their
 public functions on seeded rational inputs (group elements: the top level
 of a (d+1)-step path; at CHANGE_SHAPE that path's first coordinate returns
 to 0, so the 1...1 entry vanishes and recovery descends along letter 2).  `tensor_congruence` acts
-on the axis core prebuilt at each Chen shape (m, n) by a seeded d x m
-matrix, exact or float; a float matrix meets the exact core, as in
-`pl_signature_congruence` of float steps, and uses the core's `to_float()`,
+on the axis core prebuilt at each (m, k) of CONGRUENCE_SHAPES (the Chen
+shapes and (4, 6, 8)) by a seeded d x m matrix, exact or float; a float
+matrix meets the exact core, as in `pl_signature_congruence` of float steps, and uses the core's `to_float()`,
 which the level keeps after the warm-up call.  The
 shuffle-law tests `is_grouplike` and `is_lie` run on member inputs (the
 series of a (d+1)-step path and its logarithm), so each call checks every
@@ -110,6 +110,7 @@ SHUFFLE_SHAPES = [(2, 8), (3, 6), (4, 5)]  # (d, n)
 EXPAND_SHAPES = [(3, 5), (3, 6)]  # (d, n), as in the algebra workload
 CORE_SHAPES = [("pl", 4, 5), ("poly", 4, 5), ("pl", 6, 6), ("poly", 6, 6), ("pl", 10, 6)]  # (family, m, k)
 CHEN_SHAPES = [(3, 3, 4), (2, 5, 6), (3, 5, 5), (3, 10, 6), (4, 4, 5)]  # (d, m, n), as in the forward workload
+CONGRUENCE_SHAPES = CHEN_SHAPES + [(4, 6, 8)]  # (d, m, k) of tensor_congruence: 6^8 core entries at the last
 SERIES_SHAPE = (3, 6)  # (d, n) of exp_series, log_series and concat_product
 LOG_SHAPE = (3, 5)  # (d, n) of log_series, as in the algebra workload
 EXPECTED_SHAPE = (3, 5)  # (d, n) of expected_signature, and of exp_series on its exponent
@@ -327,7 +328,7 @@ def layers():
         shape = {"d": d, "m": d + 1, "n": n}
         for scalar, mode in (("exact", "rational"), ("float", "real")):
             out.append(("recovery.recover_group_element", shape, scalar, lambda t=top, mode=mode: recover_group_element(t, mode=mode)))
-    for d, m, n in CHEN_SHAPES:
+    for d, m, n in CONGRUENCE_SHAPES:
         values = _rationals(d * 100 + m * 10 + n + 2, d * m)
         matrix = [values[i * m : (i + 1) * m] for i in range(d)]
         core = canonical_axis(m, n)

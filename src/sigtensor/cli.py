@@ -10,6 +10,7 @@ diagnostics go to stderr.  Exit codes: 0 success / property true,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -66,10 +67,21 @@ def _emit(payload) -> None:
         text = json.dumps(payload, separators=(",", ":"), allow_nan=False) + "\n"
     except ValueError:
         raise NumericalFailure("the result holds a NaN or infinite float, which JSON cannot carry") from None
-    # in writes of PIPE_BUF bytes: a longer write to a pipe may be cut short when the
-    # reader leaves, and an unbuffered stdout (python -u) drops the rest silently
-    for start in range(0, len(text), 4096):
-        sys.stdout.write(text[start : start + 4096])
+    _write([text])
+
+
+def _write(parts) -> None:
+    """The concatenated strings on stdout, in writes of PIPE_BUF bytes: a longer write to a pipe
+    may be cut short when the reader leaves, and an unbuffered stdout (python -u) drops the rest
+    silently."""
+    held = ""
+    for part in parts:
+        text = held + part
+        full = len(text) - len(text) % 4096
+        for start in range(0, full, 4096):
+            sys.stdout.write(text[start : start + 4096])
+        held = text[full:]
+    sys.stdout.write(held)
     sys.stdout.flush()
 
 
@@ -167,8 +179,9 @@ def cmd_normal_form(args) -> int:
     table = normal_form_table(args.d, args.n)
     if args.word is not None:
         _emit(poly_to_json(word, table.phi(word), args.d))
-    else:
-        _emit(table.to_json())
+    else:  # table.to_json(), one form at a time: the whole table is never held as JSON
+        forms = (("," if i else "") + json.dumps(form, separators=(",", ":")) for i, form in enumerate(table.forms()))
+        _write(itertools.chain([f'{{"dim":{args.d},"trunc":{args.n},"forms":['], forms, ["]}\n"]))
     return EXIT_OK
 
 

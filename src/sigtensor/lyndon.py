@@ -11,9 +11,11 @@ Each level (d, k) is built once per process, bottom-up, into `_tables`:
 CSR rows of the integers S_k * phi_w, whose columns are the indices of
 the CFL words of monomials (`_Level`).  A non-Lyndon word l * u, l its
 first CFL factor, is eliminated against l ⧢ u = x_l * phi_u, a lift that
-is a column offset, in waves of independent rows (`_build_level`).  Exact
-expansions sum a row by one `reduceat`; float ones term by term in column
-order, as `poly_eval` sums `NormalFormTable.table`.
+is a column offset, in waves of independent rows (`_build_level`), on
+int64 while a bound certifies that no partial sum reaches 2^63, else on
+Python ints (`scalars.int_kind`).  Exact expansions sum a row by one
+`reduceat`; float ones term by term in column order, as `poly_eval` sums
+`NormalFormTable.table`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from .scalars import format_ratio, format_scalar, integer_multiple, parse_scalar, scalar_mode
+from .scalars import format_ratio, format_scalar, int_kind, integer_multiple, parse_scalar, scalar_mode
 from .tensor import LevelTensor, TensorSeries, series_from_level
 from .words import all_words, check_word, word_from_string, word_index, word_to_string
 
@@ -249,14 +251,18 @@ class NormalFormTable:
         return level.poly(word_index(word, self.d))
 
     def to_json(self) -> dict:
+        return {"dim": self.d, "trunc": self.n, "forms": list(self.forms())}
+
+    def forms(self):
+        """The JSON forms of `to_json`, one non-Lyndon word at a time in word order."""
         _decode(self._levels)
         rows = []
         for level in self._levels:
             firsts = level.first.tolist()
             rows += [(word, level, i) for i, word in enumerate(all_words(self.d, level.k)) if firsts[i] < level.k]
         names = {w: word_to_string(w, self.d) for w in self.basis.words}  # each variable written once
-        forms = [_form_json(word_to_string(word, self.d), level.formatted(i), names) for word, level, i in sorted(rows)]
-        return {"dim": self.d, "trunc": self.n, "forms": forms}
+        for word, level, i in sorted(rows):
+            yield _form_json(word_to_string(word, self.d), level.formatted(i), names)
 
 
 def _checked_word(word: Sequence[int], d: int) -> tuple:
@@ -272,8 +278,10 @@ def _checked_word(word: Sequence[int], d: int) -> tuple:
 
 class _Level:
     """Level (d, k): row i, of the word of index i, is S_k * phi at the ascending columns cols[ptr[i]:ptr[i+1]],
-    values vals[...] (Python ints, S_k = `scale`).  Column c stands for the monomial of the CFL factors of word
-    c (they match one to one); first[c] is the length of its first factor.  `monomials` is filled by `_decode`.
+    values vals[...] (int64, or object Python ints where the build left int64; S_k = `scale`, a Python int;
+    readers take `tolist()` or meet an object array).  Column c stands for the monomial of the CFL factors of
+    word c (they match one to one); first[c] is the length of its first factor.  `monomials` is filled by
+    `_decode`.
     """
 
     __slots__ = ("d", "k", "ptr", "cols", "vals", "scale", "first", "monomials")
@@ -319,20 +327,24 @@ def _build_level(d: int, k: int, start: int | None = None) -> _Level:
     word of phi_u is <= l (checked), so the lift appends l to each monomial: columns offset by
     idx(l) * d**|u|.  Each wave of rows whose o are all built is one gather, sort and `reduceat`.
     An inexact division by c_w grows S_k and the level's rows by the least factor making it exact.
+    The pool of rows is int64 while S_k, every value and every partial sum of a wave, at most the
+    largest |value| times the largest |coefficient| times the wave's terms, are below 2^63; past that,
+    or once S_k grows, it is object for the rest of the level (as is a level built on an object one).
     """
     with _tables_lock:
         _tables._fill(d, k - 1)
     size = d**k
     first = _first_factor_lengths(d, k)
     scale = math.lcm(math.factorial(k) if start is None else start, _tables[d, k - 1].scale if k > 1 else 1)
+    kind = int_kind(scale)  # S_k bounds the lifts and the Lyndon rows; counts, leads and the levels below fit
     lyndon, todo = np.flatnonzero(first == k), np.flatnonzero(first < k)
     lead, owner, other, count = _expansions(d, k, todo, first)
     depth = _waves(size, todo, owner, other)
     # the pool of rows: handle h < size is the row of word h, size + w row(u) at the columns of the lift of
     # word w (its factor S_k / S_|u| is lift[w]), with values vals[begin[h] : begin[h] + length[h]] at cols[...]
-    begin, length, lift = np.zeros(2 * size, np.int64), np.zeros(2 * size, np.int64), np.zeros(size, object)
+    begin, length, lift = np.zeros(2 * size, np.int64), np.zeros(2 * size, np.int64), np.zeros(size, kind)
     begin[lyndon], length[lyndon] = np.arange(lyndon.size), 1
-    cols, vals = [lyndon], [np.full(lyndon.size, scale, dtype=object)]
+    cols, vals = [lyndon], [np.full(lyndon.size, scale, dtype=kind)]
     filled = lyndon.size
     for a in np.flatnonzero(np.bincount(first[todo])).tolist():  # the first-factor lengths present
         words = todo[first[todo] == a]
@@ -349,12 +361,12 @@ def _build_level(d: int, k: int, start: int | None = None) -> _Level:
         begin[size + words] = filled + np.cumsum(lengths) - lengths
         length[size + words] = lengths
         filled += spots.size
-    cols, vals = np.concatenate(cols), np.concatenate(vals)
+    cols, vals = np.concatenate(cols), np.concatenate(vals)  # object when a level below is
     # the sources of each row, its lift (coefficient S_k / S_|u|) and the rows of l ⧢ u (-c_o), in wave order;
     # a source's key is its row's place in the wave times size, to which the columns are added
     todo = todo[np.argsort(depth[todo], kind="stable")]
     owner, handle = np.concatenate((todo, owner)), np.concatenate((size + todo, other))
-    coeff = np.concatenate((lift[todo], -count.astype(object)))
+    coeff = np.concatenate((lift[todo], -count))
     order = np.lexsort((owner, depth[owner]))
     owner, handle, coeff = owner[order], handle[order], coeff[order]
     waves = np.arange(1, depth.max(initial=0) + 2)
@@ -362,11 +374,16 @@ def _build_level(d: int, k: int, start: int | None = None) -> _Level:
     place = np.zeros(size, np.int64)
     place[todo] = np.arange(todo.size) - rows_at[depth[todo] - 1]
     key = place[owner] * size
-    lead = lead.astype(object)
+    # top: the largest |value| in an int64 pool (None once the pool is object), most: the largest |coefficient|
+    top = int(np.abs(vals).max(initial=0)) if vals.dtype == np.int64 else None
+    most = int(np.abs(coeff).max(initial=0))
     for w in range(waves.size - 1):
         words, lo, hi = todo[rows_at[w] : rows_at[w + 1]], sources_at[w], sources_at[w + 1]
         lengths = length[handle[lo:hi]]
         spots = _segments(begin[handle[lo:hi]], lengths)
+        # a partial sum of a row adds at most spots.size terms, each at most top * most
+        if top is not None and int_kind(top * most * spots.size) is object:
+            vals, coeff, top = vals.astype(object), coeff.astype(object), None
         at = np.repeat(key[lo:hi], lengths) + cols[spots]
         order = np.argsort(at, kind="stable")
         at = at[order]
@@ -380,17 +397,35 @@ def _build_level(d: int, k: int, start: int | None = None) -> _Level:
         leads = lead[words][rows]
         inexact = np.flatnonzero(sums % leads)
         if inexact.size:
+            vals, sums, top = vals.astype(object), sums.astype(object), None  # S_k grows past any bound
             grow = 1
             for r in set(rows[inexact].tolist()):
-                c = lead[words[r]]
+                c = int(lead[words[r]])
                 grow = math.lcm(grow, c // math.gcd(c, *sums[rows == r].tolist()))
-            scale, vals, sums = scale * grow, vals * grow, sums * grow
+            scale, sums = scale * grow, sums * grow
+            vals[:filled] *= grow
+        sums //= leads
+        if top is not None:
+            top = max(top, int(np.abs(sums).max(initial=0)))
         counts = np.bincount(rows, minlength=words.size)
-        begin[words] = cols.size + np.cumsum(counts) - counts
+        begin[words] = filled + np.cumsum(counts) - counts
         length[words] = counts
-        cols, vals = np.concatenate((cols, at - rows * size)), np.concatenate((vals, sums // leads))
+        del spots, order, terms, runs, live  # the wave's gathers go before the pool may grow
+        cols, vals = _room(cols, filled, sums.size), _room(vals, filled, sums.size)
+        cols[filled : filled + sums.size], vals[filled : filled + sums.size] = at - rows * size, sums
+        filled += sums.size
     spots = _segments(begin[:size], length[:size])  # the rows in word order
     return _Level(d, k, np.concatenate(([0], np.cumsum(length[:size]))), cols[spots], vals[spots], scale, first)
+
+
+def _room(pool: np.ndarray, filled: int, extra: int) -> np.ndarray:
+    """The pool, or a copy of its first `filled` entries with room for at least `extra` more: the room
+    doubles, so each entry is copied a bounded number of times."""
+    if filled + extra <= pool.size:
+        return pool
+    out = np.empty(max(2 * pool.size, filled + extra), pool.dtype)
+    out[:filled] = pool[:filled]
+    return out
 
 
 def _segments(begins: np.ndarray, lengths: np.ndarray) -> np.ndarray:

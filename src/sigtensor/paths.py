@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .scalars import integer_multiple, parse_int, parse_list, parse_object, parse_rows, parse_scalar, scalar_mode
+from .scalars import int_kind, integer_multiple, parse_int, parse_list, parse_object, parse_rows, parse_scalar, scalar_mode
 from .shuffle import is_lie
 from .tensor import (
     LevelTensor,
@@ -178,8 +178,8 @@ def canonical_mono(m: int, k: int) -> LevelTensor:
     """
     if m < 1 or k < 1:
         raise ValueError("need m >= 1 and k >= 1")
-    # prefix sums are at most m, 2m, ..., km, so no product exceeds m^k k!
-    dtype = np.int64 if m**k * math.factorial(k) < 2**63 else object
+    # prefix sums are at most m, 2m, ..., km, so no product (nor gcd) exceeds m^k k!: int64 below 2^63
+    dtype = int_kind(m**k * math.factorial(k))
     letters = np.indices((m,) * k, dtype=dtype).reshape(k, -1) + 1
     numerators = np.prod(letters, axis=0)
     denominators = np.prod(np.cumsum(letters, axis=0), axis=0)

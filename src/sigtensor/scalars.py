@@ -9,6 +9,9 @@ it is one term of a sum.
 `integer_multiple` is the one conversion of exact values to Python ints over
 one denominator; exact levels, congruence matrices, polynomial coefficients,
 Lyndon coordinates and the fraction-free elimination all enter through it.
+
+`int_kind` is the one rule for the dtype of an exact integer kernel: int64
+when a bound certifies that no partial sum reaches 2^63, object otherwise.
 """
 
 from __future__ import annotations
@@ -21,6 +24,18 @@ import numpy as np
 
 #: Relative tolerance used for float comparisons when none is given.
 DEFAULT_REL_TOL = 1e-10
+
+_INT64_LIMIT = 2**63  # the first magnitude an int64 cannot hold
+
+
+def int_kind(bound: int):
+    """np.int64 when the Python int `bound`, a bound on |every partial sum| of an
+    integer kernel, is below 2^63, else object (Python ints, unbounded).
+
+    The same kernel lines run on either dtype; its callers read the results
+    back as Python ints (`tolist`, `astype(object)`).
+    """
+    return np.int64 if bound < _INT64_LIMIT else object
 
 
 def is_exact(x) -> bool:

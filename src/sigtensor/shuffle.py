@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .scalars import DEFAULT_REL_TOL, values_close
+from .scalars import DEFAULT_REL_TOL, int_kind, values_close
 from .tensor import LevelTensor, TensorSeries
 from .words import index_word, word_index
 
@@ -111,26 +112,42 @@ def _first_violation(series: TensorSeries, tol: float | None, grouplike: bool):
     with I <= J when |I| = |J|.  With no tol (or tol 0, which asks for
     equality) and every level exact, the levels are read as their own
     integers T_k = A_k / L_k (`LevelTensor.as_integers`), and the group-like
-    law is checked as F * L_r * L_s == A_r (x) A_s * L_k.  Otherwise every
-    level is read as its `to_float()`, so an exact series checked with a
-    positive tol is compared in floats.
+    law is checked as F * L_r * L_s == A_r (x) A_s * L_k, both scales divided
+    by their gcd.  A (k, r) step runs on int64 when both sides are certified
+    below 2^63, by C(k, r) max|A_k| L_r L_s and max|A_r| max|A_s| L_k
+    (`scalars.int_kind`), else on Python ints.  Otherwise every level is
+    read as its `to_float()`, so an exact series checked with a positive tol
+    is compared in floats.
     """
     d = series.d
     integers = not tol and all(lvl.is_exact() for lvl in series.levels[1:])
 
     @functools.cache
     def level(k):
-        return series.levels[k].as_integers() if integers else (series.levels[k].to_float().array, 1)
+        """(values, scale, bound): level k as A_k over L_k and max(1, max|A_k|), or as floats over 1."""
+        if integers:
+            values, scale = series.levels[k].as_integers()
+            return values, scale, int(np.abs(values).max(initial=1))
+        return series.levels[k].to_float().array, 1, 1
 
     for total in range(2, series.n + 1):
-        top, top_scale = level(total)
+        top, top_scale, top_bound = level(total)
         for r in range(1, total // 2 + 1):
-            forms, rhs, rhs_scale = _forms(top.reshape((d,) * total), r), 0, 1
+            rhs, rhs_scale, rhs_bound, kind = 0, 1, 0, float
             if grouplike:
-                (a, a_scale), (b, b_scale) = level(r), level(total - r)
-                rhs, rhs_scale = np.multiply.outer(a, b), a_scale * b_scale
+                (a, a_scale, a_bound), (b, b_scale, b_bound) = level(r), level(total - r)
+                rhs_scale, rhs_bound = a_scale * b_scale, a_bound * b_bound
             if integers:
-                miss = forms * rhs_scale != rhs * top_scale
+                # F * L_r * L_s == (A_r (x) A_s) * L_total, both scales divided by their gcd; a form sums
+                # C(total, r) entries of A_total, so no partial sum of either side reaches the bound
+                g = math.gcd(rhs_scale, top_scale)
+                form_scale, rhs_scale = rhs_scale // g, top_scale // g
+                kind = int_kind(max(math.comb(total, r) * top_bound * form_scale, rhs_bound * rhs_scale))
+            forms = _forms(top.astype(kind, copy=False).reshape((d,) * total), r)
+            if grouplike:
+                rhs = np.multiply.outer(a.astype(kind, copy=False), b.astype(kind, copy=False))
+            if integers:
+                miss = forms * form_scale != rhs * rhs_scale
             else:
                 scale = np.maximum(np.maximum(abs(forms), abs(rhs)), 1.0)
                 miss = ~(abs(forms - rhs) <= (DEFAULT_REL_TOL if tol is None else tol) * scale)
