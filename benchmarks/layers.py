@@ -18,7 +18,7 @@ divided by the reference loop run right after it ("parent_scaled",
 speed changed while the layers ran.  Both trees must share the private calling convention
 used below (`_core_level(...).to_float()`, `_core_level(...).as_integers()`,
 `_image_and_jacobian(core, x)`, `matrices._rank_mod_p`, `lyndon._tables.clear`
-and `lyndon._interleavings.cache_clear`); the residue row
+and `shuffle._shuffle.cache_clear`); the residue row
 runs only on a tree with `_jacobian_residues`.
 Polynomial signatures and group-element recovery are timed through their
 public functions on seeded rational inputs (group elements: the top level
@@ -46,9 +46,9 @@ The canonical cores `canonical_axis`/`canonical_mono` are timed cold at
 CORE_SHAPES (each call builds a fresh core; the `_core_level` cache is
 emptied first too, through `getattr(..., "cache_clear", None)`), and
 `pl_signature_congruence` warm on seeded float steps at the Chen shapes.
-`normal_form_table` is timed cold at the shuffle shapes: `lyndon._tables`, the
-interleavings cache `lyndon._interleavings` and the shuffle memo are emptied
-before every call, as in a fresh process.  `expand_from_lyndon` is
+`normal_form_table` is timed cold at the shuffle shapes: `lyndon._tables` and
+the interleavings cache `shuffle._shuffle` are emptied before every call, as
+in a fresh process.  `expand_from_lyndon` is
 timed warm (its table built by the warm-up call) at EXPAND_SHAPES on the
 Lyndon coordinates of a seeded (d+1)-step path, exact and as floats.  Two
 rows time a call right after a larger or equal build in the same process
@@ -354,7 +354,7 @@ def layers():
         steps = [[float(v) for v in values[j * d : (j + 1) * d]] for j in range(m)]
         call = _reading(lambda s=steps, n=n: pl_signature_congruence(s, n))
         out.append(("paths.pl_signature_congruence", {"d": d, "m": m, "k": n}, "float", call))
-    clears = (lyndon._tables.clear, lyndon._interleavings.cache_clear, shuffle._shuffle.cache_clear)
+    clears = (lyndon._tables.clear, shuffle._shuffle.cache_clear)
     for d, n in SHUFFLE_SHAPES:
         call = _cold(lambda d=d, n=n: normal_form_table(d, n), *clears)
         out.append(("lyndon.normal_form_table", {"d": d, "n": n}, "exact", call))

@@ -87,7 +87,6 @@ from .shuffle import (
     is_grouplike,
     is_lie,
     shuffle_form_eval,
-    shuffle_word_list,
     shuffle_words,
 )
 from .stochastic import (

@@ -11,17 +11,15 @@ Each level (d, k) is built once per process, bottom-up, into `_tables`:
 CSR rows of the integers S_k * phi_w, whose columns are the indices of
 the CFL words of monomials (`_Level`).  A non-Lyndon word l * u, l its
 first CFL factor, is eliminated against l ⧢ u = x_l * phi_u, a lift that
-is a column offset, in waves of independent rows (`_build_level`), on
-int64 while a bound certifies that no partial sum reaches 2^63, else on
-Python ints (`scalars.int_kind`).  Exact expansions sum a row by one
-`reduceat`; float ones term by term in column order, as `poly_eval` sums
-`NormalFormTable.table`.
+is a column offset (l ⧢ u by `shuffle._shuffle`), in waves of independent
+rows (`_build_level`), on int64 while a bound certifies that no partial
+sum reaches 2^63, else on Python ints (`scalars.int_kind`).  Exact
+expansions sum a row by one `reduceat`; float ones term by term in column
+order, as `poly_eval` sums `NormalFormTable.table`.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 import threading
 from collections import namedtuple
@@ -32,6 +30,7 @@ from typing import Dict, Sequence
 import numpy as np
 
 from .scalars import format_ratio, format_scalar, int_kind, integer_multiple, parse_scalar, scalar_mode
+from .shuffle import _shuffle
 from .tensor import LevelTensor, TensorSeries, series_from_level
 from .words import all_words, check_word, word_from_string, word_index, word_to_string
 
@@ -457,9 +456,9 @@ def _expansions(d: int, k: int, words: np.ndarray, first: np.ndarray) -> tuple:
     """l ⧢ u of each non-Lyndon word w = l * u (l its first CFL factor), as (lead, owner, other, count):
     w with multiplicity lead[w], and each other word o (lex-smaller) with multiplicity count, owner w.
 
-    The words of one first-factor length share their interleavings: the shuffled indices of a block of
-    them are one product of their letters with the interleavings' place values, at most about _CHUNK
-    indices held before they are counted, each as owner * d**k + shuffled.
+    The words of one first-factor length share their interleavings (`shuffle._shuffle`): the shuffled
+    indices of a block of them are one product of their letters with the interleavings' place values, at
+    most about _CHUNK indices held before they are counted, each as owner * d**k + shuffled.
     """
     size = d**k
     lead = np.zeros(size, np.int64)
@@ -470,7 +469,7 @@ def _expansions(d: int, k: int, words: np.ndarray, first: np.ndarray) -> tuple:
     counted, held = [], []
     for a in np.flatnonzero(np.bincount(first[words])).tolist():
         group = words[first[words] == a]
-        places = d ** (k - 1 - _interleavings(a, k - a).T)
+        places = d ** (k - 1 - _shuffle(a, k - a).T)
         digits = group[:, None] // d ** np.arange(k - 1, -1, -1) % d
         step = max(1, _CHUNK // places.shape[1])
         for s in range(0, group.size, step):
@@ -508,17 +507,6 @@ def _waves(size: int, todo: np.ndarray, owner: np.ndarray, other: np.ndarray) ->
                 break
             depth[owner[heads][grown]] = deeper[grown]
     return depth
-
-
-@functools.lru_cache(maxsize=None)
-def _interleavings(a: int, b: int) -> np.ndarray:
-    """The C(a + b, a) interleavings of letters 0..a-1 with a..a+b-1, one row each: the output spot of
-    every input letter (read-only int64; no Python objects, so untracked by gc)."""
-    spots = range(a + b)
-    rows = [(*places, *(p for p in spots if p not in places)) for places in itertools.combinations(spots, a)]
-    out = np.array(rows, dtype=np.int64).reshape(len(rows), a + b)
-    out.flags.writeable = False
-    return out
 
 
 class _LevelStore(dict):

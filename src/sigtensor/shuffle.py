@@ -12,11 +12,13 @@ rest, so every form at once is the (d^r, d^s) matrix
 
 reshaped, with C(k, r) terms.  T is Lie when every F is 0 and group-like
 when F = outer(T_r, T_s).  `shuffle_words` and `shuffle_form_eval` keep the
-word-by-word definition and report the value of a failing form.
+word-by-word definition and report the value of a failing form.  They and
+the normal-form levels read every shuffle from one enumerator, `_shuffle`.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -36,9 +38,6 @@ class WordCombination:
 
     terms: dict
 
-    def length(self) -> int:
-        return len(next(iter(self.terms))) if self.terms else 0
-
     def mass(self) -> int:
         """Sum of absolute coefficients; binomial(|I|+|J|, |I|) for a shuffle."""
         return sum(abs(c) for c in self.terms.values())
@@ -51,42 +50,30 @@ class WordCombination:
 
 
 @functools.lru_cache(maxsize=None)
-def _shuffle(left: tuple, right: tuple) -> dict:
-    if not left:
-        return {right: 1}
-    if not right:
-        return {left: 1}
-    out: dict = {}
-    for word, coeff in _shuffle(left[:-1], right).items():
-        key = word + (left[-1],)
-        out[key] = out.get(key, 0) + coeff
-    for word, coeff in _shuffle(left, right[:-1]).items():
-        key = word + (right[-1],)
-        out[key] = out.get(key, 0) + coeff
+def _shuffle(a: int, b: int) -> np.ndarray:
+    """The C(a + b, a) interleavings of letters 0..a-1 with a..a+b-1, one row each: the output spot of
+    every input letter (read-only int64; no Python objects, so untracked by gc).
+
+    An entry is C(a + b, a) * (a + b) * 8 bytes, and a reader of level n asks for a + b <= n.  At the CLI
+    entry cap (10**7 entries) a `check` witness at (2, 23) adds one entry of 249 MB, and a `normal-form`
+    table at (2, 22) all 0 < a < a + b <= 22, 1.4 GB."""
+    spots = range(a + b)
+    rows = [(*places, *(p for p in spots if p not in places)) for places in itertools.combinations(spots, a)]
+    out = np.array(rows, dtype=np.int64).reshape(len(rows), a + b)
+    out.flags.writeable = False
     return out
 
 
 def shuffle_words(left: Sequence[int], right: Sequence[int]) -> WordCombination:
-    """Shuffle product of two words as a sparse combination."""
-    return WordCombination(dict(_shuffle(tuple(left), tuple(right))))
-
-
-def shuffle_combinations(a: dict, b: dict) -> dict:
-    """Shuffle product extended bilinearly to sparse combinations."""
-    out: dict = {}
-    for wa, ca in a.items():
-        for wb, cb in b.items():
-            for word, coeff in _shuffle(wa, wb).items():
-                out[word] = out.get(word, 0) + ca * cb * coeff
-    return {w: c for w, c in out.items() if c != 0}
-
-
-def shuffle_word_list(words: Sequence[Sequence[int]]) -> WordCombination:
-    """Iterated shuffle of a list of words."""
-    acc = {(): 1}
-    for word in words:
-        acc = shuffle_combinations(acc, {tuple(word): 1})
-    return WordCombination(acc)
+    """Shuffle product of two words as a sparse combination, its words in ascending order."""
+    word = (*left, *right)
+    counts = collections.Counter()
+    for spots in _shuffle(len(left), len(right)).tolist():
+        out = [None] * len(word)
+        for spot, letter in zip(spots, word):
+            out[spot] = letter
+        counts[tuple(out)] += 1
+    return WordCombination(dict(sorted(counts.items())))
 
 
 def shuffle_form_eval(left: Sequence[int], right: Sequence[int], tensor: LevelTensor):

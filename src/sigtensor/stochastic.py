@@ -4,11 +4,14 @@ The expected signature of a Brownian path with drift mu and covariance
 Sigma is the tensor exponential of mu + Sigma/2; a skew perturbation Q of
 the second-level data (non-reversible noise) adds Q to the exponent.
 Mixtures are convex combinations of component series, and every moment of
-the underlying Gaussian is a shuffle linear form in the series.
+the underlying Gaussian is a shuffle linear form in the series, a multiple
+of a sum of entries (`gaussian_moment`).
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -16,7 +19,6 @@ from typing import Sequence
 import numpy as np
 
 from .scalars import format_scalar, parse_list, parse_object, parse_rows, parse_scalar, scalar_mode
-from .shuffle import WordCombination, shuffle_word_list
 from .tensor import LevelTensor, TensorSeries, exp_series
 
 
@@ -170,24 +172,27 @@ def mixture_expected_signature(mixture: MixtureModel, n: int) -> TensorSeries:
     return total
 
 
-def moment_word_combination(u: Sequence[int]) -> WordCombination:
-    """Iterated shuffle power of single letters: letter i taken u[i-1] times."""
-    if any(power < 0 for power in u):
-        raise ValueError("multi-index entries must be >= 0")
-    return shuffle_word_list([(letter,) for letter, power in enumerate(u, start=1) for _ in range(power)])
-
-
 def gaussian_moment(u: Sequence[int], series: TensorSeries):
     """Moment E(Z_1^u1 ... Z_d^ud) read off an expected-signature series.
 
-    Evaluates the iterated shuffle form of the multi-index u on level |u|.
+    1^u1 ⧢ ... ⧢ d^ud holds each word of letter content u u1!...ud! times: the
+    moment is that times the sum of level |u| at those words, in word order.
     """
-    u = tuple(int(v) for v in u)
+    u = tuple(u)
     if len(u) != series.d:
         raise ValueError(f"multi-index length {len(u)} != dimension {series.d}")
-    total = sum(u)
+    for i, v in enumerate(u):
+        if not (isinstance(v, numbers.Real) and v >= 0 and v % 1 == 0):
+            raise ValueError(f"multi-index entry u[{i}] = {v!r} is not an integer >= 0")
+    u = tuple(map(int, u))
+    d, total = series.d, sum(u)
     if total > series.n:
         raise ValueError(f"moment order {total} exceeds truncation {series.n}")
-    if total == 0:
-        return series.constant_term
-    return moment_word_combination(u).eval_on(series.levels[total])
+    # the words of level |u| with letter i + 1 taken u[i] times
+    index, match = np.arange(d**total), np.ones(d**total, bool)
+    for letter, power in enumerate(u):
+        match &= sum(index // d**j % d == letter for j in range(total)) == power
+    entries, acc = series.levels[total].entries, 0
+    for i in np.flatnonzero(match).tolist():
+        acc = acc + entries[i]
+    return math.prod(map(math.factorial, u)) * acc

@@ -1,5 +1,6 @@
 """Shared helpers: seeded random rational data and independent oracles."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from sigtensor import (
     bracketing,
     expand_from_lyndon,
     lyndon_words,
+    shuffle_words,
     zero_series,
 )
 
@@ -56,6 +58,21 @@ def isserlis_moment(indices, mu, sigma):
     for pos, j in enumerate(rest):
         total += sigma[first][j] * isserlis_moment(rest[:pos] + rest[pos + 1 :], mu, sigma)
     return total
+
+
+def shuffle_combinations(a, b):
+    """Shuffle product of sparse combinations {word: coefficient}, bilinear over shuffle_words."""
+    out = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            for word, coeff in shuffle_words(wa, wb).terms.items():
+                out[word] = out.get(word, 0) + ca * cb * coeff
+    return {w: c for w, c in out.items() if c != 0}
+
+
+def shuffle_all(words):
+    """Iterated shuffle of a list of words, as {word: coefficient}."""
+    return functools.reduce(shuffle_combinations, ({tuple(w): 1} for w in words), {(): 1})
 
 
 def rand_symmetric(rng, d):

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import random
@@ -6,6 +7,7 @@ import threading
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,14 +25,14 @@ from sigtensor import (
     normal_form,
     normal_form_table,
     pl_signature,
+    shuffle_words,
     standard_factorization,
 )
 from sigtensor import lyndon, shuffle
 from sigtensor.lyndon import NormalFormTable, lyndon_count_level, mobius, poly_eval, poly_from_json, poly_to_json
-from sigtensor.shuffle import shuffle_word_list
 from sigtensor.words import all_words
 
-from conftest import rand_fraction, random_grouplike
+from conftest import rand_fraction, random_grouplike, shuffle_all
 
 # cumulative Lyndon counts for 2 <= k <= 9 (frozen reference values)
 COUNT_TABLE = {
@@ -151,7 +153,7 @@ def test_empty_and_out_of_alphabet_words_have_no_normal_form():
 def _shuffle_rewrite(table, word):
     """Radford's rewrite of a non-Lyndon word from the shuffle of its Lyndon factors."""
     factors = cfl_factorization(word)
-    expansion = shuffle_word_list(factors).terms
+    expansion = shuffle_all(factors)
     poly = {tuple(sorted(factors)): Fraction(1)}
     for other, coeff in expansion.items():
         if other != word:
@@ -247,7 +249,7 @@ def test_the_first_factor_shuffle_of_a_non_lyndon_word_tops_out_at_the_word(shap
         for word in all_words(d, k):
             first = cfl_factorization(word)[0]
             if first != word:
-                terms = shuffle_word_list([first, word[len(first) :]]).terms
+                terms = shuffle_words(first, word[len(first) :]).terms
                 assert max(terms) == word and terms[word] > 0
 
 
@@ -359,12 +361,23 @@ def test_levels_reached_cold_out_of_order_equal_the_levels_built_in_order():
     lyndon._tables.clear()
 
 
-def test_a_cold_table_build_leaves_the_shuffle_memo_alone():
-    # the memo's long-lived dicts would lengthen every full garbage collection
+def test_the_shuffle_cache_holds_one_untracked_int64_array_per_length_pair():
+    # no Python objects in the long-lived entries, so full garbage collections do not traverse them
+    shuffle._shuffle.cache_clear()
+    for left in all_words(3, 2):
+        for right in all_words(3, 3):
+            shuffle_words(left, right)
+    assert shuffle._shuffle.cache_info().currsize == 1
     lyndon._tables.clear()
-    before = shuffle._shuffle.cache_info().currsize
     NormalFormTable(3, 6)
-    assert shuffle._shuffle.cache_info().currsize == before
+    pairs = [(a, k - a) for k in range(2, 7) for a in range(1, k)]
+    assert shuffle._shuffle.cache_info().currsize == len(pairs)
+    for a, b in pairs:
+        spots = shuffle._shuffle(a, b)
+        assert spots.dtype == np.int64 and spots.shape == (math.comb(a + b, a), a + b)
+        assert not spots.flags.writeable and not gc.is_tracked(spots)
+    assert shuffle._shuffle.cache_info().currsize == len(pairs)
+    lyndon._tables.clear()
 
 
 def test_the_level_store_counts_hits_and_misses_until_cleared():

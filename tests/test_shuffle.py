@@ -1,8 +1,11 @@
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigtensor import (
     LevelTensor,
@@ -20,11 +23,34 @@ from sigtensor import (
     zero_series,
 )
 from sigtensor.paths import canonical_axis
-from sigtensor.shuffle import shuffle_combinations
 from sigtensor.tensor import TensorSeries
-from sigtensor.words import all_words
+from sigtensor.words import all_words, word_index
 
-from conftest import random_grouplike, random_lie_series
+from conftest import random_grouplike, random_lie_series, shuffle_combinations
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=200, database=None)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_shuffle(left: tuple, right: tuple) -> dict:
+    """The shuffle by its recursion on last letters, word by word: an oracle independent of `shuffle._shuffle`."""
+    if not left:
+        return {right: 1}
+    if not right:
+        return {left: 1}
+    out: dict = {}
+    for word, coeff in _reference_shuffle(left[:-1], right).items():
+        key = word + (left[-1],)
+        out[key] = out.get(key, 0) + coeff
+    for word, coeff in _reference_shuffle(left, right[:-1]).items():
+        key = word + (right[-1],)
+        out[key] = out.get(key, 0) + coeff
+    return out
+
+
+def _word_pairs():
+    """Two words over one alphabet of at most 3 letters, each of length 0..5."""
+    return st.integers(1, 3).flatmap(lambda d: st.tuples(*[st.lists(st.integers(1, d), max_size=5).map(tuple)] * 2))
 
 
 def test_printed_shuffles():
@@ -70,6 +96,37 @@ def test_associativity_as_combinations():
         b = shuffle_combinations({words[1]: 1}, {words[2]: 1})
         right = shuffle_combinations({words[0]: 1}, b)
         assert left == right
+
+
+@PROPERTY
+@given(_word_pairs())
+def test_shuffle_words_equals_the_recursive_definition_in_ascending_word_order(pair):
+    left, right = pair
+    terms = shuffle_words(left, right).terms
+    assert terms == _reference_shuffle(left, right)
+    assert list(terms) == sorted(terms)
+    assert all(type(coeff) is int for coeff in terms.values())
+
+
+def test_shuffle_words_of_many_letters_and_of_letters_below_one():
+    # C(16, 8) distinct words, and letters outside 1..d
+    for left, right in [(tuple(range(1, 9)), tuple(range(9, 17))), ((0, -3, 7), (7, 0))]:
+        terms = shuffle_words(left, right).terms
+        assert terms == _reference_shuffle(left, right) and list(terms) == sorted(terms)
+
+
+@PROPERTY
+@given(_word_pairs(), st.integers(0, 2**32))
+def test_a_float_form_sums_its_words_in_ascending_order(pair, seed):
+    left, right = pair
+    d, k = max(left + right, default=1), len(left) + len(right)
+    rng = random.Random(seed)
+    tensor = LevelTensor(d, k, [rng.uniform(-1, 1) * 10.0 ** rng.randint(-4, 4) for _ in range(d**k)])
+    total = 0
+    for word, coeff in sorted(_reference_shuffle(left, right).items()):
+        total = total + coeff * tensor.entries[word_index(word, d)]
+    value = shuffle_form_eval(left, right, tensor)
+    assert value == total and type(value) is type(total)
 
 
 def test_form_eval_examples():

@@ -1,7 +1,11 @@
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigtensor import (
     BrownianModel,
@@ -104,6 +108,34 @@ def test_gaussian_moments_match_isserlis(rng):
         gaussian_moment((5, 0, 0), series)
     with pytest.raises(ValueError):
         gaussian_moment((1, 1), series)
+
+
+def test_a_negative_multi_index_entry_is_refused_even_at_order_zero(rng):
+    series = expected_signature(_random_model(rng, 2), 2)
+    with pytest.raises(ValueError, match=r"u\[1\] = -1 is not an integer >= 0"):
+        gaussian_moment((1, -1), series)
+
+
+def test_a_fractional_multi_index_entry_is_refused(rng):
+    series = expected_signature(_random_model(rng, 2), 3)
+    with pytest.raises(ValueError, match=r"u\[0\] = 2\.7 is not an integer >= 0"):
+        gaussian_moment((2.7, 0), series)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.lists(st.integers(0, 3), min_size=d, max_size=d)), st.integers(0, 2**32))
+def test_a_float_moment_is_the_factorial_product_times_an_ascending_sum(u, seed):
+    d, k = len(u), sum(u)
+    rng = random.Random(seed)
+    entries = [[rng.uniform(-1, 1) * 10.0 ** rng.randint(-4, 4) for _ in range(d**j)] for j in range(k + 1)]
+    series = TensorSeries(d, k, [LevelTensor(d, j, level) for j, level in enumerate(entries)])
+    total = 0
+    for word, entry in zip(all_words(d, k), series.levels[k].entries):
+        if all(word.count(letter) == power for letter, power in enumerate(u, start=1)):
+            total = total + entry
+    total = math.prod(map(math.factorial, u)) * total
+    value = gaussian_moment(u, series)
+    assert value == total and type(value) is type(total)
 
 
 def test_mixture_validation_and_degenerate_cases(rng):
