@@ -2,6 +2,7 @@
 
     python benchmarks/layers.py --src src
     python benchmarks/layers.py --compare OLD/src NEW/src > BENCH_N.json
+    python benchmarks/layers.py --compare OLD/src NEW/src --only tensor. > BENCH_N.json
 
 With --src, every layer is timed in this process on that tree and the
 per-layer medians (ms) are printed as JSON.  Right after each layer the
@@ -15,7 +16,9 @@ median and the interquartile range over the rounds for each tree (null for
 a row that one tree does not time), and the same for each round's time
 divided by the reference loop run right after it ("parent_scaled",
 "change_scaled"), whose ratio ("scaled_speedup") discounts a host whose
-speed changed while the layers ran.  Both trees must share the private calling convention
+speed changed while the layers ran.  --only PREFIX times only the rows
+whose layer name starts with PREFIX (every row's input is still built), and
+--compare passes it to both trees' processes.  Both trees must share the private calling convention
 used below (`_core_level(...).to_float()`, `_core_level(...).as_integers()`,
 `_image_and_jacobian(core, x)`, `matrices._rank_mod_p`, `lyndon._tables.clear`
 and `shuffle._shuffle.cache_clear`); the residue row
@@ -46,7 +49,7 @@ The canonical cores `canonical_axis`/`canonical_mono` are timed cold at
 CORE_SHAPES (each call builds a fresh core; the `_core_level` cache is
 emptied first too, through `getattr(..., "cache_clear", None)`), and
 `pl_signature_congruence` warm on seeded float steps at the Chen shapes.
-`normal_form_table` is timed cold at the shuffle shapes: `lyndon._tables` and
+`normal_form_table` is timed cold at COLD_TABLE_SHAPES: `lyndon._tables` and
 the interleavings cache `shuffle._shuffle` are emptied before every call, as
 in a fresh process.  `expand_from_lyndon` is
 timed warm (its table built by the warm-up call) at EXPAND_SHAPES on the
@@ -107,6 +110,9 @@ MDM_SHAPE = (12, 6)  # (d, m) of the float signature_matrix_generators and of si
 POLY_SHAPES = [(2, 3, 6), (3, 3, 5)]  # (d, m, n), as in the forward workload
 GROUP_SHAPES = [(2, 3), (2, 4), (3, 3), (3, 4)]  # (d, n), as in the inverse workload
 SHUFFLE_SHAPES = [(2, 8), (3, 6), (4, 5)]  # (d, n)
+# (d, n) of the cold normal_form_table: the shuffle shapes, and (2, 10), whose top level has waves that a
+# bound by the level's largest coefficient puts on Python ints and a bound per row keeps on int64
+COLD_TABLE_SHAPES = SHUFFLE_SHAPES + [(2, 10)]
 EXPAND_SHAPES = [(3, 5), (3, 6)]  # (d, n), as in the algebra workload
 CORE_SHAPES = [("pl", 4, 5), ("poly", 4, 5), ("pl", 6, 6), ("poly", 6, 6), ("pl", 10, 6)]  # (family, m, k)
 CHEN_SHAPES = [(3, 3, 4), (2, 5, 6), (3, 5, 5), (3, 10, 6), (4, 4, 5)]  # (d, m, n), as in the forward workload
@@ -355,7 +361,7 @@ def layers():
         call = _reading(lambda s=steps, n=n: pl_signature_congruence(s, n))
         out.append(("paths.pl_signature_congruence", {"d": d, "m": m, "k": n}, "float", call))
     clears = (lyndon._tables.clear, shuffle._shuffle.cache_clear)
-    for d, n in SHUFFLE_SHAPES:
+    for d, n in COLD_TABLE_SHAPES:
         call = _cold(lambda d=d, n=n: normal_form_table(d, n), *clears)
         out.append(("lyndon.normal_form_table", {"d": d, "n": n}, "exact", call))
     for d, n in EXPAND_SHAPES:
@@ -401,13 +407,15 @@ def _time_call(call) -> float:
     return statistics.median(times) * 1e3
 
 
-def measure(src: str) -> list:
+def measure(src: str, only: str = "") -> list:
     sys.path.insert(0, os.path.abspath(src))
     sys.path.insert(1, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench"))
     from worker import ref_loop
 
     rows, reference = [], []
     for name, shape, scalar, call in layers():
+        if not name.startswith(only):
+            continue
         ms = _time_call(call)
         reference.append(ref_loop() * 1e3)
         rows.append({"layer": name, "shape": shape, "scalar": scalar, "ms": ms, "reference_ms": reference[-1]})
@@ -419,15 +427,14 @@ def _quartiles(values):
     return {"median": q2, "iqr": q3 - q1}
 
 
-def compare(old: str, new: str) -> dict:
+def compare(old: str, new: str, only: str = "") -> dict:
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     runs: dict = {"parent": [], "change": []}
     for r in range(ROUNDS):
         order = [("parent", old), ("change", new)]
         for label, src in order if r % 2 == 0 else order[::-1]:
-            proc = subprocess.run(
-                [sys.executable, __file__, "--src", src], env=env, capture_output=True, text=True, check=True
-            )
+            command = [sys.executable, __file__, "--src", src, "--only", only]
+            proc = subprocess.run(command, env=env, capture_output=True, text=True, check=True)
             runs[label].append(json.loads(proc.stdout))
 
     def key(row):
@@ -463,8 +470,9 @@ def main(argv=None) -> int:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--src", help="time one tree in this process")
     group.add_argument("--compare", nargs=2, metavar=("OLD_SRC", "NEW_SRC"))
+    parser.add_argument("--only", default="", metavar="PREFIX", help="time only the layers whose names start so")
     args = parser.parse_args(argv)
-    result = measure(args.src) if args.src else compare(*args.compare)
+    result = measure(args.src, args.only) if args.src else compare(*args.compare, args.only)
     sys.stdout.write(json.dumps(result, indent=1) + "\n")
     return 0
 

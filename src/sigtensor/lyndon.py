@@ -326,9 +326,9 @@ def _build_level(d: int, k: int, start: int | None = None) -> _Level:
     word of phi_u is <= l (checked), so the lift appends l to each monomial: columns offset by
     idx(l) * d**|u|.  Each wave of rows whose o are all built is one gather, sort and `reduceat`.
     An inexact division by c_w grows S_k and the level's rows by the least factor making it exact.
-    The pool of rows is int64 while S_k, every value and every partial sum of a wave, at most the
-    largest |value| times the largest |coefficient| times the wave's terms, are below 2^63; past that,
-    or once S_k grows, it is object for the rest of the level (as is a level built on an object one).
+    The pool of rows is int64 while S_k, every value and every partial sum of a wave, bounded per row by
+    the sum over its sources of |coefficient| * max |source row|, are below 2^63; past that, or once S_k
+    grows, it is object for the rest of the level (as is a level built on an object one).
     """
     with _tables_lock:
         _tables._fill(d, k - 1)
@@ -380,9 +380,15 @@ def _build_level(d: int, k: int, start: int | None = None) -> _Level:
         words, lo, hi = todo[rows_at[w] : rows_at[w + 1]], sources_at[w], sources_at[w + 1]
         lengths = length[handle[lo:hi]]
         spots = _segments(begin[handle[lo:hi]], lengths)
-        # a partial sum of a row adds at most spots.size terms, each at most top * most
+        # a partial sum adds at most spots.size terms, each at most top * most; past that, a finer bound: a source adds
+        # at most one term to each column, so |coefficient| * max |source row| summed over a row's sources bounds its
+        # partial sums (the float64 sum is raised by 2^-20 relative, more than its rounding error)
         if top is not None and int_kind(top * most * spots.size) is object:
-            vals, coeff, top = vals.astype(object), coeff.astype(object), None
+            live, peak = lengths > 0, np.zeros(hi - lo)
+            peak[live] = np.maximum.reduceat(np.abs(vals[spots]), (np.cumsum(lengths) - lengths)[live])
+            bound = np.bincount(key[lo:hi] // size, weights=np.abs(coeff[lo:hi]) * peak).max()
+            if int_kind(math.ceil(bound * (1 + 2**-20))) is object:
+                vals, coeff, top = vals.astype(object), coeff.astype(object), None
         at = np.repeat(key[lo:hi], lengths) + cols[spots]
         order = np.argsort(at, kind="stable")
         at = at[order]

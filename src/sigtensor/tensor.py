@@ -16,10 +16,10 @@ values and denominators, sums bring their terms to the lcm of the
 denominators, and none runs a gcd per entry.  Levels of different modes meet
 by one rule (`_common`): where some level holds floats, an exact level
 enters as its `to_float()`, also in a sum whose first terms are exact.
-`_product` (one `np.multiply.outer`) and `_level_sum` are the only level
-product and sum; `concat_product` builds and reduces each result level once.
-`exp_series` and `log_series` are one power sum (`_power_sum`) that builds
-p^r only at its live levels k >= r and each result level by one sum.
+`_product` (one `np.multiply.outer`) and `_level_sum` are the level product and
+sum; `concat_product` builds and reduces each result level once.  `exp_series`
+and `log_series` are one Horner kernel (`_horner`) on the levels' arrays,
+p (c_1 + p (c_2 + ... + p c_n)): level k takes k products, not k(k+1)/2.
 """
 
 from __future__ import annotations
@@ -54,6 +54,12 @@ def _quotients(numerators: np.ndarray, denominator: int) -> np.ndarray:
             if np.abs(floats).max() < _EXACT_FLOAT_BOUND:
                 return floats / denominator
     return np.array([v / denominator for v in numerators.tolist()], dtype=np.float64)
+
+
+def _reduced(values: np.ndarray, denominator: int) -> tuple:
+    """(values, denominator) of the same quotients, reduced by one gcd over all of them."""
+    g = math.gcd(denominator, *values) if denominator != 1 else 1
+    return (values // g, denominator // g) if g != 1 else (values, denominator)
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -131,9 +137,7 @@ class LevelTensor:
         `float` for float64 values and `object` for others, over 1.
         """
         if denominator != 1:
-            g = math.gcd(denominator, *values)
-            if g != 1:
-                values, denominator = values // g, denominator // g
+            values, denominator = _reduced(values, denominator)
         level = cls.__new__(cls)
         level.d, level.k = d, k
         level._kind = kind or (float if values.dtype == np.float64 else object)
@@ -508,53 +512,58 @@ def commutator(a: TensorSeries, b: TensorSeries) -> TensorSeries:
     return concat_product(a, b).add(concat_product(b, a).negate())
 
 
-def _power_sum(d: int, p: Sequence, zero, constant: int, coefficients: Sequence[Fraction], carry: bool) -> TensorSeries:
-    """zero + constant + sum of c_r p^r over r = 1..n, for the levels p[0..n]
-    of a series with constant term 0 (None for a level known to be zero) and
-    its scalar zero (`_scalar_zero`).
+def _horner(d: int, levels: Sequence[LevelTensor], constant: int, coefficients: Sequence[Fraction]) -> TensorSeries:
+    """constant + sum of c_r p^r over r = 1..n for the series p of these levels (level 0 is read only for its
+    mode; p's constant term is 0) by Horner's rule: H_n = c_n, H_r = c_r + p H_(r+1) up to level n - r, and
+    constant + p H_1.  Level m of p H sums p_j (x) H_(m-j) over j = 1..m in ascending order, skipping pairs with
+    an all-zero level, exact ones at the lcm of their denominators; an H level is reduced by one gcd, and dropped
+    when all zero.  The levels are read once in one mode (`_common`), c_r enters in it, and a result level that
+    is not exact is zero + its sum, so none of its float zeros is -0.0."""
+    n, zero = len(levels) - 1, _scalar_zero(levels)
+    head = LevelTensor(d, 0, [zero + constant])
+    kind, arrays, dens = _common([head, *levels[1:]])
+    exact = kind in _EXACT_KINDS
+    p = [None] + [(x, q) if np.count_nonzero(x) else None for x, q in zip(arrays[1:], dens[1:])]
 
-    p^r is kept only at its live levels k >= r: level k is one `_level_sum` of
-    the live pairs (p^(r-1) at j, p at k - j) in `concat_product`'s order,
-    scaled by c_r; with `carry` the scaled level is p^r for the next power.
-    Each result level is one `_level_sum` of the graded constant and its
-    summands in order of r.  This gives the values, float bits, zero signs and
-    types of a fold of `concat_product`, `scale` and `add`: exact and float
-    summands never meet (a float level makes every power float from p^0 = 1.0
-    on), and the zero levels the fold adds change nothing, as a float sum
-    from +0.0 never becomes -0.0.
-    """
-    n = len(p) - 1
-    factors = [lvl if lvl is not None and np.count_nonzero(lvl._values) else None for lvl in p]
-    sums = [[(lvl,)] for lvl in _graded(d, n, zero + constant, zero).levels]
-    power = [LevelTensor(d, 0, [zero + 1])] + [None] * n
-    for r, c in enumerate(coefficients, 1):
-        previous, power = power, [None] * (n + 1)
-        for k in range(r, n + 1):
-            live = [j for j in range(r - 1, k) if previous[j] is not None and factors[k - j] is not None]
-            if live:
-                level = _level_sum(d, k, [(previous[j], factors[k - j]) for j in live])
-                summand = level.scale(c)
-                sums[k].append((summand,))
-                level = summand if carry else level
-                power[k] = level if np.count_nonzero(level._values) else None
-    return TensorSeries(d, n, [_level_sum(d, k, terms) for k, terms in enumerate(sums)])
+    def times_p(h: list):  # (values, denominator) of each level 1..len(h) of p h, not reduced, or None
+        for m in range(1, len(h) + 1):
+            pairs = [(p[j], h[m - j]) for j in range(1, m + 1) if p[j] is not None and h[m - j] is not None]
+            den = math.lcm(*(a[1] * b[1] for a, b in pairs))
+            total = None
+            for (x, a), (y, b) in pairs:  # brought to den as in `_product`, here inline on arrays
+                if den > a * b:
+                    x, y = (x * (den // (a * b)), y) if len(x) <= len(y) else (x, y * (den // (a * b)))
+                v = np.multiply.outer(x, y).reshape(-1)
+                total = v if total is None else total + v
+            yield (total, den) if pairs else None
+
+    h = []  # H_(r+1), levels 0..n - r - 1
+    for c in reversed(coefficients):
+        one = (np.array([c.numerator], dtype=object), c.denominator) if exact else (np.array([zero + c]), 1)
+        h = [one] + [_reduced(*t) if t is not None and np.count_nonzero(t[0]) else None for t in times_p(h)]
+    out = [head]
+    for k, t in enumerate(times_p(h), 1):
+        out.append(
+            LevelTensor._of(d, k, t[0] if exact else zero + t[0], t[1], kind) if t else LevelTensor.zeros(d, k, zero)
+        )
+    return TensorSeries(d, n, out)
 
 
 def exp_series(p: TensorSeries) -> TensorSeries:
-    """exp(p) = sum p^r / r!, which terminates at r = n for constant term 0."""
+    """exp(p) = sum of p^r / r! over r = 0..n, for constant term 0, by Horner's rule (`_horner`, whose levels sum
+    in ascending order of p's level): `Fraction` levels for exact ones; any float level, the constant term's too,
+    makes every level float, an exact one entering as its `to_float()`, and no float zero of it is -0.0."""
     if p.constant_term != 0:
         raise ValueError("exponential requires constant term 0")
-    coefficients = [Fraction(1, r) for r in range(1, p.n + 1)]
-    return _power_sum(p.d, p.levels, _scalar_zero(p.levels), 1, coefficients, carry=True)
+    return _horner(p.d, p.levels, 1, [Fraction(1, math.factorial(r)) for r in range(1, p.n + 1)])
 
 
 def log_series(q: TensorSeries) -> TensorSeries:
-    """log(q) = sum (-1)^(r-1)/r (q-1)^r, defined for constant term 1."""
+    """log(q) = sum of (-1)^(r-1)/r (q-1)^r over r = 1..n, for constant term 1 (`_horner` on
+    p = q - 1, whose levels 1..n are q's), in the scalar modes of `exp_series`."""
     if q.constant_term != 1:
         raise ValueError("logarithm requires constant term 1")
-    zero = _scalar_zero(q.levels)
-    p = [None] + [lvl.add(LevelTensor.zeros(q.d, k, -zero)) for k, lvl in enumerate(q.levels[1:], 1)]
-    return _power_sum(q.d, p, zero, 0, [Fraction((-1) ** (r - 1), r) for r in range(1, q.n + 1)], carry=False)
+    return _horner(q.d, q.levels, 0, [Fraction((-1) ** (r - 1), r) for r in range(1, q.n + 1)])
 
 
 def project_level(series: TensorSeries, k: int) -> LevelTensor:

@@ -67,6 +67,29 @@ def test_levels_started_near_2_63_equal_the_levels_on_python_ints(d, k, start):
     assert _level(built) == on_python_ints(lambda: _level(lyndon._build_level(d, k, start)))
 
 
+def test_a_wave_whose_sources_sum_past_2_63_moves_to_python_ints():
+    # at S_5 = 2^63 // 13 the second wave of (2, 5) has no source term past 2^62.9, but a row whose
+    # sources sum to 2^64.1: a bound by the largest source alone would keep it, and its sums, on int64
+    start = LIMIT // 13
+    lyndon._tables.clear()
+    level = lyndon._build_level(2, 5, start)
+    assert level.vals.dtype == object
+    assert _level(level) == on_python_ints(lambda: _level(lyndon._build_level(2, 5, start)))
+
+
+def test_the_levels_up_to_2_11_stay_on_int64():
+    # the stored values of (2, 10) and (2, 11) have at most 38 and 46 bits; bounding a wave by its largest
+    # value times its largest coefficient (S_k) times its terms moved both levels to Python ints
+    def levels():
+        lyndon._tables.clear()
+        return NormalFormTable(2, 11)._levels
+
+    built = levels()
+    assert {level.vals.dtype for level in built} == {np.dtype(np.int64)}
+    assert [_level(level) for level in built] == on_python_ints(lambda: [_level(level) for level in levels()])
+    lyndon._tables.clear()
+
+
 def test_a_level_whose_scale_grows_past_2_63_holds_python_ints():
     lyndon._tables.clear()
     level = lyndon._build_level(1, 2, start=2**62 + 1)  # a ⧢ a = 2 aa: S_2 grows by 2

@@ -189,24 +189,48 @@ def _plain_concat(a, b, d):
     return levels
 
 
-def _plain_exp(p, d):
-    zero = 0.0 if any(lvl[0] is float for lvl in p) else Fraction(0)
-    result = term = _plain_graded(d, len(p) - 1, zero + 1, zero)
-    for r in range(1, len(p)):
-        term = [_plain_scale(lvl, Fraction(1, r)) for lvl in _plain_concat(term, p, d)]
-        result = [_plain_sum(pair) for pair in zip(result, term)]
+# `exp_series` and `log_series` by Horner's rule on plain Python scalars.  p is
+# levels 1..n of the series (of q - 1 for the logarithm); a float level anywhere,
+# the constant term's included, makes every value float, each exact value and
+# each coefficient rounded once by float().  H_n = c_n and H_r = c_r + p * H_(r+1)
+# up to level n - r; level m of p * H sums the products p_j (x) H_(m-j) over
+# j = 1..m in order, skipping all-zero levels (an all-zero H level is dropped),
+# and a float result level is 0.0 + that sum, so none of its zeros is -0.0.
+
+
+def _plain_horner(levels, d, constant, coefficients):
+    n = len(levels) - 1
+    kind = float if any(lvl[0] is float for lvl in levels) else Fraction
+    p = [None] + [[kind(v) for v in values] if any(v != 0 for v in values) else None for _, values in levels[1:]]
+
+    def times_p(h, m):
+        terms = [[x * y for x in p[j] for y in h[m - j]] for j in range(1, m + 1) if p[j] and h[m - j]]
+        total = terms[0] if terms else None
+        for term in terms[1:]:
+            total = [s + v for s, v in zip(total, term)]
+        return total
+
+    h = []
+    for r in range(n, 0, -1):
+        level = [[kind(coefficients[r - 1])]]
+        for m in range(1, n - r + 1):
+            total = times_p(h, m)
+            level.append(total if total and any(v != 0 for v in total) else None)
+        h = level
+    zero = kind(0)
+    result = [(kind, [zero + constant])]
+    for k in range(1, n + 1):
+        total = times_p(h, k)
+        result.append((kind, [zero + v for v in total] if total else [zero] * d**k))
     return result
+
+
+def _plain_exp(p, d):
+    return _plain_horner(p, d, 1, [Fraction(1, math.factorial(r)) for r in range(1, len(p))])
 
 
 def _plain_log(q, d):
-    zero = 0.0 if any(lvl[0] is float for lvl in q) else Fraction(0)
-    power = _plain_graded(d, len(q) - 1, zero + 1, zero)
-    p = [_plain_sum([x, (kind, [-v for v in values])]) for x, (kind, values) in zip(q, power)]
-    result = _plain_graded(d, len(q) - 1, zero, zero)
-    for r in range(1, len(q)):
-        power = _plain_concat(power, p, d)
-        result = [_plain_sum([x, _plain_scale(y, Fraction((-1) ** (r - 1), r))]) for x, y in zip(result, power)]
-    return result
+    return _plain_horner(q, d, 0, [Fraction((-1) ** (r - 1), r) for r in range(1, len(q))])
 
 
 def _plain_pl(steps, n, d):
@@ -280,6 +304,34 @@ def test_exp_and_log_of_sparse_series_follow_the_pair_and_sum_rules(d, n, kinds,
     q = data.draw(typed_series(d, n, kinds, constants=(1, Fraction(1), 1.0), live=(1, 2)))
     for series in (q, g):
         assert _reprs(_plain(log_series(series))) == _reprs(_plain_log(_plain(series), d))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(st.sampled_from([(1, 6), (2, 3), (2, 6), (3, 4), (3, 5)]), st.data())
+def test_float_exp_and_log_are_within_a_rounding_bound_of_the_exact_series(shape, data):
+    # Each entry of the float series is within (n + 2)^2 * 2^-52 * A of the exact entry (also
+    # after its own rounding), where A is sum of |c_r| |p|^r at that word, |p| taken entrywise:
+    # a term of an entry meets at most n input roundings, one coefficient rounding, n products
+    # and n(n - 1) additions, and the exact entry one rounding, so K < (n + 2)^2 roundings in
+    # all (Higham's gamma_K <= 2Ku).  The sum of powers that Horner's rule replaced meets it too.
+    d, n = shape
+    scalars = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 9))
+    levels = [[Fraction(0)]]
+    for k in range(1, n + 1):
+        zero = data.draw(st.integers(0, 4)) == 0
+        levels.append([Fraction(0)] * d**k if zero else data.draw(st.lists(scalars, min_size=d**k, max_size=d**k)))
+    p = TensorSeries(d, n, [LevelTensor(d, k, values) for k, values in enumerate(levels)])
+    q = TensorSeries(d, n, [LevelTensor(d, 0, [1]), *p.levels[1:]])
+    magnitudes = [(Fraction, [abs(v) for v in values]) for values in levels]
+    for series, function, coefficients in (
+        (p, exp_series, [Fraction(1, math.factorial(r)) for r in range(1, n + 1)]),
+        (q, log_series, [Fraction(1, r) for r in range(1, n + 1)]),
+    ):
+        exact, floats = function(series), function(series.to_float())
+        bound = _plain_horner(magnitudes, d, 0, coefficients)
+        for k in range(n + 1):
+            for e, f, a in zip(exact.levels[k].to_float().entries, floats.levels[k].entries, bound[k][1]):
+                assert abs(Fraction(f) - Fraction(e)) <= (n + 2) ** 2 * Fraction(1, 2**52) * a, (k, f, e)
 
 
 @st.composite

@@ -123,6 +123,73 @@ def test_exp_rejects_nonzero_constant():
         log_series(zero_series(2, 2))
 
 
+def _series(d, levels):
+    return TensorSeries(d, len(levels) - 1, [LevelTensor(d, k, values) for k, values in enumerate(levels)])
+
+
+def _reprs(series):
+    """Each level's entries by repr: value, type and the sign of a float zero."""
+    return [[repr(v) for v in level.entries] for level in series.levels]
+
+
+F = Fraction
+
+
+def test_exp_and_log_at_order_zero_are_fraction_constants():
+    for d in (1, 3):
+        assert _reprs(exp_series(zero_series(d, 0))) == [["Fraction(1, 1)"]]
+        assert _reprs(log_series(unit_series(d, 0))) == [["Fraction(0, 1)"]]
+        assert _reprs(exp_series(_series(d, [[0.0]]))) == [["1.0"]]
+        assert _reprs(log_series(_series(d, [[1.0]]))) == [["0.0"]]
+
+
+def test_exp_and_log_skip_a_zero_level_between_live_ones():
+    # p = 2x + x^3/3: exp(p) = 1 + 2x + 2x^2 + (4/3 + 1/3)x^3, and log(1 + p) = p - p^2/2 + p^3/3
+    assert _reprs(exp_series(_series(1, [[0], [2], [0], [F(1, 3)]]))) == [[repr(F(v))] for v in (1, 2, 2, F(5, 3))]
+    assert _reprs(log_series(_series(1, [[1], [2], [0], [F(1, 3)]]))) == [[repr(F(v))] for v in (0, 2, -2, 3)]
+    floats = exp_series(_series(1, [[0.0], [2.0], [0.0], [1 / 3]]))
+    assert _reprs(floats) == [["1.0"], ["2.0"], ["2.0"], [repr(1 / 3 + 4 / 3)]]
+
+
+def test_exp_and_log_of_a_series_with_only_levels_one_and_two_live():
+    # p = x^2 at d = 1: exp(p) = 1 + x^2 + x^4/2, log(1 + p) = x^2 - x^4/2
+    assert _reprs(exp_series(_series(1, [[0], [0], [1], [0], [0]]))) == [
+        [repr(F(v))] for v in (1, 0, 1, 0, F(1, 2))
+    ]
+    assert _reprs(log_series(_series(1, [[1], [0], [1], [0], [0]]))) == [
+        [repr(F(v))] for v in (0, 0, 1, 0, F(-1, 2))
+    ]
+    g = exp_series(_series(2, [[0], [1, -1], [0, 2, -2, 0], [0] * 8]))
+    assert g.levels[2].entries == (F(1, 2), F(3, 2), F(-5, 2), F(1, 2))
+    assert g.levels[3].entries == tuple(F(v, 6) for v in (1, 5, -1, -5, -7, 1, 7, -1))
+
+
+def test_no_float_zero_of_exp_or_log_is_negative():
+    # a -0.0 constant makes the series float and changes nothing else
+    assert _reprs(exp_series(_series(1, [[-0.0], [1.0], [0.0]]))) == [["1.0"], ["1.0"], ["0.5"]]
+    assert _reprs(exp_series(_series(1, [[0.0], [-0.0], [-0.0]]))) == [["1.0"], ["0.0"], ["0.0"]]
+    assert _reprs(log_series(_series(1, [[1.0], [-0.0], [-0.0]]))) == [["0.0"], ["0.0"], ["0.0"]]
+    # 0.0 * -1.0 = -0.0 at words 12 and 21 of p^2, which is the only term there
+    assert _reprs(exp_series(_series(2, [[0.0], [0.0, -1.0], [0.0] * 4])))[2] == ["0.0", "0.0", "0.0", "0.5"]
+
+
+def test_a_float_constant_makes_exact_levels_enter_as_their_floats():
+    g = exp_series(_series(2, [[0.0], [1, F(1, 3)], [0, 0, 0, F(1, 7)]]))
+    third = float(F(1, 3))
+    assert _reprs(g) == [
+        ["1.0"],
+        ["1.0", repr(third)],
+        ["0.5", repr(third * 0.5), repr(third * 0.5), repr(third * (third * 0.5) + float(F(1, 7)))],
+    ]
+    log = log_series(_series(1, [[1.0], [F(1, 3)], [2]]))
+    assert _reprs(log) == [["0.0"], [repr(third)], [repr(third * (third * -0.5) + 2.0)]]
+
+
+def test_a_true_constant_term_gives_fractions():
+    assert _reprs(log_series(_series(1, [[True], [1], [2]]))) == [[repr(F(v))] for v in (0, 1, F(3, 2))]
+    assert _reprs(exp_series(_series(1, [[False], [1], [2]]))) == [[repr(F(v))] for v in (1, 1, F(5, 2))]
+
+
 def test_exp_log_inverse_random():
     rng = random.Random(3)
     for d, n in [(2, 5), (3, 4)]:
