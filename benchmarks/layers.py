@@ -38,7 +38,10 @@ calls run without a tol and with tol=1e-9 (shape key "tol").  Chen
 (`pl_signature`), `exp_series`/`log_series` (on the logarithm of a (d+1)-step
 path, and on that path's series), `concat_product` (of that path's series and
 the series of a seeded d-step path) and `expected_signature` run at fixed
-shapes on seeded rationals, exact and float; `log_series` also at LOG_SHAPE,
+shapes on seeded rationals, exact and float; `concat_product` also at
+STEP_SHAPES on the series of a (d+1)-step path times the exponential of one
+seeded step (shape key "right": "step_exponential"), the product that
+`pl_signature` folds, where both constant terms are 1; `log_series` also at LOG_SHAPE,
 and `exp_series` also on the exponent of the `expected_signature` model
 (`drift_covariance_exponent`: only levels 1 and 2 nonzero, shape key
 "exponent").  A call that returns a series or a
@@ -119,6 +122,7 @@ CHEN_SHAPES = [(3, 3, 4), (2, 5, 6), (3, 5, 5), (3, 10, 6), (4, 4, 5)]  # (d, m,
 CONGRUENCE_SHAPES = CHEN_SHAPES + [(4, 6, 8)]  # (d, m, k) of tensor_congruence: 6^8 core entries at the last
 SERIES_SHAPE = (3, 6)  # (d, n) of exp_series, log_series and concat_product
 LOG_SHAPE = (3, 5)  # (d, n) of log_series, as in the algebra workload
+STEP_SHAPES = [(3, 4), (3, 5)]  # (d, n) of concat_product by one step exponential, as inside pl_signature
 EXPECTED_SHAPE = (3, 5)  # (d, n) of expected_signature, and of exp_series on its exponent
 CHANGE_SHAPE = (3, 4)  # (d, n) of a group element whose 1...1 entry is 0
 JSON_SHAPE = (4, 3, 7)  # (d, m, k) of the PL level that to_json writes: 4^7 = 16,384 entries
@@ -270,6 +274,13 @@ def layers():
         out.append(("tensor.log_series", {"d": d, "n": n}, scalar, _reading(lambda g=g: log_series(g))))
         call = _reading(lambda g=g, h=h: concat_product(g, h))
         out.append(("tensor.concat_product", {"d": d, "n": n}, scalar, call))
+    for d, n in STEP_SHAPES:
+        values = _rationals(d * 10 + n + 6, d * (d + 2))
+        group = pl_signature([values[j * d : (j + 1) * d] for j in range(d + 1)], n)
+        step = pl_signature([values[-d:]], n)
+        shape = {"d": d, "n": n, "right": "step_exponential"}
+        for scalar, (g, h) in (("exact", (group, step)), ("float", (group.to_float(), step.to_float()))):
+            out.append(("tensor.concat_product", shape, scalar, _reading(lambda g=g, h=h: concat_product(g, h))))
     d, n = LOG_SHAPE
     values = _rationals(d * 10 + n + 1, d * (d + 1))
     group = pl_signature([values[j * d : (j + 1) * d] for j in range(d + 1)], n)

@@ -462,6 +462,8 @@ def path_from_json(data: dict, exact: bool = True):
         return AxisParallel(d, dirs, tuple(lengths))
     if kind == "log_linear":
         lie = TensorSeries.from_json(parse_object(data["lie"], "lie"))
+        if lie.d != d:
+            raise ValueError(f"the path's dim {d} does not match the Lie element's dim {lie.d}")
         if not exact:
             lie = lie.to_float()
         return LogLinear(lie)

@@ -13,13 +13,14 @@ an exact level (every entry an `int` or a `Fraction`); float64 values over 1
 for a float level; an object array of its entries over 1 for any other
 scalar type.  So each level operation is written once: products multiply
 values and denominators, sums bring their terms to the lcm of the
-denominators, and none runs a gcd per entry.  Levels of different modes meet
-by one rule (`_common`): where some level holds floats, an exact level
-enters as its `to_float()`, also in a sum whose first terms are exact.
-`_product` (one `np.multiply.outer`) and `_level_sum` are the level product and
-sum; `concat_product` builds and reduces each result level once.  `exp_series`
-and `log_series` are one Horner kernel (`_horner`) on the levels' arrays,
-p (c_1 + p (c_2 + ... + p c_n)): level k takes k products, not k(k+1)/2.
+denominators, and none runs a gcd per entry.  Operands meet in one mode
+(`_common`): where some level holds floats, an exact level enters as its
+`to_float()`, and a series product reads every level of both factors so.
+`_graded_product` is the level loop of every series product: level m sums
+x_j (x) y_(m-j) over ascending j, and a factor 1 costs no outer product.
+`concat_product` runs it once; `exp_series` and `log_series` are one Horner
+kernel (`_horner`) that runs it n times, p (c_1 + p (c_2 + ... + p c_n)):
+level k takes k products, not k(k+1)/2.
 """
 
 from __future__ import annotations
@@ -72,23 +73,17 @@ def _check_shape(d: int, k: int) -> None:
         raise ValueError("need d >= 1 and k >= 0")
 
 
-def _mode(kinds: set) -> tuple:
-    """(kind, floats): the scalar mode where levels of these kinds meet (`int`
-    only when all are), and whether an exact level enters it as its `to_float()`."""
-    if kinds.issubset(_EXACT_KINDS):
-        return (int if kinds == {int} else Fraction), False
-    return (object if object in kinds else float), float in kinds
-
-
 def _common(levels) -> tuple:
-    """(kind, arrays, denominators): the levels' values in their mode (`_mode`).
-    Exact levels keep their integers and denominators; otherwise each array is
-    over 1, an exact level's its `to_float()` beside floats, else its `array`."""
-    kind, floats = _mode({t._kind for t in levels})
-    if kind in _EXACT_KINDS:
-        return kind, [t._values for t in levels], [t._denominator for t in levels]
+    """(kind, arrays, denominators): the levels' values in the scalar mode where they
+    meet, `int` only when all are.  Exact levels keep their integers and denominators;
+    otherwise each array is over 1, an exact level's its `to_float()` beside floats,
+    else its `array`."""
+    kinds = {t._kind for t in levels}
+    if kinds.issubset(_EXACT_KINDS):
+        return (int if kinds == {int} else Fraction), [t._values for t in levels], [t._denominator for t in levels]
+    floats = float in kinds
     arrays = [t.to_float()._values if floats and t._kind in _EXACT_KINDS else t.array for t in levels]
-    return kind, arrays, [1] * len(levels)
+    return (object if object in kinds else float), arrays, [1] * len(levels)
 
 
 class LevelTensor:
@@ -103,9 +98,11 @@ class LevelTensor:
     positive int denominator D.  An exact level holds Python ints A with
     entries == A / D and gcd(A, D) == 1 (`as_integers()`); its entries are
     `Fraction`s A[i] / D, or plain `int`s when every entry it was built from
-    is an int (a level mixing the two gives `Fraction`s).  A float level
-    holds float64 values over 1, and its entries are read back from them, so
-    they are all Python floats (exact zeros included).  A level of other
+    is an int.  A computed level is `int` only when every level it was
+    computed from is: one `Fraction` level in the factors of a series
+    product, the constant term's included, makes all its levels `Fraction`.
+    A float level holds float64 values over 1, and its entries are read back
+    from them, so they are all Python floats (exact zeros included).  A level of other
     scalars (`Dual`s, say) holds an object array of them over 1.  A level
     built from given entries keeps them as given; a computed level builds its
     entries on first read, and `to_float()` once.  The `array` of a `Fraction`
@@ -222,12 +219,16 @@ class LevelTensor:
         return isinstance(other, LevelTensor) and self.equals(other)
 
     def __hash__(self):
-        return hash((self.d, self.k, self.entries))
+        """The shape's: `==` is tolerant on floats (`values_close`), so equal levels may differ in their entries."""
+        return hash((self.d, self.k))
 
     def add(self, other: "LevelTensor") -> "LevelTensor":
         if (self.d, self.k) != (other.d, other.k):
             raise ValueError("shape mismatch")
-        return _level_sum(self.d, self.k, [(self,), (other,)])
+        kind, arrays, dens = _common((self, other))
+        den = math.lcm(*dens)
+        x, y = (v if q == den else v * (den // q) for v, q in zip(arrays, dens))
+        return LevelTensor._of(self.d, self.k, x + y, den, kind)
 
     def scale(self, c) -> "LevelTensor":
         if isinstance(c, np.generic):
@@ -251,7 +252,11 @@ class LevelTensor:
         """Concatenation (outer) product of two levels."""
         if self.d != other.d:
             raise ValueError("dimension mismatch")
-        return LevelTensor._of(self.d, self.k + other.k, *_product(self, other))
+        if self._kind is other._kind:
+            kind, (x, y), (p, q) = self._kind, (self._values, other._values), (self._denominator, other._denominator)
+        else:
+            kind, (x, y), (p, q) = _common((self, other))
+        return LevelTensor._of(self.d, self.k + other.k, np.multiply.outer(x, y).reshape(-1), p * q, kind)
 
     def symmetrize(self) -> "LevelTensor":
         """Sum of entries over all k! position permutations of each word.
@@ -345,7 +350,8 @@ class TensorSeries:
         return isinstance(other, TensorSeries) and self.equals(other)
 
     def __hash__(self):
-        return hash((self.d, self.n, self.levels))
+        """The shape's, as for `LevelTensor`."""
+        return hash((self.d, self.n))
 
     def add(self, other: "TensorSeries") -> "TensorSeries":
         if (self.d, self.n) != (other.d, other.n):
@@ -458,54 +464,52 @@ def series_from_level(level: LevelTensor, n: int | None = None) -> TensorSeries:
     return TensorSeries(level.d, n, levels)
 
 
-def _product(a: LevelTensor, b: LevelTensor, den: int = 0) -> tuple:
-    """(values, denominator, kind) of the product of two levels (`_common`), not reduced;
-    an exact one is brought to the multiple `den` of its denominator by scaling its shorter factor."""
-    if a._kind is b._kind:
-        kind, (x, y), (p, q) = a._kind, (a._values, b._values), (a._denominator, b._denominator)
-    else:
-        kind, (x, y), (p, q) = _common((a, b))
-    scale = den // (p * q) if kind in _EXACT_KINDS and den > p * q else 1
-    if scale > 1:
-        x, y = (x * scale, y) if len(x) <= len(y) else (x, y * scale)
-    return np.multiply.outer(x, y).reshape(-1), p * q * scale, kind
-
-
-def _level_sum(d: int, k: int, terms: Sequence[tuple]) -> LevelTensor:
-    """The sum of terms in order, each one level or a pair of levels whose product
-    (`_product`) is built as it is added, reduced by one gcd: exact terms over the lcm
-    of their denominators, an exact term beside floats as its `to_float()` (`_mode`)."""
-    kind, floats = _mode({t._kind for term in terms for t in term})
-    exact = kind in _EXACT_KINDS
-    den = math.lcm(*(math.prod(t._denominator for t in term) for term in terms)) if exact else 1
-    total = None
-    for term in terms:
-        v, q, c = _product(*term, den) if len(term) == 2 else (term[0]._values, term[0]._denominator, term[0]._kind)
-        if c in _EXACT_KINDS and not exact:
-            v = _quotients(v, q) if floats else LevelTensor._of(d, k, v, q, c).array
-        elif q != den:
-            v = v * (den // q)
-        total, v = (v if total is None else total + v), None  # one part alive at a time beside the sum
-    return LevelTensor._of(d, k, total, den, kind)
+def _graded_product(x: list, y: list, levels: range, unit: bool) -> list:
+    """Levels m in `levels` of the product of two graded lists of (values, denominator), None for an all-zero
+    level: the sum of x_j (x) y_(m-j) over ascending j, skipping pairs with a None side, not reduced, or None.
+    Exact pairs meet at the lcm of their denominators by scaling the shorter factor.  With `unit` (exact or
+    float values, never object), a factor that is the one value 1 over 1 gives its partner's values with no
+    outer product: v * 1.0 is v bit for bit (-0.0 and NaN too), and an int times 1 is itself."""
+    out, top = [], len(y) - 1
+    for m in levels:
+        pairs = [(x[j], y[m - j]) for j in range(m - top if m > top else 0, m + 1) if x[j] and y[m - j]]
+        den = math.lcm(*(a * b for (_, a), (_, b) in pairs))
+        total = None
+        for (u, a), (v, b) in pairs:
+            s = den // (a * b)
+            if unit and len(u) == 1 and a == 1 and u[0] == 1:
+                w = v * s if s > 1 else v
+            elif unit and len(v) == 1 and b == 1 and v[0] == 1:
+                w = u * s if s > 1 else u
+            else:
+                if s > 1:
+                    u, v = (u * s, v) if len(u) <= len(v) else (u, v * s)
+                w = np.multiply.outer(u, v).reshape(-1)
+            total = w if total is None else total + w
+        out.append((total, den) if pairs else None)
+    return out
 
 
 def concat_product(a: TensorSeries, b: TensorSeries) -> TensorSeries:
     """Concatenation product in the truncated tensor algebra.
 
-    Level k sums the products of the live pairs of levels (p, k-p), where
-    neither is all zero, built one at a time (`_level_sum`); with no live
-    pair it is zero in the scalar mode of the inputs.
+    Both series are read once in one scalar mode (`_common`), as `exp_series` and `log_series` read theirs;
+    level k sums the products of the pairs of levels (p, k-p) in ascending p, skipping pairs with an all-zero
+    side (`_graded_product`: a constant term 1 costs no product), reduced by one gcd, and with no pair left it
+    is zero in the scalar mode of the inputs.
     """
     if a.d != b.d or a.n != b.n:
         raise ValueError("series must share dimension and truncation order")
-    live_a, live_b = ([np.count_nonzero(lvl._values) > 0 for lvl in s.levels] for s in (a, b))
-    levels, zero = [], None
-    for k in range(a.n + 1):
-        pairs = [(a.levels[p], b.levels[k - p]) for p in range(k + 1) if live_a[p] and live_b[k - p]]
-        if not pairs and zero is None:
-            zero = _scalar_zero(a.levels + b.levels)
-        levels.append(_level_sum(a.d, k, pairs) if pairs else LevelTensor.zeros(a.d, k, zero))
-    return TensorSeries(a.d, a.n, levels)
+    n, levels = a.n, a.levels + b.levels
+    kind, arrays, dens = _common(levels)
+    live = [(x, q) if np.count_nonzero(x) else None for x, q in zip(arrays, dens)]
+    product = _graded_product(live[: n + 1], live[n + 1 :], range(n + 1), kind is not object)
+    kind = kind if kind in _EXACT_KINDS else None  # else the values' dtype decides
+    out = [
+        LevelTensor._of(a.d, k, *t, kind) if t else LevelTensor.zeros(a.d, k, _scalar_zero(levels))
+        for k, t in enumerate(product)
+    ]
+    return TensorSeries(a.d, n, out)
 
 
 def commutator(a: TensorSeries, b: TensorSeries) -> TensorSeries:
@@ -515,34 +519,22 @@ def commutator(a: TensorSeries, b: TensorSeries) -> TensorSeries:
 def _horner(d: int, levels: Sequence[LevelTensor], constant: int, coefficients: Sequence[Fraction]) -> TensorSeries:
     """constant + sum of c_r p^r over r = 1..n for the series p of these levels (level 0 is read only for its
     mode; p's constant term is 0) by Horner's rule: H_n = c_n, H_r = c_r + p H_(r+1) up to level n - r, and
-    constant + p H_1.  Level m of p H sums p_j (x) H_(m-j) over j = 1..m in ascending order, skipping pairs with
-    an all-zero level, exact ones at the lcm of their denominators; an H level is reduced by one gcd, and dropped
-    when all zero.  The levels are read once in one mode (`_common`), c_r enters in it, and a result level that
-    is not exact is zero + its sum, so none of its float zeros is -0.0."""
+    constant + p H_1.  Level m of p H is level m of `_graded_product` of p and H (where c_1 = 1 costs no
+    product); an H level is reduced by one gcd, and dropped when all zero.  The levels are read once in one mode
+    (`_common`), c_r enters in it, and a result level that is not exact is zero + its sum, so none of its float
+    zeros is -0.0."""
     n, zero = len(levels) - 1, _scalar_zero(levels)
     head = LevelTensor(d, 0, [zero + constant])
     kind, arrays, dens = _common([head, *levels[1:]])
-    exact = kind in _EXACT_KINDS
+    exact, unit = kind in _EXACT_KINDS, kind is not object
     p = [None] + [(x, q) if np.count_nonzero(x) else None for x, q in zip(arrays[1:], dens[1:])]
-
-    def times_p(h: list):  # (values, denominator) of each level 1..len(h) of p h, not reduced, or None
-        for m in range(1, len(h) + 1):
-            pairs = [(p[j], h[m - j]) for j in range(1, m + 1) if p[j] is not None and h[m - j] is not None]
-            den = math.lcm(*(a[1] * b[1] for a, b in pairs))
-            total = None
-            for (x, a), (y, b) in pairs:  # brought to den as in `_product`, here inline on arrays
-                if den > a * b:
-                    x, y = (x * (den // (a * b)), y) if len(x) <= len(y) else (x, y * (den // (a * b)))
-                v = np.multiply.outer(x, y).reshape(-1)
-                total = v if total is None else total + v
-            yield (total, den) if pairs else None
-
     h = []  # H_(r+1), levels 0..n - r - 1
     for c in reversed(coefficients):
         one = (np.array([c.numerator], dtype=object), c.denominator) if exact else (np.array([zero + c]), 1)
-        h = [one] + [_reduced(*t) if t is not None and np.count_nonzero(t[0]) else None for t in times_p(h)]
+        ph = _graded_product(p, h, range(1, len(h) + 1), unit)
+        h = [one] + [_reduced(*t) if t and np.count_nonzero(t[0]) else None for t in ph]
     out = [head]
-    for k, t in enumerate(times_p(h), 1):
+    for k, t in enumerate(_graded_product(p, h, range(1, n + 1), unit), 1):
         out.append(
             LevelTensor._of(d, k, t[0] if exact else zero + t[0], t[1], kind) if t else LevelTensor.zeros(d, k, zero)
         )

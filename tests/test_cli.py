@@ -112,6 +112,13 @@ def test_compute_names_dim_and_rows_for_an_empty_polynomial(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_compute_refuses_a_log_linear_dim_that_differs_from_the_lie_element(tmp_path, capsys):
+    path = write_json(tmp_path, "p.json", {"type": "log_linear", "dim": 5, "lie": _SERIES})
+    code, out, err = run_cli(capsys, "compute", path, "--trunc", "2")
+    assert code == 2 and out == ""
+    assert "dim 5" in err and "Lie element's dim 2" in err and "Traceback" not in err
+
+
 def test_compute_check_round_trip(tmp_path, capsys):
     path = write_json(
         tmp_path,

@@ -143,9 +143,9 @@ def test_log_inverts_exp_on_lie_elements(lie):
 # The level product and sum rules on plain Python scalars.  A level is (kind,
 # values).  A pair of exact levels multiplies exactly, `int` only when both
 # are; any other pair multiplies in floats, each exact value rounded by
-# float().  A level of `concat_product` sums the products of its live pairs in
-# order: exactly when all are exact, else in floats, each exact product
-# rounded once.
+# float().  `concat_product` reads both series in one kind, that of all their
+# levels (each exact value rounded by float() when some level is float), and
+# a level of it sums the products of its live pairs in order.
 
 
 def _kind(kinds):
@@ -161,14 +161,6 @@ def _plain_product(a, b):
     return kind, [kind(x) * kind(y) for x in a[1] for y in b[1]]
 
 
-def _plain_sum(terms):
-    kind = _kind({t[0] for t in terms})
-    total = [kind(v) for v in terms[0][1]]
-    for _, values in terms[1:]:
-        total = [s + kind(v) for s, v in zip(total, values)]
-    return kind, total
-
-
 def _plain_scale(level, c):
     if level[0] is float:
         return float, [float(c) * v for v in level[1]]
@@ -180,12 +172,17 @@ def _plain_graded(d, n, constant, zero):
 
 
 def _plain_concat(a, b, d):
-    live = [[any(v != 0 for v in lvl[1]) for lvl in s] for s in (a, b)]
-    zero = 0.0 if any(lvl[0] is float for lvl in a + b) else Fraction(0)
+    kind = _kind({lvl[0] for lvl in a + b})
+    a, b = ([[kind(v) for v in values] for _, values in side] for side in (a, b))
+    live = [[any(v != 0 for v in values) for values in side] for side in (a, b)]
+    zero = 0.0 if kind is float else Fraction(0)
     levels = []
     for k in range(len(a)):
-        terms = [_plain_product(a[p], b[k - p]) for p in range(k + 1) if live[0][p] and live[1][k - p]]
-        levels.append(_plain_sum(terms) if terms else scalar_mode([zero] * d**k))
+        terms = [[x * y for x in a[p] for y in b[k - p]] for p in range(k + 1) if live[0][p] and live[1][k - p]]
+        total = terms[0] if terms else [zero] * d**k
+        for term in terms[1:]:
+            total = [s + v for s, v in zip(total, term)]
+        levels.append(scalar_mode(total))
     return levels
 
 
@@ -1126,9 +1123,13 @@ def _ref_outer(a, b):
 
 def _ref_concat(a, b, d):
     """Truncated concatenation product on lists of flat levels.  As documented
-    for concat_product: pairs with an all-zero side are skipped, and a level
-    with no pair left is 0.0 when an input holds floats, else Fraction(0)."""
-    zero = 0.0 if any(isinstance(v, float) for level in a + b for v in level) else Fraction(0)
+    for concat_product: both inputs are read in one kind (floats when an input
+    holds floats, else ints when all values are ints, else Fractions), pairs
+    with an all-zero side are skipped, and a level with no pair left is 0.0
+    when an input holds floats, else Fraction(0)."""
+    kind = scalar_mode([v for level in a + b for v in level])[0]
+    a, b = ([[kind(v) for v in level] for level in s] for s in (a, b))
+    zero = 0.0 if kind is float else Fraction(0)
     out = []
     for k in range(len(a)):
         acc = None
@@ -1231,10 +1232,10 @@ def _assert_matches(got, want, exact_sums):
 def test_integer_levels_match_word_by_word_fractions(case, c):
     d, a, b = case
     x, y = _as_series(a, d), _as_series(b, d)
+    assert _typed_levels(_entries(concat_product(x, y))) == _typed_levels(_ref_concat(a, b, d))
     # in a mixed sum every exact term enters as its float; the reference adds
     # exact terms exactly until it meets a float one
     one_mode = len({isinstance(v, float) for level in a + b for v in level if v}) < 2
-    _assert_matches(_entries(concat_product(x, y)), _ref_concat(a, b, d), one_mode)
     _assert_matches(_entries(x.add(y)), _ref_add(a, b), one_mode)
     assert _series_typed(x.scale(c)) == _typed_levels(_ref_scale(a, c))
     assert _series_typed(x.negate()) == _typed_levels(_ref_scale(a, -1))

@@ -24,6 +24,7 @@ from sigtensor import (
     unit_series,
     zero_series,
 )
+from sigtensor.dual import Dual
 from sigtensor.paths import poly_signature_integrate
 from sigtensor.scalars import format_scalar, parse_scalar
 
@@ -330,6 +331,49 @@ def test_commutator_is_lie():
     d, n = 3, 3
     e1, e2, e3 = (basis_series(d, n, i) for i in (1, 2, 3))
     assert is_lie(commutator(e1, commutator(e2, e3)))
+
+
+def test_concat_reads_an_exact_series_beside_a_float_one_in_floats():
+    exact = pl_signature([[1, 2]], 2)
+    floats = _series(2, [[1], [0.5, -0.25], [0.125, 0.0, 1.0, -0.0]])
+    for a, b in ((exact, floats), (floats, exact)):
+        product = concat_product(a, b)
+        assert all(level.holds_floats for level in product.levels)
+        assert all(type(v) is float for level in product.levels for v in level.entries)
+        assert _reprs(product) == _reprs(concat_product(a.to_float(), b.to_float()))
+
+
+def test_concat_of_int_levels_is_fractions_beside_one_fraction_level():
+    ints = _series(2, [[1], [1, 2], [3, 4, 5, 6]])
+    # the Fraction constant 0 meets no live level, and still sets the product's mode
+    other = _series(2, [[Fraction(0)], [1, -1], [2, 0, 0, 1]])
+    product = concat_product(ints, other)
+    assert all(type(v) is Fraction for level in product.levels for v in level.entries)
+    assert product == concat_product(ints, _series(2, [[0], [1, -1], [2, 0, 0, 1]]))
+    assert [type(v) for v in concat_product(ints, ints).levels[2].entries] == [int] * 4
+
+
+def test_concat_levels_with_no_live_pair_and_dual_products():
+    zeros = concat_product(_series(2, [[1], [0, 0]]), _series(2, [[1], [0, 0]]))
+    assert zeros.levels[1].entries == (0, 0) and all(type(v) is Fraction for v in zeros.levels[1].entries)
+    zeros = concat_product(_series(2, [[1.0], [0.0, 0.0]]), _series(2, [[1.0], [-0.0, 0.0]]))
+    assert [repr(v) for v in zeros.levels[1].entries] == ["0.0", "0.0"]
+    # an object product multiplies by the constant 1: each entry is a new Dual
+    duals = _series(2, [[0], [Dual(2, (1,)), Dual(-1, (3,))]])
+    product = concat_product(_series(2, [[1], [0, 0]]), duals)
+    assert product.levels[0].entries == (0,) and type(product.levels[0].entries[0]) is Fraction
+    got, given = product.levels[1].entries, duals.levels[1].entries
+    assert all(x is not y and (x.a, x.b) == (y.a, y.b) for x, y in zip(got, given))
+
+
+def test_equal_levels_and_series_hash_equal():
+    pairs = [
+        (LevelTensor(1, 1, [1.0]), LevelTensor(1, 1, [1.0 + 1e-13])),
+        (LevelTensor(2, 1, [Fraction(1, 3), 1]), LevelTensor(2, 1, [1 / 3, 1.0])),
+    ]
+    pairs += [(series_from_level(a, 2), series_from_level(b, 2)) for a, b in pairs]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
 
 
 def test_level_array_dtype_follows_the_entries():
