@@ -18,23 +18,11 @@ import sys
 
 import numpy as np
 
+# Each handler imports the modules it runs, as `from .module import name`, so a call loads only
+# those.  `from . import module` would not do: it reads the package's lazy namespace, which loads
+# the whole API.  Only `scalars` is needed by every call.
 from . import __version__
-from .invariants import linear_invariants, quadric_family_eval
-from .lyndon import _longest_lyndon, lyndon_count_level, lyndon_words, normal_form_table, poly_to_json
-from .matrices import NumericalFailure, signature_matrix_generators, signature_matrix_witness
-from .paths import AxisParallel, path_from_json, signature_series
-from .recovery import (
-    RecoveryFailed,
-    gauss_newton_recover,
-    recover_quadratic_planar,
-    recover_two_step_planar,
-    signature_map,
-)
-from .scalars import format_scalar, parse_int, parse_list, parse_object
-from .shuffle import find_grouplike_violation, find_lie_violation
-from .stochastic import BrownianModel, MixtureModel, expected_signature, mixture_expected_signature
-from .tensor import LevelTensor, TensorSeries, project_level
-from .words import word_from_string, word_to_string
+from .scalars import NumericalFailure, format_scalar, parse_int, parse_list, parse_object
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -96,6 +84,8 @@ def _check_order(d: int, k: int, flag: str) -> None:
 
 
 def _load_path(path: str, exact: bool):
+    from .paths import path_from_json
+
     data = _load_json(path)
     if data.get("type") == "log_linear" and isinstance(data.get("lie"), dict):
         _check_input_size(data["lie"], "trunc")
@@ -103,6 +93,9 @@ def _load_path(path: str, exact: bool):
 
 
 def cmd_compute(args) -> int:
+    from .paths import signature_series
+    from .tensor import project_level
+
     exact = args.scalar == "exact"
     path = _load_path(args.path, exact)
     if args.level is None and args.trunc is None:
@@ -120,6 +113,8 @@ def cmd_compute(args) -> int:
 
 
 def cmd_expected(args) -> int:
+    from .stochastic import BrownianModel, MixtureModel, expected_signature, mixture_expected_signature
+
     exact = args.scalar == "exact"
     data = _load_json(args.model)
     _check_order_from_model(data, args.trunc)
@@ -156,6 +151,9 @@ def _word_count(command: str, d: int, n: int, level_count) -> int:
 
 
 def cmd_lyndon(args) -> int:
+    from .lyndon import _longest_lyndon, lyndon_count_level, lyndon_words
+    from .words import word_to_string
+
     count = _word_count("lyndon", args.d, _longest_lyndon(args.d, args.n), lyndon_count_level)
     basis = lyndon_words(args.d, args.n)
     payload = {"dim": args.d, "trunc": args.n, "count": count}
@@ -166,6 +164,9 @@ def cmd_lyndon(args) -> int:
 
 
 def cmd_normal_form(args) -> int:
+    from .lyndon import normal_form_table, poly_to_json
+    from .words import word_from_string
+
     if args.word is not None:
         if not args.word:
             raise UsageError(
@@ -186,6 +187,8 @@ def cmd_normal_form(args) -> int:
 
 
 def _load_series_or_tensor(path: str):
+    from .tensor import LevelTensor, TensorSeries
+
     data = _load_json(path)
     if "trunc" in data:
         _check_input_size(data, "trunc")
@@ -205,6 +208,10 @@ def _check_input_size(data: dict, field: str) -> None:
 
 
 def cmd_check(args) -> int:
+    from .shuffle import find_grouplike_violation, find_lie_violation
+    from .tensor import LevelTensor, TensorSeries, project_level
+    from .words import word_to_string
+
     if args.tol is not None and args.what == "Mdm":
         raise UsageError("--tol has no effect with --what Mdm: its ranks are exact, or cut at 1e-9 * sigma_max on floats")
     if args.tol is not None and not 0 <= args.tol < math.inf:
@@ -232,6 +239,8 @@ def cmd_check(args) -> int:
         return EXIT_FALSE
     if args.m is None:  # --what Mdm, the one choice left
         raise UsageError("--what Mdm requires --m")
+    from .matrices import signature_matrix_generators, signature_matrix_witness
+
     if isinstance(value, TensorSeries):
         if value.n < 2:
             raise UsageError("series has no level 2")
@@ -264,6 +273,9 @@ def _check_mdm_size(d: int, m: int) -> None:
 
 
 def cmd_invariants(args) -> int:
+    from .invariants import linear_invariants, quadric_family_eval
+    from .tensor import TensorSeries
+
     tensor = _load_series_or_tensor(args.input)
     if isinstance(tensor, TensorSeries):
         raise UsageError("invariants needs a tensor JSON")
@@ -283,6 +295,8 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_verify_vanishing(args) -> int:
+    from .paths import AxisParallel, signature_series
+
     path = _load_path(args.path, True)
     if not isinstance(path, AxisParallel):
         raise UsageError("verify-vanishing needs an axis_parallel path")
@@ -300,6 +314,9 @@ def cmd_verify_vanishing(args) -> int:
 
 
 def cmd_recover(args) -> int:
+    from .recovery import gauss_newton_recover, recover_quadratic_planar, recover_two_step_planar
+    from .tensor import LevelTensor
+
     if args.tol is not None and args.mode == "exact":
         raise UsageError("--tol has no effect with --mode exact: it applies to --mode newton only")
     if args.tol is not None and not 0 < args.tol < math.inf:
@@ -357,7 +374,9 @@ def _check_newton_size(d: int, m: int, k: int) -> None:
             raise UsageError(f"--d {d} --m {m} --k {k}: the {part} exceeds the {ENTRY_CAP}-entry cap")
 
 
-def _projective_residual(family: str, matrix, k: int, tensor: LevelTensor) -> float:
+def _projective_residual(family: str, matrix, k: int, tensor) -> float:
+    from .recovery import signature_map
+
     image = signature_map(family, [[float(v) for v in row] for row in matrix], k)
     a = image.to_float().array
     b = tensor.to_float().array
@@ -444,7 +463,7 @@ def main(argv=None) -> int:
         # Point stdout at devnull so the flush at interpreter exit stays quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except (RecoveryFailed, NumericalFailure, OverflowError) as exc:  # OverflowError: a float result out of range
+    except (NumericalFailure, OverflowError) as exc:  # RecoveryFailed is one; OverflowError: a float result out of range
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except KeyError as exc:

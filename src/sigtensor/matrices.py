@@ -24,12 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .paths import _core_level
-from .scalars import integer_multiple, scalar_mode
+from .scalars import NumericalFailure, integer_multiple, scalar_mode
 from .tensor import LevelTensor
-
-
-class NumericalFailure(RuntimeError):
-    """A float construction failed to meet its tolerance."""
 
 
 def _read_matrix(matrix, square: bool = False, exact: bool = False) -> tuple:
@@ -190,26 +186,27 @@ def _rank_mod_p(residues: np.ndarray) -> int:
     return top
 
 
-def _certified_rank(residues: np.ndarray, exact) -> int:
-    """Rank over Q of an integer matrix A from its int64 residues mod _PRIME.
+def _certified_rank(residues: np.ndarray, exact) -> tuple:
+    """(rank, certified): the rank over Q of an integer matrix A from its int64
+    residues mod _PRIME, and whether the residues alone decided it.
 
     A nonzero minor mod p is a nonzero integer, so rank_p <= rank(A) <=
-    min(rows, cols), and a full rank_p is returned as proved.  A lower one
-    may only mean that p divides every maximal minor, so the rank then comes
-    from Bareiss elimination of `exact()`, which builds A as an object array
-    of Python ints.
+    min(rows, cols), and a full rank_p is returned as proved (certified).  A
+    lower one may only mean that p divides every maximal minor, so the rank
+    then comes from Bareiss elimination of `exact()`, which builds A as an
+    object array of Python ints (not certified).
     """
     full = min(residues.shape)
     if _rank_mod_p(residues) == full:
-        return full
-    return len(_eliminate(exact()).pivots)
+        return full, True
+    return len(_eliminate(exact()).pivots), False
 
 
 def _rank(mode, array: np.ndarray) -> int:
     """Rank of an array read by `_read_matrix`: `_certified_rank` or `_float_rank`."""
     if mode is float:
         return _float_rank(np.linalg.svd(array, compute_uv=False))
-    return _certified_rank(_residues(array), array.copy)
+    return _certified_rank(_residues(array), array.copy)[0]
 
 
 def exact_rank(matrix) -> int:

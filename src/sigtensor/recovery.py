@@ -54,7 +54,7 @@ from .matrices import (
     _residues,
 )
 from .paths import _contract, _core_level, tensor_congruence
-from .scalars import fraction_nth_root, integer_multiple, real_nth_root, scalar_mode
+from .scalars import NumericalFailure, fraction_nth_root, integer_multiple, real_nth_root, scalar_mode
 from .tensor import LevelTensor, TensorSeries
 
 
@@ -70,7 +70,7 @@ class DegenerateRecovery(ValueError):
     """The closed-form linear relations do not determine a unique point."""
 
 
-class RecoveryFailed(RuntimeError):
+class RecoveryFailed(NumericalFailure):
     """No Gauss-Newton restart converged; carries the best attempt."""
 
     def __init__(self, message, matrix=None, residual=None):
@@ -81,22 +81,28 @@ class RecoveryFailed(RuntimeError):
 
 @dataclass(frozen=True)
 class RecoveryResult:
-    """A group-like series projecting onto the input level tensor."""
+    """A group-like series projecting onto the input level tensor, and the
+    letter (1-based) whose diagonal entry the descent took its root of."""
 
     series: TensorSeries
     multiplicity: int
     real_count: int
     root_choice: str
+    letter: int | None = None
 
 
 @dataclass(frozen=True)
 class JacobianReport:
+    """The rank of a parametrization's Jacobian; `certified` is True when every
+    seed's rank was decided mod p, False when the Bareiss fallback ran."""
+
     family: str
     d: int
     k: int
     m: int
     parameter_count: int
     rank: int
+    certified: bool = True
 
     @property
     def projective_dim(self) -> int:
@@ -144,7 +150,7 @@ def recover_group_element(tensor: LevelTensor, mode: str = "rational") -> Recove
         real_count, choice = 2, "positive real root (sibling: negate odd levels)"
     if mode == "rational":
         choice = "exact rational root; " + choice
-    return RecoveryResult(_descend(tensor, letter, root), n, real_count, choice)
+    return RecoveryResult(_descend(tensor, letter, root), n, real_count, choice, letter)
 
 
 def _descend(tensor: LevelTensor, letter: int, sigma) -> TensorSeries:
@@ -422,7 +428,8 @@ def jacobian_rank(
     seed's rank is `_certified_rank` of its Jacobian mod the one word-size
     prime p = _PRIME (`_jacobian_residues`, in int64 for m <= 127): a full
     rank mod p is proved, and the exact integer Jacobian is built and
-    eliminated (Bareiss) only when it is deficient.  d, k, m and seed_count
+    eliminated (Bareiss) only when it is deficient; the report's `certified`
+    is False when that happened for any seed.  d, k, m and seed_count
     are integers (`operator.index`, bools refused).
     """
     d, k, m, seed_count = _count("d", d), _count("k", k), _count("m", m), _count("seed_count", seed_count)
@@ -432,18 +439,18 @@ def jacobian_rank(
         raise ValueError(f"need seed_count >= 1, got {seed_count}")
     core = _core_level(_family_name(family), m, k).as_integers()[0].reshape((m,) * k)
     rng = random.Random(seed)
-    best, full = 0, min(d * m, d**k)
+    best, full, certified = 0, min(d * m, d**k), True
     for _ in range(seed_count):
         point = [
             [Fraction(rng.randint(1, 12), rng.randint(1, 4)) * (-1) ** rng.randint(0, 1) for _ in range(m)]
             for _ in range(d)
         ]
         point = _read_matrix(point)[1]
-        rank = _certified_rank(_jacobian_residues(core, point), lambda: _image_and_jacobian(core, point)[1])
-        best = max(best, rank)
+        rank, decided = _certified_rank(_jacobian_residues(core, point), lambda: _image_and_jacobian(core, point)[1])
+        best, certified = max(best, rank), certified and decided
         if best == full:
             break
-    return JacobianReport(family, d, k, m, d * m, best)
+    return JacobianReport(family, d, k, m, d * m, best, certified)
 
 
 # --- damped Gauss-Newton recovery --------------------------------------------

@@ -28,6 +28,14 @@ DEFAULT_REL_TOL = 1e-10
 _INT64_LIMIT = 2**63  # the first magnitude an int64 cannot hold
 
 
+class NumericalFailure(RuntimeError):
+    """A float construction failed to meet its tolerance.
+
+    It lives here, beside the scalar rules, so that the CLI can catch it (and
+    `recovery.RecoveryFailed`, a subclass) without importing the kernels.
+    """
+
+
 def int_kind(bound: int):
     """np.int64 when the Python int `bound`, a bound on |every partial sum| of an
     integer kernel, is below 2^63, else object (Python ints, unbounded).

@@ -693,12 +693,14 @@ def test_recover_newton_refuses_a_jacobian_beyond_the_entry_cap(tmp_path, capsys
 
 def test_word_listings_beyond_the_entry_cap_are_refused_before_enumerating(capsys, monkeypatch):
     import sigtensor.cli as cli
+    import sigtensor.lyndon as lyndon
 
     def refuse(*args):
         raise AssertionError("enumerated words past the entry cap")
 
-    monkeypatch.setattr(cli, "lyndon_words", refuse)
-    monkeypatch.setattr(cli, "normal_form_table", refuse)
+    # the handlers import these at call time, so a patch on their module reaches them
+    monkeypatch.setattr(lyndon, "lyndon_words", refuse)
+    monkeypatch.setattr(lyndon, "normal_form_table", refuse)
     for argv in (("lyndon", "--d", "30", "--n", "8"), ("normal-form", "--d", "30", "--n", "8", "--word", "12")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
@@ -717,6 +719,7 @@ def test_word_listings_beyond_the_entry_cap_are_refused_before_enumerating(capsy
 
 def test_one_letter_listings_are_bounded_at_any_truncation(capsys, monkeypatch):
     import sigtensor.cli as cli
+    import sigtensor.lyndon as lyndon
 
     # one letter has one Lyndon word at every truncation: nothing grows with --n
     code, out, _ = run_cli(capsys, "lyndon", "--d", "1", "--n", str(10**9))
@@ -726,7 +729,7 @@ def test_one_letter_listings_are_bounded_at_any_truncation(capsys, monkeypatch):
         raise AssertionError("built a normal-form table past the entry cap")
 
     # the table over one letter holds n words but n(n+1)/2 letters
-    monkeypatch.setattr(cli, "normal_form_table", refuse)
+    monkeypatch.setattr(lyndon, "normal_form_table", refuse)
     code, out, err = run_cli(capsys, "normal-form", "--d", "1", "--n", str(10**9))
     assert code == 2 and out == "" and "entry cap" in err and "normal-form" in err
     monkeypatch.undo()

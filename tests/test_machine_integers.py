@@ -5,6 +5,7 @@ int64 sums and products are exact modulo 2^64, so a kernel goes wrong only where
 int64: the inputs below are built so that the values reach, or just miss, 2^63.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -23,9 +24,11 @@ from sigtensor import (
     lyndon,
     pl_signature,
     scalars,
+    shuffle_form_eval,
     tensor_congruence,
 )
 from sigtensor.scalars import int_kind
+from sigtensor.words import index_word
 
 from conftest import rand_fraction, random_grouplike, random_lie_series
 
@@ -164,3 +167,52 @@ def test_every_kernel_on_python_ints_gives_the_int64_results():
         matrix = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(min(m, 2))]
         for call in (lambda: canonical_mono(m, k), lambda: tensor_congruence(canonical_mono(m, k), matrix)):
             assert _typed(call()) == on_python_ints(lambda: _typed(call()))
+
+
+def _sweep(series):
+    """First (I, J, form, product) in scan order whose form <I ⧢ J, T> differs from T_I T_J, read word
+    by word with `shuffle_form_eval` on Python ints and Fractions, or None."""
+    d = series.d
+    for total in range(2, series.n + 1):
+        for r in range(1, total // 2 + 1):
+            for i in range(d**r):
+                for j in range(i if 2 * r == total else 0, d ** (total - r)):
+                    left, right = index_word(i, d, r), index_word(j, d, total - r)
+                    value = shuffle_form_eval(left, right, series.levels[total])
+                    product = series.coefficient(left) * series.coefficient(right)
+                    if value != product:
+                        return left, right, value, product
+    return None
+
+
+def _series(d, *levels):
+    """The series with constant term 1 and the given flat levels 1..n."""
+    tensors = [LevelTensor(d, k, entries) for k, entries in enumerate([[1], *levels])]
+    return TensorSeries(d, len(levels), tensors)
+
+
+def _form_side_past_int64():
+    # F * L_1^2 against A_1^2: F = 2N, form_scale 25, and 2N * 25 = 22^2 + 2^64, so both sides agree mod 2^64
+    n = (22 * 22 + 2**64) // 50
+    assert n * 50 == 22 * 22 + 2**64 and 2 * n < LIMIT
+    return _series(1, [Fraction(22, 5)], [n]), 2 * n * 25, [2 // n * 25, 2 * n // 25]
+
+
+def _product_side_past_int64():
+    # F against A_1^2 * L_2: A_1^2 * 3 = 2N + 2^64, so both sides agree mod 2^64
+    a = math.isqrt(2**64 // 3) + 1
+    a += a % 2
+    n = (3 * a * a - 2**64) // 2
+    assert 0 < 2 * n < LIMIT and n % 3
+    return _series(1, [a], [Fraction(n, 3)]), a * a * 3, [a * a // 3]
+
+
+@pytest.mark.parametrize("case", [_form_side_past_int64, _product_side_past_int64])
+def test_a_bound_just_past_int64_keeps_a_violation_that_agrees_mod_2_64(case):
+    # int64 products are exact mod 2^64, so an overflow hides a violation only where the two sides of
+    # the law differ by a multiple of 2^64: the certified bound C(k, r) max|A_k| form_scale, or
+    # max|A_r| max|A_s| rhs_scale, then sits just past 2^64, and each weaker bound below 2^63
+    series, bound, weaker = case()
+    assert LIMIT < bound < 2 * 2**64 and all(b < LIMIT for b in weaker)
+    found = find_grouplike_violation(series)
+    assert found is not None and found == _sweep(series) == on_python_ints(lambda: find_grouplike_violation(series))

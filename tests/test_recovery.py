@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -5,8 +6,10 @@ import pytest
 
 from sigtensor import (
     DegenerateRecovery,
+    JacobianReport,
     NonGenericInput,
     RecoveryFailed,
+    RecoveryResult,
     RootUnavailable,
     basis_series,
     commutator,
@@ -297,6 +300,31 @@ def test_jacobian_rank_stops_at_full_rank(monkeypatch):
         assert jacobian_rank(family, d, k, m, seed_count=seed_count).rank == rank
         assert len(residue_ranks) == residues and set(residue_ranks) == {(d * m, d**k)}
         assert fallbacks == [(d * m, d**k)] * eliminations
+
+
+def test_jacobian_reports_say_whether_the_residues_decided_the_rank():
+    assert jacobian_rank("pl", 4, 3, 4, seed_count=3).certified  # full rank mod p at the first seed
+    report = jacobian_rank("pl", 5, 2, 5, seed_count=3)  # rank 15 < 25: every seed falls back to Bareiss
+    assert report.rank == 15 and report.certified is False
+    assert dataclasses.replace(report, rank=14).certified is False
+    assert JacobianReport("pl", 2, 3, 2, 4, 4).certified  # the field is last, with a default
+    full, deficient = np.eye(3, dtype=np.int64), np.diag(np.array([1, 1, 0], dtype=np.int64))
+
+    def no_bareiss():
+        raise AssertionError("eliminated a matrix whose residues have full rank")
+
+    assert matrices._certified_rank(full, no_bareiss) == (3, True)
+    assert matrices._certified_rank(deficient, lambda: deficient.astype(object)) == (2, False)
+
+
+def test_recovery_results_name_the_letter_the_descent_used():
+    # x = (0, 2): T_111 = 0, so the descent takes its root along letter 2
+    g = pl_signature([(1, 1), (-1, 1)], 3)
+    result = recover_group_element(project_level(g, 3), "rational")
+    assert result.letter == 2 and result.series == g
+    assert recover_group_element(project_level(pl_signature([(1, 2)], 4), 4), "real").letter == 1
+    assert dataclasses.replace(result, multiplicity=1).letter == 2
+    assert RecoveryResult(g, 3, 1, "unique real root").letter is None  # the field is last, with a default
 
 
 @pytest.mark.parametrize("seed_count", [0, -1])

@@ -248,3 +248,17 @@ def test_equal_length_witness_skips_pairs_below_the_diagonal():
     broken = _series(2, Fraction(0), e, [Fraction(0), Fraction(1), Fraction(0), Fraction(0)])
     assert find_lie_violation(broken) == ((1,), (2,), 1)
     assert find_lie_violation(broken.to_float(), 1e-12) == ((1,), (2,), 1.0)
+
+
+def test_a_float_form_that_misses_by_exactly_tol_times_scale_is_accepted():
+    tol = 2.0**-10  # a power of two: every product and difference below is exact
+    # Lie: the form 1 ⧢ 1 = 2 T_11 against 0, at scale max(|2 T_11|, 1) = 1
+    lie = lambda form: _series(1, 0.0, [0.0], [form / 2])
+    assert find_lie_violation(lie(tol), tol) is None
+    above = math.nextafter(tol, math.inf)
+    assert find_lie_violation(lie(above), tol) == ((1,), (1,), above)
+    # group-like: 2 T_11 against T_1 * T_1 = 4, at scale 4; the next float below 4 - 4 tol misses by more
+    group = lambda form: _series(1, 1.0, [2.0], [form / 2])
+    assert find_grouplike_violation(group(4 - 4 * tol), tol) is None
+    below = math.nextafter(4 - 4 * tol, 0.0)
+    assert find_grouplike_violation(group(below), tol) == ((1,), (1,), below, 4.0)
