@@ -20,7 +20,8 @@ speed changed while the layers ran.  --only PREFIX times only the rows
 whose layer name starts with PREFIX (every row's input is still built), and
 --compare passes it to both trees' processes.  Both trees must share the private calling convention
 used below (`_core_level(...).to_float()`, `_core_level(...).as_integers()`,
-`_image_and_jacobian(core, x)`, `matrices._rank_mod_p`, `lyndon._tables.clear`
+`_image_and_jacobian(core, x, modulus)`, `matrices._residues`,
+`matrices._PRIME`, `matrices._rank_mod_p`, `lyndon._tables.clear`
 and `shuffle._shuffle.cache_clear`); the residue row
 runs only on a tree with `_jacobian_residues`.
 Polynomial signatures and group-element recovery are timed through their
@@ -63,6 +64,15 @@ after `normal_form_table` at the larger, and exact `expand_from_lyndon` at
 the larger after `NormalFormTable` there.  Before each of their runs
 the same caches are emptied and the earlier build is run, untimed (the
 call's `setup`).
+`recovery.gn_eval` times one evaluation of the image and Jacobian kernel
+`_image_and_jacobian`: in floats at a seeded near-identity matrix, for family
+pl at GN_SHAPES and for the poly shapes of SOLVE_SHAPES, and mod p
+(`matrices._PRIME`, shape key "modulus") on the residues of the integer core
+and `_integer_point`'s point at JACOBIAN_SHAPES, as `jacobian_rank` runs it.
+The rows with shape key "plan": "cold" empty the kernel's plan cache
+(`recovery._plan`, through `getattr(..., "cache_clear", None)`, so a tree
+without it times the warm call) before each call, as a first call in a fresh
+process pays it.
 `gauss_newton_recover` solves, at each of SOLVE_SHAPES, for the signature
 of a seeded near-identity matrix (identity plus entries in [-0.3, 0.3]), as
 the inverse workload's solves do; the target is built before timing.
@@ -138,14 +148,22 @@ def _rationals(seed, count):
     return [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4)) for _ in range(count)]
 
 
-def _gn_eval(recovery, d, k):
-    """One Gauss-Newton evaluation (image and Jacobian), as inside a solve."""
+def _gn_eval(recovery, family, d, k):
+    """One Gauss-Newton evaluation (image and Jacobian) at a seeded near-identity
+    d x d matrix, as inside a solve."""
     import numpy as np
 
     rng = np.random.default_rng(0)
     x = np.eye(d) + rng.uniform(-0.3, 0.3, (d, d))
-    core = recovery._core_level("pl", d, k).to_float().cube
+    core = recovery._core_level(family, d, k).to_float().cube
     return lambda: recovery._image_and_jacobian(core, x)
+
+
+def _residue_eval(recovery, matrices, family, d, k, m):
+    """The image and Jacobian mod p of the integer core at `_integer_point`'s
+    point, as `jacobian_rank` runs the kernel for each seed."""
+    core, point = (matrices._residues(a) for a in _integer_point(recovery, family, d, k, m))
+    return lambda: recovery._image_and_jacobian(core, point, matrices._PRIME)
 
 
 def _gn_solve(gauss_newton_recover, signature_map, family, d, k):
@@ -294,8 +312,18 @@ def layers():
         exponent = drift_covariance_exponent(model, n)
         shape = {"d": d, "n": n, "exponent": "drift_covariance"}
         out.append(("tensor.exp_series", shape, scalar, _reading(lambda p=exponent: exp_series(p))))
+    clear_plans = getattr(getattr(recovery, "_plan", None), "cache_clear", None)
+    for family, d, k in [("pl", d, k) for d, k in GN_SHAPES] + [s for s in SOLVE_SHAPES if s[0] == "poly"]:
+        call = _gn_eval(recovery, family, d, k)
+        out.append(("recovery.gn_eval", {"family": family, "d": d, "m": d, "k": k}, "float", call))
     for d, k in GN_SHAPES:
-        out.append(("recovery.gn_eval", {"family": "pl", "d": d, "m": d, "k": k}, "float", _gn_eval(recovery, d, k)))
+        call = _cold(_gn_eval(recovery, "pl", d, k), clear_plans)
+        out.append(("recovery.gn_eval", {"family": "pl", "d": d, "m": d, "k": k, "plan": "cold"}, "float", call))
+    for family, d, k, m in JACOBIAN_SHAPES:
+        shape = {"family": family, "d": d, "m": m, "k": k, "modulus": "p"}
+        call = _residue_eval(recovery, matrices, family, d, k, m)
+        out.append(("recovery.gn_eval", shape, "exact", call))
+        out.append(("recovery.gn_eval", {**shape, "plan": "cold"}, "exact", _cold(call, clear_plans)))
     for family, d, k in SOLVE_SHAPES:
         call = _gn_solve(gauss_newton_recover, signature_map, family, d, k)
         out.append(("recovery.gauss_newton_recover", {"family": family, "d": d, "m": d, "k": k}, "float", call))

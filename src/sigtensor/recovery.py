@@ -10,19 +10,15 @@ signature_map of a plain matrix is `paths.tensor_congruence` of the cached
 canonical core.  Gauss-Newton, jacobian_rank and signature_map of `Dual`
 matrices share one kernel (`_image_and_jacobian`): the image of
 X -> core . X^(x)k and its closed-form multilinear Jacobian, a sum over
-modes of the core contracted with X on the other modes.  Each mode
-contraction is one matrix product (`paths._contract`); the k partials come
-from about k log2(k) contractions by halving the modes, and each is added
-into the Jacobian through one strided view (`as_strided`, since einsum on
-object arrays needs numpy >= 1.25 and numpy >= 1.22 is supported).  The
-kernel runs on float64 arrays, on object arrays of Fractions, or on int64
-residues mod the one word-size prime p = 2^28 - 57 (`matrices._PRIME`)
-reduced after every contraction.  jacobian_rank runs it on residues first
-while m <= 127, where no sum of m products of residues reaches 2^63, and
-builds the exact integer Jacobian only for a seed whose rank mod p is
-deficient.  Each canonical core is the exact level that `paths._core_level`
-caches per (family, m, k); float code reads its `to_float()`, which the
-level keeps.
+modes of the core contracted with X on the other modes, run from a plan
+cached per (d, m, k) (`_plan`).  It runs on float64 arrays, on object
+arrays of Fractions, or on int64 residues mod the one word-size prime
+p = 2^28 - 57 (`matrices._PRIME`) reduced after every contraction.
+jacobian_rank runs it on residues first while m <= 127, where no sum of m
+products of residues reaches 2^63, and builds the exact integer Jacobian
+only for a seed whose rank mod p is deficient.  Each canonical core is the
+exact level that `paths._core_level` caches per (family, m, k); float code
+reads its `to_float()`, which the level keeps.
 
 Reduction recipe for d > m (not automated here): a rank-m path matrix X
 factors through its column space, so with any left inverse G of an
@@ -34,6 +30,7 @@ handled by gauss_newton_recover or the closed forms.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
@@ -53,9 +50,9 @@ from .matrices import (
     _read_matrix,
     _residues,
 )
-from .paths import _contract, _core_level, tensor_congruence
+from .paths import _core_level, tensor_congruence
 from .scalars import NumericalFailure, fraction_nth_root, integer_multiple, real_nth_root, scalar_mode
-from .tensor import LevelTensor, TensorSeries
+from .tensor import LevelTensor, TensorSeries, _frozen
 
 
 class NonGenericInput(ValueError):
@@ -71,12 +68,14 @@ class DegenerateRecovery(ValueError):
 
 
 class RecoveryFailed(NumericalFailure):
-    """No Gauss-Newton restart converged; carries the best attempt."""
+    """No Gauss-Newton restart converged; carries the best attempt, and one
+    `GaussNewtonStart` record per start in `starts`."""
 
-    def __init__(self, message, matrix=None, residual=None):
+    def __init__(self, message, matrix=None, residual=None, starts=()):
         super().__init__(message)
         self.matrix = matrix
         self.residual = residual
+        self.starts = starts
 
 
 @dataclass(frozen=True)
@@ -293,58 +292,74 @@ def _family_name(family: str) -> str:
         raise ValueError("family must be 'pl' or 'poly'") from None
 
 
+@functools.lru_cache(maxsize=32)
+def _plan(d: int, m: int, k: int) -> tuple:
+    """(steps, slots, spots) of `_image_and_jacobian` for a d x m matrix and
+    an order-k core.
+
+    The k partials come by halving: the modes split in two halves, and the
+    core contracted on either half is split again, down to single modes, in
+    about k log2(k) contractions, not k(k-1).  `steps` unrolls that, depth
+    first, into (source slot, target slot, last-mode flag, reshape): slot 0
+    holds the core, slot h the core contracted at depth h, slot k + p
+    partial p (`slots[p]`), and slot 2k the image, partial 0 contracted on
+    mode 0.  `spots[p]` holds the flat Jacobian positions, d rows of
+    (word i, mode p at b, word j), where partial p lands for letter p = a.
+    A plan holds k m d^k positions, k/d of one Jacobian; at the CLI entry cap
+    of 10^7 Jacobian entries the 32 plans kept hold at most 32 k/d times it.
+    """
+    steps, slots, spots = [], [0] * k, []
+    todo = [(0, (m,) * k, range(k), range(0))]  # (slot, shape, modes to keep, modes to contract first)
+    while todo:
+        slot, shape, keep, drop = todo.pop()
+        target = k + keep[0] if len(keep) == 1 else slot + 1
+        for axis in drop:
+            before, after = math.prod(shape[:axis]), math.prod(shape[axis + 1 :])
+            steps.append((slot, target, axis == k - 1, (before, m) if axis == k - 1 else (before, m, after)))
+            slot, shape = target, shape[:axis] + (d,) + shape[axis + 1 :]
+        if len(keep) == 1:
+            slots[keep[0]] = slot
+        else:  # the left half is popped, and split down to single modes, first
+            left, right = keep[: len(keep) // 2], keep[len(keep) // 2 :]
+            todo += [(slot, shape, right, left), (slot, shape, left, right)]
+    steps.append((slots[0], 2 * k, k == 1, (1, m) if k == 1 else (1, m, d ** (k - 1))))
+    index = np.arange(d * m * d**k)
+    for p in range(k):
+        # spots[p][a, i, b, j] = the flat position of jac[a, b, i, a, j]: i the letters before p, j after
+        diagonal = index.reshape(d, m, d**p, d, -1).diagonal(0, 0, 3)  # axes b, i, j, a
+        spots.append(_frozen(diagonal.transpose(3, 1, 0, 2).reshape(d, -1)))  # shared by every caller
+    return tuple(steps), tuple(slots), tuple(spots)
+
+
 def _image_and_jacobian(core: np.ndarray, x: np.ndarray, modulus: int | None = None):
     """Flat image core . X^(x)k and its (d*m) x d^k Jacobian.
 
     Closed form: d image / d X[a, b] = sum over modes p of the core
     contracted with X on every mode but p (the partial of mode p), with
     mode p fixed to b, placed where output letter p equals a.  Row a*m + b
-    is the partial in X[a, b].  The k partials come by halving: the modes
-    split in two halves, and the core contracted on either half recurses
-    into the other, so the k partials cost about k log2(k) contractions
-    (`_contract`, one matrix product each), not k(k-1).  Partial p is then
-    added in one step into the strided view of the Jacobian where letter p
-    equals a (`as_strided`: `np.einsum` on object arrays needs numpy >= 1.25,
-    and numpy >= 1.22 is supported).
-    Runs on float64 arrays, or on object arrays of Python Fractions/ints.
-    With a modulus, core and X hold int64 residues and every contraction,
-    and the result, is reduced mod it; the caller keeps m (modulus-1)^2
-    below 2^63, so no sum of m non-negative products overflows, in any
-    order (`_jacobian_residues`).
+    is the partial in X[a, b].  The steps of `_plan` run as matrix products,
+    each formed as `paths._contract` forms it; then the partials are added at
+    their positions in mode order onto zeros.  Fixed products in a fixed
+    order: a float result is bit for bit `_contract` run in the same halving
+    order.  Runs on float64 arrays, or on object arrays of Python
+    Fractions/ints.  With a modulus, core and X hold int64 residues and every
+    contraction, and the result, is reduced mod it; the caller keeps
+    m (modulus-1)^2 below 2^63, so no sum of m non-negative products
+    overflows, in any order (`_jacobian_residues`).
     """
     d, m = x.shape
     k = core.ndim
-
-    def contract(t, axis):
-        t = _contract(t, x, axis)
-        return t if modulus is None else t % modulus
-
-    def partials(t, modes):
-        # t is the core contracted on every mode outside `modes`
-        if len(modes) == 1:
-            return [t]
-        left, right = modes[: len(modes) // 2], modes[len(modes) // 2 :]
-        out = []
-        for keep, drop in ((left, right), (right, left)):
-            s = t
-            for axis in drop:
-                s = contract(s, axis)
-            out += partials(s, keep)
-        return out
-
-    parts = partials(core, range(k))
-    image = contract(parts[0], 0).reshape(-1)
-    jac = np.zeros((d, m) + (d,) * k, dtype=x.dtype)
-    for p, t in enumerate(parts):
-        # view[a, b, i, j] = jac[a, b, i, a, j]: i the letters before p, j after
-        block = jac.reshape(d, m, d**p, d, d ** (k - 1 - p))
-        step = block.strides
-        view = np.lib.stride_tricks.as_strided(
-            block, (d, m, d**p, d ** (k - 1 - p)), (step[0] + step[3], step[1], step[2], step[4])
-        )
-        view += t.reshape(d**p, m, -1).swapaxes(0, 1)
+    steps, slots, spots = _plan(d, m, k)
+    t = [core] + [None] * (2 * k)
+    for source, target, last, shape in steps:
+        s = t[source].reshape(shape)
+        s = s @ x.T if last else np.matmul(x, s)
+        t[target] = s if modulus is None else s % modulus
+    jac = np.zeros(d * m * d**k, dtype=x.dtype)
+    for slot, spot in zip(slots, spots):
+        jac[spot] += t[slot].reshape(-1)
     jac = jac.reshape(d * m, d**k)
-    return image, jac if modulus is None else jac % modulus
+    return t[-1].reshape(-1), jac if modulus is None else jac % modulus
 
 
 def signature_map(family: str, matrix: Sequence[Sequence], k: int) -> LevelTensor:
@@ -457,12 +472,35 @@ def jacobian_rank(
 
 
 @dataclass(frozen=True)
+class GaussNewtonStart:
+    """One Gauss-Newton start: its random entries' standard deviation, its
+    iterations, its last damping lambda, and its relative residuals, at the
+    start and after each accepted step (so they fall strictly)."""
+
+    scale: float
+    iterations: int
+    damping: float
+    residuals: tuple
+
+
+@dataclass(frozen=True)
 class GaussNewtonResult:
+    """A converged solve; `starts` holds one `GaussNewtonStart` per start that ran."""
+
     matrix: np.ndarray
     residual: float
     converged: bool
     restarts_used: int
     iterations: int
+    starts: tuple = ()
+
+
+def _dampings(lam: float):
+    """lam, then x10 up to the cap 1e12, which is tried once."""
+    yield lam
+    while lam < 1e12:
+        lam = min(lam * 10.0, 1e12)
+        yield lam
 
 
 def gauss_newton_recover(
@@ -486,9 +524,9 @@ def gauss_newton_recover(
     to the cap 1e12 does, since x and lambda then stay where they are.
     The first start that meets tol is returned, with `restarts_used` its
     number; otherwise RecoveryFailed carries the best start's matrix and
-    residual.  d, m, k and restarts >= 1 are integers (`operator.index`,
-    bools refused), tol is a finite number > 0, and the tensor's entries
-    are finite.
+    residual.  Either way `starts` records every start that ran.  d, m, k
+    and restarts >= 1 are integers (`operator.index`, bools refused), tol is
+    a finite number > 0, and the tensor's entries are finite.
     """
     d, m, k, restarts = _count("d", d), _count("m", m), _count("k", k), _count("restarts", restarts)
     if d < 1 or m < 1:
@@ -508,24 +546,22 @@ def gauss_newton_recover(
     denom = float(np.linalg.norm(target)) or 1.0
     rng = random.Random(seed)
     scale = (np.linalg.norm(target) * math.factorial(k)) ** (1.0 / k) / max(1.0, math.sqrt(d * m))
-    scale = float(scale) if scale > 0 else 1.0
+    spread = (float(scale) if scale > 0 else 1.0) + 1e-3
     eye = np.eye(d * m)
 
-    best = (math.inf, None)  # (residual, matrix) of the best start so far
+    best, starts = (math.inf, None), []  # (residual, matrix) of the best start so far, and each start's record
     for start in range(1, restarts + 1):
-        x = np.array([rng.gauss(0.0, scale + 1e-3) for _ in range(d * m)]).reshape(d, m)
+        x = np.array([rng.gauss(0.0, spread) for _ in range(d * m)]).reshape(d, m)
         image, jac = _image_and_jacobian(core, x)
         residual = image - target
-        norm = float(np.linalg.norm(residual)) / denom
+        norm = math.sqrt(residual.dot(residual)) / denom  # np.linalg.norm's sum, in its order
+        history = [norm]
         lam, seen = 1e-3, {x.tobytes()}  # every matrix this start has evaluated
         for iterations in range(1, 201):
             if norm < tol:
                 break
             g, h = jac @ residual, jac @ jac.T
-            dampings = [lam]  # lam, then x10 up to the cap 1e12, which is tried once
-            while dampings[-1] < 1e12:
-                dampings.append(min(dampings[-1] * 10.0, 1e12))
-            for lam in dampings:
+            for lam in _dampings(lam):
                 try:
                     step = np.linalg.solve(h + lam * eye, -g)
                 except np.linalg.LinAlgError:
@@ -536,19 +572,22 @@ def gauss_newton_recover(
                 seen.add(trial.tobytes())
                 image, trial_jac = _image_and_jacobian(core, trial)
                 trial_res = image - target
-                trial_norm = float(np.linalg.norm(trial_res)) / denom
+                trial_norm = math.sqrt(trial_res.dot(trial_res)) / denom
                 if trial_norm < norm:
                     break
             else:
                 break  # no damping up to the cap lowers the residual: the start ends
             x, residual, jac, norm = trial, trial_res, trial_jac, trial_norm
+            history.append(norm)
             lam = max(lam / 10.0, 1e-14)
+        starts.append(GaussNewtonStart(spread, iterations, lam, tuple(history)))
         if norm < tol:
-            return GaussNewtonResult(x, norm, True, start, iterations)
+            return GaussNewtonResult(x, norm, True, start, iterations, tuple(starts))
         if norm < best[0]:
             best = (norm, x)
     raise RecoveryFailed(
         f"recovery failed: best relative residual {best[0]:.3e} with restarts={restarts}",
         matrix=best[1],
         residual=best[0],
+        starts=tuple(starts),
     )

@@ -533,7 +533,7 @@ def _horner(d: int, levels: Sequence[LevelTensor], constant: int, coefficients: 
         one = (np.array([c.numerator], dtype=object), c.denominator) if exact else (np.array([zero + c]), 1)
         ph = _graded_product(p, h, range(1, len(h) + 1), unit)
         h = [one] + [_reduced(*t) if t and np.count_nonzero(t[0]) else None for t in ph]
-    out = [head]
+    out, kind = [head], kind if exact else None  # else the values' dtype decides
     for k, t in enumerate(_graded_product(p, h, range(1, n + 1), unit), 1):
         out.append(
             LevelTensor._of(d, k, t[0] if exact else zero + t[0], t[1], kind) if t else LevelTensor.zeros(d, k, zero)

@@ -988,10 +988,20 @@ def _ref_contract(t, x, axis):
     return np.moveaxis(np.tensordot(x, t, axes=([1], [axis])), 0, axis)
 
 
+def _ref_jacobian(partials, x):
+    """The Jacobian with partial p added, for each letter a, where letter p is a, in mode order."""
+    d, m = x.shape
+    k = len(partials)
+    jac = np.zeros((d, m) + (d,) * k, dtype=x.dtype)
+    for p, t in enumerate(partials):
+        for a in range(d):
+            jac[(a, slice(None)) + (slice(None),) * p + (a,)] += np.moveaxis(t, p, 0)
+    return jac.reshape(d * m, d**k)
+
+
 def _ref_image_and_jacobian(core, x):
     """Image and Jacobian with each of the k partials contracted on its own
     k - 1 modes, and placed entry by entry."""
-    d, m = x.shape
     k = core.ndim
     partials = []
     for p in range(k):
@@ -1000,11 +1010,26 @@ def _ref_image_and_jacobian(core, x):
             if q != p:
                 t = _ref_contract(t, x, q)
         partials.append(t)
-    jac = np.zeros((d, m) + (d,) * k, dtype=x.dtype)
-    for p, t in enumerate(partials):
-        for a in range(d):
-            jac[(a, slice(None)) + (slice(None),) * p + (a,)] += np.moveaxis(t, p, 0)
-    return _ref_contract(partials[0], x, 0).reshape(-1), jac.reshape(d * m, d**k)
+    return _ref_contract(partials[0], x, 0).reshape(-1), _ref_jacobian(partials, x)
+
+
+def _halving_image_and_jacobian(core, x):
+    """Image and Jacobian with the partials found by halving the modes,
+    recursively, one `_contract` per mode, and placed entry by entry."""
+
+    def partials(t, modes):
+        if len(modes) == 1:
+            return [t]
+        half, out = len(modes) // 2, []
+        for keep, drop in ((modes[:half], modes[half:]), (modes[half:], modes[:half])):
+            s = t
+            for axis in drop:
+                s = _contract(s, x, axis)
+            out += partials(s, keep)
+        return out
+
+    found = partials(core, range(core.ndim))
+    return _contract(found[0], x, 0).reshape(-1), _ref_jacobian(found, x)
 
 
 def _typed_entries(array):
@@ -1080,6 +1105,42 @@ def test_image_and_jacobian_equal_the_partial_by_partial_reference(family, d, m,
     x = np.array(point, dtype=float)
     for g, w in zip(_image_and_jacobian(level.to_float().cube, x), _ref_image_and_jacobian(level.to_float().cube, x)):
         assert g.dtype == np.float64 and np.allclose(g, w, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(w).max()))
+    # the same products, summed in the same order, as the modes halved recursively: equal bit for bit
+    for g, w in zip(_image_and_jacobian(level.to_float().cube, x), _halving_image_and_jacobian(level.to_float().cube, x)):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def _gamma(count):
+    """gamma_K = K u / (1 - K u) for u = 2^-53, as a Fraction."""
+    ku = Fraction(count, 2**53)
+    return ku / (1 - ku)
+
+
+@PROPERTY
+@given(st.sampled_from(["pl", "poly"]), st.integers(1, 4), st.integers(1, 4), st.integers(1, 5), st.integers(0, 2**16))
+@example("pl", 3, 2, 1, 0)  # k = 1
+@example("poly", 1, 4, 4, 0)  # d = 1
+@example("pl", 4, 1, 5, 0)  # m = 1
+def test_float_image_and_jacobian_lie_within_the_forward_error_bound(family, d, m, k, seed):
+    """On a dyadic point, exact in float64, the float kernel differs from the
+    exact kernel by at most gamma_K times the exact kernel run on |core| and
+    |X| (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3).  K counts
+    the roundings on the longest path: the core's to_float() rounds each entry
+    once, and a contraction sums m products, m roundings in any order.  So the
+    image, after k contractions, has K = k m + 1.  A partial, after k - 1, has
+    (k - 1) m + 1, and up to k partials are added at one Jacobian position, onto
+    an exact zero: K = (k - 1) m + k."""
+    assume(d**k * d * m <= 4096)
+    level = _core_level(family, m, k)
+    rng = random.Random(seed)
+    point = np.array([[Fraction(rng.randint(-64, 64), 2 ** rng.randint(0, 6)) for _ in range(m)] for _ in range(d)])
+    floats = _image_and_jacobian(level.to_float().cube, point.astype(float))
+    exact = _image_and_jacobian(level.cube, point)
+    absolute = _image_and_jacobian(np.abs(level.cube), np.abs(point))
+    for got, want, size, count in zip(floats, exact, absolute, (k * m + 1, (k - 1) * m + k)):
+        assert got.dtype == np.float64 and got.shape == want.shape
+        bound = _gamma(count)
+        assert all(abs(Fraction(g) - w) <= bound * a for g, w, a in zip(got.flat, want.flat, size.flat))
 
 
 @PROPERTY

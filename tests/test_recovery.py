@@ -415,6 +415,42 @@ def test_gauss_newton_solves_each_damped_system_once(monkeypatch):
     assert info.value.matrix.shape == (2, 2) and info.value.residual > 1e-8
 
 
+def _falls(residuals):
+    return all(a > b for a, b in zip(residuals, residuals[1:]))
+
+
+def test_gauss_newton_records_every_start():
+    tensor = signature_map("pl", [[1.0, 0.5], [-0.25, 1.0]], 3)
+    spread = (np.linalg.norm(np.array(tensor.entries)) * 6) ** (1 / 3) / 2 + 1e-3  # the random matrix's standard deviation
+    result = gauss_newton_recover("pl", 2, 2, 3, tensor, restarts=8, seed=0)
+    assert len(result.starts) == result.restarts_used == 2  # the first start stalls
+    for start in result.starts:
+        assert isinstance(start, recovery.GaussNewtonStart)
+        assert start.scale == pytest.approx(spread, rel=1e-12)
+        assert 1e-14 <= start.damping <= 1e12 and _falls(start.residuals)
+        assert len(start.residuals) in (start.iterations, start.iterations + 1)
+    last = result.starts[-1]
+    # converged: the loop stops at the iteration that finds the residual below tol
+    assert last.iterations == result.iterations == len(last.residuals)
+    assert last.residuals[-1] == result.residual < 1e-10 <= result.starts[0].residuals[-1]
+    assert last.residuals[0] > last.residuals[-1]
+    # the field is last, with a default
+    assert recovery.GaussNewtonResult(result.matrix, 0.0, True, 1, 1).starts == ()
+    assert RecoveryFailed("failed", result.matrix, 0.5).starts == ()
+
+
+def test_a_failed_gauss_newton_records_its_best_start():
+    entries = [float(v) for v in signature_map("pl", [[1.0, -0.5], [0.25, 1.5]], 3).entries]
+    entries[0] += 1e-3
+    with pytest.raises(RecoveryFailed) as info:
+        gauss_newton_recover("pl", 2, 2, 3, LevelTensor(2, 3, entries), tol=1e-12, restarts=3)
+    starts = info.value.starts
+    assert len(starts) == 3 and all(_falls(s.residuals) for s in starts)
+    assert min(s.residuals[-1] for s in starts) == info.value.residual
+    # a start ends when no damping up to the cap lowers the residual, or after 200 iterations
+    assert all(s.damping == 1e12 or s.iterations == 200 for s in starts)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_gauss_newton_names_a_non_finite_tensor(bad):
     entries = [float(v) for v in signature_map("pl", [[1.0, 0.5], [-0.25, 1.0]], 3).entries]

@@ -191,6 +191,14 @@ def test_a_true_constant_term_gives_fractions():
     assert _reprs(exp_series(_series(1, [[False], [1], [2]]))) == [[repr(F(v))] for v in (1, 1, F(5, 2))]
 
 
+def test_exp_and_log_levels_built_from_float_pairs_alone_hold_floats():
+    # the Dual makes the series an object one, but levels 2 and 4 only sum products of floats
+    for f, constant, ends in ((exp_series, 0.0, ("1.0", "0.125")), (log_series, 1.0, ("0.0", "-0.125"))):
+        g = f(_series(1, [[constant], [0.0], [0.5], [Dual(1, (1,))], [0.0]]))
+        assert [level.holds_floats for level in g.levels] == [True, True, True, False, True]
+        assert _reprs(g) == [[ends[0]], ["0.0"], ["0.5"], ["Dual(1.0, (1.0,))"], [ends[1]]]
+
+
 def test_exp_log_inverse_random():
     rng = random.Random(3)
     for d, n in [(2, 5), (3, 4)]:
