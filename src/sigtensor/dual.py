@@ -1,16 +1,9 @@
 """Vector-mode forward differentiation with dual numbers.
 
 A Dual carries a value and a tuple of partial derivatives and supports the
-ring operations, so pushing Duals through any of the polynomial signature
-maps yields exact Jacobians: rational partials for Fraction seeds, floats
-for float seeds.
-
-Dual stays the public forward-mode type: `recovery.signature_map` accepts a
-matrix of Duals and returns Duals, but computes them from the closed-form
-multilinear Jacobian rather than by Dual arithmetic.  Gauss-Newton and
-`jacobian_rank` use that Jacobian directly.  `paths.tensor_congruence` of a
-Dual matrix contracts object arrays, so its derivatives come from Dual
-products alone; the tests keep it as the oracle for the closed form.
+ring operations.  `recovery.signature_map` accepts a matrix of Duals and
+returns Duals, computed from the closed-form multilinear Jacobian; no tensor
+operation computes with Duals, since a level of them only holds its entries.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ import numpy as np
 
 from .scalars import format_ratio, format_scalar, int_kind, integer_multiple, parse_scalar, scalar_mode
 from .shuffle import _shuffle
-from .tensor import LevelTensor, TensorSeries, series_from_level
+from .tensor import LevelTensor, TensorSeries, _computable, series_from_level
 from .words import all_words, check_word, word_from_string, word_index, word_to_string
 
 
@@ -232,6 +232,12 @@ class NormalFormTable:
         return word in self._lyndon
 
     @property
+    def int64_exits(self) -> tuple:
+        """Per level 1..n, None if its build stayed on int64, else where it left: ("start", 0) for S_k >= 2^63,
+        ("below", 0) over a level on Python ints, ("bound", w) or ("division", w) at wave w (from 1)."""
+        return tuple(level.moved for level in self._levels)
+
+    @property
     def table(self) -> Dict[tuple, LyndonPolynomial]:
         """{word: {monomial: Fraction}} for every word, built on first read."""
         if self._table is None:
@@ -279,15 +285,15 @@ class _Level:
     """Level (d, k): row i, of the word of index i, is S_k * phi at the ascending columns cols[ptr[i]:ptr[i+1]],
     values vals[...] (int64, or object Python ints where the build left int64; S_k = `scale`, a Python int;
     readers take `tolist()` or meet an object array).  Column c stands for the monomial of the CFL factors of
-    word c (they match one to one); first[c] is the length of its first factor.  `monomials` is filled by
-    `_decode`.
+    word c (they match one to one); first[c] is the length of its first factor.  `moved` is where the build
+    left int64 (`NormalFormTable.int64_exits`); `monomials` is filled by `_decode`.
     """
 
-    __slots__ = ("d", "k", "ptr", "cols", "vals", "scale", "first", "monomials")
+    __slots__ = ("d", "k", "ptr", "cols", "vals", "scale", "first", "moved", "monomials")
 
-    def __init__(self, d, k, ptr, cols, vals, scale, first):
+    def __init__(self, d, k, ptr, cols, vals, scale, first, moved):
         self.d, self.k, self.ptr, self.cols, self.vals, self.scale, self.first = d, k, ptr, cols, vals, scale, first
-        self.monomials = None
+        self.moved, self.monomials = moved, None
 
     def _row(self, i: int):
         lo, hi = self.ptr[i], self.ptr[i + 1]
@@ -328,7 +334,7 @@ def _build_level(d: int, k: int, start: int | None = None) -> _Level:
     An inexact division by c_w grows S_k and the level's rows by the least factor making it exact.
     The pool of rows is int64 while S_k, every value and every partial sum of a wave, bounded per row by
     the sum over its sources of |coefficient| * max |source row|, are below 2^63; past that, or once S_k
-    grows, it is object for the rest of the level (as is a level built on an object one).
+    grows, it is object for the rest of the level (as is a level built on an object one): `_Level.moved`.
     """
     with _tables_lock:
         _tables._fill(d, k - 1)
@@ -361,6 +367,7 @@ def _build_level(d: int, k: int, start: int | None = None) -> _Level:
         length[size + words] = lengths
         filled += spots.size
     cols, vals = np.concatenate(cols), np.concatenate(vals)  # object when a level below is
+    moved = None if vals.dtype == np.int64 else ("start", 0) if kind is object else ("below", 0)
     # the sources of each row, its lift (coefficient S_k / S_|u|) and the rows of l ⧢ u (-c_o), in wave order;
     # a source's key is its row's place in the wave times size, to which the columns are added
     todo = todo[np.argsort(depth[todo], kind="stable")]
@@ -388,7 +395,7 @@ def _build_level(d: int, k: int, start: int | None = None) -> _Level:
             peak[live] = np.maximum.reduceat(np.abs(vals[spots]), (np.cumsum(lengths) - lengths)[live])
             bound = np.bincount(key[lo:hi] // size, weights=np.abs(coeff[lo:hi]) * peak).max()
             if int_kind(math.ceil(bound * (1 + 2**-20))) is object:
-                vals, coeff, top = vals.astype(object), coeff.astype(object), None
+                vals, coeff, top, moved = vals.astype(object), coeff.astype(object), None, ("bound", w + 1)
         at = np.repeat(key[lo:hi], lengths) + cols[spots]
         order = np.argsort(at, kind="stable")
         at = at[order]
@@ -401,8 +408,8 @@ def _build_level(d: int, k: int, start: int | None = None) -> _Level:
         rows = at // size
         leads = lead[words][rows]
         inexact = np.flatnonzero(sums % leads)
-        if inexact.size:
-            vals, sums, top = vals.astype(object), sums.astype(object), None  # S_k grows past any bound
+        if inexact.size:  # S_k grows past any bound
+            vals, sums, top, moved = vals.astype(object), sums.astype(object), None, moved or ("division", w + 1)
             grow = 1
             for r in set(rows[inexact].tolist()):
                 c = int(lead[words[r]])
@@ -420,7 +427,7 @@ def _build_level(d: int, k: int, start: int | None = None) -> _Level:
         cols[filled : filled + sums.size], vals[filled : filled + sums.size] = at - rows * size, sums
         filled += sums.size
     spots = _segments(begin[:size], length[:size])  # the rows in word order
-    return _Level(d, k, np.concatenate(([0], np.cumsum(length[:size]))), cols[spots], vals[spots], scale, first)
+    return _Level(d, k, np.append(0, np.cumsum(length[:size])), cols[spots], vals[spots], scale, first, moved)
 
 
 def _room(pool: np.ndarray, filled: int, extra: int) -> np.ndarray:
@@ -579,7 +586,7 @@ def expand_from_lyndon(values: dict, d: int, n: int) -> TensorSeries:
     weight a monomial by the float c / S_k (int true division rounds as
     `Fraction`-with-`float` arithmetic does), multiply in its order, sum a
     row term by term in column order, as `poly_eval` over `table` does, and
-    give the constant term 1.0; other coordinates take the `Fraction` c / S_k.
+    give the constant term 1.0.  Other coordinates raise a `TypeError`.
     """
     values = {tuple(w): v for w, v in values.items()}
     basis = lyndon_words(d, n)
@@ -587,6 +594,7 @@ def expand_from_lyndon(values: dict, d: int, n: int) -> TensorSeries:
     if missing:
         raise ValueError(f"missing Lyndon coordinates: {missing[:3]}...")
     mode, coords = scalar_mode(values[w] for w in basis.words)
+    _computable(mode)
     stored = [_tables.level(d, k) for k in range(1, n + 1)]
     if mode in (int, Fraction):
         coords, den = integer_multiple(coords)
@@ -606,20 +614,13 @@ def expand_from_lyndon(values: dict, d: int, n: int) -> TensorSeries:
             entries = np.add.reduceat(level.vals * product[start[k] + level.cols], level.ptr[:-1])
             levels.append(LevelTensor._of(d, k, entries, level.scale * den**k, Fraction))
         return TensorSeries(d, n, levels)
-    if mode is float:
-        coords = map(float, coords)
-    coords = dict(zip(basis.words, coords))
+    coords = dict(zip(basis.words, map(float, coords)))
     _decode(stored)
-    levels = [LevelTensor(d, 0, [1.0 if mode is float else Fraction(1)])]
+    levels = [LevelTensor(d, 0, [1.0])]
     for level in stored:
         scale, ptr = level.scale, level.ptr.tolist()
         factors = [[coords[w] for w in mono] for mono in level.monomials]
-        terms = []
-        for c, v in zip(level.cols.tolist(), level.vals.tolist()):
-            term = v / scale if mode is float else Fraction(v, scale)
-            for x in factors[c]:
-                term = term * x
-            terms.append(term)
+        terms = [math.prod(factors[c], start=v / scale) for c, v in zip(level.cols.tolist(), level.vals.tolist())]
         entries = []
         for lo, hi in zip(ptr, ptr[1:]):
             total = 0

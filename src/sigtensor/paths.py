@@ -219,8 +219,8 @@ def tensor_congruence(core: LevelTensor, matrix: Sequence[Sequence]) -> LevelTen
     formed by contracting modes 1..k-1, then mode 0.  An exact core A / D and
     an exact matrix M / L contract as Python ints A and M over D * L^k (an
     int result only when both hold ints); otherwise they meet as mixed levels
-    do (`tensor._common`): a float in either makes it float64, and other
-    scalars (`Dual`s, say) contract as object arrays.
+    do (`tensor._common`): a float in either makes it float64, and any other
+    scalar raises a `TypeError`.
     """
     rows = [list(r) for r in matrix]
     d = len(rows)

@@ -57,7 +57,7 @@ def scalar_mode(values) -> tuple:
     numpy integer scalars are read (and returned) as `int`, other numpy
     floating scalars as `float`.  The mode is `int` when every value is an
     int, `Fraction` when every value is exact (`is_exact`), `float` when
-    the others are floats, and `object` otherwise (bools included).
+    the others are floats, else `object` (bools too: held, never computed).
     """
     values = tuple(values)
     kinds = set(map(type, values))

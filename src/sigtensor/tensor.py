@@ -10,8 +10,8 @@ built from entries, and every level computed from it carries that mode on.
 Every level is one read-only flat ndarray of values over one positive int
 denominator D: Python ints A over D, reduced by one gcd over the level, for
 an exact level (every entry an `int` or a `Fraction`); float64 values over 1
-for a float level; an object array of its entries over 1 for any other
-scalar type.  So each level operation is written once: products multiply
+for a float level; other scalars are only held, never computed with
+(`_computable`).  So each level operation is written once: products multiply
 values and denominators, sums bring their terms to the lcm of the
 denominators, and none runs a gcd per entry.  Operands meet in one mode
 (`_common`): where some level holds floats, an exact level enters as its
@@ -73,17 +73,22 @@ def _check_shape(d: int, k: int) -> None:
         raise ValueError("need d >= 1 and k >= 0")
 
 
+def _computable(*kinds) -> None:
+    """TypeError for the kind `object`: a level of other scalars (`Dual`s, bools) only holds its entries."""
+    if object in kinds:
+        raise TypeError("scalars of kind object (not int, Fraction or float) are only held, never computed with")
+
+
 def _common(levels) -> tuple:
     """(kind, arrays, denominators): the levels' values in the scalar mode where they
     meet, `int` only when all are.  Exact levels keep their integers and denominators;
-    otherwise each array is over 1, an exact level's its `to_float()` beside floats,
-    else its `array`."""
+    otherwise the kind is `float` and each array is its level's `to_float()` over 1.
+    A level of kind `object` raises (`_computable`)."""
     kinds = {t._kind for t in levels}
     if kinds.issubset(_EXACT_KINDS):
         return (int if kinds == {int} else Fraction), [t._values for t in levels], [t._denominator for t in levels]
-    floats = float in kinds
-    arrays = [t.to_float()._values if floats and t._kind in _EXACT_KINDS else t.array for t in levels]
-    return (object if object in kinds else float), arrays, [1] * len(levels)
+    _computable(*kinds)
+    return float, [t.to_float()._values for t in levels], [1] * len(levels)
 
 
 class LevelTensor:
@@ -101,12 +106,12 @@ class LevelTensor:
     is an int.  A computed level is `int` only when every level it was
     computed from is: one `Fraction` level in the factors of a series
     product, the constant term's included, makes all its levels `Fraction`.
-    A float level holds float64 values over 1, and its entries are read back
-    from them, so they are all Python floats (exact zeros included).  A level of other
-    scalars (`Dual`s, say) holds an object array of them over 1.  A level
-    built from given entries keeps them as given; a computed level builds its
-    entries on first read, and `to_float()` once.  The `array` of a `Fraction`
-    level is built on each read: hot code reads `as_integers()` or `to_float()`.
+    A float level holds float64 values over 1, and its entries are read back from them,
+    so they are all Python floats (exact zeros included).  A level of other scalars
+    (`Dual`s, bools) only holds an object array of them over 1 (`_computable`).  A
+    level built from given entries keeps them as given; a computed level builds its
+    entries on first read, and `to_float()` once.  The `array` of a `Fraction` level is
+    built on each read: hot code reads `as_integers()` or `to_float()`.
     """
 
     __slots__ = ("d", "k", "_values", "_denominator", "_kind", "_entries", "_float")
@@ -130,14 +135,14 @@ class LevelTensor:
         """The level values / denominator from a flat ndarray (not copied).
 
         Exact levels (kind `int` or `Fraction`) pass Python ints over an int
-        denominator, reduced here by one gcd over the level; kind None is
-        `float` for float64 values and `object` for others, over 1.
+        denominator, reduced here by one gcd over the level; float levels (kind
+        `float` or None) pass float64 values over 1.
         """
         if denominator != 1:
             values, denominator = _reduced(values, denominator)
         level = cls.__new__(cls)
         level.d, level.k = d, k
-        level._kind = kind or (float if values.dtype == np.float64 else object)
+        level._kind = kind or float
         level._values, level._denominator = _frozen(values), denominator
         level._entries = level._float = None
         return level
@@ -145,6 +150,7 @@ class LevelTensor:
     def _linear_map(self, k: int, f) -> "LevelTensor":
         """The order-k level f(cube) over the same denominator, for an f that
         only permutes and adds entries."""
+        _computable(self._kind)
         values = self._values
         out = np.asarray(f(values.reshape((self.d,) * self.k)), dtype=values.dtype).reshape(-1)
         return LevelTensor._of(self.d, k, out, self._denominator, self._kind)
@@ -231,18 +237,18 @@ class LevelTensor:
         return LevelTensor._of(self.d, self.k, x + y, den, kind)
 
     def scale(self, c) -> "LevelTensor":
-        if isinstance(c, np.generic):
-            c = scalar_mode((c,))[1][0]
-        if isinstance(c, _EXACT_KINDS) and self._kind in _EXACT_KINDS:
-            kind = int if self._kind is int and isinstance(c, int) else Fraction
+        mode = type(c)
+        if mode not in (int, Fraction, float):  # numpy scalars, bools and others
+            mode, (c,) = scalar_mode((c,))
+        _computable(self._kind, mode)
+        if self._kind in _EXACT_KINDS and mode is not float:
+            kind = int if self._kind is mode is int else Fraction
             values = self._values if c.numerator == 1 else self._values * c.numerator
             return LevelTensor._of(self.d, self.k, values, self._denominator * c.denominator, kind)
-        floats = self._kind is float or self._kind in _EXACT_KINDS and isinstance(c, float)
-        if floats and isinstance(c, (int, float, Fraction)):
-            return LevelTensor._of(self.d, self.k, float(c) * self.to_float()._values)
-        return LevelTensor._of(self.d, self.k, c * self.array)
+        return LevelTensor._of(self.d, self.k, float(c) * self.to_float()._values)
 
     def negate(self) -> "LevelTensor":
+        _computable(self._kind)
         return LevelTensor._of(self.d, self.k, -self._values, self._denominator, self._kind)
 
     def is_zero(self, tol: float | None = None) -> bool:
@@ -252,7 +258,7 @@ class LevelTensor:
         """Concatenation (outer) product of two levels."""
         if self.d != other.d:
             raise ValueError("dimension mismatch")
-        if self._kind is other._kind:
+        if self._kind is other._kind is not object:
             kind, (x, y), (p, q) = self._kind, (self._values, other._values), (self._denominator, other._denominator)
         else:
             kind, (x, y), (p, q) = _common((self, other))
@@ -464,12 +470,12 @@ def series_from_level(level: LevelTensor, n: int | None = None) -> TensorSeries:
     return TensorSeries(level.d, n, levels)
 
 
-def _graded_product(x: list, y: list, levels: range, unit: bool) -> list:
+def _graded_product(x: list, y: list, levels: range) -> list:
     """Levels m in `levels` of the product of two graded lists of (values, denominator), None for an all-zero
     level: the sum of x_j (x) y_(m-j) over ascending j, skipping pairs with a None side, not reduced, or None.
-    Exact pairs meet at the lcm of their denominators by scaling the shorter factor.  With `unit` (exact or
-    float values, never object), a factor that is the one value 1 over 1 gives its partner's values with no
-    outer product: v * 1.0 is v bit for bit (-0.0 and NaN too), and an int times 1 is itself."""
+    Exact pairs meet at the lcm of their denominators by scaling the shorter factor.  The values are exact or
+    float, so a factor whose one value is 1, over any denominator, gives its partner's values with no outer
+    product: v * 1.0 is v bit for bit (-0.0 and NaN too), and an int times 1 is itself."""
     out, top = [], len(y) - 1
     for m in levels:
         pairs = [(x[j], y[m - j]) for j in range(m - top if m > top else 0, m + 1) if x[j] and y[m - j]]
@@ -477,9 +483,9 @@ def _graded_product(x: list, y: list, levels: range, unit: bool) -> list:
         total = None
         for (u, a), (v, b) in pairs:
             s = den // (a * b)
-            if unit and len(u) == 1 and a == 1 and u[0] == 1:
+            if len(u) == 1 and u[0] == 1:
                 w = v * s if s > 1 else v
-            elif unit and len(v) == 1 and b == 1 and v[0] == 1:
+            elif len(v) == 1 and v[0] == 1:
                 w = u * s if s > 1 else u
             else:
                 if s > 1:
@@ -503,8 +509,7 @@ def concat_product(a: TensorSeries, b: TensorSeries) -> TensorSeries:
     n, levels = a.n, a.levels + b.levels
     kind, arrays, dens = _common(levels)
     live = [(x, q) if np.count_nonzero(x) else None for x, q in zip(arrays, dens)]
-    product = _graded_product(live[: n + 1], live[n + 1 :], range(n + 1), kind is not object)
-    kind = kind if kind in _EXACT_KINDS else None  # else the values' dtype decides
+    product = _graded_product(live[: n + 1], live[n + 1 :], range(n + 1))
     out = [
         LevelTensor._of(a.d, k, *t, kind) if t else LevelTensor.zeros(a.d, k, _scalar_zero(levels))
         for k, t in enumerate(product)
@@ -519,22 +524,22 @@ def commutator(a: TensorSeries, b: TensorSeries) -> TensorSeries:
 def _horner(d: int, levels: Sequence[LevelTensor], constant: int, coefficients: Sequence[Fraction]) -> TensorSeries:
     """constant + sum of c_r p^r over r = 1..n for the series p of these levels (level 0 is read only for its
     mode; p's constant term is 0) by Horner's rule: H_n = c_n, H_r = c_r + p H_(r+1) up to level n - r, and
-    constant + p H_1.  Level m of p H is level m of `_graded_product` of p and H (where c_1 = 1 costs no
-    product); an H level is reduced by one gcd, and dropped when all zero.  The levels are read once in one mode
-    (`_common`), c_r enters in it, and a result level that is not exact is zero + its sum, so none of its float
-    zeros is -0.0."""
+    constant + p H_1.  Level m of p H is level m of `_graded_product` of p and H (where a c_r of numerator 1
+    costs no product); an H level is reduced by one gcd, and dropped when all zero.  The levels are read once in
+    one mode (`_common`), c_r enters in it, and a result level that is not exact is zero + its sum, so none of
+    its float zeros is -0.0."""
     n, zero = len(levels) - 1, _scalar_zero(levels)
     head = LevelTensor(d, 0, [zero + constant])
     kind, arrays, dens = _common([head, *levels[1:]])
-    exact, unit = kind in _EXACT_KINDS, kind is not object
+    exact = kind in _EXACT_KINDS
     p = [None] + [(x, q) if np.count_nonzero(x) else None for x, q in zip(arrays[1:], dens[1:])]
     h = []  # H_(r+1), levels 0..n - r - 1
     for c in reversed(coefficients):
         one = (np.array([c.numerator], dtype=object), c.denominator) if exact else (np.array([zero + c]), 1)
-        ph = _graded_product(p, h, range(1, len(h) + 1), unit)
+        ph = _graded_product(p, h, range(1, len(h) + 1))
         h = [one] + [_reduced(*t) if t and np.count_nonzero(t[0]) else None for t in ph]
-    out, kind = [head], kind if exact else None  # else the values' dtype decides
-    for k, t in enumerate(_graded_product(p, h, range(1, n + 1), unit), 1):
+    out = [head]
+    for k, t in enumerate(_graded_product(p, h, range(1, n + 1)), 1):
         out.append(
             LevelTensor._of(d, k, t[0] if exact else zero + t[0], t[1], kind) if t else LevelTensor.zeros(d, k, zero)
         )

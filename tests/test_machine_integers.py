@@ -76,8 +76,30 @@ def test_a_wave_whose_sources_sum_past_2_63_moves_to_python_ints():
     start = LIMIT // 13
     lyndon._tables.clear()
     level = lyndon._build_level(2, 5, start)
-    assert level.vals.dtype == object
+    assert level.vals.dtype == object and level.moved == ("bound", 2)
     assert _level(level) == on_python_ints(lambda: _level(lyndon._build_level(2, 5, start)))
+
+
+def test_a_wave_bound_that_rounds_to_2_63_moves_to_python_ints():
+    # at (3, 3) over S_3 = 2^63 // 3 the first wave's bound is 3 S_3 = 2^63 - 2, which float64 rounds to
+    # 2^63: the bound is raised by its rounding margin, never lowered, so the pool moves there
+    lyndon._tables.clear()
+    assert lyndon._build_level(3, 3, LIMIT // 3).moved == ("bound", 1)
+    lyndon._tables.clear()
+
+
+def test_a_table_says_where_each_level_left_int64():
+    # (2, 5) built over 2^63 // 13 leaves int64 at its second wave's bound, and (2, 6) over it, with
+    # S_6 = lcm(6!, S_5) below 2^63, is on Python ints from its start because the level below is
+    lyndon._tables.clear()
+    try:
+        lyndon._tables._fill(2, 4)
+        lyndon._tables[2, 5] = lyndon._build_level(2, 5, LIMIT // 13)
+        assert math.lcm(math.factorial(6), LIMIT // 13) < LIMIT
+        assert NormalFormTable(2, 6).int64_exits == (None, None, None, None, ("bound", 2), ("below", 0))
+    finally:
+        lyndon._tables.clear()
+    assert lyndon._build_level(1, 1, LIMIT).moved == ("start", 0)
 
 
 def test_the_levels_up_to_2_11_stay_on_int64():
@@ -89,6 +111,7 @@ def test_the_levels_up_to_2_11_stay_on_int64():
 
     built = levels()
     assert {level.vals.dtype for level in built} == {np.dtype(np.int64)}
+    assert NormalFormTable(2, 11).int64_exits == (None,) * 11
     assert [_level(level) for level in built] == on_python_ints(lambda: [_level(level) for level in levels()])
     lyndon._tables.clear()
 
@@ -96,8 +119,17 @@ def test_the_levels_up_to_2_11_stay_on_int64():
 def test_a_level_whose_scale_grows_past_2_63_holds_python_ints():
     lyndon._tables.clear()
     level = lyndon._build_level(1, 2, start=2**62 + 1)  # a ⧢ a = 2 aa: S_2 grows by 2
-    assert level.scale == 2**63 + 2 and level.vals.dtype == object
+    assert level.scale == 2**63 + 2 and level.vals.dtype == object and level.moved == ("division", 1)
     assert level.vals.tolist() == [2**62 + 1] and type(level.vals[0]) is int
+
+
+def test_an_inexact_division_grows_the_scale_by_the_least_factor():
+    # a ⧢ aaa = 4 aaaa, and S_4 = 12 lifts row(aaa) = 1 (S_3 = 6) to 2: the least factor making 2 / 4 exact
+    # is 4 / gcd(4, 2) = 2, not 4
+    lyndon._tables.clear()
+    level = lyndon._build_level(1, 4, start=12)
+    assert (level.scale, level.vals.tolist(), level.moved) == (24, [1], ("division", 1))
+    lyndon._tables.clear()
 
 
 def _top_series(d, n, top, constant):

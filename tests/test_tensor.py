@@ -13,6 +13,7 @@ from sigtensor import (
     commutator,
     concat_product,
     exp_series,
+    expand_from_lyndon,
     from_vector,
     is_grouplike,
     is_lie,
@@ -21,6 +22,7 @@ from sigtensor import (
     project_level,
     recover_group_element,
     series_from_level,
+    tensor_congruence,
     unit_series,
     zero_series,
 )
@@ -191,12 +193,11 @@ def test_a_true_constant_term_gives_fractions():
     assert _reprs(exp_series(_series(1, [[False], [1], [2]]))) == [[repr(F(v))] for v in (1, 1, F(5, 2))]
 
 
-def test_exp_and_log_levels_built_from_float_pairs_alone_hold_floats():
-    # the Dual makes the series an object one, but levels 2 and 4 only sum products of floats
-    for f, constant, ends in ((exp_series, 0.0, ("1.0", "0.125")), (log_series, 1.0, ("0.0", "-0.125"))):
-        g = f(_series(1, [[constant], [0.0], [0.5], [Dual(1, (1,))], [0.0]]))
-        assert [level.holds_floats for level in g.levels] == [True, True, True, False, True]
-        assert _reprs(g) == [[ends[0]], ["0.0"], ["0.5"], ["Dual(1.0, (1.0,))"], [ends[1]]]
+def test_exp_and_log_of_float_levels_beside_a_dual_level_raise():
+    # levels 2 and 4 would only sum products of floats, but the series is read in one mode
+    for f, constant in ((exp_series, 0.0), (log_series, 1.0)):
+        with pytest.raises(TypeError, match="kind object"):
+            f(_series(1, [[constant], [0.0], [0.5], [Dual(1, (1,))], [0.0]]))
 
 
 def test_exp_log_inverse_random():
@@ -366,12 +367,47 @@ def test_concat_levels_with_no_live_pair_and_dual_products():
     assert zeros.levels[1].entries == (0, 0) and all(type(v) is Fraction for v in zeros.levels[1].entries)
     zeros = concat_product(_series(2, [[1.0], [0.0, 0.0]]), _series(2, [[1.0], [-0.0, 0.0]]))
     assert [repr(v) for v in zeros.levels[1].entries] == ["0.0", "0.0"]
-    # an object product multiplies by the constant 1: each entry is a new Dual
-    duals = _series(2, [[0], [Dual(2, (1,)), Dual(-1, (3,))]])
-    product = concat_product(_series(2, [[1], [0, 0]]), duals)
-    assert product.levels[0].entries == (0,) and type(product.levels[0].entries[0]) is Fraction
-    got, given = product.levels[1].entries, duals.levels[1].entries
-    assert all(x is not y and (x.a, x.b) == (y.a, y.b) for x, y in zip(got, given))
+    # a factor 1 takes no product, but a Dual level is still refused
+    with pytest.raises(TypeError, match="kind object"):
+        concat_product(_series(2, [[1], [0, 0]]), _series(2, [[0], [Dual(2, (1,)), Dual(-1, (3,))]]))
+
+
+#: Every arithmetic entry point, given an object level t (d = 2, k = 1), an exact level x of that shape,
+#: the series p with t at level 1 and constant term 0, and q, the same with constant term 1.
+_OBJECT_OPERATIONS = {
+    "LevelTensor.add": lambda t, x, p, q: t.add(x),
+    "LevelTensor.add to an exact level": lambda t, x, p, q: x.add(t),
+    "LevelTensor.scale": lambda t, x, p, q: t.scale(2),
+    "LevelTensor.scale by an object factor": lambda t, x, p, q: x.scale(t.entries[0]),
+    "LevelTensor.negate": lambda t, x, p, q: t.negate(),
+    "LevelTensor.tensor_product": lambda t, x, p, q: t.tensor_product(t),
+    "LevelTensor.tensor_product with an exact level": lambda t, x, p, q: x.tensor_product(t),
+    "LevelTensor.symmetrize": lambda t, x, p, q: t.symmetrize(),
+    "TensorSeries.add": lambda t, x, p, q: p.add(p),
+    "TensorSeries.scale": lambda t, x, p, q: p.scale(2),
+    "TensorSeries.negate": lambda t, x, p, q: p.negate(),
+    "TensorSeries.eta_scale": lambda t, x, p, q: p.eta_scale(2),
+    "concat_product": lambda t, x, p, q: concat_product(q, q),
+    "commutator": lambda t, x, p, q: commutator(p, q),
+    "exp_series": lambda t, x, p, q: exp_series(p),
+    "log_series": lambda t, x, p, q: log_series(q),
+    "tensor_congruence of an object core": lambda t, x, p, q: tensor_congruence(t, [[1, 0], [0, 1]]),
+    "tensor_congruence by an object matrix": lambda t, x, p, q: tensor_congruence(x, [list(t.entries)]),
+    "expand_from_lyndon": lambda t, x, p, q: expand_from_lyndon({(1,): t[0], (2,): t[1], (1, 2): t[0]}, 2, 2),
+    "pl_signature": lambda t, x, p, q: pl_signature([list(t.entries)], 2),
+}
+
+
+@pytest.mark.parametrize("operation", list(_OBJECT_OPERATIONS))
+@pytest.mark.parametrize("entries", [[Dual(1, (1,)), Dual(-2, (0,))], [True, False]], ids=["dual", "bool"])
+def test_object_levels_hold_their_entries_and_every_operation_refuses_them(entries, operation):
+    level = LevelTensor(2, 1, entries)
+    assert not level.is_exact() and not level.holds_floats
+    assert all(a is b for a, b in zip(level.entries, entries)) and len(level.entries) == 2
+    p = series_from_level(level, 2)
+    q = TensorSeries(2, 2, [LevelTensor(2, 0, [1]), *p.levels[1:]])
+    with pytest.raises(TypeError, match="kind object"):
+        _OBJECT_OPERATIONS[operation](level, LevelTensor(2, 1, [1, 2]), p, q)
 
 
 def test_equal_levels_and_series_hash_equal():
@@ -455,6 +491,11 @@ def test_int_levels_stay_int_and_mixed_levels_compute_as_fractions():
     mixed = LevelTensor(2, 1, [1, Fraction(1, 2)])
     assert mixed.entries == (1, Fraction(1, 2)) and type(mixed.entries[0]) is int  # kept as given
     assert [type(v) for v in mixed.tensor_product(ints).entries] == [Fraction] * 4
+    # in either order: the product takes the mode where its factors meet, not the left factor's
+    product = ints.tensor_product(mixed)
+    assert product.entries == (1, Fraction(1, 2), 2, 1) and all(type(v) is Fraction for v in product.entries)
+    floats = LevelTensor(2, 1, [0.5, -0.0])
+    assert ints.tensor_product(floats).holds_floats and mixed.tensor_product(floats).holds_floats
 
 
 def test_levels_built_from_int_entries_read_as_arrays_before_any_arithmetic():
