@@ -2,6 +2,7 @@
 
     python benchmarks/mutate.py tensor
     python benchmarks/mutate.py lyndon --list
+    python benchmarks/mutate.py paths
 
 A target (TARGETS) names a module of src/sigtensor, functions in it ("LevelTensor.scale" for a method)
 and the test files to run.  Each mutant flips one operator inside those functions: + and -, * and //
@@ -52,6 +53,11 @@ TARGETS = {
         "lyndon.py",
         ("_build_level", "expand_from_lyndon"),
         ("tests/test_machine_integers.py", "tests/test_lyndon.py", "tests/test_tensor.py"),
+    ),
+    "paths": (
+        "paths.py",
+        ("poly_signature_integrate", "canonical_mono", "tensor_congruence"),
+        ("tests/test_paths.py", "tests/test_properties.py"),
     ),
 }
 

@@ -13,9 +13,9 @@ the CFL words of monomials (`_Level`).  A non-Lyndon word l * u, l its
 first CFL factor, is eliminated against l ⧢ u = x_l * phi_u, a lift that
 is a column offset (l ⧢ u by `shuffle._shuffle`), in waves of independent
 rows (`_build_level`), on int64 while a bound certifies that no partial
-sum reaches 2^63, else on Python ints (`scalars.int_kind`).  Exact
-expansions sum a row by one `reduceat`; float ones term by term in column
-order, as `poly_eval` sums `NormalFormTable.table`.
+sum reaches 2^63, else on Python ints (`scalars.int_kind`).  An expansion
+from Lyndon coordinates sums each row by one `reduceat` in both scalar
+modes: exact over S_k, float weighted by the rounded c / S_k.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from .scalars import format_ratio, format_scalar, int_kind, integer_multiple, parse_scalar, scalar_mode
+from .scalars import format_ratio, format_scalar, int_kind, parse_scalar
 from .shuffle import _shuffle
-from .tensor import LevelTensor, TensorSeries, _computable, series_from_level
+from .tensor import LevelTensor, TensorSeries, _common, _quotients, series_from_level
 from .words import all_words, check_word, word_from_string, word_index, word_to_string
 
 
@@ -577,55 +577,46 @@ def lyndon_coordinates(series: TensorSeries) -> dict:
 def expand_from_lyndon(values: dict, d: int, n: int) -> TensorSeries:
     """Unique group-like series with the given Lyndon coordinates.
 
-    The scalar mode of the coordinates is decided once (`scalar_mode`).
-    Exact coordinates v_w are put over one denominator D
-    (`scalars.integer_multiple`) as the integers a_w = v_w * D^|w|, so
-    level k is an integer level over S_k * D^k: a column's monomial value
-    is the value at its first factor times that of its tail one level down
-    (one gather per level), and a row is one `reduceat`.  Float coordinates
-    weight a monomial by the float c / S_k (int true division rounds as
-    `Fraction`-with-`float` arithmetic does), multiply in its order, sum a
-    row term by term in column order, as `poly_eval` over `table` does, and
-    give the constant term 1.0.  Other coordinates raise a `TypeError`.
+    The coordinates are read as one level, in the scalar mode where they
+    meet (`tensor._common`): exact coordinates as integers a_w over one
+    denominator D, float ones as float64 over D = 1; other coordinates
+    raise a `TypeError`.  With known[w] = a_w * D^(|w|-1), a column's
+    monomial value is the known value at its first factor times that of
+    its tail one level down (one gather per level), and a row is one
+    `reduceat` of the column values weighted by its coefficients.  Exact
+    levels weight by the integers S_k * c, over S_k * D^k; float levels by
+    the correctly rounded c / S_k (`tensor._quotients`), and carry the
+    constant term 1.0.  A float entry at level k whose row has r terms
+    takes K = k + r roundings (one quotient, at most k - 1 factor
+    products, one weight product, r - 1 additions), so it lies within
+    gamma_K = K u / (1 - K u), u = 2^-53, times the same expansion of the
+    |c| and |coordinates|.
     """
     values = {tuple(w): v for w, v in values.items()}
     basis = lyndon_words(d, n)
     missing = [w for w in basis.words if w not in values]
     if missing:
         raise ValueError(f"missing Lyndon coordinates: {missing[:3]}...")
-    mode, coords = scalar_mode(values[w] for w in basis.words)
-    _computable(mode)
-    stored = [_tables.level(d, k) for k in range(1, n + 1)]
-    if mode in (int, Fraction):
-        coords, den = integer_multiple(coords)
-        # words of every length <= n in one array: the word of index i of length k at spot start[k] + i
-        start = np.cumsum([0] + [d**k for k in range(n + 1)])
-        known = np.zeros(start[-1], dtype=object)
-        for w, a in zip(basis.words, coords.tolist()):
-            known[start[len(w)] + word_index(w, d)] = a * den ** (len(w) - 1)
-        product = np.empty(start[-1], dtype=object)
-        product[0] = 1
-        levels = [LevelTensor(d, 0, [Fraction(1)])]
-        for level in stored:
-            k, a = level.k, level.first
-            cut = d ** (k - a)
-            col = np.arange(d**k)
-            product[start[k] : start[k + 1]] = known[start[a] + col // cut] * product[start[k - a] + col % cut]
-            entries = np.add.reduceat(level.vals * product[start[k] + level.cols], level.ptr[:-1])
+    kind, (coords,), (den,) = _common([LevelTensor(len(basis.words), 1, [values[w] for w in basis.words])])
+    exact = kind is not float
+    # words of every length <= n in one array: the word of index i of length k at spot start[k] + i
+    start = np.cumsum([0] + [d**k for k in range(n + 1)])
+    known = np.zeros(start[-1], dtype=coords.dtype)
+    for w, a in zip(basis.words, coords.tolist()):
+        known[start[len(w)] + word_index(w, d)] = a * den ** (len(w) - 1)
+    product = np.empty(start[-1], dtype=coords.dtype)
+    product[0] = 1
+    levels = [LevelTensor(d, 0, [Fraction(1) if exact else 1.0])]
+    for level in [_tables.level(d, k) for k in range(1, n + 1)]:
+        k, a = level.k, level.first
+        cut = d ** (k - a)
+        col = np.arange(d**k)
+        product[start[k] : start[k + 1]] = known[start[a] + col // cut] * product[start[k - a] + col % cut]
+        terms = product[start[k] + level.cols]
+        if exact:
+            entries = np.add.reduceat(level.vals * terms, level.ptr[:-1])
             levels.append(LevelTensor._of(d, k, entries, level.scale * den**k, Fraction))
-        return TensorSeries(d, n, levels)
-    coords = dict(zip(basis.words, map(float, coords)))
-    _decode(stored)
-    levels = [LevelTensor(d, 0, [1.0])]
-    for level in stored:
-        scale, ptr = level.scale, level.ptr.tolist()
-        factors = [[coords[w] for w in mono] for mono in level.monomials]
-        terms = [math.prod(factors[c], start=v / scale) for c, v in zip(level.cols.tolist(), level.vals.tolist())]
-        entries = []
-        for lo, hi in zip(ptr, ptr[1:]):
-            total = 0
-            for term in terms[lo:hi]:
-                total = total + term
-            entries.append(total)
-        levels.append(LevelTensor(d, level.k, entries))
+        else:  # 0.0 + turns a -0.0 sum into 0.0
+            entries = 0.0 + np.add.reduceat(_quotients(level.vals, level.scale) * terms, level.ptr[:-1])
+            levels.append(LevelTensor._of(d, k, entries))
     return TensorSeries(d, n, levels)

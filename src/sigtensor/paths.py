@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .scalars import int_kind, integer_multiple, parse_int, parse_list, parse_object, parse_rows, parse_scalar, scalar_mode
+from .scalars import int_kind, parse_int, parse_list, parse_object, parse_rows, parse_scalar
 from .shuffle import is_lie
 from .tensor import (
     LevelTensor,
@@ -325,33 +325,27 @@ def poly_signature_integrate(coeffs: Sequence[Sequence], n: int) -> TensorSeries
     its row holds the coefficients of t^k .. t^(k*m) only.  Ragged rows
     count as zero-padded.  Entries are the values at t=1, the row sums.
 
-    In the float scalar mode of the input coefficients the rows are float64.
-    Otherwise they are Python ints over one denominator: the derivative is
-    held over the lcm Dc of the coefficient denominators, and level k
-    multiplies the t^(k+j) column by L // (k+j), L = lcm(k, k+1, ...), in
-    place of dividing by k+j, so its denominator is the previous one times
-    Dc * L, reduced by one gcd per level.
+    The coefficients are read as one level of d * m entries, ragged rows
+    padded with 0 (`tensor._common`), so one float coefficient makes every
+    row float64, and other scalars raise a `TypeError`.  Exact rows are
+    Python ints: the derivative is held over the lcm Dc of the coefficient
+    denominators, and level k multiplies the t^(k+j) column by
+    L // (k+j), L = lcm(k, k+1, ...), in place of dividing by k+j, so its
+    denominator is the previous one times Dc * L, reduced by one gcd per
+    level.
     """
-    mode, values = scalar_mode(c for r in coeffs for c in r)
-    floats = mode is float
     d, m = len(coeffs), max([1, *map(len, coeffs)])
-    if floats:
-        values = [float(v) for v in values]
-    else:
-        values, den = integer_multiple([Fraction(v) for v in values])
-    dtype = np.float64 if floats else object
+    padded = [v for row in coeffs for v in (*row, *[0] * (m - len(row)))]
+    kind, (values,), (den,) = _common([LevelTensor(d * m, 1, padded)])
+    floats = kind is float
     # derivative[i, b] is the t^b coefficient of X_i'(t), times den when exact
-    derivative = np.zeros((d, m), dtype=dtype)
-    values = iter(values)
-    for i, row in enumerate(coeffs):
-        for b in range(len(row)):
-            derivative[i, b] = (b + 1) * next(values)
+    derivative = values.reshape(d, m) * np.arange(1, m + 1)
     levels = [LevelTensor(d, 0, [1.0 if floats else Fraction(1)])]
-    integrals = np.ones((1, 1), dtype=dtype)
+    integrals = np.ones((1, 1), dtype=derivative.dtype)
     scale = 1  # the exact integrals are integrals / scale
     for k in range(1, n + 1):
         width = integrals.shape[1]
-        product = np.zeros((len(integrals), d, width + m - 1), dtype=dtype)
+        product = np.zeros((len(integrals), d, width + m - 1), dtype=derivative.dtype)
         for b in range(m):
             product[:, :, b : b + width] += integrals[:, None, :] * derivative[None, :, b, None]
         # the t^(k+j) coefficient of the antiderivative is that of t^(k-1+j) over k+j

@@ -285,6 +285,7 @@ class LevelTensor:
         return self._float
 
     def to_json(self) -> dict:
+        _computable(self._kind)  # JSON writes rationals and floats only
         exact = self.is_exact()
         values, den = self._values.tolist(), self._denominator
         entries = {}

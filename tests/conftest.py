@@ -15,6 +15,12 @@ from sigtensor import (
 )
 
 
+def gamma(count):
+    """gamma_K = K u / (1 - K u) for u = 2^-53, as a Fraction."""
+    ku = Fraction(count, 2**53)
+    return ku / (1 - ku)
+
+
 def rand_fraction(rng, lo=-5, hi=5, max_den=4, nonzero=False):
     while True:
         value = Fraction(rng.randint(lo, hi), rng.randint(1, max_den))

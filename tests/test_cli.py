@@ -175,7 +175,7 @@ def test_lyndon_and_normal_form(capsys):
 
 
 def test_invariants_command(tmp_path, capsys):
-    tensor = project_level(poly_signature_integrate([("1", "2"), ("-1", "1/2")], 3), 3)
+    tensor = project_level(poly_signature_integrate([(Fraction(1), Fraction(2)), (Fraction(-1), Fraction(1, 2))], 3), 3)
     tensor_file = write_json(tmp_path, "t.json", tensor.to_json())
     code, out, _ = run_cli(capsys, "invariants", tensor_file)
     payload = json.loads(out)

@@ -32,7 +32,7 @@ from sigtensor import lyndon, shuffle
 from sigtensor.lyndon import NormalFormTable, lyndon_count_level, mobius, poly_eval, poly_from_json, poly_to_json
 from sigtensor.words import all_words
 
-from conftest import rand_fraction, random_grouplike, shuffle_all
+from conftest import gamma, rand_fraction, random_grouplike, shuffle_all
 
 # cumulative Lyndon counts for 2 <= k <= 9 (frozen reference values)
 COUNT_TABLE = {
@@ -462,14 +462,34 @@ def test_expand_inverts_lyndon_coordinates_in_both_scalar_modes(d, n, floats, da
     assert g.levels[0].entries == (1,)
     typed = [[(v, type(v)) for v in lvl.entries] for lvl in g.levels[1:]]
     if floats:
-        # Fraction coefficients times float coordinates, multiplied in monomial order
-        table = normal_form_table(d, n)
-        reference = [[poly_eval(table.table[w], coords) for w in all_words(d, k)] for k in range(1, n + 1)]
-        assert [[v.hex() for v, _ in level] for level in typed] == [[v.hex() for v in lvl] for lvl in reference]
+        assert all(t is float for level in typed for _, t in level)
+        assert not any(v == 0 and math.copysign(1, v) < 0 for level in typed for v, _ in level)  # no -0.0
+        exact = expand_from_lyndon({w: Fraction(v) for w, v in coords.items()}, d, n)
+        for k in range(1, n + 1):
+            for error, bound in _expansion_errors_and_bounds(g.levels[k], exact.levels[k], coords):
+                assert error <= bound, (k, error, bound)
         assert g.equals(sig, tol=1e-9)
     else:
         assert g == sig
         assert typed == [[(v, type(v)) for v in lvl.entries] for lvl in sig.levels[1:]]
+
+
+def _expansion_errors_and_bounds(floats, exact, coords):
+    """(|float - exact|, gamma_(k+r) A) per entry of level k of a float expansion from its coordinates,
+    where row i of the stored level has r terms and A is the same row on absolute values: the sum over
+    its terms of |S_k c| / S_k times |coordinate| at each CFL factor of the column's word."""
+    level = lyndon._tables.level(floats.d, floats.k)
+    ptr, cols, vals = level.ptr.tolist(), level.cols.tolist(), level.vals.tolist()
+    words = list(all_words(floats.d, floats.k))
+    out = []
+    for i, (f, e) in enumerate(zip(floats.entries, exact.entries)):
+        terms = range(ptr[i], ptr[i + 1])
+        magnitude = 0
+        for j in terms:
+            factors = cfl_factorization(words[cols[j]])
+            magnitude += Fraction(abs(vals[j]), level.scale) * math.prod(abs(Fraction(coords[w])) for w in factors)
+        out.append((abs(Fraction(f) - e), gamma(floats.k + len(terms)) * magnitude))
+    return out
 
 
 def test_poly_json_round_trip():

@@ -87,6 +87,9 @@ def test_canonical_mono_printed_values():
         for i in range(1, k + 1):
             fact *= i
         assert canonical_mono(2, k)[(1,) * k] == Fraction(1, fact)
+    for m, k in [(0, 2), (2, 0)]:
+        with pytest.raises(ValueError, match="need m >= 1 and k >= 1"):
+            canonical_mono(m, k)
 
 
 def test_canonical_mono_where_products_pass_int64():
@@ -116,8 +119,10 @@ def test_congruence_identity_and_permutation():
     for word in all_words(3, 3):
         src = tuple(inverse[w - 1] + 1 for w in word)
         assert permuted[word] == core[src]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="matrix has 2 columns, core dimension is 3"):
         tensor_congruence(core, [[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="matrix has 2 columns, core dimension is 3"):
+        tensor_congruence(LevelTensor(3, 1, [1, 2, 3]), [[1, 0]])
 
 
 def test_congruence_matches_matrix_action_k2():

@@ -78,6 +78,8 @@ from sigtensor.scalars import scalar_mode, values_close
 from sigtensor.stochastic import drift_covariance_exponent
 from sigtensor.words import all_words
 
+from conftest import gamma
+
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=50, database=None)
 
 rationals = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
@@ -356,7 +358,7 @@ def test_float_concat_product_is_within_the_forward_error_bound(d, n, seed):
     floats = concat_product(series(a).to_float(), series(b).to_float())
     magnitudes = concat_product(*(series([[abs(v) for v in level] for level in c]) for c in (a, b)))
     for m in range(n + 1):
-        bound = _gamma(m + 1)
+        bound = gamma(m + 1)
         assert floats.levels[m].holds_floats
         for f, e, s in zip(floats.levels[m].entries, exact.levels[m].entries, magnitudes.levels[m].entries):
             assert abs(Fraction(f) - e) <= bound * s, (m, f, e)
@@ -1107,12 +1109,6 @@ def test_image_and_jacobian_equal_the_partial_by_partial_reference(family, d, m,
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
-def _gamma(count):
-    """gamma_K = K u / (1 - K u) for u = 2^-53, as a Fraction."""
-    ku = Fraction(count, 2**53)
-    return ku / (1 - ku)
-
-
 @PROPERTY
 @given(st.sampled_from(["pl", "poly"]), st.integers(1, 4), st.integers(1, 4), st.integers(1, 5), st.integers(0, 2**16))
 @example("pl", 3, 2, 1, 0)  # k = 1
@@ -1136,7 +1132,7 @@ def test_float_image_and_jacobian_lie_within_the_forward_error_bound(family, d, 
     absolute = _image_and_jacobian(np.abs(level.cube), np.abs(point))
     for got, want, size, count in zip(floats, exact, absolute, (k * m + 1, (k - 1) * m + k)):
         assert got.dtype == np.float64 and got.shape == want.shape
-        bound = _gamma(count)
+        bound = gamma(count)
         assert all(abs(Fraction(g) - w) <= bound * a for g, w, a in zip(got.flat, want.flat, size.flat))
 
 

@@ -372,7 +372,7 @@ def test_concat_levels_with_no_live_pair_and_dual_products():
         concat_product(_series(2, [[1], [0, 0]]), _series(2, [[0], [Dual(2, (1,)), Dual(-1, (3,))]]))
 
 
-#: Every arithmetic entry point, given an object level t (d = 2, k = 1), an exact level x of that shape,
+#: Every arithmetic entry point and `to_json`, given an object level t (d = 2, k = 1), an exact level x of that shape,
 #: the series p with t at level 1 and constant term 0, and q, the same with constant term 1.
 _OBJECT_OPERATIONS = {
     "LevelTensor.add": lambda t, x, p, q: t.add(x),
@@ -395,11 +395,15 @@ _OBJECT_OPERATIONS = {
     "tensor_congruence by an object matrix": lambda t, x, p, q: tensor_congruence(x, [list(t.entries)]),
     "expand_from_lyndon": lambda t, x, p, q: expand_from_lyndon({(1,): t[0], (2,): t[1], (1, 2): t[0]}, 2, 2),
     "pl_signature": lambda t, x, p, q: pl_signature([list(t.entries)], 2),
+    "poly_signature_integrate": lambda t, x, p, q: poly_signature_integrate([list(t.entries), [1]], 2),
+    "LevelTensor.to_json": lambda t, x, p, q: t.to_json(),
 }
 
 
 @pytest.mark.parametrize("operation", list(_OBJECT_OPERATIONS))
-@pytest.mark.parametrize("entries", [[Dual(1, (1,)), Dual(-2, (0,))], [True, False]], ids=["dual", "bool"])
+@pytest.mark.parametrize(
+    "entries", [[Dual(1, (1,)), Dual(-2, (0,))], [True, False], ["1", "1/2"]], ids=["dual", "bool", "string"]
+)
 def test_object_levels_hold_their_entries_and_every_operation_refuses_them(entries, operation):
     level = LevelTensor(2, 1, entries)
     assert not level.is_exact() and not level.holds_floats
