@@ -180,11 +180,11 @@ def _integer_point(recovery, family, d, k, m):
     seeded rational d x m point, object arrays of Python ints; the Jacobian of
     `_image_and_jacobian` on them is the exact one times the core's and the
     point's denominators (row a*m+b is the partial in X[a, b])."""
-    from sigtensor.scalars import integer_multiple
+    from sigtensor.tensor import LevelTensor
 
     values = _rationals(d * 100 + m * 10 + k + 6, d * m)
     core = recovery._core_level(family, m, k).as_integers()[0].reshape((m,) * k)
-    return core, integer_multiple([values[i * m : (i + 1) * m] for i in range(d)])[0]
+    return core, LevelTensor(d * m, 1, values).as_integers()[0].reshape(d, m)
 
 
 def _cold(call, *clears):

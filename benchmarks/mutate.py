@@ -3,6 +3,8 @@
     python benchmarks/mutate.py tensor
     python benchmarks/mutate.py lyndon --list
     python benchmarks/mutate.py paths
+    python benchmarks/mutate.py matrices
+    python benchmarks/mutate.py shuffle
 
 A target (TARGETS) names a module of src/sigtensor, functions in it ("LevelTensor.scale" for a method)
 and the test files to run.  Each mutant flips one operator inside those functions: + and -, * and //
@@ -58,6 +60,16 @@ TARGETS = {
         "paths.py",
         ("poly_signature_integrate", "canonical_mono", "tensor_congruence"),
         ("tests/test_paths.py", "tests/test_properties.py"),
+    ),
+    "matrices": (
+        "matrices.py",
+        ("_read_matrix", "_eliminate", "_rank_mod_p", "_pfaffian"),
+        ("tests/test_matrices.py", "tests/test_recovery.py", "tests/test_properties.py"),
+    ),
+    "shuffle": (
+        "shuffle.py",
+        ("_first_violation", "_forms"),
+        ("tests/test_shuffle.py", "tests/test_machine_integers.py", "tests/test_properties.py"),
     ),
 }
 

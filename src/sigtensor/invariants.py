@@ -26,20 +26,8 @@ class LinearInvariants:
 
 
 def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    """The sign of a permutation: -1 to the number of its inversions."""
+    return (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
 
 
 def volume_invariant(tensor: LevelTensor):

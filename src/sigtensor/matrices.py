@@ -7,8 +7,9 @@ d x 2d matrix [P Q] has rank <= m; the generating equations are 2-minors
 of P together with pfaffian data of Q.  A float congruence transports the
 monomial matrix onto the axis matrix constructively.
 
-Each function reads its matrix once (`_read_matrix`): exact as A / L, Python
-ints over one denominator, float as float64.  An exact S = A / L has the pencil
+Each function reads its matrix once, as one level (`_read_matrix`): exact as
+A / L, Python ints over one denominator, float as float64, and other scalars
+refused, as by every level engine.  An exact S = A / L has the pencil
 B = A + A^T and C = A - A^T over 2L (`_pencil`); ranks, minors, sub-pfaffians
 and P C_m(Q) are taken on B and C, and become `Fraction`s once, at the end.
 """
@@ -24,37 +25,40 @@ from typing import Sequence
 import numpy as np
 
 from .paths import _core_level
-from .scalars import NumericalFailure, integer_multiple, scalar_mode
-from .tensor import LevelTensor
+from .scalars import NumericalFailure
+from .tensor import LevelTensor, _check_shape, _common
 
 
 def _read_matrix(matrix, square: bool = False, exact: bool = False) -> tuple:
-    """(mode, A, L): rows, a numpy array or an order-2 `LevelTensor` (its cube) as a new
-    2-d array over L.  Exact entries (`scalar_mode`) give mode `int` or `Fraction` and
-    Python ints, matrix == A / L; floats, also beside exact entries, give float64 over 1,
-    or with `exact` their rationals; other entries (bools) are read as `Fraction`s.
-    Ragged, non-square (with `square`) and non-finite matrices are refused."""
+    """(mode, A, L): rows, a numpy array or an order-2 `LevelTensor` read as one level
+    (`tensor._common`), as a new 2-d array A over L: mode `int` or `Fraction` and Python
+    ints with matrix == A / L, or float64 over 1 when any entry is a float (with `exact`,
+    each entry's rational).  Bools, `Dual`s and strings raise the object-kind TypeError;
+    ragged, non-square (with `square`) and non-finite matrices a ValueError."""
     if isinstance(matrix, LevelTensor):
         if matrix.k != 2:
             raise ValueError("expected an order-2 tensor")
-        matrix = matrix.cube
-    if isinstance(matrix, np.ndarray):
-        matrix = matrix.tolist()
-    rows = [list(r) for r in matrix]
-    if rows and any(len(r) != len(rows[0]) for r in rows):
-        raise ValueError("ragged matrix")
-    if square and any(len(r) != len(rows) for r in rows):
-        raise ValueError("matrix must be square")
-    shape = (len(rows), len(rows[0]) if rows else 0)
-    mode, values = scalar_mode(v for row in rows for v in row)
-    if mode not in (int, Fraction):
-        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+        level, shape = matrix, (matrix.d, matrix.d)
+    else:
+        rows = [list(r) for r in (matrix.tolist() if isinstance(matrix, np.ndarray) else matrix)]
+        if rows and any(len(r) != len(rows[0]) for r in rows):
+            raise ValueError("ragged matrix")
+        if square and any(len(r) != len(rows) for r in rows):
+            raise ValueError("matrix must be square")
+        shape = (len(rows), len(rows[0]) if rows else 0)
+        entries = [v for row in rows for v in row]
+        if not entries:
+            return int, np.zeros(shape, dtype=object), 1
+        level = LevelTensor(len(entries), 1, entries)
+    mode, (values,), (scale,) = _common([level])
+    if mode is float:
+        if not np.isfinite(values).all():
             raise ValueError("matrix entries must be finite")
-        if mode is float and not exact:
-            return float, np.array(values, dtype=np.float64).reshape(shape), 1
-        mode, values = Fraction, [Fraction(v) for v in values]
-    array, scale = integer_multiple(values)
-    return mode, array.reshape(shape), scale
+        if exact:  # a float's rational exactly, an exact entry as given
+            given = level.entries if level is matrix else entries
+            given = [v.item() if isinstance(v, np.generic) else v for v in given]
+            mode, (values,), (scale,) = _common([LevelTensor(len(given), 1, list(map(Fraction, given)))])
+    return mode, values.reshape(shape).copy(), scale
 
 
 def _scalars(mode, values: np.ndarray, den: int) -> list:
@@ -66,7 +70,8 @@ def _scalars(mode, values: np.ndarray, den: int) -> list:
 
 def matrix_to_tensor(rows: Sequence[Sequence]) -> LevelTensor:
     mode, array, scale = _read_matrix(rows, square=True)
-    return LevelTensor(len(array), 2, _scalars(mode, array.reshape(-1), scale))
+    _check_shape(len(array), 2)
+    return LevelTensor._of(len(array), 2, array.reshape(-1), scale, mode)
 
 
 @dataclass(frozen=True)

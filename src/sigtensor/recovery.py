@@ -51,7 +51,7 @@ from .matrices import (
     _residues,
 )
 from .paths import _core_level, tensor_congruence
-from .scalars import NumericalFailure, fraction_nth_root, integer_multiple, real_nth_root, scalar_mode
+from .scalars import NumericalFailure, fraction_nth_root, real_nth_root, scalar_mode
 from .tensor import LevelTensor, TensorSeries, _frozen
 
 
@@ -210,7 +210,7 @@ def _kernel_point(rows: list) -> tuple:
         return tuple((sign * sol).tolist())
     sol = echelon.kernel_vector([int(c not in echelon.pivots) for c in range(cols)])
     # normalize to coprime integers with the first nonzero entry positive
-    ints = integer_multiple(sol)[0].tolist()
+    ints = LevelTensor(cols, 1, sol).as_integers()[0].tolist()
     g = math.gcd(*ints) * (1 if next(v for v in ints if v) > 0 else -1)
     return tuple(Fraction(v // g) for v in ints)
 

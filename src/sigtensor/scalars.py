@@ -2,13 +2,15 @@
 
 `scalar_mode` is the one rule for the scalar mode of values entering the
 package: exact (Python `int` and `fractions.Fraction`), float, or other.
-Computed levels carry their mode on; an exact operand that meets a float one
-enters as `LevelTensor.to_float()`, each entry correctly rounded, also where
-it is one term of a sum.
+`tensor.LevelTensor` applies it, and every engine, the matrix functions and
+the Brownian exponent included, reads its scalars as levels.  Computed
+levels carry their mode on; an exact operand that meets a float one enters
+as `LevelTensor.to_float()`, each entry correctly rounded, also where it is
+one term of a sum.
 
-`integer_multiple` is the one conversion of exact values to Python ints over
-one denominator; exact levels, congruence matrices, polynomial coefficients,
-Lyndon coordinates and the fraction-free elimination all enter through it.
+`values_close` is the one equality test: bit-exact for rationals, else the
+relative tolerance |a - b| <= tol * max(1, |a|, |b|), on two scalars or
+elementwise on two float arrays (the shuffle-law scan).
 
 `int_kind` is the one rule for the dtype of an exact integer kernel: int64
 when a bound certifies that no partial sum reaches 2^63, object otherwise.
@@ -75,25 +77,16 @@ def scalar_mode(values) -> tuple:
     return int, values
 
 
-def integer_multiple(values) -> tuple:
-    """(A, L): exact values (ints or `Fraction`s) times the lcm L of their
-    denominators, A an object ndarray of Python ints with the values' shape."""
-    array = np.asarray(values, dtype=object)
-    flat = array.ravel().tolist()
-    scale = math.lcm(*(v.denominator for v in flat))
-    ints = [v.numerator * (scale // v.denominator) for v in flat]
-    return np.array(ints, dtype=object).reshape(array.shape), scale
-
-
-def values_close(a, b, tol: float | None = None) -> bool:
-    """Equality test: bit-exact for rationals, relative tolerance for floats."""
+def values_close(a, b, tol: float | None = None):
+    """Bit-exact for two rationals when tol is None; else |a - b| <= tol * max(1, |a|, |b|), tol
+    `DEFAULT_REL_TOL` when None, written as three comparisons so that it takes Python scalars of any
+    size, or two arrays elementwise."""
     if tol is None:
         if is_exact(a) and is_exact(b):
             return a == b
         tol = DEFAULT_REL_TOL
     diff = abs(a - b)
-    scale = max(1.0, abs(a), abs(b))
-    return diff <= tol * scale
+    return (diff <= tol) | (diff <= tol * abs(a)) | (diff <= tol * abs(b))
 
 
 def parse_scalar(text, name: str, exact: bool = True):

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .scalars import DEFAULT_REL_TOL, int_kind, values_close
+from .scalars import int_kind, values_close
 from .tensor import LevelTensor, TensorSeries
 from .words import index_word, word_index
 
@@ -136,8 +136,7 @@ def _first_violation(series: TensorSeries, tol: float | None, grouplike: bool):
             if integers:
                 miss = forms * form_scale != rhs * rhs_scale
             else:
-                scale = np.maximum(np.maximum(abs(forms), abs(rhs)), 1.0)
-                miss = ~(abs(forms - rhs) <= (DEFAULT_REL_TOL if tol is None else tol) * scale)
+                miss = ~values_close(forms, rhs, tol)
             hits = np.argwhere(np.triu(miss) if 2 * r == total else miss)
             if len(hits):
                 i, j = hits[0].tolist()

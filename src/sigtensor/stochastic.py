@@ -5,7 +5,8 @@ Sigma is the tensor exponential of mu + Sigma/2; a skew perturbation Q of
 the second-level data (non-reversible noise) adds Q to the exponent.
 Mixtures are convex combinations of component series, and every moment of
 the underlying Gaussian is a shuffle linear form in the series, a multiple
-of a sum of entries (`gaussian_moment`).
+of a sum of entries (`gaussian_moment`).  The exponent is level operations
+on the model's entries read as levels, in the modes of every level engine.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .scalars import format_scalar, parse_list, parse_object, parse_rows, parse_scalar, scalar_mode
-from .tensor import LevelTensor, TensorSeries, exp_series
+from .scalars import format_scalar, parse_list, parse_object, parse_rows, parse_scalar
+from .tensor import LevelTensor, TensorSeries, _scalar_zero, exp_series
 
 
 @dataclass(frozen=True)
@@ -136,20 +137,15 @@ class MixtureModel:
 
 
 def drift_covariance_exponent(model: BrownianModel, n: int) -> TensorSeries:
-    """The exponent mu + (sigma + 2q)/2 as a series (levels 1 and 2)."""
+    """The exponent mu + (sigma + 2q)/2 as a series: the levels mu and sigma / 2, plus q when given, in
+    the modes of every level engine; the other levels are zeros in the mode where they meet."""
     d = model.d
-    parts = []
-    if n >= 1:
-        parts.append(LevelTensor(d, 1, list(model.mu)))
-    if n >= 2:
-        value = Fraction(1, 2) * np.array(model.sigma, dtype=object)
-        if model.q is not None:
-            value = value + np.array(model.q, dtype=object)
-        parts.append(LevelTensor(d, 2, value.reshape(-1).tolist()))
-    # the constant and the other levels are zeros in the model's mode
-    values = [*model.mu, *(v for row in model.sigma + (model.q or ()) for v in row)]
-    zero = 0.0 if scalar_mode(values)[0] is float else Fraction(0)
-    levels = [LevelTensor(d, 0, [zero]), *parts]
+    drift = LevelTensor(d, 1, list(model.mu))
+    second = LevelTensor(d, 2, [v for row in model.sigma for v in row]).scale(Fraction(1, 2))
+    if model.q is not None:
+        second = second.add(LevelTensor(d, 2, [v for row in model.q for v in row]))
+    zero = _scalar_zero([drift, second])
+    levels = [LevelTensor(d, 0, [zero]), drift, second][: n + 1]
     levels += [LevelTensor.zeros(d, k, zero) for k in range(len(levels), n + 1)]
     return TensorSeries(d, n, levels)
 

@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .scalars import format_ratio, format_scalar, integer_multiple, parse_int, parse_scalar, scalar_mode, values_close
+from .scalars import format_ratio, format_scalar, parse_int, parse_scalar, scalar_mode, values_close
 from .words import index_word, word_from_string, word_index, word_to_string
 
 _EXACT_KINDS = (int, Fraction)
@@ -121,8 +121,9 @@ class LevelTensor:
         kind, entries = scalar_mode(entries)
         if len(entries) != d**k:
             raise ValueError(f"expected {d ** k} entries, got {len(entries)}")
-        if kind in _EXACT_KINDS:
-            values, denominator = integer_multiple(entries)  # gcd(A, lcm of denominators) == 1
+        if kind in _EXACT_KINDS:  # Python ints A over the lcm D of the denominators, so gcd(A, D) == 1
+            denominator = math.lcm(*(v.denominator for v in entries))
+            values = np.array([v.numerator * (denominator // v.denominator) for v in entries], dtype=object)
         else:
             values, denominator = np.array(entries, dtype=np.float64 if kind is float else object), 1
         self.d, self.k, self._kind = d, k, kind
@@ -217,11 +218,15 @@ class LevelTensor:
         return self._kind in _EXACT_KINDS
 
     def equals(self, other: "LevelTensor", tol: float | None = None) -> bool:
+        _computable(self._kind, other._kind)
         if self.d != other.d or self.k != other.k:
             return False
         return all(values_close(a, b, tol) for a, b in zip(self.entries, other.entries))
 
     def __eq__(self, other):
+        """`equals`; a level of kind object compares its entries as a tuple, and never raises."""
+        if isinstance(other, LevelTensor) and object in (self._kind, other._kind):
+            return (self.d, self.k, self.entries) == (other.d, other.k, other.entries)
         return isinstance(other, LevelTensor) and self.equals(other)
 
     def __hash__(self):
@@ -252,6 +257,7 @@ class LevelTensor:
         return LevelTensor._of(self.d, self.k, -self._values, self._denominator, self._kind)
 
     def is_zero(self, tol: float | None = None) -> bool:
+        _computable(self._kind)
         return all(values_close(v, 0 * v, tol) for v in self.entries)
 
     def tensor_product(self, other: "LevelTensor") -> "LevelTensor":
@@ -354,7 +360,8 @@ class TensorSeries:
         return all(a.equals(b, tol) for a, b in zip(self.levels, other.levels))
 
     def __eq__(self, other):
-        return isinstance(other, TensorSeries) and self.equals(other)
+        same_shape = isinstance(other, TensorSeries) and (self.d, self.n) == (other.d, other.n)
+        return same_shape and all(a == b for a, b in zip(self.levels, other.levels))
 
     def __hash__(self):
         """The shape's, as for `LevelTensor`."""

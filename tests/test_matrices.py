@@ -145,7 +145,12 @@ def _rank_inputs_near_the_word_size():
 @pytest.mark.parametrize("array", _rank_inputs_near_the_word_size(), ids=lambda a: str(a.dtype))
 def test_exact_rank_of_integer_arrays_equals_the_list_input(array):
     before = array.copy()
-    assert exact_rank(array) == exact_rank(array.tolist())
+    if array.dtype == bool:  # bools are held, never computed with, as by every level engine
+        for matrix in (array, array.tolist()):
+            with pytest.raises(TypeError, match="kind object"):
+                exact_rank(matrix)
+    else:
+        assert exact_rank(array) == exact_rank(array.tolist())
     assert array.tolist() == before.tolist()  # the elimination works on a copy
 
 

@@ -2,7 +2,8 @@
 polynomial integration engine, the fraction-free elimination (also
 against a plain-`Fraction` Gauss-Jordan oracle), the pfaffians, circuit
 matrices and signature-matrix generators (against a first-row expansion
-oracle, the determinant and congruence), JSON round
+oracle, the determinant and congruence), every matrix function read alike
+from rows, numpy arrays and order-2 levels, JSON round
 trips, group-element recovery, the group-like/Lie correspondence, the
 shuffle-law witnesses against a pair scan, the Chen product and its
 callers in every scalar mode against the product and sum rules applied to
@@ -72,7 +73,18 @@ from sigtensor import recovery
 from sigtensor.dual import Dual
 from sigtensor.lyndon import poly_from_json, poly_to_json
 from sigtensor.paths import _contract
-from sigtensor.matrices import _PRIME, _eliminate, _read_matrix, _residues, matrix_inverse, mono_slice_matrix
+from sigtensor.matrices import (
+    _PRIME,
+    _eliminate,
+    _read_matrix,
+    _residues,
+    is_signature_matrix,
+    matrix_inverse,
+    matrix_to_tensor,
+    mono_slice_matrix,
+    signature_matrix_witness,
+    split_pencil,
+)
 from sigtensor.recovery import _core_level, _descend, _image_and_jacobian, _jacobian_residues, _kernel_point
 from sigtensor.scalars import scalar_mode, values_close
 from sigtensor.stochastic import drift_covariance_exponent
@@ -679,6 +691,80 @@ def test_circuit_matrix_and_generators_equal_their_expansion(d, kind, form, data
         # int sub-pfaffians beside Fraction(0) off each column's subset; the empty pfaffian is Fraction(1)
         sub = int if kind == "int" and even else Fraction
         assert [[type(v) for v in row] for row in circuit] == [[sub if at else Fraction for at in r] for r in inside]
+
+
+#: Every public function of `sigtensor.matrices` that reads a matrix, and whether it reads a skew one.
+_MATRIX_READERS = {
+    "exact_rank": (exact_rank, False),
+    "exact_det": (exact_det, False),
+    "matrix_inverse": (matrix_inverse, False),
+    "split_pencil": (split_pencil, False),
+    "matrix_to_tensor": (matrix_to_tensor, False),
+    "is_signature_matrix": (lambda a: [is_signature_matrix(a, m) for m in (1, 2)], False),
+    "signature_matrix_witness": (lambda a: [signature_matrix_witness(a, m) for m in (1, 2)], False),
+    "signature_matrix_generators": (lambda a: [signature_matrix_generators(a, m) for m in (1, 2)], False),
+    "pfaffian": (pfaffian, True),
+    "circuit_matrix": (lambda a: circuit_matrix(a, 0), True),
+}
+
+#: The numpy dtypes a matrix may come in, and whether one holds a given entry exactly.
+_DTYPES = {
+    np.int64: lambda v: type(v) is int and -(2**63) <= v < 2**63,
+    np.uint64: lambda v: type(v) is int and 0 <= v < 2**64,
+    np.float64: lambda v: type(v) is float,
+    object: lambda v: True,
+}
+
+
+def _typed_outcome(x):
+    """x as nested (type, value) pairs, floats by their hex, a level by its shape and entries."""
+    if isinstance(x, LevelTensor):
+        return "level", x.d, x.k, _typed_outcome(x.entries)
+    if isinstance(x, (list, tuple)):
+        return [_typed_outcome(v) for v in x]
+    if hasattr(x, "P"):  # a MatrixPencil
+        return _typed_outcome((x.P, x.Q))
+    return type(x), x.hex() if isinstance(x, float) else x
+
+
+def _read_outcome(f, a):
+    """_typed_outcome(f(a)), or the type and message of the ValueError it raised (a singular inverse)."""
+    try:
+        return _typed_outcome(f(a))
+    except ValueError as error:
+        return type(error), str(error)
+
+
+def _matrix_forms(rows):
+    """rows in every numpy dtype that holds them exactly, and as an order-2 LevelTensor."""
+    values = [v for row in rows for v in row]
+    arrays = [np.array(rows, dtype=t) for t, holds in _DTYPES.items() if all(map(holds, values))]
+    return arrays + [LevelTensor(len(rows), 2, values)]
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.integers(1, 5), st.sampled_from(("int", "Fraction", "float")), st.data())
+def test_every_matrix_function_reads_rows_arrays_and_levels_alike(d, kind, data):
+    entries = st.one_of(_ENTRIES[kind], st.integers(0, 2**64 - 1)) if kind == "int" else _ENTRIES[kind]
+    s = data.draw(st.lists(st.lists(entries, min_size=d, max_size=d), min_size=d, max_size=d))
+    q = [[s[i][j] - s[j][i] for j in range(d)] for i in range(d)]
+    for name, (f, skew) in _MATRIX_READERS.items():
+        rows = q if skew else s
+        want = _read_outcome(f, rows)
+        for form in _matrix_forms(rows):
+            assert _read_outcome(f, form) == want, (name, getattr(form, "dtype", "level"))
+
+
+@pytest.mark.parametrize("name", list(_MATRIX_READERS))
+@pytest.mark.parametrize(
+    "entries", [[True, False, False, True], [Dual(0, (1,)), Dual(1, (0,))] * 2, ["0", "1", "-1", "0"]],
+    ids=["bool", "dual", "string"],
+)
+def test_every_matrix_function_refuses_object_entries(name, entries):
+    rows = [entries[:2], entries[2:]]
+    for form in (rows, np.array(rows), np.array(rows, dtype=object), LevelTensor(2, 2, entries)):
+        with pytest.raises(TypeError, match="kind object"):
+            _MATRIX_READERS[name][0](form)
 
 
 @PROPERTY

@@ -250,6 +250,19 @@ def test_equal_length_witness_skips_pairs_below_the_diagonal():
     assert find_lie_violation(broken.to_float(), 1e-12) == ((1,), (2,), 1.0)
 
 
+def test_a_first_violation_below_the_diagonal_of_a_longer_right_word_is_reported():
+    # at d = 3, <3 ⧢ 12> is independent of every form scanned before it, though 3 has a larger index than 12;
+    # T = 213 - 123 breaks it first, and <3 ⧢ 21> after it
+    top = LevelTensor.from_map(3, 3, {(2, 1, 3): 1, (1, 2, 3): -1})
+    zeros = [LevelTensor.zeros(3, k) for k in (1, 2)]
+    lie = TensorSeries(3, 3, [LevelTensor(3, 0, [0]), *zeros, top])
+    group = TensorSeries(3, 3, [LevelTensor(3, 0, [1]), *zeros, top])
+    assert find_lie_violation(lie) == ((3,), (1, 2), -1)
+    assert find_lie_violation(lie.to_float(), 1e-12) == ((3,), (1, 2), -1.0)
+    assert find_grouplike_violation(group) == ((3,), (1, 2), -1, 0)
+    assert find_grouplike_violation(group.to_float()) == ((3,), (1, 2), -1.0, 0.0)
+
+
 def test_a_float_form_that_misses_by_exactly_tol_times_scale_is_accepted():
     tol = 2.0**-10  # a power of two: every product and difference below is exact
     # Lie: the form 1 ⧢ 1 = 2 T_11 against 0, at scale max(|2 T_11|, 1) = 1

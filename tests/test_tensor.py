@@ -414,6 +414,18 @@ def test_object_levels_hold_their_entries_and_every_operation_refuses_them(entri
         _OBJECT_OPERATIONS[operation](level, LevelTensor(2, 1, [1, 2]), p, q)
 
 
+@pytest.mark.parametrize("entries", [[Dual(1, (1,)), Dual(2, (0,))], [True, False]], ids=["dual", "bool"])
+def test_object_levels_compare_their_entries_and_refuse_equals_and_is_zero(entries):
+    t = LevelTensor(2, 1, entries)
+    series = series_from_level(t, 2)
+    assert t == t and t == LevelTensor(2, 1, list(entries)) and series == series
+    assert t != LevelTensor(2, 1, entries[::-1]) and t != LevelTensor(2, 2, entries * 2)
+    assert t != LevelTensor(2, 1, [5, 7]) and LevelTensor(2, 1, [5, 7]) != t and t != "t"
+    for call in (lambda: t.equals(t), lambda: t.is_zero(), lambda: series.equals(series)):
+        with pytest.raises(TypeError, match="kind object"):
+            call()
+
+
 def test_equal_levels_and_series_hash_equal():
     pairs = [
         (LevelTensor(1, 1, [1.0]), LevelTensor(1, 1, [1.0 + 1e-13])),
