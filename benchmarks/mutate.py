@@ -5,6 +5,8 @@
     python benchmarks/mutate.py paths
     python benchmarks/mutate.py matrices
     python benchmarks/mutate.py shuffle
+    python benchmarks/mutate.py recovery
+    python benchmarks/mutate.py scalars
 
 A target (TARGETS) names a module of src/sigtensor, functions in it ("LevelTensor.scale" for a method)
 and the test files to run.  Each mutant flips one operator inside those functions: + and -, * and //
@@ -58,8 +60,18 @@ TARGETS = {
     ),
     "paths": (
         "paths.py",
-        ("poly_signature_integrate", "canonical_mono", "tensor_congruence"),
+        ("poly_signature_integrate", "canonical_mono", "_mode_steps", "_run", "tensor_congruence"),
         ("tests/test_paths.py", "tests/test_properties.py"),
+    ),
+    "recovery": (
+        "recovery.py",
+        ("_plan", "_image_and_jacobian", "_jacobian_residues", "_descend"),
+        ("tests/test_recovery.py", "tests/test_properties.py"),
+    ),
+    "scalars": (
+        "scalars.py",
+        ("values_close",),
+        ("tests/test_properties.py", "tests/test_shuffle.py", "tests/test_tensor.py"),
     ),
     "matrices": (
         "matrices.py",

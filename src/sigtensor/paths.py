@@ -9,7 +9,8 @@ second engine through congruence of a canonical core tensor.
 
 `canonical_axis` and `canonical_mono` build a fresh exact core from its
 closed form on every call.  `_core_level` caches one core per (family, m, k);
-the congruence engines, `recovery` and `matrices` read it.
+the congruence engines, `recovery` and `matrices` read it.  `_mode_steps`
+and `_run` form every mode product, here and in `recovery`.
 """
 
 from __future__ import annotations
@@ -196,20 +197,27 @@ def _core_level(family: str, m: int, k: int) -> LevelTensor:
     return canonical_axis(m, k) if family == "pl" else canonical_mono(m, k)
 
 
-def _contract(t: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
-    """Multiply mode `axis` of t (size m) by the d x m matrix x, in place of it.
+def _mode_steps(shape: tuple, axes, d: int, source: int, target: int) -> tuple:
+    """(steps, shape): modes `axes` of an array of `shape` times a d x m matrix X in turn, and the shape
+    after.  A step (source slot, target slot, last-mode flag, reshape) is X times the (before, m, after)
+    stack of m x after slices, or for the last mode (before, m) times X^T: the new axis lands in place."""
+    steps = []
+    for axis in axes:
+        before, after, last = math.prod(shape[:axis]), shape[axis + 1 :], axis == len(shape) - 1
+        steps.append((source, target, last, (before, shape[axis]) if last else (before, shape[axis], math.prod(after))))
+        source, shape = target, shape[:axis] + (d,) + after
+    return steps, shape
 
-    A mode product is one matrix product on a reshaped t: x times the
-    (before, m, after) stack of m x after slices, whose new axis lands in
-    place, or for the last mode the (before, m) matrix times x^T.  On object
-    arrays `np.matmul` sums Python products, so ints stay ints.
-    """
-    shape = t.shape
-    if axis == t.ndim - 1:
-        out = t.reshape(-1, shape[axis]) @ x.T
-    else:
-        out = np.matmul(x, t.reshape(math.prod(shape[:axis]), shape[axis], math.prod(shape[axis + 1 :])))
-    return out.reshape(shape[:axis] + (x.shape[0],) + shape[axis + 1 :])
+
+def _run(steps, core: np.ndarray, x: np.ndarray, modulus: int | None = None) -> dict:
+    """The slots after the steps ran on the core (slot 0) and x, each reduced mod `modulus` if given; on
+    object arrays `np.matmul` sums Python products, so ints stay ints."""
+    t = {0: core}
+    for source, target, last, shape in steps:
+        s = t[source].reshape(shape)
+        s = s @ x.T if last else np.matmul(x, s)
+        t[target] = s if modulus is None else s % modulus
+    return t
 
 
 def tensor_congruence(core: LevelTensor, matrix: Sequence[Sequence]) -> LevelTensor:
@@ -233,9 +241,7 @@ def tensor_congruence(core: LevelTensor, matrix: Sequence[Sequence]) -> LevelTen
         return LevelTensor(d, 0, core.entries)
     # the matrix entries as one level, so that core and matrix meet in one scalar mode
     kind, (t, x), (denominator, scale) = _common((core, LevelTensor(d * m, 1, [v for r in rows for v in r])))
-    t, x = t.reshape((m,) * core.k), x.reshape(d, m)
-    for axis in (*range(1, core.k), 0):
-        t = _contract(t, x, axis)
+    t = _run(_mode_steps((m,) * core.k, (*range(1, core.k), 0), d, 0, 1)[0], t, x.reshape(d, m))[1]
     return LevelTensor._of(d, core.k, t.reshape(-1), denominator * scale**core.k, kind)
 
 

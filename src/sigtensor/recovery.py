@@ -10,10 +10,11 @@ signature_map of a plain matrix is `paths.tensor_congruence` of the cached
 canonical core.  Gauss-Newton, jacobian_rank and signature_map of `Dual`
 matrices share one kernel (`_image_and_jacobian`): the image of
 X -> core . X^(x)k and its closed-form multilinear Jacobian, a sum over
-modes of the core contracted with X on the other modes, run from a plan
-cached per (d, m, k) (`_plan`).  It runs on float64 arrays, on object
-arrays of Fractions, or on int64 residues mod the one word-size prime
-p = 2^28 - 57 (`matrices._PRIME`) reduced after every contraction.
+modes of the core contracted with X on the other modes.  Both run their
+mode products as `paths._mode_steps` steps through `paths._run`, the
+kernel's from a plan cached per (d, m, k) (`_plan`), on float64 arrays,
+object arrays of Fractions, or int64 residues mod the one word-size prime
+p = 2^28 - 57 (`matrices._PRIME`) reduced after every step.
 jacobian_rank runs it on residues first while m <= 127, where no sum of m
 products of residues reaches 2^63, and builds the exact integer Jacobian
 only for a seed whose rank mod p is deficient.  Each canonical core is the
@@ -50,7 +51,7 @@ from .matrices import (
     _read_matrix,
     _residues,
 )
-from .paths import _core_level, tensor_congruence
+from .paths import _core_level, _mode_steps, _run, tensor_congruence
 from .scalars import NumericalFailure, fraction_nth_root, real_nth_root, scalar_mode
 from .tensor import LevelTensor, TensorSeries, _frozen
 
@@ -300,10 +301,9 @@ def _plan(d: int, m: int, k: int) -> tuple:
     The k partials come by halving: the modes split in two halves, and the
     core contracted on either half is split again, down to single modes, in
     about k log2(k) contractions, not k(k-1).  `steps` unrolls that, depth
-    first, into (source slot, target slot, last-mode flag, reshape): slot 0
-    holds the core, slot h the core contracted at depth h, slot k + p
-    partial p (`slots[p]`), and slot 2k the image, partial 0 contracted on
-    mode 0.  `spots[p]` holds the flat Jacobian positions, d rows of
+    first, into `paths._mode_steps` steps: slot 0 holds the core, slot h the
+    core contracted at depth h, slot k + p partial p (`slots[p]`), slot 2k
+    the image.  `spots[p]` holds the flat Jacobian positions, d rows of
     (word i, mode p at b, word j), where partial p lands for letter p = a.
     A plan holds k m d^k positions, k/d of one Jacobian; at the CLI entry cap
     of 10^7 Jacobian entries the 32 plans kept hold at most 32 k/d times it.
@@ -313,16 +313,14 @@ def _plan(d: int, m: int, k: int) -> tuple:
     while todo:
         slot, shape, keep, drop = todo.pop()
         target = k + keep[0] if len(keep) == 1 else slot + 1
-        for axis in drop:
-            before, after = math.prod(shape[:axis]), math.prod(shape[axis + 1 :])
-            steps.append((slot, target, axis == k - 1, (before, m) if axis == k - 1 else (before, m, after)))
-            slot, shape = target, shape[:axis] + (d,) + shape[axis + 1 :]
+        found, shape = _mode_steps(shape, drop, d, slot, target)
+        steps, slot = steps + found, target if found else slot
         if len(keep) == 1:
             slots[keep[0]] = slot
         else:  # the left half is popped, and split down to single modes, first
             left, right = keep[: len(keep) // 2], keep[len(keep) // 2 :]
             todo += [(slot, shape, right, left), (slot, shape, left, right)]
-    steps.append((slots[0], 2 * k, k == 1, (1, m) if k == 1 else (1, m, d ** (k - 1))))
+    steps += _mode_steps((m,) + (d,) * (k - 1), (0,), d, slots[0], 2 * k)[0]
     index = np.arange(d * m * d**k)
     for p in range(k):
         # spots[p][a, i, b, j] = the flat position of jac[a, b, i, a, j]: i the letters before p, j after
@@ -337,29 +335,23 @@ def _image_and_jacobian(core: np.ndarray, x: np.ndarray, modulus: int | None = N
     Closed form: d image / d X[a, b] = sum over modes p of the core
     contracted with X on every mode but p (the partial of mode p), with
     mode p fixed to b, placed where output letter p equals a.  Row a*m + b
-    is the partial in X[a, b].  The steps of `_plan` run as matrix products,
-    each formed as `paths._contract` forms it; then the partials are added at
-    their positions in mode order onto zeros.  Fixed products in a fixed
-    order: a float result is bit for bit `_contract` run in the same halving
-    order.  Runs on float64 arrays, or on object arrays of Python
-    Fractions/ints.  With a modulus, core and X hold int64 residues and every
-    contraction, and the result, is reduced mod it; the caller keeps
+    is the partial in X[a, b].  `paths._run` runs the steps of `_plan`, and
+    the partials are added at their positions in mode order onto zeros: a
+    float result is bit for bit one mode product at a time in the same
+    halving order.  With a modulus, core and X hold int64 residues and every
+    step, and the result, is reduced mod it; the caller keeps
     m (modulus-1)^2 below 2^63, so no sum of m non-negative products
     overflows, in any order (`_jacobian_residues`).
     """
     d, m = x.shape
     k = core.ndim
     steps, slots, spots = _plan(d, m, k)
-    t = [core] + [None] * (2 * k)
-    for source, target, last, shape in steps:
-        s = t[source].reshape(shape)
-        s = s @ x.T if last else np.matmul(x, s)
-        t[target] = s if modulus is None else s % modulus
+    t = _run(steps, core, x, modulus)
     jac = np.zeros(d * m * d**k, dtype=x.dtype)
     for slot, spot in zip(slots, spots):
         jac[spot] += t[slot].reshape(-1)
     jac = jac.reshape(d * m, d**k)
-    return t[-1].reshape(-1), jac if modulus is None else jac % modulus
+    return t[2 * k].reshape(-1), jac if modulus is None else jac % modulus
 
 
 def signature_map(family: str, matrix: Sequence[Sequence], k: int) -> LevelTensor:

@@ -10,7 +10,8 @@ one term of a sum.
 
 `values_close` is the one equality test: bit-exact for rationals, else the
 relative tolerance |a - b| <= tol * max(1, |a|, |b|), on two scalars or
-elementwise on two float arrays (the shuffle-law scan).
+elementwise on two float arrays (the shuffle-law scan); a non-finite value
+is close only to an equal one (inf to inf, nan to nothing).
 
 `int_kind` is the one rule for the dtype of an exact integer kernel: int64
 when a bound certifies that no partial sum reaches 2^63, object otherwise.
@@ -80,13 +81,14 @@ def scalar_mode(values) -> tuple:
 def values_close(a, b, tol: float | None = None):
     """Bit-exact for two rationals when tol is None; else |a - b| <= tol * max(1, |a|, |b|), tol
     `DEFAULT_REL_TOL` when None, written as three comparisons so that it takes Python scalars of any
-    size, or two arrays elementwise."""
+    size, or two arrays elementwise.  A non-finite value is close only to an equal one (inf <= tol * inf
+    would make inf close to every x)."""
     if tol is None:
         if is_exact(a) and is_exact(b):
             return a == b
         tol = DEFAULT_REL_TOL
     diff = abs(a - b)
-    return (diff <= tol) | (diff <= tol * abs(a)) | (diff <= tol * abs(b))
+    return (a == b) | (diff < math.inf) & ((diff <= tol) | (diff <= tol * abs(a)) | (diff <= tol * abs(b)))
 
 
 def parse_scalar(text, name: str, exact: bool = True):

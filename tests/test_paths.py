@@ -28,6 +28,7 @@ from sigtensor import (
     poly_signature_congruence,
     poly_signature_integrate,
     project_level,
+    signature_level,
     signature_series,
     tensor_congruence,
     unit_series,
@@ -252,6 +253,27 @@ def test_every_family_grouplike_and_log_lie(rng):
         series = signature_series(path, 4)
         assert is_grouplike(series), path
         assert is_lie(log_series(series)), path
+
+
+def test_signature_level_is_the_projected_series_of_every_path_type(rng):
+    steps = tuple(rand_vector(rng, 2) for _ in range(3))
+    coeffs = tuple(tuple(rand_fraction(rng) for _ in range(2)) for _ in range(2))
+    axis = AxisParallel(3, (1, 3, 2), (Fraction(1), Fraction(-2), Fraction(1, 2)))
+    lie = random_lie_series(rng, 2, 3)
+    for k in range(4):
+        # with a second engine for each path type at k >= 1, as its signature's order-k level
+        second = {
+            PiecewiseLinear(steps): lambda: pl_level_direct(steps, k),
+            Polynomial(coeffs): lambda: poly_signature_congruence(coeffs, k),
+            axis: lambda: pl_level_direct(axis.to_piecewise_linear().steps, k),
+            LogLinear(lie): lambda: loglinear_level(lie, k),
+        }
+        for path, engine in second.items():
+            level = signature_level(path, k)
+            want = project_level(signature_series(path, k), k)
+            assert (level.d, level.k) == (path.d, k)
+            assert [(type(v), v) for v in level.entries] == [(type(v), v) for v in want.entries]
+            assert k == 0 or level == engine()
 
 
 def test_axis_parallel_conversion_and_empty():

@@ -72,7 +72,7 @@ from sigtensor import (
 from sigtensor import recovery
 from sigtensor.dual import Dual
 from sigtensor.lyndon import poly_from_json, poly_to_json
-from sigtensor.paths import _contract
+from sigtensor.paths import _mode_steps, _run
 from sigtensor.matrices import (
     _PRIME,
     _eliminate,
@@ -837,14 +837,15 @@ def test_grouplike_exactly_when_log_is_lie(d, n, data):
     assert not is_grouplike(moved) and not is_lie(log_series(moved))
 
 
-def _scan_violation(series, tol, grouplike):
+def _scan_violation(series, tol, grouplike, close=values_close):
     """Reference: the first failing pair of a scan over shuffle_form_eval.
 
     Pairs run by total length, then |I| <= |J|, then I and J in index
-    order, skipping J < I when |I| = |J|.
+    order, skipping J < I when |I| = |J|.  `close(value, law, tol)` tells
+    a form that keeps the law.
     """
     c = series.constant_term
-    if not values_close(c, (1 if grouplike else 0) + 0 * c, tol):
+    if not close(c, (1 if grouplike else 0) + 0 * c, tol):
         return ((), (), c, 1) if grouplike else ((), (), c)
     for total in range(2, series.n + 1):
         for r in range(1, total // 2 + 1):
@@ -854,7 +855,7 @@ def _scan_violation(series, tol, grouplike):
                         continue
                     value = shuffle_form_eval(left, right, series.levels[total])
                     law = series.coefficient(left) * series.coefficient(right) if grouplike else 0 * value
-                    if not values_close(value, law, tol):
+                    if not close(value, law, tol):
                         return (left, right, value, law) if grouplike else (left, right, value)
     return None
 
@@ -921,6 +922,79 @@ def test_exact_series_with_a_tol_are_scanned_as_their_floats_with_exact_witnesse
             assert law in ([], [series.coefficient(left) * series.coefficient(right)])
         else:
             assert value == series.constant_term
+
+
+def _close_by_rule(a, b, tol=None):
+    """The float rule, restated: a non-finite value is close only to an equal one (inf to inf, nan to
+    nothing), finite ones when |a - b| <= tol * max(1, |a|, |b|)."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return a == b
+    return abs(a - b) <= (1e-10 if tol is None else tol) * max(1.0, abs(a), abs(b))
+
+
+NONFINITE = (math.inf, -math.inf, math.nan)
+
+
+def test_values_close_holds_at_the_tolerance_on_each_side():
+    # |a - b| = tol * max(1, |a|, |b|) exactly, with the max at 1, |a| and |b| in turn: close; and not with
+    # the larger one an ulp further out, in the scalar and the array form alike
+    pairs = [(0.5, 0.0), (4.0, 2.0), (2.0, 4.0)]
+    up = lambda v: float(np.nextafter(v, math.inf))
+    apart = [(up(0.5), 0.0), (up(4.0), 2.0), (2.0, up(4.0))]
+    for rows, want in ((pairs, True), (apart, False)):
+        assert [values_close(a, b, 0.5) for a, b in rows] == [want] * 3
+        assert values_close(np.array([a for a, _ in rows]), np.array([b for _, b in rows]), 0.5).tolist() == [want] * 3
+
+
+def test_nonfinite_floats_are_close_only_to_equal_values():
+    inf, nan = math.inf, math.nan
+    assert values_close(inf, inf) and values_close(-inf, -inf, 1e-3)
+    assert not values_close(inf, -inf) and not values_close(nan, nan) and not values_close(inf, 5.0, 0.5)
+    pairs = [(inf, inf), (-inf, -inf), (inf, -inf), (nan, nan), (inf, 5.0), (nan, 1.0), (1.0, 1.0 + 1e-12)]
+    with np.errstate(invalid="ignore"):
+        got = values_close(np.array([a for a, _ in pairs]), np.array([b for _, b in pairs]))
+    assert got.tolist() == [values_close(a, b) for a, b in pairs] == [True, True, False, False, False, False, True]
+    assert LevelTensor(1, 1, [inf]) != LevelTensor(1, 1, [5.0]) and not LevelTensor(1, 1, [inf]).is_zero()
+    level = lambda k, v: LevelTensor(1, k, [v])
+    assert not is_lie(TensorSeries(1, 2, [level(0, 0.0), level(1, 0.0), level(2, inf)]))
+    with np.errstate(invalid="ignore"):
+        assert not is_grouplike(TensorSeries(1, 2, [level(0, 1.0), level(1, 1.0), level(2, inf)]))
+
+
+@PROPERTY
+@given(
+    st.integers(1, 2),
+    st.integers(2, 4),
+    st.booleans(),
+    st.lists(st.tuples(st.integers(0, 2**16), st.sampled_from(NONFINITE)), min_size=1, max_size=3),
+    st.sampled_from([None, 1e-9]),
+    st.integers(0, 2**16),
+)
+@example(1, 2, True, [(2, math.inf)], None, 0)  # [1, x, inf]: inf is close to no product
+@example(1, 2, True, [(1, math.inf), (2, math.inf)], None, 0)  # [1, inf, inf]: 2 inf is close to inf * inf
+@example(2, 3, False, [(3, math.inf), (4, -math.inf)], 1e-9, 0)  # a form inf - inf is nan
+def test_levels_with_nonfinite_floats_compare_by_the_rule(d, n, grouplike, spots, tol, seed):
+    """±inf and nan placed in the float levels of a group-like series or its logarithm: `==`, `equals`,
+    `is_zero`, `is_grouplike` and `is_lie` answer as the rule does on every entry or form."""
+    rng = random.Random(seed)
+    series = pl_signature([[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d)] for _ in range(2)], n)
+    clean = (series if grouplike else log_series(series)).to_float()
+    entries = [list(level.entries) for level in clean.levels]
+    for spot, value in spots:
+        spot %= sum(d**k for k in range(n + 1))
+        k = next(k for k in range(n + 1) if spot < sum(d**j for j in range(k + 1)))
+        entries[k][spot - sum(d**j for j in range(k))] = value
+    poisoned = TensorSeries(d, n, [LevelTensor(d, k, e) for k, e in enumerate(entries)])
+    rule = lambda x, y: all(_close_by_rule(u, v, tol) for u, v in zip(x.entries, y.entries))
+    for a, b in ((poisoned, poisoned), (poisoned, clean), (clean, poisoned)):
+        assert (a == b) is all(rule(x, y) for x, y in zip(a.levels, b.levels))
+        for x, y in zip(a.levels, b.levels):
+            assert (x == y) is rule(x, y) and x.equals(y, tol) is rule(x, y)
+    for level in poisoned.levels:
+        assert level.is_zero(tol) is all(_close_by_rule(v, 0.0, tol) for v in level.entries)
+    with np.errstate(invalid="ignore"):  # numpy warns where a sum or difference of infinities is nan
+        for law, check in ((True, is_grouplike), (False, is_lie)):
+            assert check(poisoned, tol) is (_scan_violation(poisoned, tol, law, _close_by_rule) is None)
 
 
 @PROPERTY
@@ -1062,7 +1136,10 @@ def test_residue_jacobian_at_and_past_the_int64_bound(m):
     # and two unreduced partials summed at m = 127 would pass it too
     core = np.full((m, m), -1, dtype=object)
     point = np.full((1, m), -1, dtype=object)
-    assert _jacobian_residues(core, point).tolist() == [[2 * m]] * m
+    moduli, kernel = [], recovery._image_and_jacobian
+    with mock.patch.object(recovery, "_image_and_jacobian", lambda c, x, p=None: moduli.append(p) or kernel(c, x, p)):
+        assert _jacobian_residues(core, point).tolist() == [[2 * m]] * m
+    assert moduli == [_PRIME if m <= 127 else None]  # the int64 kernel runs up to its bound, not only below it
 
 
 # --- the multilinear kernels against tensordot references ---
@@ -1096,6 +1173,23 @@ def _ref_image_and_jacobian(core, x):
                 t = _ref_contract(t, x, q)
         partials.append(t)
     return _ref_contract(partials[0], x, 0).reshape(-1), _ref_jacobian(partials, x)
+
+
+def _contract(t, x, axis):
+    """Mode `axis` of t times x, in place of it: x times the (before, m, after) stack of m x after slices,
+    or for the last mode the (before, m) matrix times x^T, reshaped back (the package's rule, restated)."""
+    shape = t.shape
+    if axis == t.ndim - 1:
+        out = t.reshape(-1, shape[axis]) @ x.T
+    else:
+        out = np.matmul(x, t.reshape(math.prod(shape[:axis]), shape[axis], math.prod(shape[axis + 1 :])))
+    return out.reshape(shape[:axis] + (x.shape[0],) + shape[axis + 1 :])
+
+
+def _one_mode_product(t, x, axis):
+    """`paths._run` of the one `_mode_steps` step on mode `axis`, in the shape `_mode_steps` returns."""
+    steps, shape = _mode_steps(t.shape, (axis,), x.shape[0], 0, 1)
+    return _run(steps, t, x)[1].reshape(shape)
 
 
 def _halving_image_and_jacobian(core, x):
@@ -1149,7 +1243,7 @@ def _seeded_array(mode, shape, seed):
 def test_contract_equals_tensordot_on_every_axis(mode, shape, axis, d, seed):
     axis %= len(shape)
     t, x = _seeded_array(mode, shape, seed), _seeded_array(mode, (d, shape[axis]), seed + 1)
-    got, want = _contract(t, x, axis), _ref_contract(t, x, axis)
+    got, want = _one_mode_product(t, x, axis), _ref_contract(t, x, axis)
     assert got.shape == want.shape == tuple(shape[:axis]) + (d,) + tuple(shape[axis + 1 :])
     assert got.dtype == want.dtype
     if mode == "float":
@@ -1163,7 +1257,7 @@ def test_contract_of_python_ints_holds_python_ints():
     t = np.array([[2**70, -3], [5, 7]], dtype=object)
     x = np.array([[1, 2], [3, 4], [5, 6]], dtype=object)
     for axis in (0, 1):
-        assert all(type(v) is int for v in _contract(t, x, axis).flat)
+        assert all(type(v) is int for v in _one_mode_product(t, x, axis).flat)
 
 
 @PROPERTY
